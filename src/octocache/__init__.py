@@ -23,7 +23,7 @@ from .placement import (PlacementAlgorithmReport, brute_force_optimal, pcd,
 from .policies import (POLICY_NAMES, LfuPolicy, LruPolicy, OctopusPolicy,
                        Policy, StaticPlacementPolicy, make_policy)
 from .routing import (Placement, RoutingMode, Source, SourceKind,
-                      UtilityEvaluator, feasible, marginal_gain,
+                      UtilityEvaluator, marginal_gain,
                       marginal_loss, route_request, total_expected_delay,
                       user_expected_delay, utility)
 from .topology import (CacheCapacities, Catalog, Popularity, Topology,
@@ -32,8 +32,7 @@ from .topology import (CacheCapacities, Catalog, Popularity, Topology,
                        uturn_peer_delays)
 from .workload import (RequestEvent, RequestTrace, assign_users,
                        estimate_popularity, generate_requests, parse_trace,
-                       parse_trace_file, serialize_trace, write_trace,
-                       zipf_popularity)
+                       parse_trace_file, serialize_trace, zipf_popularity)
 
 __all__ = [
     "CSV_COLUMNS", "CacheCapacities", "Catalog", "ConfigError",
@@ -44,12 +43,11 @@ __all__ = [
     "SourceKind", "StaticPlacementPolicy", "SweepRow", "Topology",
     "TraceError", "TraceFormatError", "UtilityEvaluator", "assign_users",
     "brute_force_optimal", "build_paper_topology", "capacities_from_budget",
-    "derive_seed", "estimate_popularity", "feasible", "generate_requests",
+    "derive_seed", "estimate_popularity", "generate_requests",
     "make_policy", "marginal_gain", "marginal_loss", "parse_trace",
     "parse_trace_file", "pcd", "place_ecnc", "place_eo", "place_exmpc",
     "place_femtox", "rcr", "route_request", "rows_to_csv", "rows_to_json",
     "run_experiment", "run_sweep", "serialize_trace", "top_popular",
     "topology_from_config", "topology_to_config", "total_expected_delay",
-    "user_expected_delay", "utility", "uturn_peer_delays", "write_trace",
-    "zipf_popularity",
+    "user_expected_delay", "utility", "uturn_peer_delays", "zipf_popularity",
 ]

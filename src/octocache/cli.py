@@ -13,6 +13,7 @@ or format error, 3 structurally infeasible instance.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -24,11 +25,12 @@ from .errors import ConfigError, InfeasibleInstanceError, TraceError
 from .placement import brute_force_optimal, pcd
 from .policies import POLICY_NAMES
 from .routing import utility
-from .topology import (CacheCapacities, Catalog, Popularity, Topology,
+from .topology import (CacheCapacities, Catalog, Popularity,
                        build_paper_topology, capacities_from_budget,
-                       parse_config_text, uturn_peer_delays)
+                       parse_config_list, parse_config_text,
+                       topology_from_config)
 from .workload import (generate_requests, parse_trace_file, serialize_trace,
-                       write_trace, zipf_popularity)
+                       zipf_popularity)
 
 _SIZE_SUFFIXES = {"B": 1, "KB": 10**3, "MB": 10**6, "GB": 10**9, "TB": 10**12}
 
@@ -40,24 +42,18 @@ _AXIS_BY_FLAG = {"cache-total": "total_cache_bytes",
 def parse_size(text):
     """'0.4TB' -> 400000000000. Decimal suffixes; bare numbers are bytes."""
     s = str(text).strip().upper().replace(" ", "")
+    number, scale = s, 1
     for suffix in ("KB", "MB", "GB", "TB", "B"):
         if s.endswith(suffix):
-            try:
-                return int(round(float(s[:-len(suffix)]) * _SIZE_SUFFIXES[suffix]))
-            except ValueError:
-                raise ConfigError(f"cannot parse size {text!r}") from None
+            number, scale = s[:-len(suffix)], _SIZE_SUFFIXES[suffix]
+            break
     try:
-        return int(round(float(s)))
+        size = float(number) * scale
     except ValueError:
         raise ConfigError(f"cannot parse size {text!r}") from None
-
-
-def _float_list(text):
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
-def _str_list(text):
-    return [v.strip() for v in str(text).split(",") if v.strip()]
+    if not math.isfinite(size):
+        raise ConfigError(f"size {text!r} is not finite")
+    return int(round(size))
 
 
 _DEFAULTS = {
@@ -126,30 +122,10 @@ class Options:
         except KeyError:
             raise AttributeError(key) from None
 
-    def explicit_topology(self):
-        """Topology from config-file delay keys, or None for seeded builds."""
-        if self._resolved.get("edge_delay_ms") is None:
-            return None
-        edge = tuple(_float_list(self._resolved["edge_delay_ms"]))
-        if self._resolved.get("cdn_delay_ms") is None:
-            raise ConfigError("edge_delay_ms requires cdn_delay_ms")
-        model = self._resolved.get("peer_delay_model") or "uturn-sum"
-        if model == "uturn-sum":
-            peer = uturn_peer_delays(edge)
-        elif model == "explicit":
-            if self._resolved.get("peer_delay_ms") is None:
-                raise ConfigError("peer_delay_model=explicit requires peer_delay_ms")
-            peer = tuple(tuple(float(v) for v in row.split(","))
-                         for row in str(self._resolved["peer_delay_ms"]).split(";"))
-        else:
-            raise ConfigError(f"unknown peer_delay_model {model!r}")
-        return Topology(num_bs=len(edge), edge_delay=edge, peer_delay=peer,
-                        cdn_delay=float(self._resolved["cdn_delay_ms"]))
-
     def explicit_capacities(self, num_bs):
         if self._resolved.get("capacity_edge") is None:
             return None
-        edges = [int(v) for v in _str_list(self._resolved["capacity_edge"])]
+        edges = parse_config_list(self._resolved["capacity_edge"], int)
         if len(edges) == 1:
             edges = edges * num_bs
         cloud = self._resolved.get("capacity_cloud")
@@ -160,7 +136,7 @@ class Options:
     def explicit_popularity(self):
         if self._resolved.get("popularity") is None:
             return None
-        return Popularity(np.array(_float_list(self._resolved["popularity"])))
+        return Popularity(np.array(parse_config_list(self._resolved["popularity"])))
 
     def header_lines(self, command, extra=()):
         keys = sorted(k for k, v in self._resolved.items() if v is not None)
@@ -172,7 +148,9 @@ def _experiment_config(opts, policy=None):
     zipf_alpha = opts.zipf_alpha
     if opts.trace is None and zipf_alpha is None:
         zipf_alpha = 0.8
-    topology = opts.explicit_topology()
+    topology = None
+    if opts.edge_delay_ms is not None:
+        topology = topology_from_config(opts._resolved)
     num_bs = topology.num_bs if topology is not None else opts.bs
     capacities = opts.explicit_capacities(num_bs)
     if capacities is None and opts.cache_total is None:
@@ -197,9 +175,14 @@ def _experiment_config(opts, policy=None):
 
 
 def _emit(text, out_path):
+    """Write ``text`` to ``out_path``, or to stdout when no path is given.
+    The only place the CLI writes a file."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -233,7 +216,7 @@ def cmd_sweep(opts):
     if axis is None:
         raise ConfigError(f"unknown axis {opts.axis!r}; expected one of "
                           + ", ".join(_AXIS_BY_FLAG))
-    raw_values = _str_list(opts.values or "")
+    raw_values = parse_config_list(opts.values or "", str)
     if not raw_values:
         raise ConfigError("--values must list at least one value")
     if axis == "total_cache_bytes":
@@ -252,7 +235,8 @@ def cmd_sweep(opts):
         base = _experiment_config(opts, policy=values[0])
         rows.extend(run_sweep(base, axis, values, jobs=opts.jobs))
     else:
-        policies = _str_list(opts.policies or "") or ([opts.policy] if opts.policy else [])
+        policies = (parse_config_list(opts.policies or "", str)
+                    or ([opts.policy] if opts.policy else []))
         if not policies:
             raise ConfigError("--policies is required for this axis")
         for name in policies:
@@ -268,17 +252,15 @@ def cmd_gen_trace(opts):
     users = list(range(1, opts.users + 1))
     trace = generate_requests(popularity, opts.requests, users, opts.seed)
     print(" | ".join(opts.header_lines("gen-trace")), file=sys.stderr)
-    if opts.out:
-        write_trace(trace, opts.out)
-    else:
-        sys.stdout.write(serialize_trace(trace))
+    _emit(serialize_trace(trace), opts.out)
     return 0
 
 
 def _oracle_instance(opts):
-    topology = opts.explicit_topology()
-    if topology is None:
+    if opts.edge_delay_ms is None:
         topology = build_paper_topology(opts.bs, opts.seed)
+    else:
+        topology = topology_from_config(opts._resolved)
     per_bs = opts.users_per_bs or 1
     assignment = {f"u{r}_{i}": r
                   for r in range(1, topology.num_bs + 1)
@@ -344,10 +326,7 @@ def cmd_oracle(opts):
 def cmd_validate_trace(opts):
     if opts.trace is None:
         raise ConfigError("--trace is required")
-    try:
-        trace = parse_trace_file(opts.trace)
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {opts.trace}: {exc}") from exc
+    trace = parse_trace_file(opts.trace)
     events = trace.events
     lines = [f"events={len(events)}",
              f"users={len(trace.users())}",

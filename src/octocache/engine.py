@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .errors import ConfigError, TraceError
+from .errors import ConfigError
 from .policies import POLICY_NAMES, LfuPolicy, LruPolicy, make_policy
 from .topology import (Catalog, build_paper_topology, capacities_from_budget)
 from .workload import (assign_users, estimate_popularity, generate_requests,
@@ -142,11 +142,7 @@ class ExperimentConfig:
 
 def _resolve_workload(config, seeds):
     if config.trace_path is not None:
-        try:
-            trace = parse_trace_file(config.trace_path)
-        except OSError as exc:
-            raise TraceError(f"cannot read trace {config.trace_path}: {exc}") from exc
-        return trace, None
+        return parse_trace_file(config.trace_path), None
     popularity = zipf_popularity(config.num_files, config.zipf_alpha)
     users = list(range(1, config.num_users + 1))
     trace = generate_requests(popularity, config.num_requests, users,
@@ -177,9 +173,8 @@ def run_experiment(config):
     if assignment is None:
         assignment = assign_users(trace.users(), topology.num_bs,
                                   seeds["assignment"])
-    if all(user in assignment for user in trace.users()):
-        trace = trace.with_assignment(assignment)
-    # else: uncovered events are skipped during replay and tallied malformed
+    # events of users the assignment does not cover are skipped during
+    # replay and tallied malformed
     topology = topology.with_users(assignment)
 
     capacities = config.capacities
@@ -239,11 +234,13 @@ def run_sweep(base, axis, values, jobs=1):
     the resulting curves are comparable. Returns rows in input order.
 
     ``jobs`` > 1 runs cells in parallel processes; ordering is deterministic
-    regardless.
+    regardless. ``jobs`` < 1 is a ``ConfigError``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of "
                           + ", ".join(SWEEP_AXES))
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cells = [(axis, value, base) for value in values]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -167,29 +167,6 @@ class Placement:
         sets = ", ".join(f"C{r}={sorted(c)}" for r, c in enumerate(self.contents))
         return f"Placement({sets})"
 
-    def to_text(self):
-        """Line-oriented export: ``cache_index<TAB>file_index``, sorted."""
-        return "".join(f"{r}\t{f}\n" for f, r in self.elements())
-
-    @classmethod
-    def from_text(cls, text, capacities, num_files):
-        placement = cls(capacities, num_files)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected cache<TAB>file")
-            placement.add(int(parts[1]), int(parts[0]))
-        return placement
-
-
-def feasible(placement):
-    """True when the placement respects every cache capacity (partition
-    matroid membership)."""
-    return placement.is_feasible()
-
 
 def t_value_table(topology, mode=RoutingMode.FULL):
     """Delay reduction t of one cached copy, per (requesting BS, cache).

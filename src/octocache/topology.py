@@ -17,6 +17,7 @@ construction and safe to share across concurrently running experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,10 +28,6 @@ EDGE_DELAY_RANGE_MS = (10.0, 30.0)
 CDN_DELAY_RANGE_MS = (60.0, 100.0)
 DEFAULT_FILE_SIZE_MB = 20.0
 DEFAULT_CLOUD_EDGE_RATIO = 4
-
-#: Config keys understood by :func:`topology_from_config`.
-TOPOLOGY_CONFIG_KEYS = ("num_bs", "edge_delay_ms", "cdn_delay_ms",
-                        "peer_delay_model", "peer_delay_ms")
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class Topology:
         (d_rk = d_r + d_k) makes it so.
     cdn_delay : float
         Backhaul delay d_0 [ms] of fetching from the CDN origin. Must exceed
-        every in-network delay.
+        every in-network delay. Every delay must be finite.
     users : tuple of (user_id, home_bs) pairs
         Active users; each user is served only by its single home BS.
     """
@@ -72,6 +69,10 @@ class Topology:
             raise ValueError("edge delays must be positive")
         if len(self.peer_delay) != R or any(len(row) != R for row in self.peer_delay):
             raise ValueError("peer_delay must be an R x R matrix")
+        delays = (*self.edge_delay, *(d for row in self.peer_delay for d in row),
+                  self.cdn_delay)
+        if not all(math.isfinite(d) for d in delays):
+            raise ValueError("delays must be finite")
         for r in range(R):
             for k in range(R):
                 if r != k and self.peer_delay[r][k] <= 0:
@@ -106,9 +107,6 @@ class Topology:
         homes = [home for _, home in self.users]
         return np.bincount(homes, minlength=self.num_bs + 1)[1:].astype(float)
 
-    def peer_delay_matrix(self):
-        return np.asarray(self.peer_delay, dtype=float)
-
     def with_users(self, assignment):
         """Return a copy of this topology with users taken from a mapping
         of user id to home BS (iteration order is preserved)."""
@@ -125,8 +123,8 @@ class Catalog:
     def __post_init__(self):
         if self.num_files < 1:
             raise ValueError("num_files must be >= 1")
-        if self.file_size_mb <= 0:
-            raise ValueError("file_size_mb must be positive")
+        if not (math.isfinite(self.file_size_mb) and self.file_size_mb > 0):
+            raise ValueError("file_size_mb must be positive and finite")
 
     @property
     def file_size_bytes(self):
@@ -138,8 +136,8 @@ class Catalog:
 class Popularity:
     """Request probability p_k per file, k = 1..F.
 
-    ``probs`` is held as a read-only numpy array; entries are non-negative
-    and sum to 1 within 1e-9.
+    ``probs`` is held as a read-only numpy array; entries are finite,
+    non-negative and sum to 1 within 1e-9.
     """
 
     probs: np.ndarray
@@ -150,6 +148,8 @@ class Popularity:
         object.__setattr__(self, "probs", arr)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("popularity must be a non-empty vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("popularity entries must be finite")
         if np.any(arr < 0):
             raise ValueError("popularity entries must be >= 0")
         if abs(float(arr.sum()) - 1.0) > 1e-9:
@@ -310,23 +310,42 @@ def parse_config_text(text):
     return values
 
 
-def topology_from_config(text):
-    """Rebuild a :class:`Topology` from :func:`topology_to_config` output."""
-    values = parse_config_text(text)
+def parse_config_list(text, convert=float, sep=","):
+    """Split a config value on ``sep`` and convert each non-empty item."""
+    items = (item.strip() for item in str(text).split(sep))
     try:
-        num_bs = int(values["num_bs"])
-        edge = tuple(float(v) for v in values["edge_delay_ms"].split(","))
-        cdn = float(values["cdn_delay_ms"])
-        model = values.get("peer_delay_model", "uturn-sum")
-    except KeyError as exc:
-        raise ConfigError(f"missing topology key: {exc}") from exc
+        return [convert(item) for item in items if item]
+    except ValueError:
+        raise ConfigError(f"cannot parse list {text!r}") from None
+
+
+def topology_from_config(config):
+    """Build a :class:`Topology` from config text, such as
+    :func:`topology_to_config` writes, or from a mapping of config keys to
+    values, in which a key mapped to None counts as absent.
+
+    ``num_bs`` is optional: the length of ``edge_delay_ms`` sets it, and a
+    given ``num_bs`` that disagrees with that length is a ``ConfigError``.
+    """
+    values = parse_config_text(config) if isinstance(config, str) else config
+    for key in ("edge_delay_ms", "cdn_delay_ms"):
+        if values.get(key) is None:
+            raise ConfigError(f"missing topology key: {key!r}")
+    edge = tuple(parse_config_list(values["edge_delay_ms"]))
+    num_bs = values.get("num_bs")
+    if num_bs is not None and int(num_bs) != len(edge):
+        raise ConfigError(f"num_bs = {num_bs} but edge_delay_ms lists "
+                          f"{len(edge)} delays")
+    model = values.get("peer_delay_model") or "uturn-sum"
     if model == "uturn-sum":
         peer = uturn_peer_delays(edge)
     elif model == "explicit":
-        if "peer_delay_ms" not in values:
+        if values.get("peer_delay_ms") is None:
             raise ConfigError("peer_delay_model=explicit requires peer_delay_ms")
-        peer = tuple(tuple(float(v) for v in row.split(","))
-                     for row in values["peer_delay_ms"].split(";"))
+        peer = tuple(tuple(parse_config_list(row))
+                     for row in parse_config_list(values["peer_delay_ms"],
+                                                  str, ";"))
     else:
         raise ConfigError(f"unknown peer_delay_model {model!r}")
-    return Topology(num_bs=num_bs, edge_delay=edge, peer_delay=peer, cdn_delay=cdn)
+    return Topology(num_bs=len(edge), edge_delay=edge, peer_delay=peer,
+                    cdn_delay=float(values["cdn_delay_ms"]))

@@ -11,11 +11,12 @@ the time-sorted stream.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyTraceError, TraceFormatError
+from .errors import EmptyTraceError, TraceError, TraceFormatError
 from .topology import Popularity
 
 #: Fraction of malformed lines beyond which the input is rejected outright.
@@ -101,8 +102,8 @@ def parse_trace(source):
 
     Rows are stable-sorted by timestamp, then content ids are interned to
     dense indices in first-appearance order of the sorted stream. Malformed
-    lines (wrong arity, non-numeric timestamp, empty fields) are skipped and
-    counted.
+    lines (wrong arity, non-numeric or non-finite timestamp, empty fields)
+    are skipped and counted.
 
     Raises
     ------
@@ -135,6 +136,9 @@ def parse_trace(source):
         except ValueError:
             malformed += 1
             continue
+        if not math.isfinite(ts):
+            malformed += 1
+            continue
         rows.append((ts, fields[1], fields[2]))
     if considered and malformed / considered > MALFORMED_LINE_TOLERANCE:
         raise TraceFormatError(
@@ -158,8 +162,13 @@ def parse_trace(source):
 
 
 def parse_trace_file(path):
-    with open(path, encoding="utf-8", newline="") as handle:
-        return parse_trace(handle)
+    """Parse the trace file at ``path``; an unreadable or non-UTF-8 file
+    raises ``TraceError``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return parse_trace(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
 
 
 def serialize_trace(trace, header=True):
@@ -168,11 +177,6 @@ def serialize_trace(trace, header=True):
     for ev in trace.events:
         out.append(f"{ev.time:g},{ev.user_id},{trace.label_of(ev.file_id)}")
     return "\n".join(out) + "\n"
-
-
-def write_trace(trace, path, header=True):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize_trace(trace, header=header))
 
 
 def zipf_popularity(num_files, alpha):

@@ -5,8 +5,11 @@ captured by pytest's capsys.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from octocache.cli import main, parse_size
+from octocache import ConfigError
+from octocache.cli import _DEFAULTS, main, parse_size
 
 CANONICAL_CFG = """\
 num_bs = 2
@@ -38,6 +41,9 @@ def test_parse_size():
     assert parse_size("12345") == 12345
     with pytest.raises(Exception):
         parse_size("lots")
+    for text in ("inf", "nan", "infTB", "-inf", "1e400", "1e300TB"):
+        with pytest.raises(ConfigError):
+            parse_size(text)
 
 
 # ---------------------------------------------------------------- simulate
@@ -248,3 +254,146 @@ def test_out_file_writing(tmp_path):
                    "--out", str(out))
     assert code == 0
     assert out.read_text(encoding="utf-8").count("\n") >= 2
+
+
+# ------------------------------------------------------ exit-code contract
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+SMALL = ("--files", "30", "--requests", "300", "--cache-total", "1GB")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "eo", "--files", "30", "--requests", "300",
+     "--cache-total", "inf"),
+    ("simulate", "--policy", "eo", *SMALL, "--file-size-mb", "inf"),
+    ("simulate", "--policy", "eo", *SMALL, "--zipf-alpha", "nan"),
+    ("sweep", "--axis", "cache-total", "--values", "1GB,infTB",
+     "--policies", "eo", "--files", "30", "--requests", "300"),
+    ("sweep", "--axis", "zipf-alpha", "--values", "0.6,0.8",
+     "--policies", "eo", *SMALL, "--jobs", "-2"),
+    ("simulate", "--policy", "eo", *SMALL, "--out", "{tmp}/missing/rows.csv"),
+    ("gen-trace", "--files", "30", "--requests", "30", "--users", "3",
+     "--out", "{tmp}/missing/trace.csv"),
+    ("oracle", "--config", "{num_bs_mismatch}"),
+    ("oracle", "--config", "{nan_popularity}"),
+    ("oracle", "--config", "{nan_edge_delay}"),
+])
+def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
+    configs = {
+        "num_bs_mismatch": CANONICAL_CFG.replace("num_bs = 2", "num_bs = 3"),
+        "nan_popularity": CANONICAL_CFG.replace("0.5, 0.3", "nan, 0.3"),
+        "nan_edge_delay": CANONICAL_CFG.replace("10, 20", "10, nan"),
+    }
+    paths = {name: _write(tmp_path, name + ".cfg", text)
+             for name, text in configs.items()}
+    argv = [arg.format(tmp=tmp_path, **paths) for arg in argv]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+def test_non_utf8_trace_exits_2(tmp_path, capsys):
+    trace = tmp_path / "latin1.csv"
+    trace.write_bytes(b"1,u1,caf\xe9\n2,u2,b\n")
+    assert run_cli("validate-trace", "--trace", str(trace)) == 2
+    assert run_cli("simulate", "--policy", "eo", "--trace", str(trace),
+                   "--cache-total", "1GB") == 2
+    assert "trace error" in capsys.readouterr().err
+
+
+def test_validate_trace_counts_nan_timestamp_malformed(tmp_path, capsys):
+    rows = [f"{t},u{t},c{t}" for t in range(3, 12)]
+    trace = _write(tmp_path, "t.csv", "\n".join(["nan,u,c"] + rows) + "\n")
+    assert run_cli("validate-trace", "--trace", trace) == 0
+    stats = dict(line.split("=") for line in
+                 capsys.readouterr().out.strip().split("\n"))
+    assert stats["malformed_lines"] == "1" and stats["events"] == "9"
+
+
+# ------------------------------------------------------------ fuzzed argv
+
+_COMMON_FLAGS = ("--config", "--bs", "--files", "--file-size-mb",
+                 "--cache-total", "--cloud-edge-ratio", "--zipf-alpha",
+                 "--requests", "--users", "--trace", "--warmup-frac", "--seed",
+                 "--out", "--format", "--jobs")
+_SIZES = ("--files", "50", "--requests", "200", "--users", "20",
+          "--cache-total", "1GB", "--jobs", "1")
+# A valid small run per command. Fuzzed flags come after it and win; no
+# value in the pool raises a size above these (the pool's integers are
+# small and its other values do not parse as integers).
+_BASE = {
+    "simulate": ("--config", "{config}", *_SIZES, "--policy", "octopus"),
+    "sweep": ("--config", "{config}", *_SIZES, "--axis", "cache-total",
+              "--values", "1GB,2GB", "--policies", "eo,lru"),
+    "gen-trace": ("--config", "{config}", *_SIZES),
+    "oracle": ("--config", "{config}", "--files", "4", "--bs", "2",
+               "--cache-total", "200MB", "--trials", "3"),
+    "validate-trace": ("--config", "{config}", "--trace", "{trace}"),
+}
+# Hostile values, a few valid ones so that runs reach the simulator, and
+# placeholders for paths: a missing directory, an existing directory, and
+# the fuzzed trace and config files.
+_NUMBERS = ("nan", "inf", "-inf", "-2", "0", "1", "2", "0.5", "1e400", "",
+            "\u0661", "\u221e", "1GB", "infTB")
+_PATHS = ("{missing}", "{dir}", "{trace}", "{config}", "", "\u00e9t\u00e9")
+_NAMES = ("eo", "octopus", "lru", "csv", "json", "explicit", "cache-total",
+          "zipf-alpha", "policy", "nan", "", "1,nan", "10, 20", "eo,,lru",
+          "\u00e9t\u00e9")
+_POOLS = {"--config": _PATHS, "--trace": _PATHS, "--out": _PATHS,
+          "--format": _NAMES, "--policy": _NAMES, "--policies": _NAMES,
+          "--axis": _NAMES, "--values": _NAMES + _NUMBERS}
+_FLAGS = {
+    "simulate": _COMMON_FLAGS + ("--policy",),
+    "sweep": _COMMON_FLAGS + ("--policy", "--policies", "--axis", "--values"),
+    "gen-trace": _COMMON_FLAGS,
+    "oracle": _COMMON_FLAGS + ("--trials",),
+    "validate-trace": _COMMON_FLAGS,
+}
+_TRACE_LINES = ("1,u1,a", "2,u2,b", "3,u1,a", "nan,u3,c", "inf,u4,a",
+                "-inf,u1,b", "x", "", "4,\u00fc,\u221e",
+                "timestamp,user_id,content_id")
+
+
+def _flag_and_value(flag):
+    return st.tuples(st.just(flag), st.sampled_from(_POOLS.get(flag, _NUMBERS)))
+
+
+@st.composite
+def _cli_inputs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]).flatmap(
+        _flag_and_value), max_size=3))
+    config = draw(st.lists(st.tuples(st.sampled_from(sorted(_DEFAULTS)),
+                                     st.sampled_from(_NUMBERS + _NAMES + _PATHS)),
+                           max_size=3))
+    trace = draw(st.one_of(
+        st.binary(max_size=300),
+        st.lists(st.sampled_from(_TRACE_LINES), max_size=200).map(
+            lambda lines: "\n".join(lines).encode("utf-8"))))
+    return command, flags, config, trace
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_cli_inputs())
+def test_fuzzed_argv_keeps_exit_code_contract(inputs, tmp_path, monkeypatch,
+                                              capsys):
+    command, flags, config, trace = inputs
+    monkeypatch.chdir(tmp_path)  # relative --out values land here
+    paths = {"missing": str(tmp_path / "missing" / "x"), "dir": str(tmp_path),
+             "trace": str(tmp_path / "trace.csv"),
+             "config": str(tmp_path / "fuzz.cfg")}
+    (tmp_path / "trace.csv").write_bytes(trace)
+    (tmp_path / "fuzz.cfg").write_text(
+        "".join(f"{key} = {value.format(**paths)}\n" for key, value in config),
+        encoding="utf-8")
+    argv = [command, *_BASE[command]]
+    for flag, value in flags:
+        argv += [flag, value]
+    assert main([arg.format(**paths) for arg in argv]) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

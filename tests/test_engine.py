@@ -200,6 +200,11 @@ def test_sweep_empty_values():
     assert run_sweep(small_config(), "zipf_alpha", []) == []
 
 
+def test_sweep_rejects_jobs_below_one():
+    with pytest.raises(ConfigError):
+        run_sweep(small_config(), "zipf_alpha", [0.6], jobs=-2)
+
+
 def test_sweep_unknown_axis():
     with pytest.raises(ConfigError):
         run_sweep(small_config(), "backhaul", [1])

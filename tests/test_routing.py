@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from octocache import (CacheCapacities, Placement, RoutingMode, SourceKind,
-                       UtilityEvaluator, feasible, marginal_gain,
+                       UtilityEvaluator, marginal_gain,
                        marginal_loss, route_request, total_expected_delay,
                        user_expected_delay, utility)
 
@@ -315,11 +315,11 @@ def test_feasibility_downward_closed():
     for _ in range(20):
         _, catalog, _, caps = random_instance(rng, max_cap=2)
         placement = random_feasible_placement(rng, caps, catalog.num_files)
-        assert feasible(placement)
+        assert placement.is_feasible()
         for file, cache in placement.elements():
             sub = placement.copy()
             sub.remove(file, cache)
-            assert feasible(sub)
+            assert sub.is_feasible()
 
 
 def test_feasibility_exchange_property():
@@ -349,15 +349,7 @@ def test_feasibility_exchange_property():
                 assert any(build(a | {e}) is not None for e in b - a)
 
 
-# ----------------------------------------------------------- serialization
-
-def test_placement_text_roundtrip(canonical):
-    _, _, _, caps = canonical
-    placement = pcd_canonical_placement(caps)
-    text = placement.to_text()
-    assert text == "0\t1\n1\t2\n2\t3\n"
-    assert Placement.from_text(text, caps, 3) == placement
-
+# -------------------------------------------------------------- placement
 
 def test_placement_capacity_enforcement(canonical):
     _, _, _, caps = canonical

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from octocache import (CacheCapacities, Catalog, Popularity, Topology,
-                       build_paper_topology, capacities_from_budget,
+from octocache import (CacheCapacities, Catalog, ConfigError, Popularity,
+                       Topology, build_paper_topology, capacities_from_budget,
                        topology_from_config, topology_to_config,
                        uturn_peer_delays)
 
@@ -133,6 +133,27 @@ def test_catalog_and_popularity_validation():
     with pytest.raises(ValueError):
         Popularity(np.array([1.5, -0.5]))
     assert Catalog(5, 20.0).file_size_bytes == 20_000_000
+
+
+def test_nonfinite_values_rejected():
+    with pytest.raises(ValueError):
+        Popularity(np.array([np.nan, 0.5, 0.5]))
+    with pytest.raises(ValueError):
+        Topology(num_bs=2, edge_delay=(10.0, np.nan),
+                 peer_delay=((0.0, 30.0), (30.0, 0.0)), cdn_delay=100.0)
+    with pytest.raises(ValueError):
+        Topology(num_bs=1, edge_delay=(10.0,), peer_delay=((0.0,),),
+                 cdn_delay=np.inf)
+    with pytest.raises(ValueError):
+        Catalog(num_files=3, file_size_mb=np.inf)
+
+
+def test_config_num_bs_inferred_and_checked():
+    text = "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+    assert topology_from_config(text).num_bs == 2
+    assert topology_from_config("num_bs = 2\n" + text).num_bs == 2
+    with pytest.raises(ConfigError):
+        topology_from_config("num_bs = 3\n" + text)
 
 
 def test_config_roundtrip_uturn():

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octocache import (EmptyTraceError, TraceFormatError, assign_users,
-                       estimate_popularity, generate_requests, parse_trace,
-                       serialize_trace, zipf_popularity)
+from octocache import (EmptyTraceError, TraceError, TraceFormatError,
+                       assign_users, estimate_popularity, generate_requests,
+                       parse_trace, parse_trace_file, serialize_trace,
+                       zipf_popularity)
 
 # ------------------------------------------------------------------ parsing
 
@@ -21,6 +22,21 @@ def test_parse_three_line_example():
 def test_parse_detects_header():
     trace = parse_trace("timestamp,user_id,content_id\n1,u1,vA\n")
     assert len(trace.events) == 1 and trace.malformed_lines == 0
+
+
+def test_parse_counts_nonfinite_timestamp_malformed():
+    lines = [f"{i},u{i},c{i}" for i in range(3, 12)]
+    trace = parse_trace("\n".join(lines[:1] + ["nan,u,x"] + lines[1:]) + "\n")
+    assert trace.malformed_lines == 1
+    times = [e.time for e in trace.events]
+    assert times == sorted(times) and len(times) == 9
+
+
+def test_parse_file_non_utf8_is_trace_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,u1,caf\xe9\n")
+    with pytest.raises(TraceError):
+        parse_trace_file(path)
 
 
 def test_parse_sorts_stably():
