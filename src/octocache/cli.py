@@ -99,8 +99,9 @@ def _load_config_file(path):
 class Options:
     """Merged option set: defaults, then config file, then explicit flags."""
 
-    def __init__(self, resolved):
+    def __init__(self, resolved, bs_flag):
         self._resolved = resolved
+        self._bs_flag = bs_flag
 
     @classmethod
     def merge(cls, args):
@@ -114,7 +115,7 @@ class Options:
             if key in ("config", "command") or val is None:
                 continue
             resolved[key] = val
-        return cls(resolved)
+        return cls(resolved, getattr(args, "bs", None))
 
     def __getattr__(self, key):
         try:
@@ -128,10 +129,24 @@ class Options:
         edges = parse_config_list(self._resolved["capacity_edge"], int)
         if len(edges) == 1:
             edges = edges * num_bs
+        elif len(edges) != num_bs:
+            raise ConfigError(f"capacity_edge lists {len(edges)} capacities "
+                              f"for {num_bs} base stations; give 1 or {num_bs}")
         cloud = self._resolved.get("capacity_cloud")
         if cloud is None:
             raise ConfigError("capacity_edge requires capacity_cloud")
         return CacheCapacities(cloud=int(cloud), edge=tuple(edges))
+
+    def config_topology(self):
+        """The topology given by the config's ``edge_delay_ms`` and related
+        keys, or None without them. An explicit ``--bs`` must agree."""
+        if self._resolved.get("edge_delay_ms") is None:
+            return None
+        topology = topology_from_config(self._resolved)
+        if self._bs_flag is not None and self._bs_flag != topology.num_bs:
+            raise ConfigError(f"--bs {self._bs_flag} but edge_delay_ms lists "
+                              f"{topology.num_bs} delays")
+        return topology
 
     def explicit_popularity(self):
         if self._resolved.get("popularity") is None:
@@ -148,9 +163,7 @@ def _experiment_config(opts, policy=None):
     zipf_alpha = opts.zipf_alpha
     if opts.trace is None and zipf_alpha is None:
         zipf_alpha = 0.8
-    topology = None
-    if opts.edge_delay_ms is not None:
-        topology = topology_from_config(opts._resolved)
+    topology = opts.config_topology()
     num_bs = topology.num_bs if topology is not None else opts.bs
     capacities = opts.explicit_capacities(num_bs)
     if capacities is None and opts.cache_total is None:
@@ -257,11 +270,12 @@ def cmd_gen_trace(opts):
 
 
 def _oracle_instance(opts):
-    if opts.edge_delay_ms is None:
+    topology = opts.config_topology()
+    if topology is None:
         topology = build_paper_topology(opts.bs, opts.seed)
-    else:
-        topology = topology_from_config(opts._resolved)
-    per_bs = opts.users_per_bs or 1
+    per_bs = 1 if opts.users_per_bs is None else opts.users_per_bs
+    if per_bs < 1:
+        raise ConfigError(f"users_per_bs must be >= 1, got {per_bs}")
     assignment = {f"u{r}_{i}": r
                   for r in range(1, topology.num_bs + 1)
                   for i in range(1, per_bs + 1)}
@@ -289,7 +303,9 @@ def _ratio(greedy_value, optimal_value):
 
 def cmd_oracle(opts):
     lines = [f"# {line}" for line in opts.header_lines("oracle")]
-    if opts.trials:
+    if opts.trials is not None:
+        if opts.trials < 1:
+            raise ConfigError(f"--trials must be >= 1, got {opts.trials}")
         rng = np.random.default_rng(opts.seed)
         ratios = []
         for trial in range(opts.trials):

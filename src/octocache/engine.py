@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .policies import POLICY_NAMES, LfuPolicy, LruPolicy, make_policy
+from .routing import SourceKind
 from .topology import (Catalog, build_paper_topology, capacities_from_budget)
 from .workload import (assign_users, estimate_popularity, generate_requests,
                        parse_trace_file, zipf_popularity)
@@ -64,12 +65,12 @@ class Metrics:
     def record(self, source):
         self.requests_total += 1
         self.sum_delay_ms += source.delay_cost
-        kind = source.kind.value
-        if kind == "local":
+        kind = source.kind
+        if kind is SourceKind.LOCAL_EDGE:
             self.local_hits += 1
-        elif kind == "cloud":
+        elif kind is SourceKind.CLOUD:
             self.cloud_hits += 1
-        elif kind == "neighbor":
+        elif kind is SourceKind.NEIGHBOR_EDGE:
             self.neighbor_hits += 1
         else:
             self.cdn_fetches += 1
@@ -156,8 +157,10 @@ def run_experiment(config):
     Builds topology and workload from derived seeds, estimates popularity
     over the warm-up window (unless given explicitly), constructs the
     policy, feeds warm-up events to the cold reactive policies (lfu, lru)
-    without metrics, then replays the evaluation window. Deterministic per
-    master seed.
+    without metrics, then replays the evaluation window. Both windows skip
+    events of users the assignment does not cover and of files outside the
+    catalog; only the evaluation window tallies them as malformed.
+    Deterministic per master seed.
     """
     config.validate()
     seeds = config.seeds()
@@ -173,8 +176,6 @@ def run_experiment(config):
     if assignment is None:
         assignment = assign_users(trace.users(), topology.num_bs,
                                   seeds["assignment"])
-    # events of users the assignment does not cover are skipped during
-    # replay and tallied malformed
     topology = topology.with_users(assignment)
 
     capacities = config.capacities
@@ -195,14 +196,15 @@ def run_experiment(config):
     policy = make_policy(config.policy, topology, catalog, popularity,
                          capacities, assignment, rcr_enabled=config.rcr_enabled)
 
+    users, num_files = topology.users, catalog.num_files
     metrics = Metrics(file_size_bytes=catalog.file_size_bytes)
     if isinstance(policy, (LfuPolicy, LruPolicy)):
         # cold policies warm up on the estimation window, metrics excluded
         for event in trace.events[:warm_count]:
-            policy.on_request(event)
-    num_files = catalog.num_files
+            if event.user_id in users and 1 <= event.file_id <= num_files:
+                policy.on_request(event)
     for event in eval_events:
-        if event.user_id not in assignment or not 1 <= event.file_id <= num_files:
+        if event.user_id not in users or not 1 <= event.file_id <= num_files:
             metrics.malformed_events += 1
             continue
         metrics.record(policy.on_request(event))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -43,7 +42,6 @@ class PlacementAlgorithmReport:
     placement: Placement
     iterations: int
     utility_trace: list
-    wall_time: float
     steps: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
@@ -93,7 +91,6 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     -------
     PlacementAlgorithmReport
     """
-    start = time.perf_counter()
     if popularity.num_files != catalog.num_files:
         raise ValueError("popularity length does not match catalog")
     sizes, warnings = _effective_sizes(capacities, catalog.num_files)
@@ -138,7 +135,6 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
                       "gain": gain, "utility": utility_trace[-1]})
     return PlacementAlgorithmReport(placement=ev.snapshot(), iterations=selected,
                                     utility_trace=utility_trace,
-                                    wall_time=time.perf_counter() - start,
                                     steps=steps, warnings=warnings)
 
 
@@ -181,7 +177,6 @@ def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
     PlacementAlgorithmReport
         ``iterations`` counts committed swaps.
     """
-    start = time.perf_counter()
     if not 1 <= new_file <= placement.num_files:
         raise ValueError(f"file index {new_file} outside 1..{placement.num_files}")
     if placement.cached_anywhere(new_file):
@@ -191,9 +186,7 @@ def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
     steps = _rcr_swaps(ev, new_file)
     trace = [before] + [s["utility"] for s in steps]
     return PlacementAlgorithmReport(placement=ev.snapshot(), iterations=len(steps),
-                                    utility_trace=trace,
-                                    wall_time=time.perf_counter() - start,
-                                    steps=steps)
+                                    utility_trace=trace, steps=steps)
 
 
 def brute_force_optimal(topology, catalog, popularity, capacities,

@@ -23,7 +23,7 @@ import heapq
 from collections import OrderedDict
 
 from .placement import _rcr_swaps, pcd, place_ecnc, place_eo, place_exmpc, place_femtox
-from .routing import Placement, RoutingMode, SourceKind, UtilityEvaluator, route_request
+from .routing import Placement, RoutingMode, UtilityEvaluator, _cheapest, _source_table
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
@@ -40,24 +40,29 @@ POLICY_ROUTING = {
 
 
 class Policy:
-    """Base class: route a request, update internal state, report the source."""
+    """Base class: route a request, update internal state, report the source.
+
+    ``placement`` is the policy's own cache contents, which only the policy
+    mutates. The returned :class:`Source` objects are built once per policy.
+    """
 
     name = "base"
 
-    def __init__(self, topology, assignment, routing_mode):
+    def __init__(self, topology, routing_mode, placement):
         self.topology = topology
-        self.assignment = dict(assignment)
         self.routing_mode = routing_mode
+        self.placement = placement
+        self._order, self._cdn = _source_table(topology, routing_mode)
 
-    @property
-    def placement(self):
-        raise NotImplementedError
-
-    def home_bs(self, user):
-        try:
-            return self.assignment[user]
-        except KeyError:
-            raise ValueError(f"unknown user {user!r}") from None
+    def _route(self, event):
+        """Resolve the home BS, check the file index, and route against the
+        current placement; returns ``(bs, file, source)``."""
+        bs = self.topology.home_bs(event.user_id)
+        file = event.file_id
+        if not 1 <= file <= self.placement.num_files:
+            raise ValueError(f"file index {file} outside 1..{self.placement.num_files}")
+        return bs, file, _cheapest(self.placement.contents, self._order[bs - 1],
+                                   self._cdn, file)
 
     def on_request(self, event):
         """Serve one request and apply the policy's update rule.
@@ -72,19 +77,12 @@ class Policy:
 class StaticPlacementPolicy(Policy):
     """A fixed placement; requests never change the caches."""
 
-    def __init__(self, name, placement, topology, assignment, routing_mode):
-        super().__init__(topology, assignment, routing_mode)
+    def __init__(self, name, placement, topology, routing_mode):
+        super().__init__(topology, routing_mode, placement)
         self.name = name
-        self._placement = placement
-
-    @property
-    def placement(self):
-        return self._placement
 
     def on_request(self, event):
-        bs = self.home_bs(event.user_id)
-        return route_request(self._placement, self.topology, bs, event.file_id,
-                             self.routing_mode)
+        return self._route(event)[2]
 
 
 class OctopusPolicy(Policy):
@@ -96,31 +94,25 @@ class OctopusPolicy(Policy):
 
     name = "octopus"
 
-    def __init__(self, topology, assignment, popularity, placement,
-                 rcr_enabled=True):
-        super().__init__(topology, assignment, RoutingMode.FULL)
-        self.rcr_enabled = rcr_enabled
+    def __init__(self, topology, popularity, placement, rcr_enabled=True):
         self._ev = UtilityEvaluator(topology, popularity, placement,
                                     mode=RoutingMode.FULL)
-
-    @property
-    def placement(self):
-        return self._ev.placement
+        # the evaluator's own copy, which replacement mutates in place
+        super().__init__(topology, RoutingMode.FULL, self._ev.placement)
+        self.rcr_enabled = rcr_enabled
 
     def utility(self):
         return self._ev.utility()
 
     def on_request(self, event):
-        bs = self.home_bs(event.user_id)
-        src = route_request(self._ev.placement, self.topology, bs, event.file_id,
-                            self.routing_mode)
-        if src.kind is SourceKind.CDN and self.rcr_enabled:
-            self.on_miss(event.file_id)
+        _, file, src = self._route(event)
+        if src is self._cdn and self.rcr_enabled:
+            self.on_miss(file)
         return src
 
     def on_miss(self, file):
         """Reactive replacement for a file just fetched from the CDN."""
-        if self._ev.placement.cached_anywhere(file):
+        if self.placement.cached_anywhere(file):
             raise ValueError(f"file {file} is already cached")
         return _rcr_swaps(self._ev, file)
 
@@ -170,48 +162,40 @@ class LfuPolicy(Policy):
 
     name = "lfu"
 
-    def __init__(self, topology, assignment, capacities, num_files):
-        super().__init__(topology, assignment, RoutingMode.FULL)
-        self._placement = Placement(capacities, num_files)
+    def __init__(self, topology, capacities, num_files):
+        super().__init__(topology, RoutingMode.FULL, Placement(capacities, num_files))
         self._books = [_LfuBookkeeping(num_files)
                        for _ in range(topology.num_bs + 1)]
         self._seq = 0
-
-    @property
-    def placement(self):
-        return self._placement
 
     def counts(self, cache):
         """Observed request counts at one cache (index 0 is unused)."""
         return self._books[cache].counts
 
     def on_request(self, event):
-        bs = self.home_bs(event.user_id)
-        src = route_request(self._placement, self.topology, bs, event.file_id,
-                            self.routing_mode)
+        bs, file, src = self._route(event)
         self._seq += 1
-        file = event.file_id
         for cache in (bs, 0):
             self._books[cache].observe(file, self._seq,
-                                       self._placement.contains(file, cache))
-        if src.kind is SourceKind.CDN:
+                                       self.placement.contains(file, cache))
+        if src is self._cdn:
             self._admit(bs, file)
             self._admit(0, file)
         return src
 
     def _admit(self, cache, file):
-        caps = self._placement.capacities.as_list()
-        if caps[cache] == 0 or self._placement.contains(file, cache):
+        caps = self.placement.capacities.as_list()
+        if caps[cache] == 0 or self.placement.contains(file, cache):
             return
         book = self._books[cache]
-        if self._placement.cache_size(cache) < caps[cache]:
-            self._placement.add(file, cache)
+        if self.placement.cache_size(cache) < caps[cache]:
+            self.placement.add(file, cache)
             book.note_inserted(file, self._seq)
             return
-        victim = book.victim(self._placement.contents[cache])
+        victim = book.victim(self.placement.contents[cache])
         if victim is not None and book.counts[file] > book.counts[victim]:
-            self._placement.remove(victim, cache)
-            self._placement.add(file, cache)
+            self.placement.remove(victim, cache)
+            self.placement.add(file, cache)
             book.note_inserted(file, self._seq)
 
 
@@ -226,36 +210,28 @@ class LruPolicy(Policy):
 
     name = "lru"
 
-    def __init__(self, topology, assignment, capacities, num_files):
-        super().__init__(topology, assignment, RoutingMode.FULL)
-        self._placement = Placement(capacities, num_files)
+    def __init__(self, topology, capacities, num_files):
+        super().__init__(topology, RoutingMode.FULL, Placement(capacities, num_files))
         self._recency = [OrderedDict() for _ in range(topology.num_bs + 1)]
 
-    @property
-    def placement(self):
-        return self._placement
-
     def on_request(self, event):
-        bs = self.home_bs(event.user_id)
-        file = event.file_id
-        src = route_request(self._placement, self.topology, bs, file,
-                            self.routing_mode)
+        bs, file, src = self._route(event)
         for cache in (bs, 0):
-            if self._placement.contains(file, cache):
+            if self.placement.contains(file, cache):
                 self._recency[cache].move_to_end(file)
-        if src.kind is SourceKind.CDN:
+        if src is self._cdn:
             self._insert(bs, file)
             self._insert(0, file)
         return src
 
     def _insert(self, cache, file):
-        caps = self._placement.capacities.as_list()
+        caps = self.placement.capacities.as_list()
         if caps[cache] == 0:
             return
-        if self._placement.cache_size(cache) >= caps[cache]:
+        if self.placement.cache_size(cache) >= caps[cache]:
             evicted, _ = self._recency[cache].popitem(last=False)
-            self._placement.remove(evicted, cache)
-        self._placement.add(file, cache)
+            self.placement.remove(evicted, cache)
+        self.placement.add(file, cache)
         self._recency[cache][file] = None
 
 
@@ -263,21 +239,22 @@ def make_policy(name, topology, catalog, popularity, capacities, assignment,
                 rcr_enabled=True):
     """Build a replay-ready policy by its contract name.
 
-    ``octopus`` runs the greedy warm placement here; the static baselines
-    compute their placements; ``lfu``/``lru`` start cold.
+    The policy runs on ``topology.with_users(assignment)``. ``octopus``
+    runs the greedy warm placement here; the static baselines compute their
+    placements; ``lfu``/``lru`` start cold.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}")
-    mode = POLICY_ROUTING[name]
+    topology = topology.with_users(assignment)
     if name == "octopus":
         report = pcd(topology, catalog, popularity, capacities)
-        return OctopusPolicy(topology, assignment, popularity, report.placement,
+        return OctopusPolicy(topology, popularity, report.placement,
                              rcr_enabled=rcr_enabled)
     if name == "lfu":
-        return LfuPolicy(topology, assignment, capacities, catalog.num_files)
+        return LfuPolicy(topology, capacities, catalog.num_files)
     if name == "lru":
-        return LruPolicy(topology, assignment, capacities, catalog.num_files)
+        return LruPolicy(topology, capacities, catalog.num_files)
     builder = {"eo": place_eo, "ecnc": place_ecnc,
                "exmpc": place_exmpc, "femtox": place_femtox}[name]
     placement = builder(topology, catalog, popularity, capacities)
-    return StaticPlacementPolicy(name, placement, topology, assignment, mode)
+    return StaticPlacementPolicy(name, placement, topology, POLICY_ROUTING[name])

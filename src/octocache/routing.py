@@ -206,6 +206,29 @@ def source_cost_table(topology, mode=RoutingMode.FULL):
     return cost
 
 
+def _source_table(topology, mode):
+    """Per requesting BS b, entry b-1: ``(cache, Source)`` for every cache
+    :func:`source_cost_table` lets b reach, cheapest first, the lower cache
+    index first at equal cost; and the CDN :class:`Source`."""
+    cost = source_cost_table(topology, mode)
+    order = []
+    for b, row in enumerate(cost.tolist(), start=1):
+        caches = sorted((c, k) for k, c in enumerate(row) if c != np.inf)
+        kinds = {b: SourceKind.LOCAL_EDGE, 0: SourceKind.CLOUD}
+        order.append(tuple(
+            (k, Source(kinds.get(k, SourceKind.NEIGHBOR_EDGE), k, c))
+            for c, k in caches))
+    return order, Source(SourceKind.CDN, None, topology.cdn_delay)
+
+
+def _cheapest(contents, order, cdn, file):
+    """First cache in ``order`` whose contents hold ``file``, else the CDN."""
+    for cache, source in order:
+        if file in contents[cache]:
+            return source
+    return cdn
+
+
 def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
     """Route one request to the cheapest feasible source.
 
@@ -233,25 +256,8 @@ def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
         raise ValueError(f"bs index {bs} outside 1..{R}")
     if not 1 <= file <= placement.num_files:
         raise ValueError(f"file index {file} outside 1..{placement.num_files}")
-    contents = placement.contents
-    if file in contents[bs]:
-        return Source(SourceKind.LOCAL_EDGE, bs, 0.0)
-    best_cost = topology.cdn_delay
-    best_cache = None
-    if mode is not RoutingMode.EDGE_ONLY and file in contents[0]:
-        cost = topology.edge_delay[bs - 1]
-        if cost < best_cost:
-            best_cost, best_cache = cost, 0
-    if mode is RoutingMode.FULL:
-        for k in range(1, R + 1):
-            if k != bs and file in contents[k]:
-                cost = topology.peer_delay[bs - 1][k - 1]
-                if cost < best_cost:
-                    best_cost, best_cache = cost, k
-    if best_cache is None:
-        return Source(SourceKind.CDN, None, topology.cdn_delay)
-    kind = SourceKind.CLOUD if best_cache == 0 else SourceKind.NEIGHBOR_EDGE
-    return Source(kind, best_cache, best_cost)
+    order, cdn = _source_table(topology, mode)
+    return _cheapest(placement.contents, order[bs - 1], cdn, file)
 
 
 def _cached_mask(placement, num_caches):

@@ -12,12 +12,14 @@ Delay conventions, all in milliseconds:
 
 Cache indices run 0..R where 0 is the cloud cache and 1..R are the edge
 caches. File indices run 1..F. All types in this module are immutable after
-construction and safe to share across concurrently running experiments.
+construction (``Topology.users`` is a plain dict: treat it as read-only) and
+safe to share across concurrently running experiments.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,15 +51,17 @@ class Topology:
     cdn_delay : float
         Backhaul delay d_0 [ms] of fetching from the CDN origin. Must exceed
         every in-network delay. Every delay must be finite.
-    users : tuple of (user_id, home_bs) pairs
-        Active users; each user is served only by its single home BS.
+    users : dict
+        Active users, user id -> home BS, each served only by its home BS.
+        Built from a mapping or from ``(user, home)`` pairs; a user listed
+        twice is rejected. A plain dict, so that a topology pickles.
     """
 
     num_bs: int
     edge_delay: tuple
     peer_delay: tuple
     cdn_delay: float
-    users: tuple = ()
+    users: object = ()
 
     def __post_init__(self):
         R = self.num_bs
@@ -84,33 +88,35 @@ class Topology:
                     worst = max(worst, self.peer_delay[r][k])
         if self.cdn_delay <= worst:
             raise ValueError("cdn_delay must exceed every in-network delay")
-        seen = set()
-        for user, home in self.users:
+        pairs = self.users.items() if isinstance(self.users, Mapping) else self.users
+        users = {}
+        for user, home in pairs:
             if not 1 <= home <= R:
                 raise ValueError(f"user {user!r} has home BS {home} outside 1..{R}")
-            if user in seen:
+            if user in users:
                 raise ValueError(f"user {user!r} assigned more than once")
-            seen.add(user)
+            users[user] = home
+        object.__setattr__(self, "users", users)
 
     def home_bs(self, user):
         """Return the home BS of ``user`` or raise ``ValueError`` if unknown."""
-        for uid, home in self.users:
-            if uid == user:
-                return home
-        raise ValueError(f"unknown user {user!r}")
+        try:
+            return self.users[user]
+        except KeyError:
+            raise ValueError(f"unknown user {user!r}") from None
 
     def user_count(self):
         return len(self.users)
 
     def bs_user_counts(self):
         """Number of users homed at each BS, as an array of length R."""
-        homes = [home for _, home in self.users]
+        homes = list(self.users.values())
         return np.bincount(homes, minlength=self.num_bs + 1)[1:].astype(float)
 
     def with_users(self, assignment):
         """Return a copy of this topology with users taken from a mapping
         of user id to home BS (iteration order is preserved)."""
-        return replace(self, users=tuple(assignment.items()))
+        return replace(self, users=assignment)
 
 
 @dataclass(frozen=True)
@@ -193,9 +199,6 @@ class CacheCapacities:
     def as_list(self):
         """Capacities indexed by cache, [M_0, M_1, ..., M_R]."""
         return [self.cloud, *self.edge]
-
-    def total(self):
-        return self.cloud + sum(self.edge)
 
 
 def uturn_peer_delays(edge_delay):

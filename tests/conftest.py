@@ -44,7 +44,7 @@ def reference_utility(topology, popularity, contents, mode="full"):
     """Independent utility oracle: per-user sum of best delay reductions."""
     total = 0.0
     d0 = topology.cdn_delay
-    for _, home in topology.users:
+    for home in topology.users.values():
         for j, p in enumerate(popularity.as_array()):
             total += p * (d0 - reference_route_cost(topology, contents,
                                                     home, j + 1, mode))

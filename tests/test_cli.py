@@ -206,6 +206,8 @@ def test_oracle_canonical_ratio_one(tmp_path, capsys):
     assert float(values["pcd_utility"]) == pytest.approx(170.0)
     assert float(values["optimal_utility"]) == pytest.approx(170.0)
     assert float(values["ratio"]) == pytest.approx(1.0)
+    # a --bs that agrees with the edge delays is accepted
+    assert run_cli("oracle", "--config", str(cfg), "--bs", "2") == 0
 
 
 def test_oracle_trials_batch(capsys):
@@ -295,6 +297,33 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("oracle", "--trials", "-2", "--files", "3"), "--trials"),
+    (("oracle", "--trials", "0", "--files", "3"), "--trials"),
+    (("oracle", "--config", "{users_per_bs_negative}"), "users_per_bs"),
+    (("oracle", "--config", "{users_per_bs_zero}"), "users_per_bs"),
+    (("oracle", "--config", "{canonical}", "--bs", "5"), "--bs"),
+    (("simulate", "--policy", "eo", "--config", "{canonical}", "--bs", "3",
+      "--requests", "100"), "--bs"),
+    (("oracle", "--config", "{capacity_edge_three}"), "capacity_edge"),
+])
+def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
+    configs = {
+        "canonical": CANONICAL_CFG,
+        "users_per_bs_negative": CANONICAL_CFG.replace("users_per_bs = 1",
+                                                       "users_per_bs = -2"),
+        "users_per_bs_zero": CANONICAL_CFG.replace("users_per_bs = 1",
+                                                   "users_per_bs = 0"),
+        "capacity_edge_three": CANONICAL_CFG.replace("capacity_edge = 1",
+                                                     "capacity_edge = 1, 1, 1"),
+    }
+    paths = {name: _write(tmp_path, name + ".cfg", text)
+             for name, text in configs.items()}
+    assert run_cli(*[arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "Traceback" not in err
 
 
 def test_non_utf8_trace_exits_2(tmp_path, capsys):

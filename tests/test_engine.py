@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from octocache import (CacheCapacities, Catalog, ConfigError, ExperimentConfig,
-                       Metrics, Popularity, Topology, derive_seed, pcd,
-                       rows_to_csv, run_experiment, run_sweep,
+from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
+                       ExperimentConfig, Metrics, Popularity, Topology,
+                       derive_seed, pcd, rows_to_csv, run_experiment, run_sweep,
                        total_expected_delay)
 from octocache.routing import Source, SourceKind
 
@@ -179,6 +181,17 @@ def test_malformed_events_are_tallied():
     assert metrics.requests_total + metrics.malformed_events == 50
 
 
+@pytest.mark.parametrize("policy", ["lfu", "lru"])
+def test_warmup_skips_uncovered_users(policy):
+    # users 3 and 4 have no home BS: their warm-up events are skipped
+    # untallied, their evaluation events are tallied malformed
+    config = small_config(policy=policy, num_requests=1000, num_users=4,
+                          user_assignment={1: 1, 2: 2})
+    metrics = run_experiment(config)
+    assert metrics.malformed_events > 0
+    assert metrics.requests_total + metrics.malformed_events == 800
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_sweep_rows_and_order():
@@ -225,6 +238,21 @@ def test_sweep_parallel_matches_serial():
     parallel = run_sweep(base, "zipf_alpha", [0.6, 0.7, 0.8], jobs=3)
     assert [r.metrics.as_dict() for r in serial] == \
            [r.metrics.as_dict() for r in parallel]
+
+
+def test_policy_sweep_csv_is_pinned():
+    # every policy at two budgets; the rows cover all four sources and 38
+    # committed octopus swaps, so any change to routing, replacement or
+    # accounting moves this hash
+    rows = []
+    for budget in (2 * 10**9, 10 * 10**9):
+        base = ExperimentConfig(policy="octopus", num_bs=3, num_files=500,
+                                total_cache_bytes=budget, zipf_alpha=0.8,
+                                num_requests=5000, num_users=60, master_seed=11)
+        rows += run_sweep(base, "policy", list(POLICY_NAMES))
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == ("1c510b4410fcd251416678321a5e301b"
+                      "8d9e4b3dc194209ee056f9f3e2c52530")
 
 
 def test_rows_to_csv_shape():

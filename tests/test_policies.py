@@ -28,13 +28,13 @@ def test_lru_size_one_thrashes():
     # f1, f2, f1 with room for a single file everywhere: f2 evicts f1, so
     # every request goes to the CDN
     topo = single_bs_topology()
-    policy = LruPolicy(topo, {"u": 1}, CacheCapacities(cloud=1, edge=(1,)), 3)
+    policy = LruPolicy(topo, CacheCapacities(cloud=1, edge=(1,)), 3)
     assert replay(policy, [1, 2, 1]) == ["cdn", "cdn", "cdn"]
 
 
 def test_lru_hit_refreshes_recency():
     topo = single_bs_topology()
-    policy = LruPolicy(topo, {"u": 1}, CacheCapacities(cloud=2, edge=(2,)), 3)
+    policy = LruPolicy(topo, CacheCapacities(cloud=2, edge=(2,)), 3)
     # f1, f2 resident; touching f1 makes f2 the eviction victim for f3
     assert replay(policy, [1, 2, 1, 3]) == ["cdn", "cdn", "local", "cdn"]
     assert policy.placement.contents[1] == {1, 3}
@@ -42,7 +42,7 @@ def test_lru_hit_refreshes_recency():
 
 def test_lru_no_second_miss_when_cache_covers_catalog():
     topo = single_bs_topology()
-    policy = LruPolicy(topo, {"u": 1}, CacheCapacities(cloud=0, edge=(3,)), 3)
+    policy = LruPolicy(topo, CacheCapacities(cloud=0, edge=(3,)), 3)
     rng = np.random.default_rng(0)
     seen = set()
     for i, f in enumerate(rng.integers(1, 4, size=60)):
@@ -58,7 +58,7 @@ def test_lfu_eviction_needs_strictly_higher_count():
     # f1 twice, then f2 three times: f2 displaces f1 only once its observed
     # count (3) strictly exceeds f1's (2)
     topo = single_bs_topology()
-    policy = LfuPolicy(topo, {"u": 1}, CacheCapacities(cloud=1, edge=(1,)), 3)
+    policy = LfuPolicy(topo, CacheCapacities(cloud=1, edge=(1,)), 3)
     sources = replay(policy, [1, 1, 2, 2, 2])
     assert sources == ["cdn", "local", "cdn", "cdn", "cdn"]
     assert policy.placement.contents[1] == {2}
@@ -68,9 +68,9 @@ def test_lfu_eviction_needs_strictly_higher_count():
 
 def test_lfu_counters_audit_against_trace():
     topo = Topology(num_bs=2, edge_delay=(10.0, 20.0),
-                    peer_delay=((0.0, 30.0), (30.0, 0.0)), cdn_delay=100.0)
-    assignment = {"a": 1, "b": 2}
-    policy = LfuPolicy(topo, assignment, CacheCapacities(cloud=2, edge=(1, 1)), 4)
+                    peer_delay=((0.0, 30.0), (30.0, 0.0)), cdn_delay=100.0,
+                    users={"a": 1, "b": 2})
+    policy = LfuPolicy(topo, CacheCapacities(cloud=2, edge=(1, 1)), 4)
     rng = np.random.default_rng(5)
     events = [(("a", "b")[int(rng.integers(2))], int(rng.integers(1, 5)))
               for _ in range(200)]
@@ -86,7 +86,7 @@ def test_lfu_counters_audit_against_trace():
 
 def test_lfu_tie_evicts_least_recently_used():
     topo = single_bs_topology()
-    policy = LfuPolicy(topo, {"u": 1}, CacheCapacities(cloud=0, edge=(2,)), 3)
+    policy = LfuPolicy(topo, CacheCapacities(cloud=0, edge=(2,)), 3)
     # counts: f1 = f2 = 1, then f3 arrives twice; the tie between f1 and f2
     # breaks toward f1 (older last use)
     replay(policy, [1, 2, 3, 3])
@@ -98,13 +98,23 @@ def test_lfu_tie_evicts_least_recently_used():
 def test_octopus_hit_is_read_only(canonical):
     topo, catalog, pop, caps = canonical
     warm = pcd(topo, catalog, pop, caps).placement
-    policy = OctopusPolicy(topo, {"u1": 1, "u2": 2}, pop, warm)
+    policy = OctopusPolicy(topo, pop, warm)
     before = policy.placement.copy()
     src = policy.on_request(req(0, "u1", 2))
     assert src.kind is SourceKind.LOCAL_EDGE
     src = policy.on_request(req(1, "u1", 1))
     assert src.kind is SourceKind.CLOUD
     assert policy.placement == before
+
+
+def test_same_route_returns_same_source_object(canonical):
+    # Sources are built once per policy, not once per request
+    topo, catalog, pop, caps = canonical
+    policy = make_policy("exmpc", topo, catalog, pop, caps, topo.users)
+    file = next(iter(policy.placement.contents[0]))
+    first = policy.on_request(req(0, "u1", file))
+    assert first.kind is SourceKind.CLOUD
+    assert policy.on_request(req(1, "u1", file)) is first
 
 
 def test_octopus_miss_triggers_replacement(canonical):
@@ -116,7 +126,7 @@ def test_octopus_miss_triggers_replacement(canonical):
     warm.add(1, 0)
     warm.add(2, 1)
     warm.add(3, 2)
-    policy = OctopusPolicy(topo, {"u1": 1, "u2": 2}, pop, warm)
+    policy = OctopusPolicy(topo, pop, warm)
     src = policy.on_request(req(0, "u1", 4))
     assert src.kind is SourceKind.CDN
     assert policy.placement.contents == [{1}, {2}, {4}]
@@ -128,7 +138,7 @@ def test_octopus_rcr_disabled_is_static(canonical):
     topo, catalog, pop, caps = canonical
     pop4 = Popularity(np.array([0.45, 0.27, 0.09, 0.19]))
     warm = pcd(topo, Catalog(num_files=4), pop4, caps).placement
-    policy = OctopusPolicy(topo, {"u1": 1, "u2": 2}, pop4, warm, rcr_enabled=False)
+    policy = OctopusPolicy(topo, pop4, warm, rcr_enabled=False)
     missing = next(f for f in range(1, 5) if not warm.cached_anywhere(f))
     policy.on_request(req(0, "u1", missing))
     assert policy.placement == warm
@@ -137,10 +147,9 @@ def test_octopus_rcr_disabled_is_static(canonical):
 def test_octopus_utility_nondecreasing_over_stream():
     rng = np.random.default_rng(19)
     topo, catalog, pop, caps = random_instance(rng, max_bs=3, max_files=8, max_cap=2)
-    assignment = dict(topo.users)
     warm = pcd(topo, catalog, pop, caps).placement
-    policy = OctopusPolicy(topo, assignment, pop, warm)
-    users = list(assignment)
+    policy = OctopusPolicy(topo, pop, warm)
+    users = list(topo.users)
     last = policy.utility()
     for i in range(300):
         user = users[int(rng.integers(len(users)))]

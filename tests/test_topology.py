@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -86,6 +87,9 @@ def test_topology_immutable():
 
 def test_users_and_counts():
     topo = build_paper_topology(3, seed=4).with_users({"a": 1, "b": 1, "c": 3})
+    assert topo.users == {"a": 1, "b": 1, "c": 3}
+    assert dataclasses.replace(topo, users=(("a", 1), ("b", 1), ("c", 3))) == topo
+    assert pickle.loads(pickle.dumps(topo)) == topo  # sweep workers get a copy
     assert topo.home_bs("b") == 1
     assert topo.user_count() == 3
     assert list(topo.bs_user_counts()) == [2.0, 0.0, 1.0]
