@@ -144,12 +144,14 @@ def _rcr_swaps(ev, new_file):
     Returns the list of committed swap records. The loop runs at most R+1
     times: find the cached copy with the smallest marginal loss, and swap
     the new file into its slot if and only if that strictly increases
-    utility; otherwise stop.
+    utility; otherwise stop. Stop as well when the smallest-loss copy is
+    the new file's own: swapping it for itself changes nothing, and float
+    noise could otherwise make that no-op look like a strict gain.
     """
     steps = []
     for attempt in range(ev.num_bs + 1):
         worst = ev.min_loss_element()
-        if worst is None:
+        if worst is None or worst[1] == new_file:
             break
         loss, evict_file, cache = worst
         ev.remove(evict_file, cache)

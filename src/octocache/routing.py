@@ -113,10 +113,6 @@ class Placement:
     def cached_anywhere(self, file):
         return any(file in c for c in self.contents)
 
-    def holders(self, file):
-        """Caches currently holding ``file``, in ascending index order."""
-        return [r for r, c in enumerate(self.contents) if file in c]
-
     def cache_size(self, cache):
         return len(self.contents[cache])
 
@@ -328,12 +324,16 @@ def marginal_loss(placement, member, topology, popularity,
 class UtilityEvaluator:
     """Incremental utility bookkeeping for one mutable placement.
 
-    Keeps, for every (BS, file) pair, the best and second-best t-values over
-    the caches currently holding the file, so a marginal gain or loss costs
-    O(R) instead of a pass over the catalog. The evaluator owns its
-    placement copy: mutate through :meth:`add` / :meth:`remove` only.
-    Reads of a quiescent evaluator are safe to share; mutation requires
-    exclusive access.
+    All state derives from the cache mask (R+1, F): ``best1`` (R, F) holds,
+    per (BS, file), the best t-value among the caches holding the file, so a
+    marginal gain costs O(R); a loss table (F, R+1) holds each copy's
+    marginal loss, ``inf`` where the cache lacks the file. :meth:`add` and
+    :meth:`remove` update one mask cell and its ``best1`` column and mark the
+    file's losses stale; the next loss read recomputes every stale column
+    at once, since greedy placement adds many copies and reads no loss. The
+    evaluator owns its placement copy: mutate through :meth:`add` /
+    :meth:`remove` only. A loss read refreshes that table, so even reads
+    need exclusive access while any column is stale.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -341,22 +341,15 @@ class UtilityEvaluator:
             raise ValueError("popularity length does not match placement catalog")
         if placement.num_caches != topology.num_bs + 1:
             raise ValueError("placement cache count does not match topology")
-        self.topology = topology
-        self.mode = mode
         self.placement = placement.copy()
         self.probs = popularity.as_array()
         self.counts = topology.bs_user_counts()
         self.t_table = t_value_table(topology, mode)
-        R, F = topology.num_bs, placement.num_files
-        self.num_bs = R
-        self.num_files = F
-        self._cols = np.tile(np.arange(F), R)
-        mask = _cached_mask(self.placement, R + 1)
-        self.mask = mask
-        vals = np.where(mask[None, :, :], self.t_table[:, :, None], 0.0)
-        self.best1 = vals.max(axis=1)
-        self.best2 = np.partition(vals, -2, axis=1)[:, -2, :]
-        self.src1 = np.where(self.best1 > 0, vals.argmax(axis=1), -1)
+        self.num_bs = topology.num_bs
+        self.mask = _cached_mask(self.placement, self.num_bs + 1)
+        self.best1 = (self.t_table[:, :, None] * self.mask).max(axis=1)
+        self._losses = np.full((placement.num_files, self.num_bs + 1), np.inf)
+        self._stale = np.ones(placement.num_files, dtype=bool)
 
     # -- queries ----------------------------------------------------------
 
@@ -373,11 +366,30 @@ class UtilityEvaluator:
         return float(self.probs[j]
                      * (self.counts @ np.maximum(t - self.best1[:, j], 0.0)))
 
-    def _loss(self, file, cache):
-        j = file - 1
-        hit = self.src1[:, j] == cache
-        return float(self.probs[j]
-                     * (self.counts @ ((self.best1[:, j] - self.best2[:, j]) * hit)))
+    def _refresh_losses(self):
+        """Recompute the loss table's stale columns in one pass.
+
+        A copy's loss is what its users lose falling back to their
+        second-best holder: p_j * sum of count_b * (best1 - best2) over the
+        BSs it is the best source for (the lower cache index on ties, where
+        the difference is 0). The bincount adds those terms in BS order.
+        """
+        cols = np.flatnonzero(self._stale)
+        if cols.size == 0:
+            return
+        n = cols.size
+        held = self.mask[:, cols]
+        vals = self.t_table[:, :, None] * held
+        best1 = self.best1[:, cols]
+        best2 = np.partition(vals, -2, axis=1)[:, -2, :]
+        src = np.where(best1 > 0, vals.argmax(axis=1), -1)
+        keys = (src + 1) * n + np.arange(n)
+        sums = np.bincount(keys.ravel(),
+                           weights=(self.counts[:, None] * (best1 - best2)).ravel(),
+                           minlength=(self.num_bs + 2) * n)
+        loss = sums.reshape(self.num_bs + 2, n)[1:] * self.probs[cols]
+        self._losses[cols] = np.where(held, loss, np.inf).T
+        self._stale[cols] = False
 
     def marginal_gain(self, file, cache):
         self.placement._check_file(file)
@@ -392,55 +404,32 @@ class UtilityEvaluator:
         self.placement._check_cache(cache)
         if not self.placement.contains(file, cache):
             raise ValueError(f"file {file} not in cache {cache}")
-        return self._loss(file, cache)
+        self._refresh_losses()
+        return float(self._losses[file - 1, cache])
 
     def min_loss_element(self):
         """The cached copy with the smallest marginal loss, as a tuple
         (loss, file, cache); ties prefer the lower file then cache index.
         Returns None when nothing is cached."""
-        if self.placement.size() == 0:
+        self._refresh_losses()
+        j, cache = divmod(int(self._losses.argmin()), self.num_bs + 1)
+        best = self._losses[j, cache]
+        if best == np.inf:
             return None
-        diff = self.best1 - self.best2
-        weighted = self.counts[:, None] * diff
-        keys = (self.src1.ravel() + 1) * self.num_files + self._cols
-        sums = np.bincount(keys, weights=weighted.ravel(),
-                           minlength=(self.num_bs + 2) * self.num_files)
-        loss = sums.reshape(self.num_bs + 2, self.num_files)[1:] * self.probs
-        cand = np.where(self.mask, loss, np.inf)
-        best = cand.min()
-        file_idx = int(np.nonzero((cand == best).any(axis=0))[0][0])
-        cache = int(np.nonzero(cand[:, file_idx] == best)[0][0])
-        return float(best), file_idx + 1, cache
+        return float(best), j + 1, cache
 
     # -- mutation ---------------------------------------------------------
 
     def add(self, file, cache):
         self.placement.add(file, cache)
-        j = file - 1
-        self.mask[cache, j] = True
-        t = self.t_table[:, cache]
-        b1 = self.best1[:, j]
-        self.best2[:, j] = np.where(t >= b1, b1, np.maximum(self.best2[:, j], t))
-        better = t > b1
-        self.best1[:, j] = np.where(better, t, b1)
-        self.src1[:, j] = np.where(better, cache, self.src1[:, j])
+        self._update_column(file, cache, True)
 
     def remove(self, file, cache):
         self.placement.remove(file, cache)
+        self._update_column(file, cache, False)
+
+    def _update_column(self, file, cache, held):
         j = file - 1
-        self.mask[cache, j] = False
-        holders = self.placement.holders(file)
-        if not holders:
-            self.best1[:, j] = 0.0
-            self.best2[:, j] = 0.0
-            self.src1[:, j] = -1
-            return
-        vals = self.t_table[:, holders]
-        b1 = vals.max(axis=1)
-        self.best1[:, j] = b1
-        if len(holders) >= 2:
-            self.best2[:, j] = np.partition(vals, -2, axis=1)[:, -2]
-        else:
-            self.best2[:, j] = 0.0
-        src = np.asarray(holders)[vals.argmax(axis=1)]
-        self.src1[:, j] = np.where(b1 > 0, src, -1)
+        self.mask[cache, j] = held
+        self.best1[:, j] = (self.t_table * self.mask[:, j]).max(axis=1)
+        self._stale[j] = True

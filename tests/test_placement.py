@@ -6,7 +6,7 @@ from octocache import (CacheCapacities, Catalog, OracleSizeError, Placement,
                        marginal_loss, pcd, place_ecnc, place_eo, place_exmpc,
                        place_femtox, rcr, top_popular, utility)
 
-from conftest import enumerate_optimal, random_instance
+from conftest import enumerate_optimal, random_feasible_placement, random_instance
 
 # --------------------------------------------------------------------- pcd
 
@@ -184,6 +184,23 @@ def test_rcr_never_decreases_utility_and_respects_capacity():
             assert after.placement.cache_size(cache) == report.placement.cache_size(cache)
         assert after.iterations <= topo.num_bs + 1
         done += 1
+
+
+def test_rcr_never_swaps_new_file_for_itself():
+    # after a first swap the new file's own copy can be the min-loss copy;
+    # evicting it to re-add it is a no-op whose "gain" is float noise
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        topo, catalog, pop, caps = random_instance(rng, max_bs=4, max_files=10, max_cap=3)
+        placement = random_feasible_placement(rng, caps, catalog.num_files, fill=1.0)
+        uncached = [f for f in range(1, catalog.num_files + 1)
+                    if not placement.cached_anywhere(f)]
+        if not uncached:
+            continue
+        new_file = uncached[int(rng.integers(len(uncached)))]
+        report = rcr(placement, new_file, topo, pop)
+        assert all(s["evicted_file"] != new_file for s in report.steps)
+        assert all(b > a for a, b in zip(report.utility_trace, report.utility_trace[1:]))
 
 
 def test_rcr_swapped_out_element_had_minimum_loss(shifted):

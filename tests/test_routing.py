@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from octocache import (CacheCapacities, Placement, RoutingMode, SourceKind,
-                       UtilityEvaluator, marginal_gain,
+from octocache import (CacheCapacities, Placement, Popularity, RoutingMode,
+                       SourceKind, Topology, UtilityEvaluator, marginal_gain,
                        marginal_loss, route_request, total_expected_delay,
-                       user_expected_delay, utility)
+                       user_expected_delay, utility, uturn_peer_delays)
 
 from conftest import (random_feasible_placement, random_instance,
                       reference_route_cost, reference_utility)
@@ -263,32 +263,62 @@ def test_monotonicity_and_submodularity_random():
 
 # ------------------------------------------------- evaluator bookkeeping
 
+def _mutate(rng, ev, num_files):
+    """One random add or remove on the evaluator, when one is possible."""
+    elements = ev.placement.elements()
+    if elements and rng.random() < 0.4:
+        file, cache = elements[int(rng.integers(len(elements)))]
+        ev.remove(file, cache)
+        return
+    cands = [(f, c) for c in range(ev.placement.num_caches)
+             for f in range(1, num_files + 1)
+             if not ev.placement.contains(f, c)
+             and not ev.placement.is_full(c)]
+    if cands:
+        ev.add(*cands[int(rng.integers(len(cands)))])
+
+
+def _assert_losses_match_reference(ev, topo, pop, mode):
+    """Each copy's loss, and the min-loss copy, against utility differences
+    from the independent reference oracle."""
+    contents = ev.placement.contents
+    total = reference_utility(topo, pop, contents, mode.value)
+    tol = 1e-9 * max(total, 1.0)
+    ref = {}
+    for file, cache in ev.placement.elements():
+        smaller = [set(c) for c in contents]
+        smaller[cache].remove(file)
+        ref[file, cache] = total - reference_utility(topo, pop, smaller, mode.value)
+        assert ev.marginal_loss(file, cache) == pytest.approx(ref[file, cache], abs=tol)
+    got = ev.min_loss_element()
+    if not ref:
+        assert got is None
+        return
+    least = min(ref.values())
+    assert got[0] == pytest.approx(least, abs=tol)
+    assert got[1:] == min(k for k, v in ref.items() if v <= least + tol)
+
+
 def test_evaluator_matches_scratch_after_mutations():
-    # the incremental best/second-best tables must agree with a fresh build
-    # after arbitrary add/remove sequences
+    # best1 and the loss table kept across arbitrary add/remove sequences
+    # must equal, bit for bit, those of an evaluator built from scratch
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        topo, catalog, pop, caps = random_instance(rng, max_bs=4, max_files=8, max_cap=3)
-        ev = UtilityEvaluator(topo, pop, Placement(caps, catalog.num_files))
+    for mode in RoutingMode:
         for _ in range(40):
-            elements = ev.placement.elements()
-            if elements and rng.random() < 0.4:
-                file, cache = elements[int(rng.integers(len(elements)))]
-                ev.remove(file, cache)
-            else:
-                cands = [(f, c) for c in range(ev.placement.num_caches)
-                         for f in range(1, catalog.num_files + 1)
-                         if not ev.placement.contains(f, c)
-                         and not ev.placement.is_full(c)]
-                if not cands:
-                    continue
-                file, cache = cands[int(rng.integers(len(cands)))]
-                ev.add(file, cache)
-            fresh = UtilityEvaluator(topo, pop, ev.placement)
-            assert np.allclose(ev.best1, fresh.best1)
-            assert np.allclose(ev.best2, fresh.best2)
-            assert ev.utility() == pytest.approx(
-                reference_utility(topo, pop, ev.placement.contents), rel=1e-9)
+            topo, catalog, pop, caps = random_instance(rng, max_bs=4, max_files=8,
+                                                       max_cap=3)
+            ev = UtilityEvaluator(topo, pop, Placement(caps, catalog.num_files),
+                                  mode=mode)
+            for step in range(40):
+                _mutate(rng, ev, catalog.num_files)
+                fresh = UtilityEvaluator(topo, pop, ev.placement, mode=mode)
+                assert np.array_equal(ev.best1, fresh.best1)
+                assert ev.utility() == pytest.approx(reference_utility(
+                    topo, pop, ev.placement.contents, mode.value), rel=1e-9)
+                if step % 3 == 2:  # let stale loss columns pile up between reads
+                    ev.min_loss_element()
+                    fresh.min_loss_element()
+                    assert np.array_equal(ev._losses, fresh._losses)
 
 
 def test_evaluator_min_loss_matches_scan():
@@ -297,15 +327,26 @@ def test_evaluator_min_loss_matches_scan():
         topo, catalog, pop, caps = random_instance(rng, max_cap=3)
         placement = random_feasible_placement(rng, caps, catalog.num_files)
         ev = UtilityEvaluator(topo, pop, placement)
-        got = ev.min_loss_element()
-        elements = placement.elements()
-        if not elements:
-            assert got is None
-            continue
-        losses = sorted((marginal_loss(placement, (f, c), topo, pop), f, c)
-                        for f, c in elements)
-        assert got[1:] == losses[0][1:]
-        assert got[0] == pytest.approx(losses[0][0], abs=1e-12)
+        _assert_losses_match_reference(ev, topo, pop, RoutingMode.FULL)
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+def test_evaluator_losses_with_tied_t_values(mode):
+    # equal fronthaul delays give equal U-turn costs, so neighbour copies tie
+    # for a user's best t-value; with users at BS 1 only, most copies are
+    # shadowed and tie at zero loss across files and caches
+    rng = np.random.default_rng(41)
+    for num_bs, homes in ((2, "all"), (3, "all"), (4, "all"), (3, "one"), (4, "one")):
+        users = {f"u{b}": b for b in range(1, num_bs + 1) if homes == "all" or b == 1}
+        topo = Topology(num_bs=num_bs, edge_delay=(15.0,) * num_bs,
+                        peer_delay=uturn_peer_delays((15.0,) * num_bs),
+                        cdn_delay=80.0, users=users)
+        pop = Popularity.from_weights(rng.random(6) + 0.01)
+        caps = CacheCapacities(cloud=2, edge=(3,) * num_bs)
+        ev = UtilityEvaluator(topo, pop, Placement(caps, 6), mode=mode)
+        for _ in range(60):
+            _mutate(rng, ev, 6)
+            _assert_losses_match_reference(ev, topo, pop, mode)
 
 
 # ---------------------------------------------------------------- matroid
