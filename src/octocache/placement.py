@@ -5,7 +5,8 @@
   full. Carries a 1/2 approximation guarantee against the optimum.
 * :func:`rcr` - reactive replacement after a cache miss: up to R+1 times,
   swap the minimum-marginal-loss cached copy for the newly fetched file,
-  stopping at the first swap that fails to strictly increase utility.
+  stopping at the first swap that fails to raise utility by more than
+  ``SWAP_MIN_RELATIVE_GAIN`` of it.
 * :func:`brute_force_optimal` - exhaustive oracle for desk-scale instances,
   used to ground-truth the greedy's approximation ratio.
 * ``place_eo`` / ``place_ecnc`` / ``place_exmpc`` / ``place_femtox`` -
@@ -27,6 +28,10 @@ from .routing import Placement, RoutingMode, UtilityEvaluator
 
 #: Guard on the number of placements brute_force_optimal may enumerate.
 ORACLE_ENUMERATION_LIMIT = 10_000_000
+
+#: A reactive swap commits only when its net gain exceeds this fraction of
+#: the utility: swaps between copies of equal worth differ by float noise.
+SWAP_MIN_RELATIVE_GAIN = 1e-9
 
 
 @dataclass
@@ -143,8 +148,9 @@ def _rcr_swaps(ev, new_file):
 
     Returns the list of committed swap records. The loop runs at most R+1
     times: find the cached copy with the smallest marginal loss, and swap
-    the new file into its slot if and only if that strictly increases
-    utility; otherwise stop. Stop as well when the smallest-loss copy is
+    the new file into its slot if and only if that raises utility by more
+    than ``SWAP_MIN_RELATIVE_GAIN`` of the utility before the swap;
+    otherwise stop. Stop as well when the smallest-loss copy is
     the new file's own: swapping it for itself changes nothing, and float
     noise could otherwise make that no-op look like a strict gain.
     """
@@ -156,7 +162,8 @@ def _rcr_swaps(ev, new_file):
         loss, evict_file, cache = worst
         ev.remove(evict_file, cache)
         gain = 0.0 if ev.placement.contains(new_file, cache) else ev._gain(new_file, cache)
-        if gain > loss:
+        # utility() costs an (R, F) product, so it is read only for a gain
+        if gain > loss and gain - loss > SWAP_MIN_RELATIVE_GAIN * (ev.utility() + loss):
             ev.add(new_file, cache)
             steps.append({"iteration": attempt + 1, "file": new_file,
                           "cache": cache, "evicted_file": evict_file,
@@ -171,8 +178,9 @@ def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
     """Reactive cache replacement after a miss on ``new_file``.
 
     The new file must not be cached anywhere (it was just fetched from the
-    CDN). Utility never decreases; every committed swap strictly increases
-    it; capacities are preserved.
+    CDN). Utility never decreases; every committed swap raises it by more
+    than ``SWAP_MIN_RELATIVE_GAIN`` of its value before the swap;
+    capacities are preserved.
 
     Returns
     -------

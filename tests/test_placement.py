@@ -203,6 +203,27 @@ def test_rcr_never_swaps_new_file_for_itself():
         assert all(b > a for a, b in zip(report.utility_trace, report.utility_trace[1:]))
 
 
+def test_rcr_commits_no_float_noise_swaps():
+    # with popularity weights 1 or 2, many files tie in worth; swapping one
+    # for an equal one "gains" only rounding noise and must not commit
+    rng = np.random.default_rng(5)
+    calls = 0
+    for _ in range(3000):
+        topo, catalog, _, caps = random_instance(rng, max_bs=4, max_files=12, max_cap=3)
+        pop = Popularity.from_weights(rng.integers(1, 3, catalog.num_files).astype(float))
+        warm = pcd(topo, catalog, pop, caps).placement
+        uncached = [f for f in range(1, catalog.num_files + 1)
+                    if not warm.cached_anywhere(f)]
+        if not uncached:
+            continue
+        new_file = uncached[int(rng.integers(len(uncached)))]
+        report = rcr(warm, new_file, topo, pop)
+        calls += 1
+        for before, step in zip(report.utility_trace, report.steps):
+            assert step["gain"] > 1e-9 * before
+    assert calls > 1000
+
+
 def test_rcr_swapped_out_element_had_minimum_loss(shifted):
     topo, _, pop, placement = shifted
     losses = {(f, c): marginal_loss(placement, (f, c), topo, pop)
