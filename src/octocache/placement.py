@@ -18,10 +18,11 @@ lowest cache index), so identical inputs produce identical placements.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+
+import numpy as np
 
 from .errors import OracleSizeError
 from .routing import Placement, RoutingMode, UtilityEvaluator
@@ -59,15 +60,12 @@ class PlacementAlgorithmReport:
 
 
 def _effective_sizes(capacities, num_files):
-    """Per-cache fill targets, clamped to the catalog size."""
-    sizes = []
-    warnings = []
-    for r, cap in enumerate(capacities.as_list()):
-        if cap > num_files:
-            warnings.append(f"cache {r} capacity {cap} clamped to catalog size {num_files}")
-            cap = num_files
-        sizes.append(cap)
-    return sizes, warnings
+    """Per-cache fill targets, clamped to the catalog size, and one warning
+    per clamped cache."""
+    caps = capacities.as_list()
+    warnings = [f"cache {r} capacity {cap} clamped to catalog size {num_files}"
+                for r, cap in enumerate(caps) if cap > num_files]
+    return [min(cap, num_files) for cap in caps], warnings
 
 
 def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
@@ -76,9 +74,9 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     Starts from an empty placement and, at each iteration, adds the
     (file, cache) copy with the largest marginal utility among caches that
     still have room, until every cache is full (capacities above the catalog
-    size are clamped, with a warning record). Uses lazy re-evaluation of
-    stale marginals, which is exact because gains only shrink as the
-    placement grows.
+    size are clamped, with a warning record). Each step is an argmax over
+    the evaluator's exact gain table; an add changes only its own file's
+    gains, so only that row is recomputed.
 
     Parameters
     ----------
@@ -99,46 +97,31 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     if popularity.num_files != catalog.num_files:
         raise ValueError("popularity length does not match catalog")
     sizes, warnings = _effective_sizes(capacities, catalog.num_files)
-    placement = Placement(capacities, catalog.num_files)
-    ev = UtilityEvaluator(topology, popularity, placement, mode=mode)
+    ev = UtilityEvaluator(topology, popularity, Placement(capacities, catalog.num_files),
+                          mode=mode)
 
-    # Initial marginals on the empty placement: worth of a copy of file f in
-    # cache r is p_f * sum_b count_b * t[b, r].
-    weight_per_cache = ev.counts @ ev.t_table  # (R+1,)
-    probs = ev.probs
-    heap = []
-    for r, size in enumerate(sizes):
-        if size == 0:
-            continue
-        w = weight_per_cache[r]
-        for j in range(catalog.num_files):
-            heap.append((-(probs[j] * w), j + 1, r, 0))
-    heapq.heapify(heap)
-
-    target = sum(sizes)
+    # -inf marks held copies and full caches; argmax over the row maxima,
+    # then within the row, breaks ties toward the lower file, then cache
+    closed = np.array(sizes) == 0
+    gains = np.where(closed, -np.inf, ev._gain_table())
+    row_best = gains.max(axis=1)
     utility_trace = [ev.utility()]
     steps = []
-    selected = 0
-    while selected < target and heap:
-        neg_gain, file, cache, version = heapq.heappop(heap)
-        if ev.placement.cache_size(cache) >= sizes[cache]:
-            continue
-        if ev.placement.contains(file, cache):
-            continue
-        if version != selected:
-            gain = ev._gain(file, cache)
-            key = (-gain, file, cache)
-            if heap and key > heap[0][:3]:
-                heapq.heappush(heap, (*key, selected))
-                continue
-        else:
-            gain = -neg_gain
-        ev.add(file, cache)
-        selected += 1
+    for selected in range(1, sum(sizes) + 1):
+        j = int(row_best.argmax())
+        cache = int(gains[j].argmax())
+        gain = float(gains[j, cache])
+        ev.add(j + 1, cache)
         utility_trace.append(utility_trace[-1] + gain)
-        steps.append({"iteration": selected, "file": file, "cache": cache,
+        steps.append({"iteration": selected, "file": j + 1, "cache": cache,
                       "gain": gain, "utility": utility_trace[-1]})
-    return PlacementAlgorithmReport(placement=ev.snapshot(), iterations=selected,
+        if ev.placement.cache_size(cache) == sizes[cache]:
+            closed[cache] = True
+            gains[:, cache] = -np.inf
+            row_best = gains.max(axis=1)
+        gains[j] = np.where(closed | ev.mask[:, j], -np.inf, ev._gain_table()[j])
+        row_best[j] = gains[j].max()
+    return PlacementAlgorithmReport(placement=ev.placement, iterations=len(steps),
                                     utility_trace=utility_trace,
                                     steps=steps, warnings=warnings)
 
@@ -150,27 +133,26 @@ def _rcr_swaps(ev, new_file):
     times: find the cached copy with the smallest marginal loss, and swap
     the new file into its slot if and only if that raises utility by more
     than ``SWAP_MIN_RELATIVE_GAIN`` of the utility before the swap;
-    otherwise stop. Stop as well when the smallest-loss copy is
-    the new file's own: swapping it for itself changes nothing, and float
-    noise could otherwise make that no-op look like a strict gain.
+    otherwise stop. The new file's gain does not depend on the evicted
+    file's copy, so it is read before anything changes, and a rejected swap
+    mutates nothing. A copy the new file already holds has gain exactly 0,
+    so the loop never swaps the new file for itself.
     """
     steps = []
     for attempt in range(ev.num_bs + 1):
         worst = ev.min_loss_element()
-        if worst is None or worst[1] == new_file:
+        if worst is None:
             break
         loss, evict_file, cache = worst
-        ev.remove(evict_file, cache)
-        gain = 0.0 if ev.placement.contains(new_file, cache) else ev._gain(new_file, cache)
+        gain = float(ev._gain_table()[new_file - 1, cache])
         # utility() costs an (R, F) product, so it is read only for a gain
-        if gain > loss and gain - loss > SWAP_MIN_RELATIVE_GAIN * (ev.utility() + loss):
-            ev.add(new_file, cache)
-            steps.append({"iteration": attempt + 1, "file": new_file,
-                          "cache": cache, "evicted_file": evict_file,
-                          "gain": gain - loss, "utility": ev.utility()})
-        else:
-            ev.add(evict_file, cache)
+        if gain <= loss or gain - loss <= SWAP_MIN_RELATIVE_GAIN * ev.utility():
             break
+        ev.remove(evict_file, cache)
+        ev.add(new_file, cache)
+        steps.append({"iteration": attempt + 1, "file": new_file,
+                      "cache": cache, "evicted_file": evict_file,
+                      "gain": gain - loss, "utility": ev.utility()})
     return steps
 
 
@@ -192,10 +174,10 @@ def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
     if placement.cached_anywhere(new_file):
         raise ValueError(f"file {new_file} is already cached")
     ev = UtilityEvaluator(topology, popularity, placement, mode=mode)
-    before = ev.utility()
+    trace = [ev.utility()]
     steps = _rcr_swaps(ev, new_file)
-    trace = [before] + [s["utility"] for s in steps]
-    return PlacementAlgorithmReport(placement=ev.snapshot(), iterations=len(steps),
+    trace += [s["utility"] for s in steps]
+    return PlacementAlgorithmReport(placement=ev.placement, iterations=len(steps),
                                     utility_trace=trace, steps=steps)
 
 
@@ -227,57 +209,58 @@ def brute_force_optimal(topology, catalog, popularity, capacities,
     best_utility = -1.0
     best = None
 
-    def descend(cache, running):
+    def descend(cache):
         nonlocal best_utility, best
         if cache == len(sizes):
-            if running > best_utility:
-                best_utility = running
-                best = ev.snapshot()
+            value = ev.utility()
+            if value > best_utility:
+                best_utility = value
+                best = ev.placement.copy()
             return
         for combo in combinations(files, sizes[cache]):
-            delta = 0.0
             for f in combo:
-                delta += ev._gain(f, cache)
                 ev.add(f, cache)
-            descend(cache + 1, running + delta)
+            descend(cache + 1)
             for f in combo:
                 ev.remove(f, cache)
 
-    descend(0, ev.utility())
+    descend(0)
     return best
 
 
 def top_popular(popularity, k):
     """The k most popular file indices; popularity ties break toward the
     lower index."""
-    order = sorted(range(1, popularity.num_files + 1),
-                   key=lambda f: (-popularity.probs[f - 1], f))
-    return order[:max(0, k)]
+    return (np.argsort(-popularity.as_array(), kind="stable")[:max(0, k)] + 1).tolist()
+
+
+def _edges_most_popular(topology, catalog, popularity, capacities):
+    """A placement whose edge caches each hold their most popular files,
+    with the popularity ranking and the per-cache fill targets."""
+    sizes, _ = _effective_sizes(capacities, catalog.num_files)
+    ranked = top_popular(popularity, catalog.num_files)
+    placement = Placement(capacities, catalog.num_files)
+    for r in range(1, topology.num_bs + 1):
+        for f in ranked[:sizes[r]]:
+            placement.add(f, r)
+    return placement, ranked, sizes
 
 
 def place_eo(topology, catalog, popularity, capacities):
     """Edge-only baseline: each edge cache independently stores its most
     popular files; the cloud cache stays empty. Meant to be evaluated under
     EDGE_ONLY routing (no cloud, no neighbor access)."""
-    sizes, _ = _effective_sizes(capacities, catalog.num_files)
-    placement = Placement(capacities, catalog.num_files)
-    for r in range(1, topology.num_bs + 1):
-        for f in top_popular(popularity, sizes[r]):
-            placement.add(f, r)
-    return placement
+    return _edges_most_popular(topology, catalog, popularity, capacities)[0]
 
 
 def place_ecnc(topology, catalog, popularity, capacities):
     """Edge+cloud non-cooperative baseline: every cache, cloud included,
     independently stores the most popular files (duplication allowed).
     Meant to be evaluated under EDGE_CLOUD routing (no neighbor access)."""
-    sizes, _ = _effective_sizes(capacities, catalog.num_files)
-    placement = Placement(capacities, catalog.num_files)
-    for f in top_popular(popularity, sizes[0]):
+    placement, ranked, sizes = _edges_most_popular(topology, catalog, popularity,
+                                                   capacities)
+    for f in ranked[:sizes[0]]:
         placement.add(f, 0)
-    for r in range(1, topology.num_bs + 1):
-        for f in top_popular(popularity, sizes[r]):
-            placement.add(f, r)
     return placement
 
 
@@ -285,16 +268,11 @@ def place_exmpc(topology, catalog, popularity, capacities):
     """Exclusively-most-popular baseline: edges store the most popular
     files; the cloud stores the most popular files not already held by any
     edge cache (second tier). Evaluated under FULL cooperative routing."""
-    sizes, _ = _effective_sizes(capacities, catalog.num_files)
-    placement = Placement(capacities, catalog.num_files)
-    in_edges = set()
-    for r in range(1, topology.num_bs + 1):
-        for f in top_popular(popularity, sizes[r]):
-            placement.add(f, r)
-            in_edges.add(f)
-    remaining = [f for f in top_popular(popularity, catalog.num_files)
-                 if f not in in_edges]
-    for f in remaining[:sizes[0]]:
+    placement, ranked, sizes = _edges_most_popular(topology, catalog, popularity,
+                                                   capacities)
+    # each edge holds a prefix of the ranking; no edge holds what follows the longest
+    start = max(sizes[1:])
+    for f in ranked[start:start + sizes[0]]:
         placement.add(f, 0)
     return placement
 

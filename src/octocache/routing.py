@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_GAIN_CHUNK_ROWS = 4096  # gain-table rows built at once, bounding the temporaries
+
 
 class RoutingMode(enum.Enum):
     """Which caches a user's request may be served from.
@@ -325,15 +327,15 @@ class UtilityEvaluator:
     """Incremental utility bookkeeping for one mutable placement.
 
     All state derives from the cache mask (R+1, F): ``best1`` (R, F) holds,
-    per (BS, file), the best t-value among the caches holding the file, so a
-    marginal gain costs O(R); a loss table (F, R+1) holds each copy's
-    marginal loss, ``inf`` where the cache lacks the file. :meth:`add` and
-    :meth:`remove` update one mask cell and its ``best1`` column and mark the
-    file's losses stale; the next loss read recomputes every stale column
-    at once, since greedy placement adds many copies and reads no loss. The
-    evaluator owns its placement copy: mutate through :meth:`add` /
-    :meth:`remove` only. A loss read refreshes that table, so even reads
-    need exclusive access while any column is stale.
+    per (BS, file), the best t-value among the caches holding the file, and
+    two (F, R+1) tables hold each copy's marginal gain (0 where the cache
+    holds the file) and marginal loss (``inf`` where it does not). A file's
+    gain and loss depend only on its own mask column, so :meth:`add` and
+    :meth:`remove` update one mask cell and its ``best1`` column and mark
+    the file's rows stale; a table read recomputes its stale rows at once.
+    The evaluator owns its placement copy: mutate through :meth:`add` /
+    :meth:`remove` only. A table read refreshes that table, so even reads
+    need exclusive access while any row is stale.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -348,35 +350,45 @@ class UtilityEvaluator:
         self.num_bs = topology.num_bs
         self.mask = _cached_mask(self.placement, self.num_bs + 1)
         self.best1 = (self.t_table[:, :, None] * self.mask).max(axis=1)
+        self._gains = np.zeros((placement.num_files, self.num_bs + 1))
+        self._gains_stale = np.ones(placement.num_files, dtype=bool)
         self._losses = np.full((placement.num_files, self.num_bs + 1), np.inf)
-        self._stale = np.ones(placement.num_files, dtype=bool)
+        self._losses_stale = np.ones(placement.num_files, dtype=bool)
 
     # -- queries ----------------------------------------------------------
 
     def utility(self):
         return float(self.counts @ self.best1 @ self.probs)
 
-    def snapshot(self):
-        """Immutable-by-convention copy of the current placement."""
-        return self.placement.copy()
+    def _gain_table(self):
+        """The gain table, its stale rows recomputed first.
 
-    def _gain(self, file, cache):
-        j = file - 1
-        t = self.t_table[:, cache]
-        return float(self.probs[j]
-                     * (self.counts @ np.maximum(t - self.best1[:, j], 0.0)))
+        A copy's gain is p_j * sum of count_b * max(t[b, k] - best1[b, j], 0).
+        The BS axis is the outer axis of the summed array, which numpy adds
+        slice by slice in BS order (no BLAS dot, no pairwise blocks), so a
+        row built alone is bitwise equal to the same row built in bulk.
+        Rows are built in chunks to bound the temporaries.
+        """
+        rows = np.flatnonzero(self._gains_stale)
+        for start in range(0, rows.size, _GAIN_CHUNK_ROWS):
+            js = rows[start:start + _GAIN_CHUNK_ROWS]
+            drop = np.maximum(self.t_table[:, None, :] - self.best1[:, js, None], 0.0)
+            drop *= self.counts[:, None, None]
+            self._gains[js] = self.probs[js, None] * drop.sum(axis=0)
+        self._gains_stale[rows] = False
+        return self._gains
 
-    def _refresh_losses(self):
-        """Recompute the loss table's stale columns in one pass.
+    def _loss_table(self):
+        """The loss table, its stale rows recomputed first, in one pass.
 
         A copy's loss is what its users lose falling back to their
         second-best holder: p_j * sum of count_b * (best1 - best2) over the
         BSs it is the best source for (the lower cache index on ties, where
         the difference is 0). The bincount adds those terms in BS order.
         """
-        cols = np.flatnonzero(self._stale)
+        cols = np.flatnonzero(self._losses_stale)
         if cols.size == 0:
-            return
+            return self._losses
         n = cols.size
         held = self.mask[:, cols]
         vals = self.t_table[:, :, None] * held
@@ -389,7 +401,8 @@ class UtilityEvaluator:
                            minlength=(self.num_bs + 2) * n)
         loss = sums.reshape(self.num_bs + 2, n)[1:] * self.probs[cols]
         self._losses[cols] = np.where(held, loss, np.inf).T
-        self._stale[cols] = False
+        self._losses_stale[cols] = False
+        return self._losses
 
     def marginal_gain(self, file, cache):
         self.placement._check_file(file)
@@ -398,22 +411,21 @@ class UtilityEvaluator:
             raise ValueError(f"file {file} already placed in cache {cache}")
         if self.placement.is_full(cache):
             raise ValueError(f"cache {cache} is full")
-        return self._gain(file, cache)
+        return float(self._gain_table()[file - 1, cache])
 
     def marginal_loss(self, file, cache):
         self.placement._check_cache(cache)
         if not self.placement.contains(file, cache):
             raise ValueError(f"file {file} not in cache {cache}")
-        self._refresh_losses()
-        return float(self._losses[file - 1, cache])
+        return float(self._loss_table()[file - 1, cache])
 
     def min_loss_element(self):
         """The cached copy with the smallest marginal loss, as a tuple
         (loss, file, cache); ties prefer the lower file then cache index.
         Returns None when nothing is cached."""
-        self._refresh_losses()
-        j, cache = divmod(int(self._losses.argmin()), self.num_bs + 1)
-        best = self._losses[j, cache]
+        losses = self._loss_table()
+        j, cache = divmod(int(losses.argmin()), self.num_bs + 1)
+        best = losses[j, cache]
         if best == np.inf:
             return None
         return float(best), j + 1, cache
@@ -432,4 +444,5 @@ class UtilityEvaluator:
         j = file - 1
         self.mask[cache, j] = held
         self.best1[:, j] = (self.t_table * self.mask[:, j]).max(axis=1)
-        self._stale[j] = True
+        self._gains_stale[j] = True
+        self._losses_stale[j] = True

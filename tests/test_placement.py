@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from octocache import (CacheCapacities, Catalog, OracleSizeError, Placement,
-                       Popularity, Topology, brute_force_optimal,
-                       marginal_loss, pcd, place_ecnc, place_eo, place_exmpc,
-                       place_femtox, rcr, top_popular, utility)
+                       Popularity, RoutingMode, Topology, UtilityEvaluator,
+                       brute_force_optimal, marginal_loss, pcd, place_ecnc,
+                       place_eo, place_exmpc, place_femtox, rcr, top_popular,
+                       utility, uturn_peer_delays)
 
 from conftest import enumerate_optimal, random_feasible_placement, random_instance
 
@@ -103,6 +104,45 @@ def test_pcd_tiebreak_lowest_file_then_cache():
     report = pcd(topo, catalog, pop, CacheCapacities(cloud=1, edge=(1,)))
     chosen = [(s["file"], s["cache"]) for s in report.steps]
     assert chosen == [(1, 1), (2, 0)]
+
+
+def _naive_greedy(topo, catalog, pop, caps, mode):
+    """Reference greedy: rescan every open copy's marginal gain each step,
+    keeping the first maximum in (file, cache) order."""
+    sizes = [min(c, catalog.num_files) for c in caps.as_list()]
+    ev = UtilityEvaluator(topo, pop, Placement(caps, catalog.num_files), mode=mode)
+    trace = [ev.utility()]
+    for _ in range(sum(sizes)):
+        best = None
+        for file in range(1, catalog.num_files + 1):
+            for cache, size in enumerate(sizes):
+                if ev.placement.contains(file, cache) or ev.placement.cache_size(cache) == size:
+                    continue
+                gain = ev.marginal_gain(file, cache)
+                if best is None or gain > best[0]:
+                    best = (gain, file, cache)
+        ev.add(best[1], best[2])
+        trace.append(trace[-1] + best[0])
+    return ev.placement, trace
+
+
+def test_pcd_equals_naive_greedy():
+    # random instances, plus tie-heavy ones: equal fronthaul delays (equal
+    # U-turn costs) and uniform popularity, where only the tie rule decides
+    rng = np.random.default_rng(19)
+    for i in range(60):
+        topo, catalog, pop, caps = random_instance(rng, max_bs=4, max_files=9, max_cap=4)
+        if i % 2:
+            delays = (15.0,) * topo.num_bs
+            topo = Topology(num_bs=topo.num_bs, edge_delay=delays,
+                            peer_delay=uturn_peer_delays(delays), cdn_delay=80.0,
+                            users=topo.users)
+            pop = Popularity.from_weights(np.ones(catalog.num_files))
+        for mode in (RoutingMode.FULL, RoutingMode.EDGE_CLOUD):
+            report = pcd(topo, catalog, pop, caps, mode=mode)
+            placement, trace = _naive_greedy(topo, catalog, pop, caps, mode)
+            assert report.placement == placement
+            assert report.utility_trace == trace
 
 
 # --------------------------------------------------------------------- rcr
@@ -302,6 +342,16 @@ def test_pcd_half_approximation_small_batch():
 def test_top_popular_tiebreak():
     pop = Popularity(np.array([0.25, 0.25, 0.25, 0.25]))
     assert top_popular(pop, 2) == [1, 2]
+    # against a sort keyed (-p, index), on tie-heavy weights with zeros
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        n = int(rng.integers(1, 30))
+        weights = rng.integers(0, 4, n).astype(float)
+        weights[rng.integers(n)] += 1.0
+        pop = Popularity.from_weights(weights)
+        want = sorted(range(1, n + 1), key=lambda f: (-pop.probs[f - 1], f))
+        k = int(rng.integers(-1, n + 2))
+        assert top_popular(pop, k) == want[:max(0, k)]
 
 
 def test_place_eo_canonical(canonical):

@@ -278,12 +278,23 @@ def _mutate(rng, ev, num_files):
         ev.add(*cands[int(rng.integers(len(cands)))])
 
 
-def _assert_losses_match_reference(ev, topo, pop, mode):
-    """Each copy's loss, and the min-loss copy, against utility differences
-    from the independent reference oracle."""
+def _assert_marginals_match_reference(ev, topo, pop, mode):
+    """Each open copy's gain, each copy's loss, and the min-loss copy,
+    against utility differences from the independent reference oracle."""
     contents = ev.placement.contents
     total = reference_utility(topo, pop, contents, mode.value)
     tol = 1e-9 * max(total, 1.0)
+    for file in range(1, ev.placement.num_files + 1):
+        for cache in range(ev.placement.num_caches):
+            if ev.placement.contains(file, cache):
+                assert ev._gain_table()[file - 1, cache] == 0.0
+                continue
+            if ev.placement.is_full(cache):
+                continue
+            larger = [set(c) for c in contents]
+            larger[cache].add(file)
+            want = reference_utility(topo, pop, larger, mode.value) - total
+            assert ev.marginal_gain(file, cache) == pytest.approx(want, abs=tol)
     ref = {}
     for file, cache in ev.placement.elements():
         smaller = [set(c) for c in contents]
@@ -300,8 +311,9 @@ def _assert_losses_match_reference(ev, topo, pop, mode):
 
 
 def test_evaluator_matches_scratch_after_mutations():
-    # best1 and the loss table kept across arbitrary add/remove sequences
-    # must equal, bit for bit, those of an evaluator built from scratch
+    # best1 and the gain and loss tables kept across arbitrary add/remove
+    # sequences must equal, bit for bit, those of an evaluator built from
+    # scratch
     rng = np.random.default_rng(31)
     for mode in RoutingMode:
         for _ in range(40):
@@ -315,10 +327,11 @@ def test_evaluator_matches_scratch_after_mutations():
                 assert np.array_equal(ev.best1, fresh.best1)
                 assert ev.utility() == pytest.approx(reference_utility(
                     topo, pop, ev.placement.contents, mode.value), rel=1e-9)
-                if step % 3 == 2:  # let stale loss columns pile up between reads
+                if step % 3 == 2:  # let stale rows pile up between reads
                     ev.min_loss_element()
                     fresh.min_loss_element()
                     assert np.array_equal(ev._losses, fresh._losses)
+                    assert np.array_equal(ev._gain_table(), fresh._gain_table())
 
 
 def test_evaluator_min_loss_matches_scan():
@@ -327,7 +340,7 @@ def test_evaluator_min_loss_matches_scan():
         topo, catalog, pop, caps = random_instance(rng, max_cap=3)
         placement = random_feasible_placement(rng, caps, catalog.num_files)
         ev = UtilityEvaluator(topo, pop, placement)
-        _assert_losses_match_reference(ev, topo, pop, RoutingMode.FULL)
+        _assert_marginals_match_reference(ev, topo, pop, RoutingMode.FULL)
 
 
 @pytest.mark.parametrize("mode", list(RoutingMode))
@@ -346,7 +359,7 @@ def test_evaluator_losses_with_tied_t_values(mode):
         ev = UtilityEvaluator(topo, pop, Placement(caps, 6), mode=mode)
         for _ in range(60):
             _mutate(rng, ev, 6)
-            _assert_losses_match_reference(ev, topo, pop, mode)
+            _assert_marginals_match_reference(ev, topo, pop, mode)
 
 
 # ---------------------------------------------------------------- matroid
