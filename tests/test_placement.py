@@ -248,7 +248,7 @@ def test_rcr_commits_no_float_noise_swaps():
     # for an equal one "gains" only rounding noise and must not commit
     rng = np.random.default_rng(5)
     calls = 0
-    for _ in range(3000):
+    for _ in range(600):
         topo, catalog, _, caps = random_instance(rng, max_bs=4, max_files=12, max_cap=3)
         pop = Popularity.from_weights(rng.integers(1, 3, catalog.num_files).astype(float))
         warm = pcd(topo, catalog, pop, caps).placement
@@ -261,7 +261,7 @@ def test_rcr_commits_no_float_noise_swaps():
         calls += 1
         for before, step in zip(report.utility_trace, report.steps):
             assert step["gain"] > 1e-9 * before
-    assert calls > 1000
+    assert calls > 300
 
 
 def test_rcr_swapped_out_element_had_minimum_loss(shifted):
