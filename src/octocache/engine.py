@@ -192,6 +192,8 @@ def run_experiment(config):
     if popularity is None:
         popularity = estimate_popularity(trace, warm_count,
                                          smoothing=config.smoothing)
+    elif popularity.num_files != catalog.num_files:
+        raise ConfigError(f"popularity length must match the {catalog.num_files}-file catalog")
 
     policy = make_policy(config.policy, topology, catalog, popularity,
                          capacities, assignment, rcr_enabled=config.rcr_enabled)

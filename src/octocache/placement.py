@@ -134,9 +134,10 @@ def _rcr_swaps(ev, new_file):
     the new file into its slot if and only if that raises utility by more
     than ``SWAP_MIN_RELATIVE_GAIN`` of the utility before the swap;
     otherwise stop. The new file's gain does not depend on the evicted
-    file's copy, so it is read before anything changes, and a rejected swap
-    mutates nothing. A copy the new file already holds has gain exactly 0,
-    so the loop never swaps the new file for itself.
+    copy, so it is read first and a rejected swap mutates nothing; as the
+    evaluator keeps its min-loss copy between mutations, a miss that swaps
+    nothing costs one gain-table read. A copy the new file already holds
+    has gain exactly 0, so the loop never swaps the new file for itself.
     """
     steps = []
     for attempt in range(ev.num_bs + 1):
@@ -162,7 +163,7 @@ def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
     The new file must not be cached anywhere (it was just fetched from the
     CDN). Utility never decreases; every committed swap raises it by more
     than ``SWAP_MIN_RELATIVE_GAIN`` of its value before the swap;
-    capacities are preserved.
+    capacities are preserved. ``OctopusPolicy`` runs the same loop per miss.
 
     Returns
     -------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_GAIN_CHUNK_ROWS = 4096  # gain-table rows built at once, bounding the temporaries
+_TABLE_CHUNK_ROWS = 4096  # gain/loss-table rows built at once, bounding the temporaries
 
 
 class RoutingMode(enum.Enum):
@@ -329,13 +329,15 @@ class UtilityEvaluator:
     All state derives from the cache mask (R+1, F): ``best1`` (R, F) holds,
     per (BS, file), the best t-value among the caches holding the file, and
     two (F, R+1) tables hold each copy's marginal gain (0 where the cache
-    holds the file) and marginal loss (``inf`` where it does not). A file's
-    gain and loss depend only on its own mask column, so :meth:`add` and
-    :meth:`remove` update one mask cell and its ``best1`` column and mark
-    the file's rows stale; a table read recomputes its stale rows at once.
-    The evaluator owns its placement copy: mutate through :meth:`add` /
-    :meth:`remove` only. A table read refreshes that table, so even reads
-    need exclusive access while any row is stale.
+    holds the file) and marginal loss (``inf`` where it does not), both
+    ``p_j * sum_b count_b * max(t[b, k] - rival[b, j], 0)``: the rival is
+    ``best1`` for a gain and the holders' second-best t-value for a loss.
+    A file's gain and loss depend only on its own mask column, so
+    :meth:`add` and :meth:`remove` update one mask cell and its ``best1``
+    column and mark the file's rows stale; a table read recomputes its
+    stale rows at once. The evaluator owns its placement copy: mutate
+    through :meth:`add` / :meth:`remove` only. A table read refreshes that
+    table, so even reads need exclusive access while any row is stale.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -354,54 +356,36 @@ class UtilityEvaluator:
         self._gains_stale = np.ones(placement.num_files, dtype=bool)
         self._losses = np.full((placement.num_files, self.num_bs + 1), np.inf)
         self._losses_stale = np.ones(placement.num_files, dtype=bool)
+        self._min_loss = None
+        self._min_loss_stale = True
 
     # -- queries ----------------------------------------------------------
 
     def utility(self):
         return float(self.counts @ self.best1 @ self.probs)
 
-    def _gain_table(self):
-        """The gain table, its stale rows recomputed first.
+    def _marginals(self, js, rival):
+        """``p_j * sum_b count_b * max(t[b, k] - rival[b, j], 0)`` for files
+        ``js``, shape (len(js), R+1). numpy adds the outer (BS) axis slice by
+        slice in BS order (no BLAS dot, no pairwise blocks), so a row built
+        alone is bitwise equal to the same row built in bulk."""
+        drop = np.maximum(self.t_table[:, None, :] - rival[:, :, None], 0.0)
+        drop *= self.counts[:, None, None]
+        return self.probs[js, None] * drop.sum(axis=0)
 
-        A copy's gain is p_j * sum of count_b * max(t[b, k] - best1[b, j], 0).
-        The BS axis is the outer axis of the summed array, which numpy adds
-        slice by slice in BS order (no BLAS dot, no pairwise blocks), so a
-        row built alone is bitwise equal to the same row built in bulk.
-        Rows are built in chunks to bound the temporaries.
-        """
-        rows = np.flatnonzero(self._gains_stale)
-        for start in range(0, rows.size, _GAIN_CHUNK_ROWS):
-            js = rows[start:start + _GAIN_CHUNK_ROWS]
-            drop = np.maximum(self.t_table[:, None, :] - self.best1[:, js, None], 0.0)
-            drop *= self.counts[:, None, None]
-            self._gains[js] = self.probs[js, None] * drop.sum(axis=0)
-        self._gains_stale[rows] = False
+    def _gain_table(self):
+        """The gain table, its stale rows recomputed first."""
+        for js in _stale_chunks(self._gains_stale):
+            self._gains[js] = self._marginals(js, self.best1[:, js])
         return self._gains
 
     def _loss_table(self):
-        """The loss table, its stale rows recomputed first, in one pass.
-
-        A copy's loss is what its users lose falling back to their
-        second-best holder: p_j * sum of count_b * (best1 - best2) over the
-        BSs it is the best source for (the lower cache index on ties, where
-        the difference is 0). The bincount adds those terms in BS order.
-        """
-        cols = np.flatnonzero(self._losses_stale)
-        if cols.size == 0:
-            return self._losses
-        n = cols.size
-        held = self.mask[:, cols]
-        vals = self.t_table[:, :, None] * held
-        best1 = self.best1[:, cols]
-        best2 = np.partition(vals, -2, axis=1)[:, -2, :]
-        src = np.where(best1 > 0, vals.argmax(axis=1), -1)
-        keys = (src + 1) * n + np.arange(n)
-        sums = np.bincount(keys.ravel(),
-                           weights=(self.counts[:, None] * (best1 - best2)).ravel(),
-                           minlength=(self.num_bs + 2) * n)
-        loss = sums.reshape(self.num_bs + 2, n)[1:] * self.probs[cols]
-        self._losses[cols] = np.where(held, loss, np.inf).T
-        self._losses_stale[cols] = False
+        """The loss table, its stale rows recomputed first; a user falls back
+        to its second-best holder, or to the CDN (t-value 0)."""
+        for js in _stale_chunks(self._losses_stale):
+            held = self.mask[:, js]
+            best2 = np.partition(self.t_table[:, :, None] * held, -2, axis=1)[:, -2, :]
+            self._losses[js] = np.where(held.T, self._marginals(js, best2), np.inf)
         return self._losses
 
     def marginal_gain(self, file, cache):
@@ -422,13 +406,16 @@ class UtilityEvaluator:
     def min_loss_element(self):
         """The cached copy with the smallest marginal loss, as a tuple
         (loss, file, cache); ties prefer the lower file then cache index.
-        Returns None when nothing is cached."""
-        losses = self._loss_table()
-        j, cache = divmod(int(losses.argmin()), self.num_bs + 1)
-        best = losses[j, cache]
-        if best == np.inf:
-            return None
-        return float(best), j + 1, cache
+        Returns None when nothing is cached. The result is kept until the
+        next :meth:`add` or :meth:`remove`, so repeated calls between
+        mutations cost no table read."""
+        if self._min_loss_stale:
+            losses = self._loss_table()
+            j, cache = divmod(int(losses.argmin()), self.num_bs + 1)
+            best = losses[j, cache]
+            self._min_loss = None if best == np.inf else (float(best), j + 1, cache)
+            self._min_loss_stale = False
+        return self._min_loss
 
     # -- mutation ---------------------------------------------------------
 
@@ -446,3 +433,12 @@ class UtilityEvaluator:
         self.best1[:, j] = (self.t_table * self.mask[:, j]).max(axis=1)
         self._gains_stale[j] = True
         self._losses_stale[j] = True
+        self._min_loss_stale = True
+
+
+def _stale_chunks(stale):
+    """The flagged indices in chunks of ``_TABLE_CHUNK_ROWS``; clears the flags."""
+    rows = np.flatnonzero(stale)
+    for start in range(0, rows.size, _TABLE_CHUNK_ROWS):
+        yield rows[start:start + _TABLE_CHUNK_ROWS]
+    stale[rows] = False

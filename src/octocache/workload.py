@@ -172,10 +172,11 @@ def parse_trace_file(path):
 
 
 def serialize_trace(trace, header=True):
-    """Render a trace in the on-disk CSV format (parse round-trips it)."""
+    """Render a trace in the on-disk CSV format; parse round-trips it exactly."""
     out = [TRACE_HEADER] if header else []
     for ev in trace.events:
-        out.append(f"{ev.time:g},{ev.user_id},{trace.label_of(ev.file_id)}")
+        time = np.format_float_positional(ev.time, trim="-")
+        out.append(f"{time},{ev.user_id},{trace.label_of(ev.file_id)}")
     return "\n".join(out) + "\n"
 
 

@@ -308,10 +308,13 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
     (("simulate", "--policy", "eo", "--config", "{canonical}", "--bs", "3",
       "--requests", "100"), "--bs"),
     (("oracle", "--config", "{capacity_edge_three}"), "capacity_edge"),
+    (("simulate", "--policy", "eo", "--config", "{popularity_only}", "--files", "5",
+      "--cache-total", "1GB", "--requests", "100"), "popularity"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
         "canonical": CANONICAL_CFG,
+        "popularity_only": "popularity = 0.5, 0.3, 0.2\n",
         "users_per_bs_negative": CANONICAL_CFG.replace("users_per_bs = 1",
                                                        "users_per_bs = -2"),
         "users_per_bs_zero": CANONICAL_CFG.replace("users_per_bs = 1",

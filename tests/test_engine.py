@@ -43,6 +43,14 @@ def test_config_requires_capacities():
         run_experiment(small_config(capacities=None))
 
 
+def test_config_rejects_popularity_of_other_length():
+    # every policy, not only those whose placement reads the popularity
+    for policy in POLICY_NAMES:
+        with pytest.raises(ConfigError, match="popularity"):
+            run_experiment(small_config(policy=policy,
+                                        popularity=Popularity(np.array([0.5, 0.3, 0.2]))))
+
+
 def test_empty_evaluation_window():
     with pytest.raises(ConfigError):
         run_experiment(small_config(num_requests=0))
