@@ -143,12 +143,11 @@ class ExperimentConfig:
 
 def _resolve_workload(config, seeds):
     if config.trace_path is not None:
-        return parse_trace_file(config.trace_path), None
+        return parse_trace_file(config.trace_path)
     popularity = zipf_popularity(config.num_files, config.zipf_alpha)
     users = list(range(1, config.num_users + 1))
-    trace = generate_requests(popularity, config.num_requests, users,
-                              seeds["workload"])
-    return trace, popularity
+    return generate_requests(popularity, config.num_requests, users,
+                             seeds["workload"])
 
 
 def run_experiment(config):
@@ -165,7 +164,7 @@ def run_experiment(config):
     config.validate()
     seeds = config.seeds()
 
-    trace, true_popularity = _resolve_workload(config, seeds)
+    trace = _resolve_workload(config, seeds)
     catalog = Catalog(num_files=trace.catalog_size,
                       file_size_mb=config.file_size_mb)
 
@@ -182,6 +181,9 @@ def run_experiment(config):
     if capacities is None:
         capacities = capacities_from_budget(config.total_cache_bytes, topology,
                                             catalog, config.cloud_edge_ratio)
+    elif capacities.num_bs != topology.num_bs:
+        raise ConfigError(f"capacities list {capacities.num_bs} edge caches "
+                          f"for {topology.num_bs} base stations")
 
     warm_count = int(len(trace.events) * config.warmup_frac)
     eval_events = trace.events[warm_count:]
@@ -237,8 +239,8 @@ def run_sweep(base, axis, values, jobs=1):
     """Run one experiment per axis value, all from the same master seed so
     the resulting curves are comparable. Returns rows in input order.
 
-    ``jobs`` > 1 runs cells in parallel processes; ordering is deterministic
-    regardless. ``jobs`` < 1 is a ``ConfigError``.
+    ``jobs`` > 1 runs cells in parallel processes, at most one per cell;
+    ordering is deterministic regardless. ``jobs`` < 1 is a ``ConfigError``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of "
@@ -247,7 +249,7 @@ def run_sweep(base, axis, values, jobs=1):
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cells = [(axis, value, base) for value in values]
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             return list(pool.map(_sweep_cell, cells))
     return [_sweep_cell(cell) for cell in cells]
 

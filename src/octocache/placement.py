@@ -41,8 +41,8 @@ class PlacementAlgorithmReport:
 
     ``utility_trace`` starts at the initial utility and appends the utility
     after every committed step, so it is non-decreasing for the greedy and
-    strictly increasing across reactive swaps. ``steps`` holds one record
-    per committed step for export.
+    strictly increasing across reactive swaps. ``steps`` holds one plain
+    dict per committed step.
     """
 
     placement: Placement
@@ -54,9 +54,6 @@ class PlacementAlgorithmReport:
     @property
     def final_utility(self):
         return self.utility_trace[-1]
-
-    def to_records(self):
-        return [dict(step) for step in self.steps]
 
 
 def _effective_sizes(capacities, num_files):
@@ -183,13 +180,14 @@ def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
 
 
 def brute_force_optimal(topology, catalog, popularity, capacities,
-                        mode=RoutingMode.FULL, limit=ORACLE_ENUMERATION_LIMIT):
+                        mode=RoutingMode.FULL):
     """Exhaustively enumerate feasible placements and return an optimum.
 
     Every cache is filled to min(capacity, F); by monotonicity this loses
     nothing against partially filled placements. Among equal-utility optima
     the lexicographically smallest serialized placement wins. Instances
-    whose enumeration count exceeds ``limit`` are rejected.
+    whose enumeration count exceeds ``ORACLE_ENUMERATION_LIMIT`` are
+    rejected.
 
     Raises
     ------
@@ -201,9 +199,9 @@ def brute_force_optimal(topology, catalog, popularity, capacities,
         raise ValueError("popularity length does not match catalog")
     sizes, _ = _effective_sizes(capacities, F)
     total = math.prod(math.comb(F, size) for size in sizes)
-    if total > limit:
-        raise OracleSizeError(
-            f"instance needs {total} placements, above the enumeration bound {limit}")
+    if total > ORACLE_ENUMERATION_LIMIT:
+        raise OracleSizeError(f"instance needs {total} placements, above the "
+                              f"enumeration bound {ORACLE_ENUMERATION_LIMIT}")
 
     ev = UtilityEvaluator(topology, popularity, Placement(capacities, F), mode=mode)
     files = range(1, F + 1)

@@ -4,7 +4,8 @@ Policies resolve each request against their current cache contents (the
 routing mode is a property of the policy) and update state on misses:
 
 * ``octopus``  - greedy warm placement, then reactive replacement on every
-  miss; full cooperative routing.
+  miss; full cooperative routing. Without replacement it is a static
+  placement.
 * ``eo`` / ``ecnc`` / ``exmpc`` / ``femtox`` - static placements, no
   reactive updates; ``eo`` routes edge-only, ``ecnc`` edge+cloud, the rest
   use full cooperative routing.
@@ -27,15 +28,12 @@ from .routing import Placement, RoutingMode, UtilityEvaluator, _cheapest, _sourc
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
-#: Routing restriction implied by each policy during evaluation.
+#: Routing restriction of each static baseline during evaluation.
 POLICY_ROUTING = {
-    "octopus": RoutingMode.FULL,
     "eo": RoutingMode.EDGE_ONLY,
     "ecnc": RoutingMode.EDGE_CLOUD,
     "exmpc": RoutingMode.FULL,
     "femtox": RoutingMode.FULL,
-    "lfu": RoutingMode.FULL,
-    "lru": RoutingMode.FULL,
 }
 
 
@@ -94,19 +92,15 @@ class OctopusPolicy(Policy):
 
     name = "octopus"
 
-    def __init__(self, topology, popularity, placement, rcr_enabled=True):
+    def __init__(self, topology, popularity, placement):
         self._ev = UtilityEvaluator(topology, popularity, placement,
                                     mode=RoutingMode.FULL)
         # the evaluator's own copy, which replacement mutates in place
         super().__init__(topology, RoutingMode.FULL, self._ev.placement)
-        self.rcr_enabled = rcr_enabled
-
-    def utility(self):
-        return self._ev.utility()
 
     def on_request(self, event):
         _, file, src = self._route(event)
-        if src is self._cdn and self.rcr_enabled:
+        if src is self._cdn:
             self.on_miss(file)
         return src
 
@@ -240,16 +234,18 @@ def make_policy(name, topology, catalog, popularity, capacities, assignment,
     """Build a replay-ready policy by its contract name.
 
     The policy runs on ``topology.with_users(assignment)``. ``octopus``
-    runs the greedy warm placement here; the static baselines compute their
-    placements; ``lfu``/``lru`` start cold.
+    runs the greedy warm placement here, and without ``rcr_enabled`` keeps
+    it as a static placement under full routing; the static baselines
+    compute their placements; ``lfu``/``lru`` start cold.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}")
     topology = topology.with_users(assignment)
     if name == "octopus":
-        report = pcd(topology, catalog, popularity, capacities)
-        return OctopusPolicy(topology, popularity, report.placement,
-                             rcr_enabled=rcr_enabled)
+        placement = pcd(topology, catalog, popularity, capacities).placement
+        if not rcr_enabled:
+            return StaticPlacementPolicy(name, placement, topology, RoutingMode.FULL)
+        return OctopusPolicy(topology, popularity, placement)
     if name == "lfu":
         return LfuPolicy(topology, capacities, catalog.num_files)
     if name == "lru":

@@ -64,10 +64,6 @@ class Source:
     cache: int | None
     delay_cost: float
 
-    @property
-    def is_hit(self):
-        return self.kind is not SourceKind.CDN
-
 
 class Placement:
     """Cache contents: one set of file indices per cache, 0 = cloud.
@@ -273,15 +269,6 @@ def _delay_matrix(placement, topology, mode):
     cost = source_cost_table(topology, mode)
     candidates = np.where(mask[None, :, :], cost[:, :, None], np.inf)
     return np.minimum(candidates.min(axis=1), topology.cdn_delay)
-
-
-def user_expected_delay(placement, topology, popularity, user,
-                        mode=RoutingMode.FULL):
-    """Expected delay [ms] of one user: sum over files of p_i times the
-    optimal route cost from the user's home BS."""
-    home = topology.home_bs(user)
-    delays = _delay_matrix(placement, topology, mode)
-    return float(popularity.as_array() @ delays[home - 1])
 
 
 def total_expected_delay(placement, topology, popularity,

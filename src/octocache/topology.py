@@ -280,25 +280,6 @@ def capacities_from_budget(total_bytes, topology, catalog,
                            edge=(per_edge,) * topology.num_bs)
 
 
-def topology_to_config(topology):
-    """Serialize a topology to the flat key=value text format.
-
-    Keys: num_bs, edge_delay_ms, cdn_delay_ms, peer_delay_model and, for
-    matrices that are not plain U-turn sums, peer_delay_ms with
-    semicolon-separated rows.
-    """
-    lines = [f"num_bs = {topology.num_bs}",
-             "edge_delay_ms = " + ", ".join(repr(d) for d in topology.edge_delay),
-             f"cdn_delay_ms = {topology.cdn_delay!r}"]
-    if topology.peer_delay == uturn_peer_delays(topology.edge_delay):
-        lines.append("peer_delay_model = uturn-sum")
-    else:
-        lines.append("peer_delay_model = explicit")
-        rows = "; ".join(", ".join(repr(v) for v in row) for row in topology.peer_delay)
-        lines.append(f"peer_delay_ms = {rows}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_config_text(text):
     """Parse flat ``key = value`` lines into a dict. '#' starts a comment."""
     values = {}
@@ -322,15 +303,14 @@ def parse_config_list(text, convert=float, sep=","):
         raise ConfigError(f"cannot parse list {text!r}") from None
 
 
-def topology_from_config(config):
-    """Build a :class:`Topology` from config text, such as
-    :func:`topology_to_config` writes, or from a mapping of config keys to
-    values, in which a key mapped to None counts as absent.
+def topology_from_config(values):
+    """Build a :class:`Topology` from a mapping of config keys to values,
+    such as :func:`parse_config_text` returns; a key mapped to None counts
+    as absent.
 
     ``num_bs`` is optional: the length of ``edge_delay_ms`` sets it, and a
     given ``num_bs`` that disagrees with that length is a ``ConfigError``.
     """
-    values = parse_config_text(config) if isinstance(config, str) else config
     for key in ("edge_delay_ms", "cdn_delay_ms"):
         if values.get(key) is None:
             raise ConfigError(f"missing topology key: {key!r}")

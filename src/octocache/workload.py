@@ -60,15 +60,9 @@ class RequestTrace:
             if ev.user_id not in assignment:
                 raise ValueError(f"user {ev.user_id!r} missing from assignment")
 
-    def __len__(self):
-        return len(self.events)
-
     def users(self):
         """Distinct user ids in first-appearance order."""
-        seen = {}
-        for ev in self.events:
-            seen.setdefault(ev.user_id, None)
-        return list(seen)
+        return list(dict.fromkeys(ev.user_id for ev in self.events))
 
     def with_assignment(self, assignment):
         self._check_coverage(assignment)
@@ -171,9 +165,10 @@ def parse_trace_file(path):
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
 
 
-def serialize_trace(trace, header=True):
-    """Render a trace in the on-disk CSV format; parse round-trips it exactly."""
-    out = [TRACE_HEADER] if header else []
+def serialize_trace(trace):
+    """Render a trace in the on-disk CSV format, header row included; parse
+    round-trips it exactly."""
+    out = [TRACE_HEADER]
     for ev in trace.events:
         time = np.format_float_positional(ev.time, trim="-")
         out.append(f"{time},{ev.user_id},{trace.label_of(ev.file_id)}")
@@ -214,20 +209,20 @@ def generate_requests(popularity, num_requests, users, seed):
     return RequestTrace(events=events, catalog_size=popularity.num_files)
 
 
-def estimate_popularity(trace, window, num_files=None, smoothing=1.0):
-    """Empirical popularity over the first ``window`` events with additive
-    (Laplace) smoothing, so unseen files keep a nonzero probability.
+def estimate_popularity(trace, window, smoothing=1.0):
+    """Empirical popularity of the trace's catalog over the first ``window``
+    events with additive (Laplace) smoothing, so unseen files keep a nonzero
+    probability.
 
     p_k = (count_k + smoothing) / (window + smoothing * F).
     """
     if window < 0 or window > len(trace.events):
         raise ValueError("window must lie within the trace length")
-    if num_files is None:
-        num_files = trace.catalog_size
-    counts = np.zeros(num_files)
-    for ev in trace.events[:window]:
-        counts[ev.file_id - 1] += 1
-    return Popularity((counts + smoothing) / (window + smoothing * num_files))
+    F = trace.catalog_size
+    files = np.fromiter((ev.file_id for ev in trace.events[:window]),
+                        dtype=np.intp, count=window)
+    counts = np.bincount(files, minlength=F + 1)[1:]
+    return Popularity((counts + smoothing) / (window + smoothing * F))
 
 
 def assign_users(user_ids, num_bs, seed):

@@ -18,10 +18,11 @@ import pytest
 from octocache import (CacheCapacities, Catalog, ExperimentConfig, Placement,
                        Popularity, Topology, brute_force_optimal,
                        build_paper_topology, capacities_from_budget,
-                       generate_requests, marginal_gain, pcd, place_exmpc,
-                       rcr, rows_to_csv, run_experiment, run_sweep,
+                       generate_requests, marginal_gain, pcd, rcr,
+                       rows_to_csv, run_experiment, run_sweep,
                        total_expected_delay, utility, assign_users,
                        zipf_popularity)
+from octocache.placement import place_exmpc
 
 from conftest import random_feasible_placement, random_instance
 

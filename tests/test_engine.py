@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import octocache.engine
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        ExperimentConfig, Metrics, Popularity, Topology,
                        derive_seed, pcd, rows_to_csv, run_experiment, run_sweep,
@@ -49,6 +50,14 @@ def test_config_rejects_popularity_of_other_length():
         with pytest.raises(ConfigError, match="popularity"):
             run_experiment(small_config(policy=policy,
                                         popularity=Popularity(np.array([0.5, 0.3, 0.2]))))
+
+
+def test_config_rejects_capacities_for_other_bs_count():
+    # two edge capacities for three base stations, for every policy
+    for policy in POLICY_NAMES:
+        with pytest.raises(ConfigError, match="capacities"):
+            run_experiment(small_config(
+                policy=policy, capacities=CacheCapacities(cloud=2, edge=(2, 2))))
 
 
 def test_empty_evaluation_window():
@@ -246,6 +255,30 @@ def test_sweep_parallel_matches_serial():
     parallel = run_sweep(base, "zipf_alpha", [0.6, 0.7, 0.8], jobs=3)
     assert [r.metrics.as_dict() for r in serial] == \
            [r.metrics.as_dict() for r in parallel]
+
+
+def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
+    # a recording stand-in for the process pool: no process starts
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(octocache.engine, "ProcessPoolExecutor", InlinePool)
+    rows = run_sweep(small_config(num_requests=1000), "zipf_alpha", [0.6, 0.8],
+                     jobs=500)
+    assert workers == [2]
+    assert [r.axis_value for r in rows] == [0.6, 0.8]
 
 
 def test_policy_sweep_csv_is_pinned():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from octocache import (CacheCapacities, Catalog, OracleSizeError, Placement,
-                       Popularity, RoutingMode, Topology, UtilityEvaluator,
-                       brute_force_optimal, marginal_loss, pcd, place_ecnc,
-                       place_eo, place_exmpc, place_femtox, rcr, top_popular,
-                       utility, uturn_peer_delays)
+                       Popularity, RoutingMode, Topology, brute_force_optimal,
+                       marginal_loss, pcd, rcr, utility)
+from octocache.placement import (place_ecnc, place_eo, place_exmpc,
+                                 place_femtox, top_popular)
+from octocache.routing import UtilityEvaluator
+from octocache.topology import uturn_peer_delays
 
 from conftest import enumerate_optimal, random_feasible_placement, random_instance
 
@@ -79,7 +81,7 @@ def test_report_records_are_json_ready(canonical):
 
     topo, catalog, pop, caps = canonical
     report = pcd(topo, catalog, pop, caps)
-    records = report.to_records()
+    records = report.steps
     assert [r["iteration"] for r in records] == [1, 2, 3]
     assert {"file", "cache", "gain", "utility"} <= set(records[0])
     json.dumps(records)  # plain structures only

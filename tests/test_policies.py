@@ -138,9 +138,13 @@ def test_octopus_rcr_disabled_is_static(canonical):
     topo, catalog, pop, caps = canonical
     pop4 = Popularity(np.array([0.45, 0.27, 0.09, 0.19]))
     warm = pcd(topo, Catalog(num_files=4), pop4, caps).placement
-    policy = OctopusPolicy(topo, pop4, warm, rcr_enabled=False)
+    policy = make_policy("octopus", topo, Catalog(num_files=4), pop4, caps,
+                         topo.users, rcr_enabled=False)
+    assert not isinstance(policy, OctopusPolicy)
+    assert policy.name == "octopus" and policy.routing_mode is RoutingMode.FULL
+    assert policy.placement == warm
     missing = next(f for f in range(1, 5) if not warm.cached_anywhere(f))
-    policy.on_request(req(0, "u1", missing))
+    assert policy.on_request(req(0, "u1", missing)).kind is SourceKind.CDN
     assert policy.placement == warm
 
 
@@ -150,11 +154,11 @@ def test_octopus_utility_nondecreasing_over_stream():
     warm = pcd(topo, catalog, pop, caps).placement
     policy = OctopusPolicy(topo, pop, warm)
     users = list(topo.users)
-    last = policy.utility()
+    last = utility(policy.placement, topo, pop)
     for i in range(300):
         user = users[int(rng.integers(len(users)))]
         policy.on_request(req(i, user, int(rng.integers(1, catalog.num_files + 1))))
-        now = policy.utility()
+        now = utility(policy.placement, topo, pop)
         assert now >= last - 1e-9
         last = now
 
@@ -212,6 +216,6 @@ def test_eo_hit_ratio_never_beats_ecnc(canonical):
     for i in range(500):
         user = ("u1", "u2")[int(rng.integers(2))]
         file = int(rng.integers(1, 4))
-        hits_eo += eo.on_request(req(i, user, file)).is_hit
-        hits_ecnc += ecnc.on_request(req(i, user, file)).is_hit
+        hits_eo += eo.on_request(req(i, user, file)).kind is not SourceKind.CDN
+        hits_ecnc += ecnc.on_request(req(i, user, file)).kind is not SourceKind.CDN
     assert hits_ecnc >= hits_eo

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from octocache import (CacheCapacities, Placement, Popularity, RoutingMode,
-                       SourceKind, Topology, UtilityEvaluator, marginal_gain,
-                       marginal_loss, route_request, total_expected_delay,
-                       user_expected_delay, utility, uturn_peer_delays)
+                       SourceKind, Topology, marginal_gain, marginal_loss,
+                       route_request, total_expected_delay, utility)
+from octocache.routing import UtilityEvaluator
+from octocache.topology import uturn_peer_delays
 
 from conftest import (random_feasible_placement, random_instance,
                       reference_route_cost, reference_utility)
@@ -105,6 +106,13 @@ def test_local_hit_dominates():
 
 
 # ----------------------------------------------------------------- delays
+
+def user_expected_delay(placement, topo, pop, user):
+    """Expected delay of one user: the total over a topology of that user
+    alone."""
+    alone = topo.with_users({user: topo.home_bs(user)})
+    return total_expected_delay(placement, alone, pop)
+
 
 def test_user_delay_all_local_is_zero(canonical):
     topo, _, pop, _ = canonical

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from octocache import (CacheCapacities, Catalog, ConfigError, Popularity,
-                       Topology, build_paper_topology, capacities_from_budget,
-                       topology_from_config, topology_to_config,
-                       uturn_peer_delays)
+                       Topology, build_paper_topology, capacities_from_budget)
+from octocache.topology import (parse_config_text, topology_from_config,
+                                uturn_peer_delays)
 
 
 def test_paper_topology_ranges():
@@ -152,26 +152,31 @@ def test_nonfinite_values_rejected():
         Catalog(num_files=3, file_size_mb=np.inf)
 
 
+def config_topology(text):
+    return topology_from_config(parse_config_text(text))
+
+
 def test_config_num_bs_inferred_and_checked():
     text = "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
-    assert topology_from_config(text).num_bs == 2
-    assert topology_from_config("num_bs = 2\n" + text).num_bs == 2
+    assert config_topology(text).num_bs == 2
+    assert config_topology("num_bs = 2\n" + text).num_bs == 2
     with pytest.raises(ConfigError):
-        topology_from_config("num_bs = 3\n" + text)
+        config_topology("num_bs = 3\n" + text)
 
 
 def test_config_roundtrip_uturn():
     topo = build_paper_topology(4, seed=11)
-    again = topology_from_config(topology_to_config(topo))
-    assert again == dataclasses.replace(topo, users=())
+    text = ("edge_delay_ms = " + ", ".join(map(repr, topo.edge_delay))
+            + f"\ncdn_delay_ms = {topo.cdn_delay!r}\npeer_delay_model = uturn-sum\n")
+    assert config_topology(text) == dataclasses.replace(topo, users=())
 
 
 def test_config_roundtrip_explicit_matrix():
     topo = Topology(num_bs=2, edge_delay=(10.0, 20.0),
                     peer_delay=((0.0, 25.0), (35.0, 0.0)), cdn_delay=100.0)
-    text = topology_to_config(topo)
-    assert "peer_delay_model = explicit" in text
-    assert topology_from_config(text) == topo
+    text = ("num_bs = 2\nedge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+            "peer_delay_model = explicit\npeer_delay_ms = 0, 25; 35, 0\n")
+    assert config_topology(text) == topo
 
 
 def test_uturn_matrix_values():

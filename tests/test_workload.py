@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from octocache import (EmptyTraceError, TraceError, TraceFormatError,
                        assign_users, estimate_popularity, generate_requests,
-                       parse_trace, parse_trace_file, serialize_trace,
-                       zipf_popularity)
+                       parse_trace_file, zipf_popularity)
+from octocache.workload import parse_trace, serialize_trace
 
 # ------------------------------------------------------------------ parsing
 
@@ -196,12 +196,29 @@ def test_estimate_permutation_invariant_within_window(order):
     shuffled = [files[i] for i in order]
     base = parse_trace("\n".join(f"{i},u,c{f}" for i, f in enumerate(files)))
     perm = parse_trace("\n".join(f"{i},u,c{f}" for i, f in enumerate(shuffled)))
-    a = estimate_popularity(base, 12, num_files=3)
-    b = estimate_popularity(perm, 12, num_files=3)
+    a = estimate_popularity(base, 12)
+    b = estimate_popularity(perm, 12)
     # compare by original label, not by interned index
     by_label_a = {base.label_of(k + 1): a.as_array()[k] for k in range(3)}
     by_label_b = {perm.label_of(k + 1): b.as_array()[k] for k in range(3)}
     assert by_label_a == pytest.approx(by_label_b)
+
+
+def test_estimate_equals_counting_loop():
+    # bit for bit against a per-event counting loop, empty and full windows included
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        trace = generate_requests(zipf_popularity(int(rng.integers(1, 40)), 0.8),
+                                  int(rng.integers(1, 300)), ["u"],
+                                  int(rng.integers(1 << 30)))
+        num_files, n = trace.catalog_size, len(trace.events)
+        for window in (0, int(rng.integers(0, n + 1)), n):
+            counts = np.zeros(num_files)
+            for ev in trace.events[:window]:
+                counts[ev.file_id - 1] += 1
+            want = (counts + 0.5) / (window + 0.5 * num_files)
+            got = estimate_popularity(trace, window, smoothing=0.5).as_array()
+            assert got.tolist() == want.tolist()
 
 
 # --------------------------------------------------------------- assignment
