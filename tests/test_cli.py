@@ -4,12 +4,17 @@ Commands run in-process through ``octocache.cli.main`` with stdout/stderr
 captured by pytest's capsys.
 """
 
+import argparse
+import os
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from octocache import ConfigError
-from octocache.cli import _DEFAULTS, main, parse_size
+from octocache import ConfigError, cli
+from octocache.cli import OPTIONS, build_parser, main, parse_size
 
 CANONICAL_CFG = """\
 num_bs = 2
@@ -310,6 +315,19 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
     (("oracle", "--config", "{capacity_edge_three}"), "capacity_edge"),
     (("simulate", "--policy", "eo", "--config", "{popularity_only}", "--files", "5",
       "--cache-total", "1GB", "--requests", "100"), "popularity"),
+    (("simulate", "--policy", "eo", *SMALL, "--bs", "0"), "--bs"),
+    (("simulate", "--policy", "eo", *SMALL, "--users", "0"), "--users"),
+    (("oracle", "--bs", "2", "--files", "0", "--cache-total", "200MB"), "--files"),
+    (("gen-trace", "--files", "5", "--requests", "-3"), "--requests"),
+    (("gen-trace", "--files", "5", "--requests", str(2**63)), "--requests"),
+    (("simulate", "--policy", "eo", *SMALL, "--cloud-edge-ratio", "-1"),
+     "--cloud-edge-ratio"),
+    (("simulate", "--policy", "eo", *SMALL, "--cache-total=-1GB"), "--cache-total"),
+    (("simulate", "--policy", "eo", *SMALL, "--zipf-alpha", "-1"), "--zipf-alpha"),
+    (("simulate", "--policy", "eo", *SMALL, "--file-size-mb", "1e-7"),
+     "--file-size-mb"),
+    (("simulate", "--policy", "eo", "--config", "{format_xml}", *SMALL), "format"),
+    (("simulate", "--policy", "eo", "--config", "{nul_trace}", *SMALL), "trace"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
@@ -321,6 +339,8 @@ def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
                                                    "users_per_bs = 0"),
         "capacity_edge_three": CANONICAL_CFG.replace("capacity_edge = 1",
                                                      "capacity_edge = 1, 1, 1"),
+        "format_xml": "format = xml\n",
+        "nul_trace": "trace = a\0b.csv\n",
     }
     paths = {name: _write(tmp_path, name + ".cfg", text)
              for name, text in configs.items()}
@@ -338,6 +358,16 @@ def test_non_utf8_trace_exits_2(tmp_path, capsys):
     assert "trace error" in capsys.readouterr().err
 
 
+def test_out_file_echoes_undecodable_trace_name(tmp_path):
+    trace = tmp_path / os.fsdecode(b"\xff.csv")
+    trace.write_text("\n".join(f"{i},u{i % 4},c{i % 6}" for i in range(50)) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert run_cli("simulate", "--policy", "lru", "--trace", str(trace),
+                   "--cache-total", "1GB", "--out", str(out)) == 0
+    assert os.fsencode(str(trace)) in out.read_bytes()
+
+
 def test_validate_trace_counts_nan_timestamp_malformed(tmp_path, capsys):
     rows = [f"{t},u{t},c{t}" for t in range(3, 12)]
     trace = _write(tmp_path, "t.csv", "\n".join(["nan,u,c"] + rows) + "\n")
@@ -347,21 +377,96 @@ def test_validate_trace_counts_nan_timestamp_malformed(tmp_path, capsys):
     assert stats["malformed_lines"] == "1" and stats["events"] == "9"
 
 
+def test_oracle_zipf_alpha_zero_is_uniform(tmp_path, capsys):
+    def utilities(*extra):
+        assert run_cli("oracle", "--bs", "2", "--files", "4", "--cache-total",
+                       "200MB", "--cloud-edge-ratio", "1", *extra) == 0
+        values = dict(line.split("=") for line in
+                      data_lines(capsys.readouterr().out))
+        return values["pcd_utility"], values["optimal_utility"]
+
+    cfg = _write(tmp_path, "uniform.cfg", "popularity = 0.25, 0.25, 0.25, 0.25\n")
+    assert utilities("--zipf-alpha", "0") == utilities("--config", cfg)
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
+    def fail(config):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    with pytest.raises(ValueError, match="internal fault"):
+        run_cli("simulate", "--policy", "eo", *SMALL)
+    assert "config error" not in capsys.readouterr().err
+
+
+# ------------------------------------------------------ options by subcommand
+
+@pytest.mark.parametrize("argv", [
+    ("gen-trace", "--files", "5", "--requests", "10", "--format", "json"),
+    ("validate-trace", "--trace", "t.csv", "--bs", "3"),
+    ("simulate", "--policy", "eo", *SMALL, "--jobs", "2"),
+])
+def test_flag_of_another_subcommand_exits_1(argv, capsys):
+    assert run_cli(*argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_header_echoes_only_options_read(tmp_path, capsys):
+    cfg = _write(tmp_path, "canonical.cfg", CANONICAL_CFG)
+    assert run_cli("oracle", "--config", cfg) == 0
+    header = " ".join(l for l in capsys.readouterr().out.split("\n")
+                      if l.startswith("#"))
+    for key in ("requests=", "users=", "warmup_frac=", "format=", "jobs="):
+        assert key not in header
+    assert "users_per_bs=1" in header
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
+    cfg = _write(tmp_path, "canonical.cfg", CANONICAL_CFG)
+    assert run_cli("simulate", "--config", cfg, "--policy", "eo",
+                   "--requests", "200") == 0
+    assert "users_per_bs" not in capsys.readouterr().out
+
+
+def readme_options():
+    """README's list of the options each subcommand reads: the command,
+    then its flags and its config-only keys."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    listed = readme.split("### Options by subcommand\n", 1)[1].split("\n#", 1)[0]
+    items = re.findall(r"^- `([\w-]+)`: (.*(?:\n  .*)*)", listed, flags=re.M)
+    return {command: re.findall(r"`([\w-]+)`", text) for command, text in items}
+
+
+def test_readme_option_list_equals_the_parser():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    listed = readme_options()
+    assert sorted(listed) == sorted(subcommands)
+    pairs = 0
+    for command, sub in subcommands.items():
+        flags = {s for action in sub._actions for s in action.option_strings}
+        flags -= {"-h", "--help"}
+        pairs += len(flags)
+        keys = {key for option in OPTIONS if command in option.commands
+                for key in option.keys}
+        config_only = keys - {flag[2:].replace("-", "_") for flag in flags}
+        assert len(listed[command]) == len(set(listed[command]))
+        assert set(listed[command]) == flags | config_only, command
+    assert pairs == 54
+
+
 # ------------------------------------------------------------ fuzzed argv
 
-_COMMON_FLAGS = ("--config", "--bs", "--files", "--file-size-mb",
-                 "--cache-total", "--cloud-edge-ratio", "--zipf-alpha",
-                 "--requests", "--users", "--trace", "--warmup-frac", "--seed",
-                 "--out", "--format", "--jobs")
-_SIZES = ("--files", "50", "--requests", "200", "--users", "20",
-          "--cache-total", "1GB", "--jobs", "1")
+_SIZES = ("--files", "50", "--requests", "200", "--users", "20")
 # A valid small run per command. Fuzzed flags come after it and win; no
 # value in the pool raises a size above these (the pool's integers are
 # small and its other values do not parse as integers).
 _BASE = {
-    "simulate": ("--config", "{config}", *_SIZES, "--policy", "octopus"),
-    "sweep": ("--config", "{config}", *_SIZES, "--axis", "cache-total",
-              "--values", "1GB,2GB", "--policies", "eo,lru"),
+    "simulate": ("--config", "{config}", *_SIZES, "--cache-total", "1GB",
+                 "--policy", "octopus"),
+    "sweep": ("--config", "{config}", *_SIZES, "--cache-total", "1GB",
+              "--jobs", "1", "--axis", "cache-total", "--values", "1GB,2GB",
+              "--policies", "eo,lru"),
     "gen-trace": ("--config", "{config}", *_SIZES),
     "oracle": ("--config", "{config}", "--files", "4", "--bs", "2",
                "--cache-total", "200MB", "--trials", "3"),
@@ -379,13 +484,12 @@ _NAMES = ("eo", "octopus", "lru", "csv", "json", "explicit", "cache-total",
 _POOLS = {"--config": _PATHS, "--trace": _PATHS, "--out": _PATHS,
           "--format": _NAMES, "--policy": _NAMES, "--policies": _NAMES,
           "--axis": _NAMES, "--values": _NAMES + _NUMBERS}
-_FLAGS = {
-    "simulate": _COMMON_FLAGS + ("--policy",),
-    "sweep": _COMMON_FLAGS + ("--policy", "--policies", "--axis", "--values"),
-    "gen-trace": _COMMON_FLAGS,
-    "oracle": _COMMON_FLAGS + ("--trials",),
-    "validate-trace": _COMMON_FLAGS,
-}
+# the flags each subcommand accepts and every config key, from the
+# declarations the parser is built from
+_FLAGS = {command: ("--config",) + tuple(option.flag_spelling for option in OPTIONS
+                                         if option.flag and command in option.commands)
+          for command in _BASE}
+_CONFIG_KEYS = sorted(key for option in OPTIONS for key in option.keys)
 _TRACE_LINES = ("1,u1,a", "2,u2,b", "3,u1,a", "nan,u3,c", "inf,u4,a",
                 "-inf,u1,b", "x", "", "4,\u00fc,\u221e",
                 "timestamp,user_id,content_id")
@@ -400,7 +504,7 @@ def _cli_inputs(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     flags = draw(st.lists(st.sampled_from(_FLAGS[command]).flatmap(
         _flag_and_value), max_size=3))
-    config = draw(st.lists(st.tuples(st.sampled_from(sorted(_DEFAULTS)),
+    config = draw(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS),
                                      st.sampled_from(_NUMBERS + _NAMES + _PATHS)),
                            max_size=3))
     trace = draw(st.one_of(
@@ -410,12 +514,7 @@ def _cli_inputs(draw):
     return command, flags, config, trace
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(inputs=_cli_inputs())
-def test_fuzzed_argv_keeps_exit_code_contract(inputs, tmp_path, monkeypatch,
-                                              capsys):
-    command, flags, config, trace = inputs
+def _run_fuzz_case(command, flags, config, trace, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative --out values land here
     paths = {"missing": str(tmp_path / "missing" / "x"), "dir": str(tmp_path),
              "trace": str(tmp_path / "trace.csv"),
@@ -427,5 +526,21 @@ def test_fuzzed_argv_keeps_exit_code_contract(inputs, tmp_path, monkeypatch,
     argv = [command, *_BASE[command]]
     for flag, value in flags:
         argv += [flag, value]
-    assert main([arg.format(**paths) for arg in argv]) in (0, 1, 2, 3)
+    return main([arg.format(**paths) for arg in argv])
+
+
+@pytest.mark.parametrize("command", sorted(_BASE))
+def test_fuzz_base_run_exits_0(command, tmp_path, monkeypatch, capsys):
+    trace = "\n".join(_TRACE_LINES[:3]).encode("utf-8")
+    assert _run_fuzz_case(command, [], [], trace, tmp_path, monkeypatch) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_cli_inputs())
+def test_fuzzed_argv_keeps_exit_code_contract(inputs, tmp_path, monkeypatch,
+                                              capsys):
+    command, flags, config, trace = inputs
+    assert _run_fuzz_case(command, flags, config, trace, tmp_path,
+                          monkeypatch) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
