@@ -235,7 +235,8 @@ _TOPOLOGY_KEYS = ("edge_delay_ms", "cdn_delay_ms", "peer_delay_model",
 
 def _config_topology(opts):
     """The topology given by the config's ``edge_delay_ms`` and related
-    keys, or None without them. A BS count the user gave must agree."""
+    keys, or None without them. A BS count the user gave must agree; the
+    delay list's count becomes ``opts["bs"]``, which the header echoes."""
     if opts["edge_delay_ms"] is None:
         return None
     keys = [key for key in _TOPOLOGY_KEYS if opts[key] is not None]
@@ -245,6 +246,7 @@ def _config_topology(opts):
         raise ConfigError(f"{opts.given['bs']} gives {opts['bs']} base "
                           f"stations but edge_delay_ms lists "
                           f"{topology.num_bs} delays")
+    opts["bs"] = topology.num_bs
     return topology
 
 
@@ -275,15 +277,17 @@ def _zipf_alpha(opts):
     return _ZIPF_ALPHA if opts["zipf_alpha"] is None else opts["zipf_alpha"]
 
 
-def _experiment_config(opts, policy):
+def _experiment_config(opts, policy, axis=None):
+    """The run's config; a ``total_cache_bytes`` sweep ``axis`` supplies
+    each cell's budget, so the base needs none."""
     topology = _config_topology(opts)
-    num_bs = opts["bs"] if topology is None else topology.num_bs
-    capacities = _explicit_capacities(opts, num_bs)
-    if capacities is None and opts["cache_total"] is None:
+    capacities = _explicit_capacities(opts, opts["bs"])
+    if (capacities is None and opts["cache_total"] is None
+            and axis != "total_cache_bytes"):
         raise ConfigError("--cache-total (or explicit capacities) required")
     return ExperimentConfig(
         policy=policy,
-        num_bs=num_bs,
+        num_bs=opts["bs"],
         num_files=opts["files"],
         file_size_mb=opts["file_size_mb"],
         total_cache_bytes=opts["cache_total"],
@@ -357,14 +361,10 @@ def cmd_sweep(opts):
                   for text in parse_config_list(opts["values"] or "", str)]
     if not values:
         raise ConfigError("--values must list at least one value")
-    if axis == "total_cache_bytes" and opts["cache_total"] is None:
-        # the axis supplies the budget: the first value stands in for it in
-        # the base config and the header; each cell replaces it
-        opts = Options({**opts, "cache_total": values[0]}, opts.given)
 
     rows = []
     if axis == "policy":
-        base = _experiment_config(opts, values[0])
+        base = _experiment_config(opts, values[0], axis)
         rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
     else:
         policies = (parse_config_list(opts["policies"] or "", str)
@@ -372,7 +372,7 @@ def cmd_sweep(opts):
         if not policies:
             raise ConfigError("--policies is required for this axis")
         for name in policies:
-            base = _experiment_config(opts, name)
+            base = _experiment_config(opts, name, axis)
             rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
     _emit_rows(rows, opts, "sweep")
     return 0
@@ -417,40 +417,56 @@ def _ratio(greedy_value, optimal_value):
     return greedy_value / optimal_value
 
 
+# the options an --trials batch reads; it draws every instance at random
+_TRIAL_OPTIONS = ("seed", "trials", "out")
+
+
+def _trial_ratios(trials, seed):
+    """The pcd/optimum ratio of each of ``trials`` random desk-scale
+    instances drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(trials):
+        num_bs = int(rng.integers(1, 4))
+        num_files = int(rng.integers(2, 7))
+        topology = build_paper_topology(num_bs, int(rng.integers(0, 2**31)))
+        assignment = {f"u{i}": int(rng.integers(1, num_bs + 1))
+                      for i in range(int(rng.integers(1, 2 * num_bs + 1)))}
+        topology = topology.with_users(assignment)
+        catalog = Catalog(num_files=num_files)
+        popularity = Popularity.from_weights(rng.random(num_files) + 0.05)
+        capacities = CacheCapacities(
+            cloud=int(rng.integers(0, 3)),
+            edge=tuple(int(rng.integers(0, 3)) for _ in range(num_bs)))
+        optimal = brute_force_optimal(topology, catalog, popularity, capacities)
+        greedy = pcd(topology, catalog, popularity, capacities)
+        ratios.append(_ratio(greedy.final_utility,
+                             utility(optimal, topology, popularity)))
+    return ratios
+
+
 def cmd_oracle(opts):
-    lines = [f"# {line}" for line in _header_lines(opts, "oracle")]
-    if opts["trials"] is not None:
-        rng = np.random.default_rng(opts["seed"])
-        ratios = []
-        for trial in range(opts["trials"]):
-            num_bs = int(rng.integers(1, 4))
-            num_files = int(rng.integers(2, 7))
-            topology = build_paper_topology(num_bs, int(rng.integers(0, 2**31)))
-            assignment = {f"u{i}": int(rng.integers(1, num_bs + 1))
-                          for i in range(int(rng.integers(1, 2 * num_bs + 1)))}
-            topology = topology.with_users(assignment)
-            catalog = Catalog(num_files=num_files,
-                              file_size_mb=opts["file_size_mb"])
-            popularity = Popularity.from_weights(rng.random(num_files) + 0.05)
-            capacities = CacheCapacities(
-                cloud=int(rng.integers(0, 3)),
-                edge=tuple(int(rng.integers(0, 3)) for _ in range(num_bs)))
-            optimal = brute_force_optimal(topology, catalog, popularity, capacities)
-            greedy = pcd(topology, catalog, popularity, capacities)
-            ratios.append(_ratio(greedy.final_utility,
-                                 utility(optimal, topology, popularity)))
-        lines += [f"trials={opts['trials']}",
-                  f"min_ratio={format(min(ratios), '.10g')}",
-                  f"mean_ratio={format(sum(ratios) / len(ratios), '.10g')}"]
-    else:
+    if opts["trials"] is None:
         topology, catalog, popularity, capacities = _oracle_instance(opts)
         optimal = brute_force_optimal(topology, catalog, popularity, capacities)
         optimal_value = utility(optimal, topology, popularity)
         greedy = pcd(topology, catalog, popularity, capacities)
-        lines += [f"pcd_utility={format(greedy.final_utility, '.10g')}",
-                  f"optimal_utility={format(optimal_value, '.10g')}",
-                  f"ratio={format(_ratio(greedy.final_utility, optimal_value), '.10g')}"]
-    _emit("\n".join(lines) + "\n", opts["out"])
+        lines = [f"pcd_utility={format(greedy.final_utility, '.10g')}",
+                 f"optimal_utility={format(optimal_value, '.10g')}",
+                 f"ratio={format(_ratio(greedy.final_utility, optimal_value), '.10g')}"]
+    else:
+        for name, spelled in opts.given.items():
+            if name not in _TRIAL_OPTIONS and spelled.startswith("--"):
+                raise ConfigError(f"{spelled} is not read with --trials, "
+                                  f"which draws every instance at random")
+        # instance keys of a config file are ignored, and not echoed
+        opts = Options({name: opts[name] for name in _TRIAL_OPTIONS}, opts.given)
+        ratios = _trial_ratios(opts["trials"], opts["seed"])
+        lines = [f"trials={opts['trials']}",
+                 f"min_ratio={format(min(ratios), '.10g')}",
+                 f"mean_ratio={format(sum(ratios) / len(ratios), '.10g')}"]
+    header = [f"# {line}" for line in _header_lines(opts, "oracle")]
+    _emit("\n".join(header + lines) + "\n", opts["out"])
     return 0
 
 

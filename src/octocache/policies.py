@@ -38,29 +38,18 @@ POLICY_ROUTING = {
 
 
 class Policy:
-    """Base class: route a request, update internal state, report the source.
+    """The one request step of every policy: route against the current
+    placement, then apply the policy's update rule (``_update``). A plain
+    ``Policy`` is a static placement. ``placement`` is the policy's own
+    cache contents, which only the policy mutates; the returned
+    :class:`Source` objects are built once per policy."""
 
-    ``placement`` is the policy's own cache contents, which only the policy
-    mutates. The returned :class:`Source` objects are built once per policy.
-    """
-
-    name = "base"
-
-    def __init__(self, topology, routing_mode, placement):
+    def __init__(self, name, placement, topology, routing_mode):
+        self.name = name
+        self.placement = placement
         self.topology = topology
         self.routing_mode = routing_mode
-        self.placement = placement
         self._order, self._cdn = _source_table(topology, routing_mode)
-
-    def _route(self, event):
-        """Resolve the home BS, check the file index, and route against the
-        current placement; returns ``(bs, file, source)``."""
-        bs = self.topology.home_bs(event.user_id)
-        file = event.file_id
-        if not 1 <= file <= self.placement.num_files:
-            raise ValueError(f"file index {file} outside 1..{self.placement.num_files}")
-        return bs, file, _cheapest(self.placement.contents, self._order[bs - 1],
-                                   self._cdn, file)
 
     def on_request(self, event):
         """Serve one request and apply the policy's update rule.
@@ -69,18 +58,17 @@ class Policy:
         ``ValueError`` on an unknown user or an out-of-range file; callers
         doing bulk replay skip such events and tally them as malformed.
         """
-        raise NotImplementedError
+        bs = self.topology.home_bs(event.user_id)
+        file = event.file_id
+        if not 1 <= file <= self.placement.num_files:
+            raise ValueError(f"file index {file} outside 1..{self.placement.num_files}")
+        source = _cheapest(self.placement.contents, self._order[bs - 1],
+                           self._cdn, file)
+        self._update(bs, file, source is self._cdn)
+        return source
 
-
-class StaticPlacementPolicy(Policy):
-    """A fixed placement; requests never change the caches."""
-
-    def __init__(self, name, placement, topology, routing_mode):
-        super().__init__(topology, routing_mode, placement)
-        self.name = name
-
-    def on_request(self, event):
-        return self._route(event)[2]
+    def _update(self, bs, file, missed):
+        """Update rule after ``file`` is served at ``bs``, ``missed`` if by the CDN."""
 
 
 class OctopusPolicy(Policy):
@@ -90,19 +78,15 @@ class OctopusPolicy(Policy):
     decisions during replay reuse it unchanged. Hits are read-only.
     """
 
-    name = "octopus"
-
     def __init__(self, topology, popularity, placement):
         self._ev = UtilityEvaluator(topology, popularity, placement,
                                     mode=RoutingMode.FULL)
         # the evaluator's own copy, which replacement mutates in place
-        super().__init__(topology, RoutingMode.FULL, self._ev.placement)
+        super().__init__("octopus", self._ev.placement, topology, RoutingMode.FULL)
 
-    def on_request(self, event):
-        _, file, src = self._route(event)
-        if src is self._cdn:
+    def _update(self, bs, file, missed):
+        if missed:
             self.on_miss(file)
-        return src
 
     def on_miss(self, file):
         """Reactive replacement for a file just fetched from the CDN."""
@@ -111,32 +95,41 @@ class OctopusPolicy(Policy):
         return _rcr_swaps(self._ev, file)
 
 
+_HEAP_SLACK = 4  # LFU heap entries per resident file before a rebuild
+
+
 class _LfuBookkeeping:
     """Per-cache LFU state: request counters, recency for tie-breaks, and a
-    lazy min-heap over (count, last_use, file) keys of resident files."""
+    lazy min-heap over (count, last_use, file) keys of the ``residents``
+    (the cache's own contents set), rebuilt when stale keys pile up."""
 
-    __slots__ = ("counts", "last_use", "heap")
+    __slots__ = ("counts", "last_use", "heap", "residents")
 
-    def __init__(self, num_files):
+    def __init__(self, num_files, residents):
         self.counts = [0] * (num_files + 1)
         self.last_use = {}
         self.heap = []
+        self.residents = residents
 
-    def observe(self, file, seq, resident):
+    def observe(self, file, seq):
         self.counts[file] += 1
-        if resident:
-            self.last_use[file] = seq
-            heapq.heappush(self.heap, (self.counts[file], seq, file))
+        if file in self.residents:
+            self.use(file, seq)
 
-    def note_inserted(self, file, seq):
+    def use(self, file, seq):
+        """Record a use of the resident ``file`` at time ``seq``."""
         self.last_use[file] = seq
         heapq.heappush(self.heap, (self.counts[file], seq, file))
+        if len(self.heap) > _HEAP_SLACK * len(self.residents):
+            self.heap = [(self.counts[f], self.last_use[f], f)
+                         for f in self.residents]
+            heapq.heapify(self.heap)
 
-    def victim(self, residents):
+    def victim(self):
         """Resident file with the lowest (count, last_use, file) key."""
         while self.heap:
             count, seq, file = self.heap[0]
-            if (file in residents and self.counts[file] == count
+            if (file in self.residents and self.counts[file] == count
                     and self.last_use.get(file) == seq):
                 return file
             heapq.heappop(self.heap)
@@ -154,43 +147,33 @@ class LfuPolicy(Policy):
     decay.
     """
 
-    name = "lfu"
-
     def __init__(self, topology, capacities, num_files):
-        super().__init__(topology, RoutingMode.FULL, Placement(capacities, num_files))
-        self._books = [_LfuBookkeeping(num_files)
-                       for _ in range(topology.num_bs + 1)]
+        super().__init__("lfu", Placement(capacities, num_files), topology,
+                         RoutingMode.FULL)
+        self._books = [_LfuBookkeeping(num_files, residents)
+                       for residents in self.placement.contents]
         self._seq = 0
 
     def counts(self, cache):
         """Observed request counts at one cache (index 0 is unused)."""
         return self._books[cache].counts
 
-    def on_request(self, event):
-        bs, file, src = self._route(event)
+    def _update(self, bs, file, missed):
         self._seq += 1
         for cache in (bs, 0):
-            self._books[cache].observe(file, self._seq,
-                                       self.placement.contains(file, cache))
-        if src is self._cdn:
-            self._admit(bs, file)
-            self._admit(0, file)
-        return src
+            self._books[cache].observe(file, self._seq)
+            if missed:
+                self._admit(cache, file)
 
     def _admit(self, cache, file):
-        caps = self.placement.capacities.as_list()
-        if caps[cache] == 0 or self.placement.contains(file, cache):
-            return
         book = self._books[cache]
-        if self.placement.cache_size(cache) < caps[cache]:
-            self.placement.add(file, cache)
-            book.note_inserted(file, self._seq)
-            return
-        victim = book.victim(self.placement.contents[cache])
-        if victim is not None and book.counts[file] > book.counts[victim]:
+        if self.placement.is_full(cache):
+            victim = book.victim()
+            if victim is None or book.counts[file] <= book.counts[victim]:
+                return
             self.placement.remove(victim, cache)
-            self.placement.add(file, cache)
-            book.note_inserted(file, self._seq)
+        self.placement.add(file, cache)
+        book.use(file, self._seq)
 
 
 class LruPolicy(Policy):
@@ -202,31 +185,27 @@ class LruPolicy(Policy):
     insertion counts as a use.
     """
 
-    name = "lru"
-
     def __init__(self, topology, capacities, num_files):
-        super().__init__(topology, RoutingMode.FULL, Placement(capacities, num_files))
+        super().__init__("lru", Placement(capacities, num_files), topology,
+                         RoutingMode.FULL)
         self._recency = [OrderedDict() for _ in range(topology.num_bs + 1)]
 
-    def on_request(self, event):
-        bs, file, src = self._route(event)
+    def _update(self, bs, file, missed):
         for cache in (bs, 0):
-            if self.placement.contains(file, cache):
+            if missed:
+                self._insert(cache, file)
+            elif self.placement.contains(file, cache):
                 self._recency[cache].move_to_end(file)
-        if src is self._cdn:
-            self._insert(bs, file)
-            self._insert(0, file)
-        return src
 
     def _insert(self, cache, file):
-        caps = self.placement.capacities.as_list()
-        if caps[cache] == 0:
-            return
-        if self.placement.cache_size(cache) >= caps[cache]:
-            evicted, _ = self._recency[cache].popitem(last=False)
+        recency = self._recency[cache]
+        if self.placement.is_full(cache):
+            if not recency:  # a cache of capacity 0
+                return
+            evicted, _ = recency.popitem(last=False)
             self.placement.remove(evicted, cache)
         self.placement.add(file, cache)
-        self._recency[cache][file] = None
+        recency[file] = None
 
 
 def make_policy(name, topology, catalog, popularity, capacities, assignment,
@@ -241,16 +220,16 @@ def make_policy(name, topology, catalog, popularity, capacities, assignment,
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}")
     topology = topology.with_users(assignment)
+    if name in ("lfu", "lru"):
+        cold = LfuPolicy if name == "lfu" else LruPolicy
+        return cold(topology, capacities, catalog.num_files)
     if name == "octopus":
         placement = pcd(topology, catalog, popularity, capacities).placement
-        if not rcr_enabled:
-            return StaticPlacementPolicy(name, placement, topology, RoutingMode.FULL)
-        return OctopusPolicy(topology, popularity, placement)
-    if name == "lfu":
-        return LfuPolicy(topology, capacities, catalog.num_files)
-    if name == "lru":
-        return LruPolicy(topology, capacities, catalog.num_files)
-    builder = {"eo": place_eo, "ecnc": place_ecnc,
-               "exmpc": place_exmpc, "femtox": place_femtox}[name]
-    placement = builder(topology, catalog, popularity, capacities)
-    return StaticPlacementPolicy(name, placement, topology, POLICY_ROUTING[name])
+        if rcr_enabled:
+            return OctopusPolicy(topology, popularity, placement)
+    else:
+        builder = {"eo": place_eo, "ecnc": place_ecnc,
+                   "exmpc": place_exmpc, "femtox": place_femtox}[name]
+        placement = builder(topology, catalog, popularity, capacities)
+    return Policy(name, placement, topology,
+                  POLICY_ROUTING.get(name, RoutingMode.FULL))

@@ -148,6 +148,18 @@ def test_sweep_alpha_axis_rows(capsys):
     assert len(rows) == 1 + 9
 
 
+def test_sweep_cache_total_axis_echoes_no_budget(capsys):
+    sizes = ("--files", "40", "--requests", "300", "--policies", "eo,lru")
+    assert run_cli("sweep", "--axis", "cache-total", "--values", "1GB,2GB",
+                   *sizes) == 0
+    out = capsys.readouterr().out
+    assert "cache_total=" not in out
+    # each cell sets its own budget: a --cache-total changes no data row
+    assert run_cli("sweep", "--axis", "cache-total", "--values", "1GB,2GB",
+                   "--cache-total", "5GB", *sizes) == 0
+    assert data_lines(capsys.readouterr().out) == data_lines(out)
+
+
 def test_sweep_empty_values_exits_1(capsys):
     code = run_cli("sweep", "--axis", "cache-total", "--values", "",
                    "--policies", "eo", "--files", "10")
@@ -216,13 +228,45 @@ def test_oracle_canonical_ratio_one(tmp_path, capsys):
 
 
 def test_oracle_trials_batch(capsys):
-    code = run_cli("oracle", "--trials", "30", "--seed", "12", "--files", "5")
+    code = run_cli("oracle", "--trials", "30", "--seed", "12")
     assert code == 0
     values = dict(line.split("=") for line in
                   data_lines(capsys.readouterr().out))
     assert values["trials"] == "30"
     assert float(values["min_ratio"]) >= 0.5
     assert float(values["mean_ratio"]) >= float(values["min_ratio"])
+
+
+def test_oracle_trials_header_echoes_only_what_the_batch_reads(tmp_path, capsys):
+    def batch(*extra):
+        assert run_cli("oracle", "--trials", "5", "--seed", "12", *extra) == 0
+        return capsys.readouterr().out.split("\n")
+
+    plain = batch()
+    assert plain[1] == "# seed=12 trials=5"
+    # instance keys of a config file are ignored and not echoed
+    cfg = _write(tmp_path, "canonical.cfg", CANONICAL_CFG)
+    assert batch("--config", cfg) == plain
+    out = tmp_path / "ratios.txt"
+    assert run_cli("oracle", "--trials", "5", "--seed", "12", "--out", str(out)) == 0
+    lines = out.read_text(encoding="utf-8").split("\n")
+    assert lines[1] == f"# out={out} seed=12 trials=5"
+    assert lines[2:] == plain[2:]
+
+
+def test_header_bs_is_the_count_the_edge_delays_give(tmp_path, capsys):
+    # edge_delay_ms lists two BSs and neither --bs nor num_bs is given
+    cfg = _write(tmp_path, "delays.cfg",
+                 "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n")
+    assert run_cli("simulate", "--config", cfg, "--policy", "eo", "--files", "50",
+                   "--requests", "200", "--users", "20",
+                   "--cache-total", "1GB") == 0
+    header = capsys.readouterr().out.split("\n")[1].split()
+    assert "bs=2" in header and "bs=7" not in header
+    assert run_cli("oracle", "--config", cfg, "--files", "3",
+                   "--cache-total", "200MB") == 0
+    header = capsys.readouterr().out.split("\n")[1].split()
+    assert "bs=2" in header and "bs=7" not in header
 
 
 def test_oracle_oversized_exits_3(capsys):
@@ -328,6 +372,16 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
      "--file-size-mb"),
     (("simulate", "--policy", "eo", "--config", "{format_xml}", *SMALL), "format"),
     (("simulate", "--policy", "eo", "--config", "{nul_trace}", *SMALL), "trace"),
+    # a --trials batch draws every instance at random and reads none of these
+    *((("oracle", "--trials", "5", flag, value), flag) for flag, value in (
+        ("--bs", "3"), ("--files", "5"), ("--file-size-mb", "10"),
+        ("--cache-total", "1TB"), ("--cloud-edge-ratio", "2"),
+        ("--zipf-alpha", "1"))),
+    # only a cache-total axis supplies the budget
+    (("sweep", "--axis", "zipf-alpha", "--values", "0.6,0.8", "--policies", "eo",
+      "--files", "40", "--requests", "300"), "--cache-total"),
+    (("sweep", "--axis", "policy", "--values", "eo,lru", "--files", "40",
+      "--requests", "300"), "--cache-total"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
@@ -468,8 +522,7 @@ _BASE = {
               "--jobs", "1", "--axis", "cache-total", "--values", "1GB,2GB",
               "--policies", "eo,lru"),
     "gen-trace": ("--config", "{config}", *_SIZES),
-    "oracle": ("--config", "{config}", "--files", "4", "--bs", "2",
-               "--cache-total", "200MB", "--trials", "3"),
+    "oracle": ("--config", "{config}", "--trials", "3"),
     "validate-trace": ("--config", "{config}", "--trace", "{trace}"),
 }
 # Hostile values, a few valid ones so that runs reach the simulator, and

@@ -5,6 +5,8 @@ from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy, Placement
                        OctopusPolicy, Popularity, RequestEvent, RoutingMode,
                        SourceKind, Topology, make_policy, pcd, utility)
 
+from octocache.policies import _HEAP_SLACK
+
 from conftest import random_instance
 
 
@@ -91,6 +93,22 @@ def test_lfu_tie_evicts_least_recently_used():
     # breaks toward f1 (older last use)
     replay(policy, [1, 2, 3, 3])
     assert policy.placement.contents[1] == {2, 3}
+
+
+def test_lfu_heap_stays_bounded_by_the_cache():
+    # each request to a resident file pushes a heap key; over a long stream
+    # the stale keys must not pile up beyond a constant per resident file
+    topo = single_bs_topology()
+    policy = LfuPolicy(topo, CacheCapacities(cloud=2, edge=(1,)), 6)
+    rng = np.random.default_rng(11)
+    for i, f in enumerate(rng.zipf(1.5, size=20_000) % 6 + 1):
+        policy.on_request(req(i, "u", int(f)))
+        for cache, residents in enumerate(policy.placement.contents):
+            book = policy._books[cache]
+            assert len(book.heap) <= _HEAP_SLACK * len(residents)
+            # the lowest live key is still the victim
+            assert book.victim() == min(
+                residents, key=lambda g: (book.counts[g], book.last_use[g], g))
 
 
 # ----------------------------------------------------------------- octopus
