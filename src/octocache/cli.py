@@ -45,6 +45,12 @@ _AXIS_BY_FLAG = {"cache-total": "total_cache_bytes",
                  "zipf-alpha": "zipf_alpha",
                  "policy": "policy"}
 
+# the options each sweep axis sets anew in every cell, or does not read;
+# a sweep header leaves them out
+_AXIS_IGNORES = {"cache-total": ("cache_total", "capacity_cloud", "capacity_edge"),
+                 "zipf-alpha": ("zipf_alpha",),
+                 "policy": ("policy", "policies")}
+
 # skew of a synthetic workload when --zipf-alpha is not given
 _ZIPF_ALPHA = 0.8
 
@@ -363,18 +369,24 @@ def cmd_sweep(opts):
         raise ConfigError("--values must list at least one value")
 
     rows = []
+    ignored = set(_AXIS_IGNORES[opts["axis"]])
     if axis == "policy":
         base = _experiment_config(opts, values[0], axis)
         rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
     else:
-        policies = (parse_config_list(opts["policies"] or "", str)
-                    or ([opts["policy"]] if opts["policy"] else []))
+        policies = parse_config_list(opts["policies"] or "", str)
+        if policies:
+            ignored.add("policy")
+        else:
+            policies = [opts["policy"]] if opts["policy"] else []
         if not policies:
             raise ConfigError("--policies is required for this axis")
         for name in policies:
             base = _experiment_config(opts, name, axis)
             rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
-    _emit_rows(rows, opts, "sweep")
+    echoed = Options({name: value for name, value in opts.items()
+                      if name not in ignored}, opts.given)
+    _emit_rows(rows, echoed, "sweep")
     return 0
 
 

@@ -2,7 +2,16 @@
 
 * :func:`pcd` - proactive greedy distribution: repeatedly add the
   (file, cache) copy with the highest marginal utility until every cache is
-  full. Carries a 1/2 approximation guarantee against the optimum.
+  full. Carries a 1/2 approximation guarantee against the optimum. It runs
+  in rounds, not one argmax per copy. A copy's gain depends only on its own
+  file's copies, so each file's successive best copies form a chain whose
+  gains never increase. A round grows the chains while their gains stay at
+  or above a threshold, the n-th largest gain among the files' best copies
+  (n: the room left, or the live files if fewer), and merges the entries in
+  the greedy's order up to the first copy that fills a cache. Every entry
+  left out sorts after the merged ones, so the merge is exact, and each
+  round fills a cache or gives every live file a copy, so there are at most
+  2(R+1) rounds.
 * :func:`rcr` - reactive replacement after a cache miss: up to R+1 times,
   swap the minimum-marginal-loss cached copy for the newly fetched file,
   stopping at the first swap that fails to raise utility by more than
@@ -25,7 +34,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import OracleSizeError
-from .routing import Placement, RoutingMode, UtilityEvaluator
+from .routing import (_TABLE_CHUNK_ROWS, Placement, RoutingMode,
+                      UtilityEvaluator)
 
 #: Guard on the number of placements brute_force_optimal may enumerate.
 ORACLE_ENUMERATION_LIMIT = 10_000_000
@@ -65,15 +75,82 @@ def _effective_sizes(capacities, num_files):
     return [min(cap, num_files) for cap in caps], warnings
 
 
+def _marginal_rows(ev, files, rival):
+    """``ev._marginals`` of ``files`` against ``rival`` (R, len(files)),
+    built ``_TABLE_CHUNK_ROWS`` rows at a time to bound the temporaries."""
+    rows = np.empty((files.size, ev.num_bs + 1))
+    for start in range(0, files.size, _TABLE_CHUNK_ROWS):
+        part = slice(start, start + _TABLE_CHUNK_ROWS)
+        rows[part] = ev._marginals(files[part], rival[:, part])
+    return rows
+
+
+def _best_open(gains, shut):
+    """Per row, the first cache of largest gain among those not ``shut``,
+    and that gain (-inf when every cache is shut)."""
+    gains = np.where(shut, -np.inf, gains)
+    cache = gains.argmax(axis=1)
+    return cache, gains[np.arange(cache.size), cache]
+
+
+def _chains(ev, files, cache, gain, held, best, closed, threshold):
+    """Each file's chain of successive best open copies, starting from its
+    frontier copy ``(cache, gain)``, for as long as the gains stay at or
+    above ``threshold``. ``held`` (n, R+1) and ``best`` (n, R) are the files'
+    mask rows and best t-values before the frontier copy.
+
+    Returns the entries as arrays (file, step, cache, gain)."""
+    t = ev.t_table
+    entries = []
+    step = 0
+    while files.size:
+        entries.append((files, np.full(files.size, step), cache, gain))
+        held = held.copy()
+        held[np.arange(files.size), cache] = True
+        best = np.maximum(best, t[:, cache].T)
+        cache, gain = _best_open(_marginal_rows(ev, files, best.T), held | closed)
+        keep = gain >= threshold
+        files, cache, gain = files[keep], cache[keep], gain[keep]
+        held, best = held[keep], best[keep]
+        step += 1
+    return [np.concatenate(column) for column in zip(*entries)]
+
+
 def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     """Proactive cache distribution: greedy submodular placement.
 
-    Starts from an empty placement and, at each iteration, adds the
+    The greedy starts from an empty placement and, at each step, adds the
     (file, cache) copy with the largest marginal utility among caches that
-    still have room, until every cache is full (capacities above the catalog
-    size are clamped, with a warning record). Each step is an argmax over
-    the evaluator's exact gain table; an add changes only its own file's
-    gains, so only that row is recomputed.
+    still have room, ties going to the lower file, then the lower cache,
+    until every cache is full (capacities above the catalog size are
+    clamped, with a warning record).
+
+    It is computed in rounds rather than one argmax per copy. A copy's
+    gain depends only on its own file's cached copies, so while no cache
+    closes, the greedy merges F independent chains: each file's successive
+    best open copies. Each round
+
+    1. takes every live file's frontier (best open copy) from the gain
+       table;
+    2. sets the threshold ``T`` to the n-th largest frontier gain, with n
+       the smaller of the room left and the number of live files;
+    3. grows the chains of the frontier files at or above ``T``, step by
+       step in bulk, while each step's gain stays at or above ``T``;
+    4. sorts the entries by (-gain, file, step), the greedy's own order;
+    5. commits them in that order up to and including the first one that
+       fills a cache, or all of them if none does, and refreshes the gain
+       rows of the files it touched.
+
+    This is exactly the one-copy-at-a-time greedy. Along a chain the gains
+    never increase, bit for bit: ``max(t - best1, 0)`` only falls as
+    ``best1`` rises, every operation after it rounds monotonically, and
+    ``UtilityEvaluator._marginals`` adds BSs in a fixed order. So every
+    entry not grown has a gain below ``T`` and sorts after every grown one,
+    and the first cache to fill ends the round before a closed cache is
+    offered. Rounds are few: when the room left is at most the number of
+    live files, at least that many entries reach ``T`` and some cache
+    fills; otherwise every live file commits a copy. Either happens at most
+    R+1 times.
 
     Parameters
     ----------
@@ -91,34 +168,53 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     -------
     PlacementAlgorithmReport
     """
-    if popularity.num_files != catalog.num_files:
+    num_files = catalog.num_files
+    if popularity.num_files != num_files:
         raise ValueError("popularity length does not match catalog")
-    sizes, warnings = _effective_sizes(capacities, catalog.num_files)
-    ev = UtilityEvaluator(topology, popularity, Placement(capacities, catalog.num_files),
+    sizes, warnings = _effective_sizes(capacities, num_files)
+    ev = UtilityEvaluator(topology, popularity, Placement(capacities, num_files),
                           mode=mode)
+    held = ev.mask.T.copy()
+    best = ev.best1.T.copy()
+    gains = ev._gain_table().copy()
+    room = np.array(sizes)
+    chosen_files, chosen_caches, chosen_gains = [], [], []
+    while room.any():
+        closed = room == 0
+        cache, gain = _best_open(gains, held | closed)
+        live = np.flatnonzero(gain > -np.inf)
+        n = min(int(room.sum()), live.size)
+        threshold = np.partition(gain[live], live.size - n)[live.size - n]
+        files = live[gain[live] >= threshold]
+        file, step, cache, gain = _chains(ev, files, cache[files], gain[files],
+                                          held[files], best[files], closed,
+                                          threshold)
+        order = np.lexsort((step, file, -gain))
+        file, cache, gain = file[order], cache[order], gain[order]
+        end = file.size
+        for k in np.flatnonzero(room):
+            at = np.flatnonzero(cache == k)
+            if at.size >= room[k]:
+                end = min(end, int(at[room[k] - 1]) + 1)
+        file, cache, gain = file[:end], cache[:end], gain[:end]
+        chosen_files += (file + 1).tolist()
+        chosen_caches += cache.tolist()
+        chosen_gains += gain.tolist()
+        held[file, cache] = True
+        room -= np.bincount(cache, minlength=room.size)
+        np.maximum.at(best, file, ev.t_table[:, cache].T)
+        touched = np.unique(file)
+        gains[touched] = _marginal_rows(ev, touched, best[touched].T)
 
-    # -inf marks held copies and full caches; argmax over the row maxima,
-    # then within the row, breaks ties toward the lower file, then cache
-    closed = np.array(sizes) == 0
-    gains = np.where(closed, -np.inf, ev._gain_table())
-    row_best = gains.max(axis=1)
-    utility_trace = [ev.utility()]
-    steps = []
-    for selected in range(1, sum(sizes) + 1):
-        j = int(row_best.argmax())
-        cache = int(gains[j].argmax())
-        gain = float(gains[j, cache])
-        ev.add(j + 1, cache)
-        utility_trace.append(utility_trace[-1] + gain)
-        steps.append({"iteration": selected, "file": j + 1, "cache": cache,
-                      "gain": gain, "utility": utility_trace[-1]})
-        if ev.placement.cache_size(cache) == sizes[cache]:
-            closed[cache] = True
-            gains[:, cache] = -np.inf
-            row_best = gains.max(axis=1)
-        gains[j] = np.where(closed | ev.mask[:, j], -np.inf, ev._gain_table()[j])
-        row_best[j] = gains[j].max()
-    return PlacementAlgorithmReport(placement=ev.placement, iterations=len(steps),
+    # cumsum adds in order, as a running total would
+    utility_trace = np.cumsum([ev.utility(), *chosen_gains]).tolist()
+    steps = [{"iteration": i, "file": f, "cache": c, "gain": g, "utility": u}
+             for i, (f, c, g, u) in enumerate(zip(chosen_files, chosen_caches,
+                                                  chosen_gains, utility_trace[1:]),
+                                              start=1)]
+    placement = Placement(capacities, num_files,
+                          [(np.flatnonzero(column) + 1).tolist() for column in held.T])
+    return PlacementAlgorithmReport(placement=placement, iterations=len(steps),
                                     utility_trace=utility_trace,
                                     steps=steps, warnings=warnings)
 

@@ -160,6 +160,28 @@ def test_sweep_cache_total_axis_echoes_no_budget(capsys):
     assert data_lines(capsys.readouterr().out) == data_lines(out)
 
 
+def test_sweep_header_leaves_out_what_every_cell_sets(tmp_path, capsys):
+    def sweep(*argv):
+        assert run_cli("sweep", *argv, "--files", "40", "--requests", "300") == 0
+        return capsys.readouterr().out
+
+    # each cell sets its own budget, so explicit capacities shape no row
+    budgets = ("--axis", "cache-total", "--values", "1GB,2GB", "--policies", "eo")
+    plain = sweep(*budgets)
+    caps = _write(tmp_path, "caps.cfg", "capacity_cloud = 0\ncapacity_edge = 0\n")
+    assert sweep(*budgets, "--config", caps) == plain
+    assert sweep(*budgets, "--cache-total", "5GB") == plain
+    alphas = ("--axis", "zipf-alpha", "--values", "0.6,0.8", "--policies", "eo",
+              "--cache-total", "1GB")
+    plain = sweep(*alphas)
+    assert sweep(*alphas, "--zipf-alpha", "0.3") == plain
+    assert sweep(*alphas, "--policy", "lru") == plain
+    policies = ("--axis", "policy", "--values", "eo,lru", "--cache-total", "1GB")
+    plain = sweep(*policies)
+    assert sweep(*policies, "--policy", "ecnc", "--policies", "lfu") == plain
+    assert "cache_total=1000000000" in plain.split("\n")[1]
+
+
 def test_sweep_empty_values_exits_1(capsys):
     code = run_cli("sweep", "--axis", "cache-total", "--values", "",
                    "--policies", "eo", "--files", "10")

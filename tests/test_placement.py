@@ -3,7 +3,8 @@ import pytest
 
 from octocache import (CacheCapacities, Catalog, OracleSizeError, Placement,
                        Popularity, RoutingMode, Topology, brute_force_optimal,
-                       marginal_loss, pcd, rcr, utility)
+                       build_paper_topology, marginal_loss, pcd, rcr, utility,
+                       zipf_popularity)
 from octocache.placement import (place_ecnc, place_eo, place_exmpc,
                                  place_femtox, top_popular)
 from octocache.routing import UtilityEvaluator
@@ -108,12 +109,14 @@ def test_pcd_tiebreak_lowest_file_then_cache():
     assert chosen == [(1, 1), (2, 0)]
 
 
-def _naive_greedy(topo, catalog, pop, caps, mode):
+def _naive_greedy_run(topo, catalog, pop, caps, mode):
     """Reference greedy: rescan every open copy's marginal gain each step,
-    keeping the first maximum in (file, cache) order."""
+    keeping the first maximum in (file, cache) order. Returns the
+    placement, the utility trace and one step record per copy."""
     sizes = [min(c, catalog.num_files) for c in caps.as_list()]
     ev = UtilityEvaluator(topo, pop, Placement(caps, catalog.num_files), mode=mode)
     trace = [ev.utility()]
+    steps = []
     for _ in range(sum(sizes)):
         best = None
         for file in range(1, catalog.num_files + 1):
@@ -125,7 +128,13 @@ def _naive_greedy(topo, catalog, pop, caps, mode):
                     best = (gain, file, cache)
         ev.add(best[1], best[2])
         trace.append(trace[-1] + best[0])
-    return ev.placement, trace
+        steps.append({"iteration": len(steps) + 1, "file": best[1],
+                      "cache": best[2], "gain": best[0], "utility": trace[-1]})
+    return ev.placement, trace, steps
+
+
+def _naive_greedy(topo, catalog, pop, caps, mode):
+    return _naive_greedy_run(topo, catalog, pop, caps, mode)[:2]
 
 
 def test_pcd_equals_naive_greedy():
@@ -145,6 +154,61 @@ def test_pcd_equals_naive_greedy():
             placement, trace = _naive_greedy(topo, catalog, pop, caps, mode)
             assert report.placement == placement
             assert report.utility_trace == trace
+
+
+def test_pcd_steps_equal_naive_greedy():
+    # caps above F are clamped, caps of 0 close a cache from the start, one
+    # in four instances has a single BS, and in one in three a BS may have
+    # no users, so copies of different files and steps tie in gain
+    rng = np.random.default_rng(43)
+    seen = set()
+    for i in range(48):
+        topo, catalog, pop, caps = random_instance(
+            rng, max_bs=1 if i % 4 == 0 else 4, max_files=7, max_cap=9,
+            users_per_bs=(0, 2) if i % 3 == 0 else (1, 3))
+        F = catalog.num_files
+        seen.update({"clamped"} if max(caps.as_list()) > F else set(),
+                    {"zero"} if 0 in caps.as_list() else set(),
+                    {"single"} if topo.num_bs == 1 else set())
+        for mode in (RoutingMode.FULL, RoutingMode.EDGE_CLOUD):
+            report = pcd(topo, catalog, pop, caps, mode=mode)
+            _, _, steps = _naive_greedy_run(topo, catalog, pop, caps, mode)
+            assert report.steps == steps
+    assert seen == {"clamped", "zero", "single"}
+
+
+def test_pcd_steps_replay_as_first_maxima_at_scale():
+    # a paper-topology instance with 2,000 files and caches of very
+    # different sizes, which close far apart in the greedy's order
+    F = 2000
+    rng = np.random.default_rng(11)
+    topo = build_paper_topology(7, 2024).with_users(
+        {f"u{i}": int(b) for i, b in enumerate(rng.integers(1, 8, 300))})
+    catalog = Catalog(num_files=F)
+    pop = zipf_popularity(F, 0.8)
+    caps = CacheCapacities(cloud=700, edge=(20, 350, 90, 500, 5, 160, 240))
+    sizes = caps.as_list()
+    for mode in (RoutingMode.FULL, RoutingMode.EDGE_CLOUD):
+        report = pcd(topo, catalog, pop, caps, mode=mode)
+        assert len(report.steps) == sum(sizes)
+        ev = UtilityEvaluator(topo, pop, Placement(caps, F), mode=mode)
+        total = report.utility_trace[0]
+        filled_at = {}
+        for step in report.steps:
+            shut = ev.mask.T | (np.array([ev.placement.cache_size(k) for k in
+                                          range(len(sizes))]) == sizes)
+            table = np.where(shut, -np.inf, ev._gain_table())
+            j, cache = divmod(int(table.argmax()), len(sizes))
+            assert (step["file"], step["cache"]) == (j + 1, cache)
+            assert np.float64(step["gain"]).tobytes() == table[j, cache].tobytes()
+            total += step["gain"]
+            assert step["utility"] == total
+            ev.add(j + 1, cache)
+            if ev.placement.cache_size(cache) == sizes[cache]:
+                filled_at[cache] = step["iteration"]
+        assert report.utility_trace == [report.utility_trace[0]] + [
+            s["utility"] for s in report.steps]
+        assert min(filled_at.values()) < len(report.steps) // 4
 
 
 # --------------------------------------------------------------------- rcr
