@@ -486,12 +486,12 @@ def cmd_validate_trace(opts):
     if opts["trace"] is None:
         raise ConfigError("--trace is required")
     trace = parse_trace_file(opts["trace"])
-    events = trace.events
-    lines = [f"events={len(events)}",
-             f"users={len(trace.users())}",
+    times = trace.times
+    lines = [f"events={times.size}",
+             f"users={len(trace.user_labels)}",
              f"files={trace.catalog_size}",
              f"malformed_lines={trace.malformed_lines}",
-             f"time_span={format(events[-1].time - events[0].time, '.10g')}"]
+             f"time_span={format(float(times[-1] - times[0]), '.10g')}"]
     _emit("\n".join(lines) + "\n", opts["out"])
     return 0
 

@@ -13,8 +13,10 @@ import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigError
-from .policies import POLICY_NAMES, LfuPolicy, LruPolicy, make_policy
+from .policies import POLICY_NAMES, LfuPolicy, LruPolicy, Policy, make_policy
 from .routing import SourceKind
 from .topology import (Catalog, build_paper_topology, capacities_from_budget)
 from .workload import (assign_users, estimate_popularity, generate_requests,
@@ -63,17 +65,22 @@ class Metrics:
         return self.cdn_fetches * self.file_size_bytes
 
     def record(self, source):
-        self.requests_total += 1
+        """Tally one request served by ``source``, with its delay."""
         self.sum_delay_ms += source.delay_cost
-        kind = source.kind
+        self._count(source.kind)
+
+    def _count(self, kind, requests=1):
+        """Tally ``requests`` requests served from a source of ``kind``,
+        without their delay."""
+        self.requests_total += requests
         if kind is SourceKind.LOCAL_EDGE:
-            self.local_hits += 1
+            self.local_hits += requests
         elif kind is SourceKind.CLOUD:
-            self.cloud_hits += 1
+            self.cloud_hits += requests
         elif kind is SourceKind.NEIGHBOR_EDGE:
-            self.neighbor_hits += 1
+            self.neighbor_hits += requests
         else:
-            self.cdn_fetches += 1
+            self.cdn_fetches += requests
 
     def as_dict(self):
         return {
@@ -156,10 +163,12 @@ def run_experiment(config):
     Builds topology and workload from derived seeds, estimates popularity
     over the warm-up window (unless given explicitly), constructs the
     policy, feeds warm-up events to the cold reactive policies (lfu, lru)
-    without metrics, then replays the evaluation window. Both windows skip
-    events of users the assignment does not cover and of files outside the
-    catalog; only the evaluation window tallies them as malformed.
-    Deterministic per master seed.
+    without metrics, then replays the evaluation window: a static placement
+    (a plain ``Policy``) as one serving-table lookup, the others request by
+    request through ``Policy.serve``. Both windows skip events of users the
+    assignment does not cover and of files outside the catalog; only the
+    evaluation window tallies them as malformed. Deterministic per master
+    seed.
     """
     config.validate()
     seeds = config.seeds()
@@ -185,9 +194,8 @@ def run_experiment(config):
         raise ConfigError(f"capacities list {capacities.num_bs} edge caches "
                           f"for {topology.num_bs} base stations")
 
-    warm_count = int(len(trace.events) * config.warmup_frac)
-    eval_events = trace.events[warm_count:]
-    if not eval_events:
+    warm_count = int(len(trace.file_ids) * config.warmup_frac)
+    if warm_count == len(trace.file_ids):
         raise ConfigError("empty evaluation window after warm-up split")
 
     popularity = config.popularity
@@ -200,19 +208,43 @@ def run_experiment(config):
     policy = make_policy(config.policy, topology, catalog, popularity,
                          capacities, assignment, rcr_enabled=config.rcr_enabled)
 
-    users, num_files = topology.users, catalog.num_files
+    # home BS per request, 0 for a user the assignment does not cover
+    homes = np.fromiter((topology.users.get(user, 0) for user in trace.user_labels),
+                        dtype=np.intp, count=len(trace.user_labels))
+    bs, files = homes[trace.user_index], trace.file_ids
+    valid = (bs > 0) & (files >= 1) & (files <= catalog.num_files)
     metrics = Metrics(file_size_bytes=catalog.file_size_bytes)
     if isinstance(policy, (LfuPolicy, LruPolicy)):
         # cold policies warm up on the estimation window, metrics excluded
-        for event in trace.events[:warm_count]:
-            if event.user_id in users and 1 <= event.file_id <= num_files:
-                policy.on_request(event)
-    for event in eval_events:
-        if event.user_id not in users or not 1 <= event.file_id <= num_files:
-            metrics.malformed_events += 1
-            continue
-        metrics.record(policy.on_request(event))
+        warm = valid[:warm_count]
+        for b, f in zip(bs[:warm_count][warm].tolist(),
+                        files[:warm_count][warm].tolist()):
+            policy.serve(b, f)
+    keep = valid[warm_count:]
+    metrics.malformed_events = int(keep.size - np.count_nonzero(keep))
+    bs, files = bs[warm_count:][keep], files[warm_count:][keep]
+    if type(policy) is Policy:
+        _replay_static(policy, bs, files, metrics)
+    else:
+        serve, record = policy.serve, metrics.record
+        for b, f in zip(bs.tolist(), files.tolist()):
+            record(serve(b, f))
     return metrics
+
+
+def _replay_static(policy, bs, files, metrics):
+    """Tally the requests (``bs``, ``files``) against a placement that never
+    changes, as one lookup in its serving table. The delays are summed in
+    request order, as :meth:`Metrics.record` sums them one by one."""
+    sources, table = policy.serving_table()
+    served = table[bs, files]
+    for source, requests in zip(sources, np.bincount(
+            served, minlength=len(sources)).tolist()):
+        if requests:
+            metrics._count(source.kind, requests)
+    if served.size:
+        delays = np.array([source.delay_cost for source in sources])
+        metrics.sum_delay_ms += float(np.cumsum(delays[served])[-1])
 
 
 @dataclass

@@ -24,7 +24,8 @@ import heapq
 from collections import OrderedDict
 
 from .placement import _rcr_swaps, pcd, place_ecnc, place_eo, place_exmpc, place_femtox
-from .routing import Placement, RoutingMode, UtilityEvaluator, _cheapest, _source_table
+from .routing import (Placement, RoutingMode, UtilityEvaluator, _cheapest,
+                      _serving_table, _source_table)
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
@@ -52,7 +53,8 @@ class Policy:
         self._order, self._cdn = _source_table(topology, routing_mode)
 
     def on_request(self, event):
-        """Serve one request and apply the policy's update rule.
+        """Serve one :class:`RequestEvent`: its user's home BS, then
+        :meth:`serve`.
 
         Returns the :class:`Source` used, for metric accounting. Raises
         ``ValueError`` on an unknown user or an out-of-range file; callers
@@ -62,10 +64,25 @@ class Policy:
         file = event.file_id
         if not 1 <= file <= self.placement.num_files:
             raise ValueError(f"file index {file} outside 1..{self.placement.num_files}")
+        return self.serve(bs, file)
+
+    def serve(self, bs, file):
+        """Route a request for ``file`` (1..F) from BS ``bs`` (1..R), which
+        the caller checks, then apply the policy's update rule. Returns the
+        :class:`Source` used."""
         source = _cheapest(self.placement.contents, self._order[bs - 1],
                            self._cdn, file)
         self._update(bs, file, source is self._cdn)
         return source
+
+    def serving_table(self):
+        """The sources this policy routes to and the (R+1, F+1) table of
+        which serves each (bs, file) under the current placement (see
+        ``routing._serving_table``). Replay may use it in place of
+        :meth:`serve` only for a plain ``Policy``, whose placement never
+        changes."""
+        return _serving_table(self.placement.contents, self._order, self._cdn,
+                              self.placement.num_files)
 
     def _update(self, bs, file, missed):
         """Update rule after ``file`` is served at ``bs``, ``missed`` if by the CDN."""

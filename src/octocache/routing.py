@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TABLE_CHUNK_ROWS = 4096  # gain/loss-table rows built at once, bounding the temporaries
+_TABLE_CHUNK_ROWS = 1024  # gain/loss-table rows built at once, bounding the temporaries
 
 
 class RoutingMode(enum.Enum):
@@ -221,6 +221,27 @@ def _cheapest(contents, order, cdn, file):
         if file in contents[cache]:
             return source
     return cdn
+
+
+def _serving_table(contents, order, cdn, num_files):
+    """:func:`_cheapest` for every request at once, for fixed ``contents``.
+
+    Returns every source ``order`` routes to, the CDN first, and an
+    (R+1, F+1) array whose entry [bs, file] indexes that list at the source
+    ``_cheapest(contents, order[bs - 1], cdn, file)`` picks; row 0 and
+    column 0 index the CDN. Each BS writes its caches in reverse order, so
+    the first holder in ``order`` wins.
+    """
+    sources = [cdn]
+    table = np.zeros((len(order) + 1, num_files + 1), dtype=np.intp)
+    for bs, caches in enumerate(order, start=1):
+        for cache, source in reversed(caches):
+            files = contents[cache]
+            if files:
+                held = np.fromiter(files, dtype=np.intp, count=len(files))
+                table[bs, held] = len(sources)
+            sources.append(source)
+    return sources, table
 
 
 def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):

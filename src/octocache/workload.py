@@ -1,17 +1,20 @@
 """Request workloads: trace ingestion, synthetic Zipf generation, empirical
 popularity estimation, and user-to-BS assignment.
 
-The on-disk trace format is a UTF-8 CSV with LF line endings and three
-columns, ``timestamp,user_id,content_id``. A header row is optional and
-detected by a non-numeric first field. Content ids are opaque; parsing
-interns them to dense catalog indices 1..F in order of first appearance in
-the time-sorted stream.
+The on-disk trace format is a UTF-8 CSV with three columns,
+``timestamp,user_id,content_id``; lines end at LF, CRLF or a lone CR. A
+header row is optional and detected by a non-numeric first field. Content
+ids are opaque; parsing interns them to dense catalog indices 1..F in order
+of first appearance in the time-sorted stream, and user ids to indices into
+the trace's user labels in the same order.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,33 +39,48 @@ class RequestEvent:
 
 @dataclass
 class RequestTrace:
-    """An ordered request stream plus the user-to-BS assignment.
+    """A time-sorted request stream held as columns, plus label tables.
 
-    ``events`` are sorted by time (stable). ``user_assignment`` maps user id
-    to home BS and may be empty until :meth:`with_assignment` attaches one;
-    replay requires every event's user to be covered. ``content_labels``
-    keeps the original opaque content ids by catalog index for round-trip
-    serialization.
+    Request ``n`` is made at ``times[n]`` by user
+    ``user_labels[user_index[n]]`` for catalog file ``file_ids[n]``
+    (1..``catalog_size``). ``user_labels`` lists each requesting user once,
+    in order of first appearance in the stream, which is the order
+    :meth:`users` returns. ``content_labels`` keeps the original opaque
+    content ids by catalog index for round-trip serialization; it is empty
+    for a synthetic trace. ``user_assignment`` maps user id to home BS and
+    may be empty until :meth:`with_assignment` attaches one covering every
+    user. The column arrays are read-only.
     """
 
-    events: list
+    times: np.ndarray
+    user_index: np.ndarray
+    user_labels: tuple
+    file_ids: np.ndarray
     catalog_size: int
-    user_assignment: dict = field(default_factory=dict)
     content_labels: tuple = ()
     malformed_lines: int = 0
+    user_assignment: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for column in (self.times, self.user_index, self.file_ids):
+            column.flags.writeable = False
         if self.user_assignment:
             self._check_coverage(self.user_assignment)
 
     def _check_coverage(self, assignment):
-        for ev in self.events:
-            if ev.user_id not in assignment:
-                raise ValueError(f"user {ev.user_id!r} missing from assignment")
+        for user in self.user_labels:
+            if user not in assignment:
+                raise ValueError(f"user {user!r} missing from assignment")
+
+    @property
+    def events(self):
+        """The requests as :class:`RequestEvent` objects, built one at a time
+        as they are read: a compatibility view over the columns."""
+        return _EventView(self, range(len(self.times)))
 
     def users(self):
         """Distinct user ids in first-appearance order."""
-        return list(dict.fromkeys(ev.user_id for ev in self.events))
+        return list(self.user_labels)
 
     def with_assignment(self, assignment):
         self._check_coverage(assignment)
@@ -75,17 +93,66 @@ class RequestTrace:
 
     def __eq__(self, other):
         return (isinstance(other, RequestTrace)
-                and self.events == other.events
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(self.user_index, other.user_index)
+                and np.array_equal(self.file_ids, other.file_ids)
+                and self.user_labels == other.user_labels
                 and self.catalog_size == other.catalog_size
                 and self.user_assignment == other.user_assignment
                 and self.content_labels == other.content_labels)
+
+
+class _EventView(Sequence):
+    """Read-only sequence of a trace's requests at the positions in
+    ``positions`` (a ``range``); its length builds nothing, and a slice is
+    another view. Equal to any sequence of the same events."""
+
+    __slots__ = ("_trace", "_positions")
+
+    def __init__(self, trace, positions):
+        self._trace = trace
+        self._positions = positions
+
+    def __len__(self):
+        return len(self._positions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _EventView(self._trace, self._positions[index])
+        n = self._positions[index]
+        trace = self._trace
+        return RequestEvent(time=float(trace.times[n]),
+                            user_id=trace.user_labels[trace.user_index[n]],
+                            file_id=int(trace.file_ids[n]))
+
+    def __iter__(self):
+        trace, positions = self._trace, self._positions
+        part = (slice(positions.start, positions.stop) if positions.step == 1
+                else positions)
+        labels = trace.user_labels
+        for time, user, file in zip(trace.times[part].tolist(),
+                                    trace.user_index[part].tolist(),
+                                    trace.file_ids[part].tolist()):
+            yield RequestEvent(time=time, user_id=labels[user], file_id=file)
+
+    def __eq__(self, other):
+        return (isinstance(other, Sequence) and len(self) == len(other)
+                and all(a == b for a, b in zip(self, other)))
+
+
+def _intern(column, order):
+    """Dense 0-based ids of the values of ``column`` read in ``order``,
+    numbered by first appearance, and the values by id."""
+    ids = {}
+    codes = [ids.setdefault(column[n], len(ids)) for n in order]
+    return np.array(codes, dtype=np.intp), tuple(ids)
 
 
 def _looks_like_header(fields):
     if len(fields) != 3:
         return False
     try:
-        float(fields[0])
+        float(fields[0].strip())
     except ValueError:
         return True
     return False
@@ -94,10 +161,11 @@ def _looks_like_header(fields):
 def parse_trace(source):
     """Parse a request trace from text or a file-like character stream.
 
-    Rows are stable-sorted by timestamp, then content ids are interned to
-    dense indices in first-appearance order of the sorted stream. Malformed
-    lines (wrong arity, non-numeric or non-finite timestamp, empty fields)
-    are skipped and counted.
+    A line ends at LF, CRLF or a lone CR. Rows are stable-sorted by
+    timestamp, then content and user ids are interned to dense indices in
+    first-appearance order of the sorted stream. Malformed lines (wrong
+    arity, non-numeric or non-finite timestamp, empty fields) are skipped
+    and counted.
 
     Raises
     ------
@@ -107,59 +175,62 @@ def parse_trace(source):
         When more than 10% of non-empty lines are malformed.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
-    rows = []
+        source = io.StringIO(source, newline="")
+    lines = iter(source)
+    for line in lines:
+        if line.strip():
+            if not _looks_like_header(line.split(",")):
+                lines = itertools.chain((line,), lines)
+            break
+    times, users, contents = [], [], []
     malformed = 0
-    considered = 0
-    first = True
-    for raw in source:
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
+    isfinite = math.isfinite
+    for line in lines:
+        fields = line.split(",")
+        if len(fields) != 3:
+            if line.strip():
+                malformed += 1
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if first:
-            first = False
-            if _looks_like_header(fields):
-                continue
-        considered += 1
-        if len(fields) != 3 or not all(fields):
+        stamp, user, content = fields
+        stamp, user, content = stamp.strip(), user.strip(), content.strip()
+        if not (stamp and user and content):
             malformed += 1
             continue
         try:
-            ts = float(fields[0])
+            ts = float(stamp)
         except ValueError:
             malformed += 1
             continue
-        if not math.isfinite(ts):
+        if not isfinite(ts):
             malformed += 1
             continue
-        rows.append((ts, fields[1], fields[2]))
+        times.append(ts)
+        users.append(user)
+        contents.append(content)
+    considered = len(times) + malformed
     if considered and malformed / considered > MALFORMED_LINE_TOLERANCE:
         raise TraceFormatError(
             f"{malformed} of {considered} lines malformed, above the "
             f"{MALFORMED_LINE_TOLERANCE:.0%} tolerance")
-    if not rows:
+    if not times:
         raise EmptyTraceError("no usable request events in input")
-    rows.sort(key=lambda r: r[0])
-    interned = {}
-    labels = []
-    events = []
-    for ts, user, content in rows:
-        idx = interned.get(content)
-        if idx is None:
-            idx = len(interned) + 1
-            interned[content] = idx
-            labels.append(content)
-        events.append(RequestEvent(time=ts, user_id=user, file_id=idx))
-    return RequestTrace(events=events, catalog_size=len(interned),
-                        content_labels=tuple(labels), malformed_lines=malformed)
+    times = np.array(times, dtype=np.float64)
+    order = np.argsort(times, kind="stable")
+    sorted_order = order.tolist()
+    user_index, user_labels = _intern(users, sorted_order)
+    file_index, content_labels = _intern(contents, sorted_order)
+    return RequestTrace(times=times[order], user_index=user_index,
+                        user_labels=user_labels, file_ids=file_index + 1,
+                        catalog_size=len(content_labels),
+                        content_labels=content_labels,
+                        malformed_lines=malformed)
 
 
 def parse_trace_file(path):
-    """Parse the trace file at ``path``; an unreadable or non-UTF-8 file
-    raises ``TraceError``."""
+    """Parse the trace file at ``path``, skipping a leading UTF-8 byte-order
+    mark; an unreadable or non-UTF-8 file raises ``TraceError``."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             return parse_trace(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
@@ -169,9 +240,11 @@ def serialize_trace(trace):
     """Render a trace in the on-disk CSV format, header row included; parse
     round-trips it exactly."""
     out = [TRACE_HEADER]
-    for ev in trace.events:
-        time = np.format_float_positional(ev.time, trim="-")
-        out.append(f"{time},{ev.user_id},{trace.label_of(ev.file_id)}")
+    labels = trace.user_labels
+    for time, user, file in zip(trace.times.tolist(), trace.user_index.tolist(),
+                                trace.file_ids.tolist()):
+        time = np.format_float_positional(time, trim="-")
+        out.append(f"{time},{labels[user]},{trace.label_of(file)}")
     return "\n".join(out) + "\n"
 
 
@@ -204,9 +277,11 @@ def generate_requests(popularity, num_requests, users, seed):
     draws = np.searchsorted(cdf, rng.random(num_requests), side="right")
     files = np.minimum(draws, popularity.num_files - 1) + 1
     who = rng.integers(0, len(users), size=num_requests)
-    events = [RequestEvent(time=float(i), user_id=users[u], file_id=int(f))
-              for i, (u, f) in enumerate(zip(who, files))]
-    return RequestTrace(events=events, catalog_size=popularity.num_files)
+    user_index, user_labels = _intern(users, who.tolist())
+    return RequestTrace(times=np.arange(num_requests, dtype=np.float64),
+                        user_index=user_index, user_labels=user_labels,
+                        file_ids=files.astype(np.intp, copy=False),
+                        catalog_size=popularity.num_files)
 
 
 def estimate_popularity(trace, window, smoothing=1.0):
@@ -216,12 +291,10 @@ def estimate_popularity(trace, window, smoothing=1.0):
 
     p_k = (count_k + smoothing) / (window + smoothing * F).
     """
-    if window < 0 or window > len(trace.events):
+    if window < 0 or window > len(trace.file_ids):
         raise ValueError("window must lie within the trace length")
     F = trace.catalog_size
-    files = np.fromiter((ev.file_id for ev in trace.events[:window]),
-                        dtype=np.intp, count=window)
-    counts = np.bincount(files, minlength=F + 1)[1:]
+    counts = np.bincount(trace.file_ids[:window], minlength=F + 1)[1:]
     return Popularity((counts + smoothing) / (window + smoothing * F))
 
 

@@ -1,9 +1,11 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import octocache.engine
+import octocache.workload
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        ExperimentConfig, Metrics, Popularity, Topology,
                        derive_seed, pcd, rows_to_csv, run_experiment, run_sweep,
@@ -207,6 +209,79 @@ def test_warmup_skips_uncovered_users(policy):
     metrics = run_experiment(config)
     assert metrics.malformed_events > 0
     assert metrics.requests_total + metrics.malformed_events == 800
+
+
+def mixed_coverage_trace(path):
+    """A trace with string ids, out-of-order times and bad lines, whose users
+    x0 and x1 appear in both the warm-up and the evaluation window."""
+    rng = np.random.default_rng(21)
+    lines = ["timestamp,user_id,content_id"]
+    for i in range(600):
+        user = f"u{int(rng.integers(6))}" if i % 7 else f"x{i % 2}"
+        stamp = i + float(rng.uniform(0.0, 3.0))
+        lines.append(f"{stamp:.3f},{user},c{int(rng.zipf(1.6)) % 40}")
+    lines[100:100] = ["1,u1", "x,u1,c1", "2,,c3"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def replay_configs(tmp_path):
+    """A trace cell and a synthetic cell, each leaving some users without a
+    home BS (x0 and x1; users 5 and 6)."""
+    trace = ExperimentConfig(policy="eo", num_bs=3, trace_path=mixed_coverage_trace(
+                                 tmp_path / "trace.csv"),
+                             capacities=CacheCapacities(cloud=6, edge=(2, 3, 2)),
+                             master_seed=4,
+                             user_assignment={f"u{k}": k % 3 + 1 for k in range(6)})
+    synthetic = small_config(num_users=6, num_requests=2000,
+                             user_assignment={1: 1, 2: 2, 3: 3, 4: 1})
+    return {"trace": trace, "synthetic": synthetic}
+
+
+@pytest.mark.parametrize("workload", ["trace", "synthetic"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_replay_equals_per_request_loop(policy, workload, tmp_path, monkeypatch):
+    # the columnar replay against the per-event on_request loop, bit for bit
+    config = replace(replay_configs(tmp_path)[workload], policy=policy)
+    built, traces = [], []
+    make_policy, resolve = octocache.engine.make_policy, octocache.engine._resolve_workload
+    monkeypatch.setattr(octocache.engine, "make_policy",
+                        lambda *args, **kwargs: built.append((args, kwargs))
+                        or make_policy(*args, **kwargs))
+    monkeypatch.setattr(octocache.engine, "_resolve_workload",
+                        lambda *args: traces.append(resolve(*args)) or traces[-1])
+    got = run_experiment(config)
+
+    [(args, kwargs)], [trace] = built, traces
+    reference = make_policy(*args, **kwargs)
+    catalog, assignment = args[2], args[5]
+    want = Metrics(file_size_bytes=catalog.file_size_bytes)
+    warm = int(len(trace.events) * config.warmup_frac)
+    uncovered_warm = [e for e in trace.events[:warm] if e.user_id not in assignment]
+    assert uncovered_warm
+    if policy in ("lfu", "lru"):
+        for event in trace.events[:warm]:
+            if event.user_id in assignment:
+                reference.on_request(event)
+    for event in trace.events[warm:]:
+        if event.user_id not in assignment:
+            want.malformed_events += 1
+            continue
+        want.record(reference.on_request(event))
+    assert want.malformed_events > 0
+    assert got.as_dict() == want.as_dict()
+    assert got.sum_delay_ms == want.sum_delay_ms
+
+
+@pytest.mark.parametrize("workload", ["trace", "synthetic"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_replay_builds_no_request_events(policy, workload, tmp_path, monkeypatch):
+    def no_events(*args, **kwargs):
+        raise AssertionError("a RequestEvent was built")
+
+    monkeypatch.setattr(octocache.workload, "RequestEvent", no_events)
+    config = replace(replay_configs(tmp_path)[workload], policy=policy)
+    assert run_experiment(config).requests_total > 0
 
 
 # ------------------------------------------------------------------- sweeps

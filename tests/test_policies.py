@@ -5,9 +5,10 @@ from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy, Placement
                        OctopusPolicy, Popularity, RequestEvent, RoutingMode,
                        SourceKind, Topology, make_policy, pcd, utility)
 
-from octocache.policies import _HEAP_SLACK
+from octocache.policies import _HEAP_SLACK, Policy
+from octocache.routing import _cheapest
 
-from conftest import random_instance
+from conftest import random_feasible_placement, random_instance
 
 
 def single_bs_topology():
@@ -237,3 +238,47 @@ def test_eo_hit_ratio_never_beats_ecnc(canonical):
         hits_eo += eo.on_request(req(i, user, file)).kind is not SourceKind.CDN
         hits_ecnc += ecnc.on_request(req(i, user, file)).kind is not SourceKind.CDN
     assert hits_ecnc >= hits_eo
+
+
+def tie_heavy_topology(rng, num_bs):
+    """Fronthaul and neighbour delays drawn from {1, 2, 3} ms, so the cloud
+    and several neighbours often cost the same."""
+    edge = tuple(float(d) for d in rng.integers(1, 4, size=num_bs))
+    peer = tuple(tuple(0.0 if r == k else float(rng.integers(1, 4))
+                       for k in range(num_bs)) for r in range(num_bs))
+    return Topology(num_bs=num_bs, edge_delay=edge, peer_delay=peer,
+                    cdn_delay=10.0)
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+def test_serving_table_equals_cheapest(mode):
+    # every (bs, file) entry names the very Source the per-request walk picks
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        num_bs = int(rng.integers(1, 6))
+        num_files = int(rng.integers(1, 12))
+        caps = CacheCapacities(cloud=int(rng.integers(0, 6)),
+                               edge=tuple(int(c) for c in rng.integers(0, 6, num_bs)))
+        placement = random_feasible_placement(rng, caps, num_files, fill=1.0)
+        policy = Policy("static", placement, tie_heavy_topology(rng, num_bs), mode)
+        sources, table = policy.serving_table()
+        assert table.shape == (num_bs + 1, num_files + 1)
+        assert set(table[0]) == {0} and set(table[:, 0]) == {0}
+        assert sources[0] is policy._cdn
+        for bs in range(1, num_bs + 1):
+            for file in range(1, num_files + 1):
+                want = _cheapest(placement.contents, policy._order[bs - 1],
+                                 policy._cdn, file)
+                assert sources[table[bs, file]] is want
+
+
+def test_serve_is_on_request_without_the_user_lookup(canonical):
+    topo, catalog, pop, caps = canonical
+    by_event = make_policy("lru", topo, catalog, pop, caps, {"u1": 1, "u2": 2})
+    by_bs = make_policy("lru", topo, catalog, pop, caps, {"u1": 1, "u2": 2})
+    rng = np.random.default_rng(5)
+    for i in range(200):
+        user, bs = (("u1", 1), ("u2", 2))[int(rng.integers(2))]
+        file = int(rng.integers(1, 4))
+        assert by_event.on_request(req(i, user, file)) == by_bs.serve(bs, file)
+    assert by_event.placement == by_bs.placement

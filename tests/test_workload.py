@@ -1,3 +1,6 @@
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,124 @@ def test_assignment_coverage_enforced():
         trace.with_assignment({"u1": 1})
     full = trace.with_assignment({"u1": 1, "u2": 2})
     assert full.user_assignment == {"u1": 1, "u2": 2}
+
+
+def test_parse_file_skips_utf8_bom(tmp_path):
+    # a headerless trace that starts with a byte-order mark keeps its first request
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeff1,u,a\n2,u,b\n".encode("utf-8"))
+    trace = parse_trace_file(path)
+    assert [(e.time, e.user_id, e.file_id) for e in trace.events] == [
+        (1.0, "u", 1), (2.0, "u", 2)]
+    assert trace.malformed_lines == 0
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_text_and_file_split_lines_alike(ending, tmp_path):
+    lines = ["timestamp,user_id,content_id", "3,u1,a", "", "1,u2,b", "2,u1,a"]
+    text = ending.join(lines) + ending
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = parse_trace("\n".join(lines) + "\n")
+    assert len(want.events) == 3
+    assert parse_trace(text) == want
+    assert parse_trace_file(path) == want
+
+
+def reference_parse(text):
+    """The per-line parser the columnar one replaced: a list of
+    (time, user, file index) rows in time order, the content labels and the
+    malformed-line count."""
+    rows, malformed, considered, first = [], 0, 0, True
+    for raw in io.StringIO(text, newline=""):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if first:
+            first = False
+            if len(fields) == 3:
+                try:
+                    float(fields[0])
+                except ValueError:
+                    continue
+        considered += 1
+        if len(fields) != 3 or not all(fields):
+            malformed += 1
+            continue
+        try:
+            ts = float(fields[0])
+        except ValueError:
+            malformed += 1
+            continue
+        if not math.isfinite(ts):
+            malformed += 1
+            continue
+        rows.append((ts, fields[1], fields[2]))
+    if considered and malformed / considered > 0.10:
+        raise TraceFormatError("too many malformed lines")
+    if not rows:
+        raise EmptyTraceError("no rows")
+    rows.sort(key=lambda r: r[0])
+    interned = {}
+    events = [(ts, user, interned.setdefault(content, len(interned) + 1))
+              for ts, user, content in rows]
+    return events, tuple(interned), malformed
+
+
+_STAMPS = st.one_of(st.integers(-5, 30).map(str),
+                    st.floats(-1e3, 1e3).map(repr),
+                    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e400",
+                                     "t3", "0x1", "1_0", " 7 ", "\x1c4",
+                                     "\xa05", "-0", "timestamp"]))
+_IDS = st.one_of(st.sampled_from(["u1", "u2", "c1", "c2", " u1 ", "", " ",
+                                  "\t", "\x0b", "x y"]),
+                 st.text("abc ", max_size=3))
+_GOOD_LINES = st.tuples(
+    st.one_of(st.integers(-5, 30).map(str), st.floats(-1e3, 1e3).map(repr),
+              st.sampled_from([" 7 ", "-0", "1e2", "\xa05"])),
+    st.sampled_from(["u1", "u2", " u3 "]),
+    st.sampled_from(["c1", "c2", " c3", "c4 "])).map(",".join)
+_ANY_LINES = st.one_of(
+    st.tuples(_STAMPS, _IDS, _IDS).map(",".join),                 # three fields
+    st.lists(_IDS, min_size=0, max_size=5).map(",".join),          # any arity
+    st.sampled_from(["", "   ", "\t", "timestamp,user_id,content_id"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_GOOD_LINES, max_size=40), st.lists(_ANY_LINES, max_size=5),
+       st.data())
+def test_columnar_parse_equals_per_line_parse(good, fuzzed, data):
+    # mostly good lines, so that some inputs with malformed lines are accepted
+    text = "\n".join(data.draw(st.permutations(fuzzed + good)))
+    try:
+        want = reference_parse(text)
+    except (EmptyTraceError, TraceFormatError) as exc:
+        with pytest.raises(type(exc)):
+            parse_trace(text)
+        return
+    trace = parse_trace(text)
+    events, labels, malformed = want
+    assert [(e.time, e.user_id, e.file_id) for e in trace.events] == events
+    assert trace.content_labels == labels and trace.catalog_size == len(labels)
+    assert trace.malformed_lines == malformed
+    assert trace.users() == list(dict.fromkeys(user for _, user, _ in events))
+
+
+def test_events_view_builds_events_only_when_read(monkeypatch):
+    import octocache.workload
+
+    trace = parse_trace("3,u2,b\n1,u1,a\n2,u1,b\n")
+    built = []
+    real = octocache.workload.RequestEvent
+    monkeypatch.setattr(octocache.workload, "RequestEvent",
+                        lambda **kw: built.append(kw) or real(**kw))
+    view = trace.events
+    assert len(view) == 3 and len(view[1:]) == 2 and not built
+    assert view[-1] == real(time=3.0, user_id="u2", file_id=2)
+    assert list(view[::-1]) == [view[2], view[1], view[0]]
+    assert view == [real(1.0, "u1", 1), real(2.0, "u1", 2), real(3.0, "u2", 2)]
+    assert view[1:] != view[:2] and view[3:] == []
 
 
 # --------------------------------------------------------------------- zipf
