@@ -258,6 +258,8 @@ def _config_topology(opts):
 
 def _explicit_capacities(opts, num_bs):
     if opts["capacity_edge"] is None:
+        if opts["capacity_cloud"] is not None:
+            raise ConfigError("capacity_cloud requires capacity_edge")
         return None
     with opts.naming("capacity_edge"):
         edges = parse_config_list(opts["capacity_edge"], int)

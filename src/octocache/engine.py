@@ -161,14 +161,15 @@ def run_experiment(config):
     """Replay one configured experiment and return its metrics.
 
     Builds topology and workload from derived seeds, estimates popularity
-    over the warm-up window (unless given explicitly), constructs the
-    policy, feeds warm-up events to the cold reactive policies (lfu, lru)
-    without metrics, then replays the evaluation window: a static placement
-    (a plain ``Policy``) as one serving-table lookup, the others request by
-    request through ``Policy.serve``. Both windows skip events of users the
-    assignment does not cover and of files outside the catalog; only the
-    evaluation window tallies them as malformed. Deterministic per master
-    seed.
+    over the warm-up window (unless given explicitly) and constructs the
+    policy. One pass then names each request's server by its index in
+    ``policy.sources``: a static placement (a plain ``Policy``) by a
+    serving-table lookup, the others through ``Policy.serve``. The pass of
+    the cold reactive policies (lfu, lru) starts at request 0, so their
+    warm-up is its head; the others start at the evaluation window. It
+    skips events of users the assignment does not cover and of files
+    outside the catalog, and only the evaluation window, tallied once,
+    counts them as malformed. Deterministic per master seed.
     """
     config.validate()
     seeds = config.seeds()
@@ -213,38 +214,26 @@ def run_experiment(config):
                         dtype=np.intp, count=len(trace.user_labels))
     bs, files = homes[trace.user_index], trace.file_ids
     valid = (bs > 0) & (files >= 1) & (files <= catalog.num_files)
-    metrics = Metrics(file_size_bytes=catalog.file_size_bytes)
-    if isinstance(policy, (LfuPolicy, LruPolicy)):
-        # cold policies warm up on the estimation window, metrics excluded
-        warm = valid[:warm_count]
-        for b, f in zip(bs[:warm_count][warm].tolist(),
-                        files[:warm_count][warm].tolist()):
-            policy.serve(b, f)
-    keep = valid[warm_count:]
-    metrics.malformed_events = int(keep.size - np.count_nonzero(keep))
-    bs, files = bs[warm_count:][keep], files[warm_count:][keep]
+    # cold policies warm up on the estimation window: the head of their pass
+    start = 0 if isinstance(policy, (LfuPolicy, LruPolicy)) else warm_count
+    keep = valid[start:]
+    bs, files = bs[start:][keep], files[start:][keep]
     if type(policy) is Policy:
-        _replay_static(policy, bs, files, metrics)
+        served = policy.serving_table()[bs, files]
     else:
-        serve, record = policy.serve, metrics.record
-        for b, f in zip(bs.tolist(), files.tolist()):
-            record(serve(b, f))
+        served = np.fromiter(map(policy.serve, bs.tolist(), files.tolist()),
+                             dtype=np.intp, count=bs.size)
+    evaluated = served[np.count_nonzero(keep[:warm_count - start]):]
+    window = len(trace.file_ids) - warm_count
+    metrics = Metrics(file_size_bytes=catalog.file_size_bytes,
+                      malformed_events=window - evaluated.size)
+    for source, requests in zip(policy.sources, np.bincount(
+            evaluated, minlength=len(policy.sources)).tolist()):
+        metrics._count(source.kind, requests)
+    if evaluated.size:  # summed in request order, as Metrics.record sums
+        delays = np.array([source.delay_cost for source in policy.sources])
+        metrics.sum_delay_ms = float(np.cumsum(delays[evaluated])[-1])
     return metrics
-
-
-def _replay_static(policy, bs, files, metrics):
-    """Tally the requests (``bs``, ``files``) against a placement that never
-    changes, as one lookup in its serving table. The delays are summed in
-    request order, as :meth:`Metrics.record` sums them one by one."""
-    sources, table = policy.serving_table()
-    served = table[bs, files]
-    for source, requests in zip(sources, np.bincount(
-            served, minlength=len(sources)).tolist()):
-        if requests:
-            metrics._count(source.kind, requests)
-    if served.size:
-        delays = np.array([source.delay_cost for source in sources])
-        metrics.sum_delay_ms += float(np.cumsum(delays[served])[-1])
 
 
 @dataclass

@@ -42,15 +42,16 @@ class Policy:
     """The one request step of every policy: route against the current
     placement, then apply the policy's update rule (``_update``). A plain
     ``Policy`` is a static placement. ``placement`` is the policy's own
-    cache contents, which only the policy mutates; the returned
-    :class:`Source` objects are built once per policy."""
+    cache contents, which only the policy mutates. ``sources`` lists the
+    :class:`Source` objects it routes to, the CDN at index 0; :meth:`serve`
+    and :meth:`serving_table` name a server by its index there."""
 
     def __init__(self, name, placement, topology, routing_mode):
         self.name = name
         self.placement = placement
         self.topology = topology
         self.routing_mode = routing_mode
-        self._order, self._cdn = _source_table(topology, routing_mode)
+        self.sources, self._order = _source_table(topology, routing_mode)
 
     def on_request(self, event):
         """Serve one :class:`RequestEvent`: its user's home BS, then
@@ -64,24 +65,23 @@ class Policy:
         file = event.file_id
         if not 1 <= file <= self.placement.num_files:
             raise ValueError(f"file index {file} outside 1..{self.placement.num_files}")
-        return self.serve(bs, file)
+        return self.sources[self.serve(bs, file)]
 
     def serve(self, bs, file):
         """Route a request for ``file`` (1..F) from BS ``bs`` (1..R), which
         the caller checks, then apply the policy's update rule. Returns the
-        :class:`Source` used."""
-        source = _cheapest(self.placement.contents, self._order[bs - 1],
-                           self._cdn, file)
-        self._update(bs, file, source is self._cdn)
-        return source
+        index in :attr:`sources` of the source used; 0 is a CDN miss."""
+        index = _cheapest(self.placement.contents, self._order[bs - 1], file)
+        self._update(bs, file, index == 0)
+        return index
 
     def serving_table(self):
-        """The sources this policy routes to and the (R+1, F+1) table of
-        which serves each (bs, file) under the current placement (see
+        """The (R+1, F+1) table of the :attr:`sources` index that serves
+        each (bs, file) under the current placement (see
         ``routing._serving_table``). Replay may use it in place of
         :meth:`serve` only for a plain ``Policy``, whose placement never
         changes."""
-        return _serving_table(self.placement.contents, self._order, self._cdn,
+        return _serving_table(self.placement.contents, self._order,
                               self.placement.num_files)
 
     def _update(self, bs, file, missed):

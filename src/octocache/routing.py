@@ -75,12 +75,12 @@ class Placement:
     share.
     """
 
-    __slots__ = ("capacities", "num_files", "contents")
+    __slots__ = ("capacities", "num_files", "contents", "_caps")
 
     def __init__(self, capacities, num_files, contents=None):
         self.capacities = capacities
         self.num_files = num_files
-        caps = capacities.as_list()
+        self._caps = caps = capacities.as_list()
         if contents is None:
             self.contents = [set() for _ in caps]
         else:
@@ -115,7 +115,7 @@ class Placement:
         return len(self.contents[cache])
 
     def is_full(self, cache):
-        return len(self.contents[cache]) >= self.capacities.as_list()[cache]
+        return len(self.contents[cache]) >= self._caps[cache]
 
     def add(self, file, cache):
         self._check_file(file)
@@ -140,9 +140,8 @@ class Placement:
         return sum(len(c) for c in self.contents)
 
     def is_feasible(self):
-        caps = self.capacities.as_list()
         for r, files in enumerate(self.contents):
-            if len(files) > caps[r]:
+            if len(files) > self._caps[r]:
                 return False
             if any(not 1 <= f <= self.num_files for f in files):
                 return False
@@ -201,47 +200,47 @@ def source_cost_table(topology, mode=RoutingMode.FULL):
 
 
 def _source_table(topology, mode):
-    """Per requesting BS b, entry b-1: ``(cache, Source)`` for every cache
-    :func:`source_cost_table` lets b reach, cheapest first, the lower cache
-    index first at equal cost; and the CDN :class:`Source`."""
+    """Every :class:`Source` some BS may be served from, the CDN first, and
+    per requesting BS b, entry b-1: ``(cache, index)`` into that list for
+    every cache :func:`source_cost_table` lets b reach, cheapest first, the
+    lower cache index first at equal cost."""
     cost = source_cost_table(topology, mode)
+    sources = [Source(SourceKind.CDN, None, topology.cdn_delay)]
     order = []
     for b, row in enumerate(cost.tolist(), start=1):
-        caches = sorted((c, k) for k, c in enumerate(row) if c != np.inf)
         kinds = {b: SourceKind.LOCAL_EDGE, 0: SourceKind.CLOUD}
-        order.append(tuple(
-            (k, Source(kinds.get(k, SourceKind.NEIGHBOR_EDGE), k, c))
-            for c, k in caches))
-    return order, Source(SourceKind.CDN, None, topology.cdn_delay)
+        caches = []
+        for c, k in sorted((c, k) for k, c in enumerate(row) if c != np.inf):
+            caches.append((k, len(sources)))
+            sources.append(Source(kinds.get(k, SourceKind.NEIGHBOR_EDGE), k, c))
+        order.append(tuple(caches))
+    return sources, order
 
 
-def _cheapest(contents, order, cdn, file):
-    """First cache in ``order`` whose contents hold ``file``, else the CDN."""
-    for cache, source in order:
+def _cheapest(contents, order, file):
+    """Source index of the first cache in ``order`` whose contents hold
+    ``file``, else 0 (the CDN)."""
+    for cache, index in order:
         if file in contents[cache]:
-            return source
-    return cdn
+            return index
+    return 0
 
 
-def _serving_table(contents, order, cdn, num_files):
+def _serving_table(contents, order, num_files):
     """:func:`_cheapest` for every request at once, for fixed ``contents``.
 
-    Returns every source ``order`` routes to, the CDN first, and an
-    (R+1, F+1) array whose entry [bs, file] indexes that list at the source
-    ``_cheapest(contents, order[bs - 1], cdn, file)`` picks; row 0 and
-    column 0 index the CDN. Each BS writes its caches in reverse order, so
-    the first holder in ``order`` wins.
+    Returns an (R+1, F+1) array whose entry [bs, file] is the source index
+    ``_cheapest(contents, order[bs - 1], file)``; row 0 and column 0 hold
+    0, the CDN. Each BS writes its caches in reverse order, so the first
+    holder in ``order`` wins.
     """
-    sources = [cdn]
     table = np.zeros((len(order) + 1, num_files + 1), dtype=np.intp)
     for bs, caches in enumerate(order, start=1):
-        for cache, source in reversed(caches):
+        for cache, index in reversed(caches):
             files = contents[cache]
             if files:
-                held = np.fromiter(files, dtype=np.intp, count=len(files))
-                table[bs, held] = len(sources)
-            sources.append(source)
-    return sources, table
+                table[bs, np.fromiter(files, dtype=np.intp, count=len(files))] = index
+    return table
 
 
 def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
@@ -271,8 +270,8 @@ def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
         raise ValueError(f"bs index {bs} outside 1..{R}")
     if not 1 <= file <= placement.num_files:
         raise ValueError(f"file index {file} outside 1..{placement.num_files}")
-    order, cdn = _source_table(topology, mode)
-    return _cheapest(placement.contents, order[bs - 1], cdn, file)
+    sources, order = _source_table(topology, mode)
+    return sources[_cheapest(placement.contents, order[bs - 1], file)]
 
 
 def _cached_mask(placement, num_caches):

@@ -140,12 +140,15 @@ class _EventView(Sequence):
                 and all(a == b for a, b in zip(self, other)))
 
 
-def _intern(column, order):
-    """Dense 0-based ids of the values of ``column`` read in ``order``,
-    numbered by first appearance, and the values by id."""
-    ids = {}
-    codes = [ids.setdefault(column[n], len(ids)) for n in order]
-    return np.array(codes, dtype=np.intp), tuple(ids)
+def _by_first_appearance(codes, labels):
+    """Renumber ``codes`` (0-based ids into ``labels``) by first appearance;
+    returns the new codes and the labels that appear, by new code."""
+    first = np.full(len(labels), codes.size, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    seen = np.argsort(first)[:np.count_nonzero(first < codes.size)]
+    renumber = np.empty(len(labels), dtype=np.intp)
+    renumber[seen] = np.arange(seen.size)
+    return renumber[codes], tuple(labels[k] for k in seen.tolist())
 
 
 def _looks_like_header(fields):
@@ -183,6 +186,7 @@ def parse_trace(source):
                 lines = itertools.chain((line,), lines)
             break
     times, users, contents = [], [], []
+    user_codes, content_codes = {}, {}  # label -> code, in file order
     malformed = 0
     isfinite = math.isfinite
     for line in lines:
@@ -205,8 +209,8 @@ def parse_trace(source):
             malformed += 1
             continue
         times.append(ts)
-        users.append(user)
-        contents.append(content)
+        users.append(user_codes.setdefault(user, len(user_codes)))
+        contents.append(content_codes.setdefault(content, len(content_codes)))
     considered = len(times) + malformed
     if considered and malformed / considered > MALFORMED_LINE_TOLERANCE:
         raise TraceFormatError(
@@ -216,9 +220,10 @@ def parse_trace(source):
         raise EmptyTraceError("no usable request events in input")
     times = np.array(times, dtype=np.float64)
     order = np.argsort(times, kind="stable")
-    sorted_order = order.tolist()
-    user_index, user_labels = _intern(users, sorted_order)
-    file_index, content_labels = _intern(contents, sorted_order)
+    user_index, user_labels = _by_first_appearance(
+        np.array(users, dtype=np.intp)[order], list(user_codes))
+    file_index, content_labels = _by_first_appearance(
+        np.array(contents, dtype=np.intp)[order], list(content_codes))
     return RequestTrace(times=times[order], user_index=user_index,
                         user_labels=user_labels, file_ids=file_index + 1,
                         catalog_size=len(content_labels),
@@ -271,13 +276,15 @@ def generate_requests(popularity, num_requests, users, seed):
         raise ValueError("num_requests must be >= 0")
     if not users:
         raise ValueError("users must be non-empty")
-    users = list(users)
+    ids = {}
+    user_codes = np.array([ids.setdefault(user, len(ids)) for user in users],
+                          dtype=np.intp)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(popularity.as_array())
     draws = np.searchsorted(cdf, rng.random(num_requests), side="right")
     files = np.minimum(draws, popularity.num_files - 1) + 1
-    who = rng.integers(0, len(users), size=num_requests)
-    user_index, user_labels = _intern(users, who.tolist())
+    who = rng.integers(0, len(user_codes), size=num_requests)
+    user_index, user_labels = _by_first_appearance(user_codes[who], list(ids))
     return RequestTrace(times=np.arange(num_requests, dtype=np.float64),
                         user_index=user_index, user_labels=user_labels,
                         file_ids=files.astype(np.intp, copy=False),

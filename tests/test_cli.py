@@ -404,6 +404,11 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
       "--files", "40", "--requests", "300"), "--cache-total"),
     (("sweep", "--axis", "policy", "--values", "eo,lru", "--files", "40",
       "--requests", "300"), "--cache-total"),
+    # a lone capacity_cloud would be ignored beside the budget
+    (("simulate", "--policy", "eo", "--config", "{cloud_only}", "--files", "40",
+      "--requests", "300", "--cache-total", "1GB"), "capacity_cloud"),
+    (("oracle", "--config", "{cloud_only}", "--files", "3",
+      "--cache-total", "200MB"), "capacity_cloud"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
@@ -415,6 +420,7 @@ def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
                                                    "users_per_bs = 0"),
         "capacity_edge_three": CANONICAL_CFG.replace("capacity_edge = 1",
                                                      "capacity_edge = 1, 1, 1"),
+        "cloud_only": "capacity_cloud = 0\n",
         "format_xml": "format = xml\n",
         "nul_trace": "trace = a\0b.csv\n",
     }

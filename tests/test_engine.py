@@ -211,6 +211,23 @@ def test_warmup_skips_uncovered_users(policy):
     assert metrics.requests_total + metrics.malformed_events == 800
 
 
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_evaluation_window_of_uncovered_users_tallies_nothing(policy, tmp_path):
+    # u1 makes the two warm-up requests; x, who has no home BS, makes all
+    # eight evaluation requests
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(f"{i},{'u1' if i < 2 else 'x'},c{i % 3}\n"
+                            for i in range(10)), encoding="utf-8")
+    config = ExperimentConfig(policy=policy, trace_path=str(path),
+                              topology=canonical_topology(),
+                              capacities=CacheCapacities(cloud=1, edge=(1, 1)),
+                              user_assignment={"u1": 1})
+    metrics = run_experiment(config)
+    assert metrics.requests_total == 0
+    assert metrics.sum_delay_ms == 0.0
+    assert metrics.malformed_events == 8
+
+
 def mixed_coverage_trace(path):
     """A trace with string ids, out-of-order times and bad lines, whose users
     x0 and x1 appear in both the warm-up and the evaluation window."""

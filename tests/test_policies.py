@@ -3,7 +3,8 @@ import pytest
 
 from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy, Placement,
                        OctopusPolicy, Popularity, RequestEvent, RoutingMode,
-                       SourceKind, Topology, make_policy, pcd, utility)
+                       SourceKind, Topology, make_policy, pcd, route_request,
+                       utility)
 
 from octocache.policies import _HEAP_SLACK, Policy
 from octocache.routing import _cheapest
@@ -252,7 +253,8 @@ def tie_heavy_topology(rng, num_bs):
 
 @pytest.mark.parametrize("mode", list(RoutingMode))
 def test_serving_table_equals_cheapest(mode):
-    # every (bs, file) entry names the very Source the per-request walk picks
+    # every (bs, file) entry is the source index the per-request walk picks,
+    # and that index names the Source route_request returns
     rng = np.random.default_rng(17)
     for _ in range(60):
         num_bs = int(rng.integers(1, 6))
@@ -260,16 +262,18 @@ def test_serving_table_equals_cheapest(mode):
         caps = CacheCapacities(cloud=int(rng.integers(0, 6)),
                                edge=tuple(int(c) for c in rng.integers(0, 6, num_bs)))
         placement = random_feasible_placement(rng, caps, num_files, fill=1.0)
-        policy = Policy("static", placement, tie_heavy_topology(rng, num_bs), mode)
-        sources, table = policy.serving_table()
+        topology = tie_heavy_topology(rng, num_bs)
+        policy = Policy("static", placement, topology, mode)
+        table = policy.serving_table()
         assert table.shape == (num_bs + 1, num_files + 1)
         assert set(table[0]) == {0} and set(table[:, 0]) == {0}
-        assert sources[0] is policy._cdn
+        assert policy.sources[0].kind is SourceKind.CDN
         for bs in range(1, num_bs + 1):
             for file in range(1, num_files + 1):
-                want = _cheapest(placement.contents, policy._order[bs - 1],
-                                 policy._cdn, file)
-                assert sources[table[bs, file]] is want
+                want = _cheapest(placement.contents, policy._order[bs - 1], file)
+                assert table[bs, file] == want
+                assert (route_request(placement, topology, bs, file, mode)
+                        == policy.sources[policy.serve(bs, file)])
 
 
 def test_serve_is_on_request_without_the_user_lookup(canonical):
@@ -280,5 +284,6 @@ def test_serve_is_on_request_without_the_user_lookup(canonical):
     for i in range(200):
         user, bs = (("u1", 1), ("u2", 2))[int(rng.integers(2))]
         file = int(rng.integers(1, 4))
-        assert by_event.on_request(req(i, user, file)) == by_bs.serve(bs, file)
+        assert (by_event.on_request(req(i, user, file))
+                == by_bs.sources[by_bs.serve(bs, file)])
     assert by_event.placement == by_bs.placement
