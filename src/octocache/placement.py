@@ -7,11 +7,12 @@
   file's copies, so each file's successive best copies form a chain whose
   gains never increase. A round grows the chains while their gains stay at
   or above a threshold, the n-th largest gain among the files' best copies
-  (n: the room left, or the live files if fewer), and merges the entries in
-  the greedy's order up to the first copy that fills a cache. Every entry
-  left out sorts after the merged ones, so the merge is exact, and each
-  round fills a cache or gives every live file a copy, so there are at most
-  2(R+1) rounds.
+  (n: the room left, or the live files if fewer), and commits the entries
+  in the greedy's order, up to the first copy that fills a cache, into the
+  ``UtilityEvaluator`` that values them, which holds the placement under
+  construction. Every entry left out sorts after the committed ones, so the
+  merge is exact, and each round fills a cache or gives every live file a
+  copy, so there are at most 2(R+1) rounds.
 * :func:`rcr` - reactive replacement after a cache miss: up to R+1 times,
   swap the minimum-marginal-loss cached copy for the newly fetched file,
   stopping at the first swap that fails to raise utility by more than
@@ -21,8 +22,8 @@
 * ``place_eo`` / ``place_ecnc`` / ``place_exmpc`` / ``place_femtox`` -
   static baseline placements.
 
-All tie-breaking is total (best value first, then lowest file index, then
-lowest cache index), so identical inputs produce identical placements.
+All tie-breaking is total (best value first, then lowest file, then lowest
+cache), so identical inputs produce identical placements.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import OracleSizeError
-from .routing import (_TABLE_CHUNK_ROWS, Placement, RoutingMode,
-                      UtilityEvaluator)
+from .routing import Placement, RoutingMode, UtilityEvaluator
 
 #: Guard on the number of placements brute_force_optimal may enumerate.
 ORACLE_ENUMERATION_LIMIT = 10_000_000
@@ -75,16 +75,6 @@ def _effective_sizes(capacities, num_files):
     return [min(cap, num_files) for cap in caps], warnings
 
 
-def _marginal_rows(ev, files, rival):
-    """``ev._marginals`` of ``files`` against ``rival`` (R, len(files)),
-    built ``_TABLE_CHUNK_ROWS`` rows at a time to bound the temporaries."""
-    rows = np.empty((files.size, ev.num_bs + 1))
-    for start in range(0, files.size, _TABLE_CHUNK_ROWS):
-        part = slice(start, start + _TABLE_CHUNK_ROWS)
-        rows[part] = ev._marginals(files[part], rival[:, part])
-    return rows
-
-
 def _best_open(gains, shut):
     """Per row, the first cache of largest gain among those not ``shut``,
     and that gain (-inf when every cache is shut)."""
@@ -93,22 +83,21 @@ def _best_open(gains, shut):
     return cache, gains[np.arange(cache.size), cache]
 
 
-def _chains(ev, files, cache, gain, held, best, closed, threshold):
+def _chains(ev, files, cache, gain, closed, threshold):
     """Each file's chain of successive best open copies, starting from its
-    frontier copy ``(cache, gain)``, for as long as the gains stay at or
-    above ``threshold``. ``held`` (n, R+1) and ``best`` (n, R) are the files'
-    mask rows and best t-values before the frontier copy.
+    frontier copy ``(cache, gain)`` on the evaluator's placement, for as
+    long as the gains stay at or above ``threshold``.
 
     Returns the entries as arrays (file, step, cache, gain)."""
-    t = ev.t_table
+    held = ev.mask[:, files].T
+    best = ev.best1[:, files].T
     entries = []
     step = 0
     while files.size:
         entries.append((files, np.full(files.size, step), cache, gain))
-        held = held.copy()
         held[np.arange(files.size), cache] = True
-        best = np.maximum(best, t[:, cache].T)
-        cache, gain = _best_open(_marginal_rows(ev, files, best.T), held | closed)
+        best = np.maximum(best, ev.t_table[:, cache].T)
+        cache, gain = _best_open(ev._marginals(files, best.T), held | closed)
         keep = gain >= threshold
         files, cache, gain = files[keep], cache[keep], gain[keep]
         held, best = held[keep], best[keep]
@@ -138,8 +127,9 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
        step in bulk, while each step's gain stays at or above ``T``;
     4. sorts the entries by (-gain, file, step), the greedy's own order;
     5. commits them in that order up to and including the first one that
-       fills a cache, or all of them if none does, and refreshes the gain
-       rows of the files it touched.
+       fills a cache, or all of them if none does, with one
+       ``UtilityEvaluator.add_copies``; the evaluator's placement is the
+       result, and its gain table refreshes the rows of the files touched.
 
     This is exactly the one-copy-at-a-time greedy. Along a chain the gains
     never increase, bit for bit: ``max(t - best1, 0)`` only falls as
@@ -169,26 +159,20 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     PlacementAlgorithmReport
     """
     num_files = catalog.num_files
-    if popularity.num_files != num_files:
-        raise ValueError("popularity length does not match catalog")
     sizes, warnings = _effective_sizes(capacities, num_files)
     ev = UtilityEvaluator(topology, popularity, Placement(capacities, num_files),
                           mode=mode)
-    held = ev.mask.T.copy()
-    best = ev.best1.T.copy()
-    gains = ev._gain_table().copy()
     room = np.array(sizes)
     chosen_files, chosen_caches, chosen_gains = [], [], []
     while room.any():
         closed = room == 0
-        cache, gain = _best_open(gains, held | closed)
+        cache, gain = _best_open(ev._gain_table(), ev.mask.T | closed)
         live = np.flatnonzero(gain > -np.inf)
         n = min(int(room.sum()), live.size)
         threshold = np.partition(gain[live], live.size - n)[live.size - n]
         files = live[gain[live] >= threshold]
         file, step, cache, gain = _chains(ev, files, cache[files], gain[files],
-                                          held[files], best[files], closed,
-                                          threshold)
+                                          closed, threshold)
         order = np.lexsort((step, file, -gain))
         file, cache, gain = file[order], cache[order], gain[order]
         end = file.size
@@ -200,21 +184,16 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
         chosen_files += (file + 1).tolist()
         chosen_caches += cache.tolist()
         chosen_gains += gain.tolist()
-        held[file, cache] = True
+        ev.add_copies(file + 1, cache)
         room -= np.bincount(cache, minlength=room.size)
-        np.maximum.at(best, file, ev.t_table[:, cache].T)
-        touched = np.unique(file)
-        gains[touched] = _marginal_rows(ev, touched, best[touched].T)
 
-    # cumsum adds in order, as a running total would
-    utility_trace = np.cumsum([ev.utility(), *chosen_gains]).tolist()
+    # from the empty placement's 0; cumsum adds in order, as a running total would
+    utility_trace = np.cumsum([0.0, *chosen_gains]).tolist()
     steps = [{"iteration": i, "file": f, "cache": c, "gain": g, "utility": u}
              for i, (f, c, g, u) in enumerate(zip(chosen_files, chosen_caches,
                                                   chosen_gains, utility_trace[1:]),
                                               start=1)]
-    placement = Placement(capacities, num_files,
-                          [(np.flatnonzero(column) + 1).tolist() for column in held.T])
-    return PlacementAlgorithmReport(placement=placement, iterations=len(steps),
+    return PlacementAlgorithmReport(placement=ev.placement, iterations=len(steps),
                                     utility_trace=utility_trace,
                                     steps=steps, warnings=warnings)
 
@@ -231,7 +210,11 @@ def _rcr_swaps(ev, new_file):
     evaluator keeps its min-loss copy between mutations, a miss that swaps
     nothing costs one gain-table read. A copy the new file already holds
     has gain exactly 0, so the loop never swaps the new file for itself.
+    Raises ``ValueError`` for a new file out of range or already cached.
     """
+    ev.placement._check_file(new_file)
+    if ev.mask[:, new_file - 1].any():
+        raise ValueError(f"file {new_file} is already cached")
     steps = []
     for attempt in range(ev.num_bs + 1):
         worst = ev.min_loss_element()
@@ -263,10 +246,6 @@ def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
     PlacementAlgorithmReport
         ``iterations`` counts committed swaps.
     """
-    if not 1 <= new_file <= placement.num_files:
-        raise ValueError(f"file index {new_file} outside 1..{placement.num_files}")
-    if placement.cached_anywhere(new_file):
-        raise ValueError(f"file {new_file} is already cached")
     ev = UtilityEvaluator(topology, popularity, placement, mode=mode)
     trace = [ev.utility()]
     steps = _rcr_swaps(ev, new_file)
@@ -291,15 +270,12 @@ def brute_force_optimal(topology, catalog, popularity, capacities,
         When the product of per-cache combination counts exceeds the guard.
     """
     F = catalog.num_files
-    if popularity.num_files != F:
-        raise ValueError("popularity length does not match catalog")
+    ev = UtilityEvaluator(topology, popularity, Placement(capacities, F), mode=mode)
     sizes, _ = _effective_sizes(capacities, F)
     total = math.prod(math.comb(F, size) for size in sizes)
     if total > ORACLE_ENUMERATION_LIMIT:
         raise OracleSizeError(f"instance needs {total} placements, above the "
                               f"enumeration bound {ORACLE_ENUMERATION_LIMIT}")
-
-    ev = UtilityEvaluator(topology, popularity, Placement(capacities, F), mode=mode)
     files = range(1, F + 1)
     best_utility = -1.0
     best = None
@@ -329,13 +305,13 @@ def top_popular(popularity, k):
     return (np.argsort(-popularity.as_array(), kind="stable")[:max(0, k)] + 1).tolist()
 
 
-def _edges_most_popular(topology, catalog, popularity, capacities):
+def _edges_most_popular(catalog, popularity, capacities):
     """A placement whose edge caches each hold their most popular files,
     with the popularity ranking and the per-cache fill targets."""
     sizes, _ = _effective_sizes(capacities, catalog.num_files)
     ranked = top_popular(popularity, catalog.num_files)
     placement = Placement(capacities, catalog.num_files)
-    for r in range(1, topology.num_bs + 1):
+    for r in range(1, len(sizes)):
         for f in ranked[:sizes[r]]:
             placement.add(f, r)
     return placement, ranked, sizes
@@ -345,15 +321,14 @@ def place_eo(topology, catalog, popularity, capacities):
     """Edge-only baseline: each edge cache independently stores its most
     popular files; the cloud cache stays empty. Meant to be evaluated under
     EDGE_ONLY routing (no cloud, no neighbor access)."""
-    return _edges_most_popular(topology, catalog, popularity, capacities)[0]
+    return _edges_most_popular(catalog, popularity, capacities)[0]
 
 
 def place_ecnc(topology, catalog, popularity, capacities):
     """Edge+cloud non-cooperative baseline: every cache, cloud included,
     independently stores the most popular files (duplication allowed).
     Meant to be evaluated under EDGE_CLOUD routing (no neighbor access)."""
-    placement, ranked, sizes = _edges_most_popular(topology, catalog, popularity,
-                                                   capacities)
+    placement, ranked, sizes = _edges_most_popular(catalog, popularity, capacities)
     for f in ranked[:sizes[0]]:
         placement.add(f, 0)
     return placement
@@ -363,8 +338,7 @@ def place_exmpc(topology, catalog, popularity, capacities):
     """Exclusively-most-popular baseline: edges store the most popular
     files; the cloud stores the most popular files not already held by any
     edge cache (second tier). Evaluated under FULL cooperative routing."""
-    placement, ranked, sizes = _edges_most_popular(topology, catalog, popularity,
-                                                   capacities)
+    placement, ranked, sizes = _edges_most_popular(catalog, popularity, capacities)
     # each edge holds a prefix of the ranking; no edge holds what follows the longest
     start = max(sizes[1:])
     for f in ranked[start:start + sizes[0]]:

@@ -25,7 +25,7 @@ from collections import OrderedDict
 
 from .placement import _rcr_swaps, pcd, place_ecnc, place_eo, place_exmpc, place_femtox
 from .routing import (Placement, RoutingMode, UtilityEvaluator, _cheapest,
-                      _serving_table, _source_table)
+                      _check_instance, _serving_table, _source_table)
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
@@ -47,6 +47,7 @@ class Policy:
     and :meth:`serving_table` name a server by its index there."""
 
     def __init__(self, name, placement, topology, routing_mode):
+        _check_instance(topology, placement)
         self.name = name
         self.placement = placement
         self.topology = topology
@@ -62,10 +63,8 @@ class Policy:
         doing bulk replay skip such events and tally them as malformed.
         """
         bs = self.topology.home_bs(event.user_id)
-        file = event.file_id
-        if not 1 <= file <= self.placement.num_files:
-            raise ValueError(f"file index {file} outside 1..{self.placement.num_files}")
-        return self.sources[self.serve(bs, file)]
+        self.placement._check_file(event.file_id)
+        return self.sources[self.serve(bs, event.file_id)]
 
     def serve(self, bs, file):
         """Route a request for ``file`` (1..F) from BS ``bs`` (1..R), which
@@ -107,8 +106,6 @@ class OctopusPolicy(Policy):
 
     def on_miss(self, file):
         """Reactive replacement for a file just fetched from the CDN."""
-        if self.placement.cached_anywhere(file):
-            raise ValueError(f"file {file} is already cached")
         return _rcr_swaps(self._ev, file)
 
 
@@ -160,7 +157,7 @@ class LfuPolicy(Policy):
     (edge cache of the home BS, plus the cloud). On a CDN miss the file is
     inserted at both caches, evicting the lowest-count resident, but only if
     the new file's count strictly exceeds the victim's. Counter ties evict
-    the least recently used, then the lowest file index. Counters never
+    the least recently used, then the lowest file. Counters never
     decay.
     """
 

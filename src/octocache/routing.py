@@ -24,6 +24,7 @@ duality can be checked rather than assumed.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +109,6 @@ class Placement:
     def contains(self, file, cache):
         return file in self.contents[cache]
 
-    def cached_anywhere(self, file):
-        return any(file in c for c in self.contents)
-
     def cache_size(self, cache):
         return len(self.contents[cache])
 
@@ -140,12 +138,8 @@ class Placement:
         return sum(len(c) for c in self.contents)
 
     def is_feasible(self):
-        for r, files in enumerate(self.contents):
-            if len(files) > self._caps[r]:
-                return False
-            if any(not 1 <= f <= self.num_files for f in files):
-                return False
-        return True
+        return all(len(files) <= cap and all(1 <= f <= self.num_files for f in files)
+                   for files, cap in zip(self.contents, self._caps))
 
     def copy(self):
         return Placement(self.capacities, self.num_files, self.contents)
@@ -169,33 +163,26 @@ def t_value_table(topology, mode=RoutingMode.FULL):
     mode. Sources a mode forbids contribute 0, i.e. the copy is worthless
     to that user.
     """
-    R = topology.num_bs
-    d0 = topology.cdn_delay
+    R, d0 = topology.num_bs, topology.cdn_delay
     t = np.zeros((R, R + 1))
-    for b in range(1, R + 1):
-        t[b - 1, b] = d0
-        if mode is not RoutingMode.EDGE_ONLY:
-            t[b - 1, 0] = d0 - topology.edge_delay[b - 1]
-        if mode is RoutingMode.FULL:
-            for k in range(1, R + 1):
-                if k != b:
-                    t[b - 1, k] = d0 - topology.peer_delay[b - 1][k - 1]
+    if mode is RoutingMode.FULL:
+        t[:, 1:] = d0 - np.asarray(topology.peer_delay, dtype=float)
+    if mode is not RoutingMode.EDGE_ONLY:
+        t[:, 0] = d0 - np.asarray(topology.edge_delay, dtype=float)
+    t[np.arange(R), np.arange(1, R + 1)] = d0
     return t
 
 
-def source_cost_table(topology, mode=RoutingMode.FULL):
+def source_cost_table(edge_delay, peer_delay, mode=RoutingMode.FULL):
     """Delay cost of serving BS b from cache k, shape (R, R+1), with
     ``inf`` for sources the routing mode forbids."""
-    R = topology.num_bs
+    R = len(edge_delay)
     cost = np.full((R, R + 1), np.inf)
-    for b in range(1, R + 1):
-        cost[b - 1, b] = 0.0
-        if mode is not RoutingMode.EDGE_ONLY:
-            cost[b - 1, 0] = topology.edge_delay[b - 1]
-        if mode is RoutingMode.FULL:
-            for k in range(1, R + 1):
-                if k != b:
-                    cost[b - 1, k] = topology.peer_delay[b - 1][k - 1]
+    if mode is RoutingMode.FULL:
+        cost[:, 1:] = peer_delay
+    if mode is not RoutingMode.EDGE_ONLY:
+        cost[:, 0] = edge_delay
+    cost[np.arange(R), np.arange(1, R + 1)] = 0.0
     return cost
 
 
@@ -203,9 +190,17 @@ def _source_table(topology, mode):
     """Every :class:`Source` some BS may be served from, the CDN first, and
     per requesting BS b, entry b-1: ``(cache, index)`` into that list for
     every cache :func:`source_cost_table` lets b reach, cheapest first, the
-    lower cache index first at equal cost."""
-    cost = source_cost_table(topology, mode)
-    sources = [Source(SourceKind.CDN, None, topology.cdn_delay)]
+    lower cache index first at equal cost. Both are tuples, built once per
+    network delays and mode and shared by every caller."""
+    return _source_table_of(tuple(topology.edge_delay),
+                            tuple(map(tuple, topology.peer_delay)),
+                            topology.cdn_delay, mode)
+
+
+@functools.lru_cache(maxsize=32)
+def _source_table_of(edge_delay, peer_delay, cdn_delay, mode):
+    cost = source_cost_table(edge_delay, peer_delay, mode)
+    sources = [Source(SourceKind.CDN, None, cdn_delay)]
     order = []
     for b, row in enumerate(cost.tolist(), start=1):
         kinds = {b: SourceKind.LOCAL_EDGE, 0: SourceKind.CLOUD}
@@ -214,7 +209,7 @@ def _source_table(topology, mode):
             caches.append((k, len(sources)))
             sources.append(Source(kinds.get(k, SourceKind.NEIGHBOR_EDGE), k, c))
         order.append(tuple(caches))
-    return sources, order
+    return tuple(sources), tuple(order)
 
 
 def _cheapest(contents, order, file):
@@ -265,13 +260,22 @@ def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
     -------
     Source
     """
-    R = topology.num_bs
-    if not 1 <= bs <= R:
-        raise ValueError(f"bs index {bs} outside 1..{R}")
-    if not 1 <= file <= placement.num_files:
-        raise ValueError(f"file index {file} outside 1..{placement.num_files}")
+    _check_instance(topology, placement)
+    if not 1 <= bs <= topology.num_bs:
+        raise ValueError(f"bs index {bs} outside 1..{topology.num_bs}")
+    placement._check_file(file)
     sources, order = _source_table(topology, mode)
     return sources[_cheapest(placement.contents, order[bs - 1], file)]
+
+
+def _check_instance(topology, placement, popularity=None):
+    """Raise ``ValueError`` unless ``placement`` has a cache per BS plus the
+    cloud and ``popularity``, if given, a probability per catalog file."""
+    R, F = topology.num_bs, placement.num_files
+    if placement.num_caches != R + 1:
+        raise ValueError(f"placement has {placement.num_caches} caches; {R} BSs need {R + 1}")
+    if popularity is not None and popularity.num_files != F:
+        raise ValueError(f"popularity of {popularity.num_files} files for a {F}-file catalog")
 
 
 def _cached_mask(placement, num_caches):
@@ -282,21 +286,18 @@ def _cached_mask(placement, num_caches):
     return mask
 
 
-def _delay_matrix(placement, topology, mode):
-    """Per (BS, file) optimal-route delay cost, shape (R, F), computed as a
-    min over explicit source costs (independently of the t-value path)."""
-    mask = _cached_mask(placement, topology.num_bs + 1)
-    cost = source_cost_table(topology, mode)
-    candidates = np.where(mask[None, :, :], cost[:, :, None], np.inf)
-    return np.minimum(candidates.min(axis=1), topology.cdn_delay)
-
-
 def total_expected_delay(placement, topology, popularity,
                          mode=RoutingMode.FULL):
-    """Total expected delay [ms] summed over every user in the topology."""
-    delays = _delay_matrix(placement, topology, mode)
-    counts = topology.bs_user_counts()
-    return float(counts @ delays @ popularity.as_array())
+    """Total expected delay [ms] summed over every user in the topology.
+
+    Each (BS, file) pays its optimal route's cost, a min over explicit
+    source costs (independently of the t-value path)."""
+    _check_instance(topology, placement, popularity)
+    cost = source_cost_table(topology.edge_delay, topology.peer_delay, mode)
+    held = _cached_mask(placement, topology.num_bs + 1)[None, :, :]
+    delays = np.minimum(np.where(held, cost[:, :, None], np.inf).min(axis=1),
+                        topology.cdn_delay)
+    return float(topology.bs_user_counts() @ delays @ popularity.as_array())
 
 
 def utility(placement, topology, popularity, mode=RoutingMode.FULL):
@@ -339,19 +340,19 @@ class UtilityEvaluator:
     holds the file) and marginal loss (``inf`` where it does not), both
     ``p_j * sum_b count_b * max(t[b, k] - rival[b, j], 0)``: the rival is
     ``best1`` for a gain and the holders' second-best t-value for a loss.
-    A file's gain and loss depend only on its own mask column, so
-    :meth:`add` and :meth:`remove` update one mask cell and its ``best1``
-    column and mark the file's rows stale; a table read recomputes its
-    stale rows at once. The evaluator owns its placement copy: mutate
-    through :meth:`add` / :meth:`remove` only. A table read refreshes that
-    table, so even reads need exclusive access while any row is stale.
+    :meth:`_marginals`, the one code that works in chunks of
+    ``_TABLE_CHUNK_ROWS`` files, computes both. A file's gain and loss
+    depend only on its own mask column, so :meth:`add`, :meth:`remove` and
+    the bulk :meth:`add_copies` update the mask and ``best1`` and mark the
+    files' rows stale; a table read recomputes its stale rows at once. The
+    evaluator owns its placement copy: mutate through those three only. A
+    table read refreshes that table, so even reads need exclusive access
+    while any row is stale. A placement or popularity that does not fit
+    the topology or catalog is a ``ValueError``.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
-        if popularity.num_files != placement.num_files:
-            raise ValueError("popularity length does not match placement catalog")
-        if placement.num_caches != topology.num_bs + 1:
-            raise ValueError("placement cache count does not match topology")
+        _check_instance(topology, placement, popularity)
         self.placement = placement.copy()
         self.probs = popularity.as_array()
         self.counts = topology.bs_user_counts()
@@ -371,28 +372,38 @@ class UtilityEvaluator:
     def utility(self):
         return float(self.counts @ self.best1 @ self.probs)
 
-    def _marginals(self, js, rival):
-        """``p_j * sum_b count_b * max(t[b, k] - rival[b, j], 0)`` for files
-        ``js``, shape (len(js), R+1). numpy adds the outer (BS) axis slice by
-        slice in BS order (no BLAS dot, no pairwise blocks), so a row built
-        alone is bitwise equal to the same row built in bulk."""
-        drop = np.maximum(self.t_table[:, None, :] - rival[:, :, None], 0.0)
-        drop *= self.counts[:, None, None]
-        return self.probs[js, None] * drop.sum(axis=0)
+    def _marginals(self, js, rival=None):
+        """``p_j * sum_b count_b * max(t[b, k] - rival[b, n], 0)`` for files
+        ``j = js[n]``, shape (len(js), R+1); the rival defaults to the
+        holders' second-best t-value, for a loss. Built ``_TABLE_CHUNK_ROWS``
+        files at a time to bound the temporaries. numpy adds the BS axis in
+        BS order (no BLAS dot, no pairwise blocks), so a row built alone is
+        bitwise equal to the same row built in bulk."""
+        rows = np.empty((js.size, self.num_bs + 1))
+        for start in range(0, js.size, _TABLE_CHUNK_ROWS):
+            part = slice(start, start + _TABLE_CHUNK_ROWS)
+            versus = rival[:, part] if rival is not None else np.partition(
+                self.t_table[:, :, None] * self.mask[:, js[part]], -2, axis=1)[:, -2, :]
+            drop = np.maximum(self.t_table[:, None, :] - versus[:, :, None], 0.0)
+            drop *= self.counts[:, None, None]
+            rows[part] = self.probs[js[part], None] * drop.sum(axis=0)
+        return rows
 
     def _gain_table(self):
         """The gain table, its stale rows recomputed first."""
-        for js in _stale_chunks(self._gains_stale):
+        if self._gains_stale.any():
+            js = np.flatnonzero(self._gains_stale)
             self._gains[js] = self._marginals(js, self.best1[:, js])
+            self._gains_stale[js] = False
         return self._gains
 
     def _loss_table(self):
         """The loss table, its stale rows recomputed first; a user falls back
         to its second-best holder, or to the CDN (t-value 0)."""
-        for js in _stale_chunks(self._losses_stale):
-            held = self.mask[:, js]
-            best2 = np.partition(self.t_table[:, :, None] * held, -2, axis=1)[:, -2, :]
-            self._losses[js] = np.where(held.T, self._marginals(js, best2), np.inf)
+        if self._losses_stale.any():
+            js = np.flatnonzero(self._losses_stale)
+            self._losses[js] = np.where(self.mask[:, js].T, self._marginals(js), np.inf)
+            self._losses_stale[js] = False
         return self._losses
 
     def marginal_gain(self, file, cache):
@@ -414,8 +425,8 @@ class UtilityEvaluator:
         """The cached copy with the smallest marginal loss, as a tuple
         (loss, file, cache); ties prefer the lower file then cache index.
         Returns None when nothing is cached. The result is kept until the
-        next :meth:`add` or :meth:`remove`, so repeated calls between
-        mutations cost no table read."""
+        next mutation, so repeated calls between mutations cost no table
+        read."""
         if self._min_loss_stale:
             losses = self._loss_table()
             j, cache = divmod(int(losses.argmin()), self.num_bs + 1)
@@ -434,18 +445,34 @@ class UtilityEvaluator:
         self.placement.remove(file, cache)
         self._update_column(file, cache, False)
 
+    def add_copies(self, files, caches):
+        """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
+        once. Raises ``ValueError``, before any change, on a file or cache out
+        of range, a copy held or given twice, or a cache it would overflow."""
+        placement = self.placement
+        for file, cache in ((files.min(), caches.min()), (files.max(), caches.max())):
+            placement._check_file(int(file))
+            placement._check_cache(int(cache))
+        js = files - 1
+        keys = np.sort(js * (self.num_bs + 1) + caches)
+        if self.mask[caches, js].any() or (keys[1:] == keys[:-1]).any():
+            raise ValueError("a copy is already placed or given twice")
+        counts = np.bincount(caches, minlength=placement.num_caches)
+        over = counts + [len(c) for c in placement.contents] > placement._caps
+        if over.any():
+            raise ValueError(f"cache {int(over.argmax())} would overflow its capacity")
+        self.mask[caches, js] = True
+        for cache in np.flatnonzero(counts).tolist():
+            cols = js[caches == cache]  # distinct files
+            placement.contents[cache].update((cols + 1).tolist())
+            self.best1[:, cols] = np.maximum(self.best1[:, cols], self.t_table[:, cache, None])
+        self._gains_stale[js] = self._losses_stale[js] = True
+        self._min_loss_stale = True
+
     def _update_column(self, file, cache, held):
         j = file - 1
         self.mask[cache, j] = held
         self.best1[:, j] = (self.t_table * self.mask[:, j]).max(axis=1)
-        self._gains_stale[j] = True
-        self._losses_stale[j] = True
+        self._gains_stale[j] = self._losses_stale[j] = True
         self._min_loss_stale = True
 
-
-def _stale_chunks(stale):
-    """The flagged indices in chunks of ``_TABLE_CHUNK_ROWS``; clears the flags."""
-    rows = np.flatnonzero(stale)
-    for start in range(0, rows.size, _TABLE_CHUNK_ROWS):
-        yield rows[start:start + _TABLE_CHUNK_ROWS]
-    stale[rows] = False

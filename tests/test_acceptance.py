@@ -183,7 +183,7 @@ def test_criterion_05_rcr_improvement():
             stale_pop.as_array() * rng.uniform(0.2, 5.0, catalog.num_files))
         warm = pcd(topo, catalog, stale_pop, caps)
         uncached = [f for f in range(1, catalog.num_files + 1)
-                    if not warm.placement.cached_anywhere(f)]
+                    if not any(f in c for c in warm.placement.contents)]
         if not uncached:
             continue
         new_file = uncached[int(rng.integers(len(uncached)))]

@@ -277,7 +277,7 @@ def test_rcr_never_decreases_utility_and_respects_capacity():
         topo, catalog, pop, caps = random_instance(rng, max_files=8, max_cap=2)
         report = pcd(topo, catalog, pop, caps)
         uncached = [f for f in range(1, catalog.num_files + 1)
-                    if not report.placement.cached_anywhere(f)]
+                    if not any(f in c for c in report.placement.contents)]
         if not uncached:
             continue
         new_file = uncached[int(rng.integers(len(uncached)))]
@@ -300,7 +300,7 @@ def test_rcr_never_swaps_new_file_for_itself():
         topo, catalog, pop, caps = random_instance(rng, max_bs=4, max_files=10, max_cap=3)
         placement = random_feasible_placement(rng, caps, catalog.num_files, fill=1.0)
         uncached = [f for f in range(1, catalog.num_files + 1)
-                    if not placement.cached_anywhere(f)]
+                    if not any(f in c for c in placement.contents)]
         if not uncached:
             continue
         new_file = uncached[int(rng.integers(len(uncached)))]
@@ -319,7 +319,7 @@ def test_rcr_commits_no_float_noise_swaps():
         pop = Popularity.from_weights(rng.integers(1, 3, catalog.num_files).astype(float))
         warm = pcd(topo, catalog, pop, caps).placement
         uncached = [f for f in range(1, catalog.num_files + 1)
-                    if not warm.cached_anywhere(f)]
+                    if not any(f in c for c in warm.contents)]
         if not uncached:
             continue
         new_file = uncached[int(rng.integers(len(uncached)))]

@@ -163,7 +163,7 @@ def test_octopus_rcr_disabled_is_static(canonical):
     assert not isinstance(policy, OctopusPolicy)
     assert policy.name == "octopus" and policy.routing_mode is RoutingMode.FULL
     assert policy.placement == warm
-    missing = next(f for f in range(1, 5) if not warm.cached_anywhere(f))
+    missing = next(f for f in range(1, 5) if not any(f in c for c in warm.contents))
     assert policy.on_request(req(0, "u1", missing)).kind is SourceKind.CDN
     assert policy.placement == warm
 

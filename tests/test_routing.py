@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from octocache import (CacheCapacities, Placement, Popularity, RoutingMode,
-                       SourceKind, Topology, marginal_gain, marginal_loss,
+from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy,
+                       Placement, Popularity, RoutingMode, SourceKind,
+                       Topology, make_policy, marginal_gain, marginal_loss,
                        route_request, total_expected_delay, utility)
 from octocache.routing import UtilityEvaluator
 from octocache.topology import uturn_peer_delays
@@ -66,6 +67,54 @@ def test_route_invalid_arguments(canonical):
         route_request(placement, topo, 3, 1)
     with pytest.raises(ValueError):
         route_request(placement, topo, 1, 4)
+
+
+def _three_bs_topology():
+    delays = (10.0, 20.0, 30.0)
+    return Topology(num_bs=3, edge_delay=delays, peer_delay=uturn_peer_delays(delays),
+                    cdn_delay=100.0, users={"u1": 1, "u2": 2, "u3": 3})
+
+
+_TWO_BS_CAPS = CacheCapacities(cloud=1, edge=(1, 1))
+_THREE_BS_CAPS = CacheCapacities(cloud=1, edge=(1, 1, 1))
+_UNIFORM_4 = Popularity.from_weights([1.0] * 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda topo: total_expected_delay(Placement(_TWO_BS_CAPS, 4, [{1}, {2}, {3}]),
+                                       topo, _UNIFORM_4),
+     "placement has 3 caches; 3 BSs need 4"),
+    (lambda topo: total_expected_delay(Placement(_THREE_BS_CAPS, 4), topo,
+                                       Popularity.from_weights([1.0] * 5)),
+     "popularity of 5 files for a 4-file catalog"),
+    (lambda topo: route_request(Placement(_TWO_BS_CAPS, 4, [{1}, {2}, {3}]), topo, 3, 4),
+     "placement has 3 caches; 3 BSs need 4"),
+    (lambda topo: LfuPolicy(topo, _TWO_BS_CAPS, 4).serve(3, 4),
+     "placement has 3 caches; 3 BSs need 4"),
+    (lambda topo: LruPolicy(topo, _TWO_BS_CAPS, 4).serve(3, 4),
+     "placement has 3 caches; 3 BSs need 4"),
+    (lambda topo: make_policy("eo", topo, Catalog(num_files=4), _UNIFORM_4,
+                              _TWO_BS_CAPS, topo.users),
+     "placement has 3 caches; 3 BSs need 4"),
+], ids=["delay-placement", "delay-popularity", "route", "lfu", "lru", "eo"])
+def test_instance_mismatch_is_a_value_error_naming_it(call, message):
+    # a placement or capacities for 2 BSs on a 3-BS topology, or a popularity
+    # for another catalog, is rejected before any routing or arithmetic
+    with pytest.raises(ValueError, match=message):
+        call(_three_bs_topology())
+
+
+def test_route_request_shares_one_source_table_per_network(canonical):
+    # the sources are built once per network delays and routing mode, so
+    # every call, also on another topology object of the same network,
+    # returns the same Source object
+    topo, _, _, caps = canonical
+    placement = Placement(caps, 3)
+    placement.add(1, 0)
+    first = route_request(placement, topo, 1, 1)
+    assert first.kind is SourceKind.CLOUD
+    assert route_request(placement, topo, 1, 1) is first
+    assert route_request(placement, topo.with_users({"v": 2}), 1, 1) is first
 
 
 def test_route_modes_restrict_sources(canonical):
@@ -271,8 +320,9 @@ def test_monotonicity_and_submodularity_random():
 
 # ------------------------------------------------- evaluator bookkeeping
 
-def _mutate(rng, ev, num_files):
-    """One random add or remove on the evaluator, when one is possible."""
+def _mutate(rng, ev, num_files, bulk=False):
+    """One random add or remove on the evaluator, when one is possible. With
+    ``bulk``, half the adds are one ``add_copies`` of random open copies."""
     elements = ev.placement.elements()
     if elements and rng.random() < 0.4:
         file, cache = elements[int(rng.integers(len(elements)))]
@@ -282,8 +332,21 @@ def _mutate(rng, ev, num_files):
              for f in range(1, num_files + 1)
              if not ev.placement.contains(f, c)
              and not ev.placement.is_full(c)]
-    if cands:
+    if not cands:
+        return
+    if not bulk or rng.random() < 0.5:
         ev.add(*cands[int(rng.integers(len(cands)))])
+        return
+    room = [cap - ev.placement.cache_size(c)
+            for c, cap in enumerate(ev.placement.capacities.as_list())]
+    batch = []
+    for i in rng.permutation(len(cands))[:int(rng.integers(1, len(cands) + 1))]:
+        file, cache = cands[i]
+        if room[cache]:
+            room[cache] -= 1
+            batch.append((file, cache))
+    files, caches = np.array(batch).T
+    ev.add_copies(files, caches)
 
 
 def _assert_marginals_match_reference(ev, topo, pop, mode):
@@ -330,8 +393,9 @@ def test_evaluator_matches_scratch_after_mutations():
             ev = UtilityEvaluator(topo, pop, Placement(caps, catalog.num_files),
                                   mode=mode)
             for step in range(40):
-                _mutate(rng, ev, catalog.num_files)
+                _mutate(rng, ev, catalog.num_files, bulk=True)
                 fresh = UtilityEvaluator(topo, pop, ev.placement, mode=mode)
+                assert np.array_equal(ev.mask, fresh.mask)
                 assert np.array_equal(ev.best1, fresh.best1)
                 assert ev.utility() == pytest.approx(reference_utility(
                     topo, pop, ev.placement.contents, mode.value), rel=1e-9)
@@ -339,6 +403,31 @@ def test_evaluator_matches_scratch_after_mutations():
                 if step % 3 == 2:  # let stale gain rows pile up between reads
                     assert np.array_equal(ev._loss_table(), fresh._loss_table())
                     assert np.array_equal(ev._gain_table(), fresh._gain_table())
+
+
+@pytest.mark.parametrize("files, caches", [
+    ([3, 1], [1, 0]),   # file 1 is already in the cloud
+    ([3, 5], [1, 1]),   # file 5 is outside 1..4
+    ([3, 3], [2, 2]),   # the same copy twice
+    ([3, 4], [0, 0]),   # the cloud holds 2 of 3 and gets 2 more
+    ([3, 2], [1, 3]),   # cache 3 does not exist
+])
+def test_add_copies_rejects_a_bad_copy_before_any_change(canonical, files, caches):
+    topo, _, _, _ = canonical
+    pop = Popularity.from_weights([4.0, 3.0, 2.0, 1.0])
+    ev = UtilityEvaluator(topo, pop, Placement(CacheCapacities(cloud=3, edge=(2, 2)), 4,
+                                               [{1, 2}, {1}, set()]))
+    ev._loss_table()
+    before = (ev.placement.copy(), ev.mask.copy(), ev.best1.copy(),
+              ev._gain_table().copy(), ev._loss_table().copy(), ev.min_loss_element())
+    with pytest.raises(ValueError):
+        ev.add_copies(np.array(files), np.array(caches))
+    after = (ev.placement, ev.mask, ev.best1, ev._gain_table(), ev._loss_table(),
+             ev.min_loss_element())
+    assert before[0] == after[0] and before[5] == after[5]
+    for old, new in zip(before[1:5], after[1:5]):
+        assert np.array_equal(old, new)
+    assert not ev._gains_stale.any() and not ev._losses_stale.any()
 
 
 def test_evaluator_min_loss_matches_scan():
