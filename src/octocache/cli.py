@@ -555,6 +555,10 @@ def main(argv=None):
               file=sys.stderr)
         print(f"octocache: config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("octocache: config error: the configured sizes do not fit in memory",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

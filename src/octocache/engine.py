@@ -167,9 +167,9 @@ def run_experiment(config):
     serving-table lookup, the others through ``Policy.serve``. The pass of
     the cold reactive policies (lfu, lru) starts at request 0, so their
     warm-up is its head; the others start at the evaluation window. It
-    skips events of users the assignment does not cover and of files
-    outside the catalog, and only the evaluation window, tallied once,
-    counts them as malformed. Deterministic per master seed.
+    skips events of users the assignment does not cover, and only the
+    evaluation window, tallied once, counts them as malformed.
+    Deterministic per master seed.
     """
     config.validate()
     seeds = config.seeds()
@@ -213,7 +213,7 @@ def run_experiment(config):
     homes = np.fromiter((topology.users.get(user, 0) for user in trace.user_labels),
                         dtype=np.intp, count=len(trace.user_labels))
     bs, files = homes[trace.user_index], trace.file_ids
-    valid = (bs > 0) & (files >= 1) & (files <= catalog.num_files)
+    valid = bs > 0
     # cold policies warm up on the estimation window: the head of their pass
     start = 0 if isinstance(policy, (LfuPolicy, LruPolicy)) else warm_count
     keep = valid[start:]

@@ -305,45 +305,37 @@ def top_popular(popularity, k):
     return (np.argsort(-popularity.as_array(), kind="stable")[:max(0, k)] + 1).tolist()
 
 
-def _edges_most_popular(catalog, popularity, capacities):
-    """A placement whose edge caches each hold their most popular files,
-    with the popularity ranking and the per-cache fill targets."""
-    sizes, _ = _effective_sizes(capacities, catalog.num_files)
-    ranked = top_popular(popularity, catalog.num_files)
-    placement = Placement(capacities, catalog.num_files)
-    for r in range(1, len(sizes)):
-        for f in ranked[:sizes[r]]:
-            placement.add(f, r)
-    return placement, ranked, sizes
-
-
 def place_eo(topology, catalog, popularity, capacities):
     """Edge-only baseline: each edge cache independently stores its most
     popular files; the cloud cache stays empty. Meant to be evaluated under
     EDGE_ONLY routing (no cloud, no neighbor access)."""
-    return _edges_most_popular(catalog, popularity, capacities)[0]
+    (_, *edges), _ = _effective_sizes(capacities, catalog.num_files)
+    ranked = top_popular(popularity, catalog.num_files)
+    return Placement(capacities, catalog.num_files,
+                     [(), *(ranked[:size] for size in edges)])
 
 
 def place_ecnc(topology, catalog, popularity, capacities):
     """Edge+cloud non-cooperative baseline: every cache, cloud included,
     independently stores the most popular files (duplication allowed).
     Meant to be evaluated under EDGE_CLOUD routing (no neighbor access)."""
-    placement, ranked, sizes = _edges_most_popular(catalog, popularity, capacities)
-    for f in ranked[:sizes[0]]:
-        placement.add(f, 0)
-    return placement
+    sizes, _ = _effective_sizes(capacities, catalog.num_files)
+    ranked = top_popular(popularity, catalog.num_files)
+    return Placement(capacities, catalog.num_files,
+                     [ranked[:size] for size in sizes])
 
 
 def place_exmpc(topology, catalog, popularity, capacities):
     """Exclusively-most-popular baseline: edges store the most popular
     files; the cloud stores the most popular files not already held by any
-    edge cache (second tier). Evaluated under FULL cooperative routing."""
-    placement, ranked, sizes = _edges_most_popular(catalog, popularity, capacities)
-    # each edge holds a prefix of the ranking; no edge holds what follows the longest
-    start = max(sizes[1:])
-    for f in ranked[start:start + sizes[0]]:
-        placement.add(f, 0)
-    return placement
+    edge cache (second tier). Each edge holds a prefix of the ranking, so
+    the cloud takes the ranks that start after the longest edge. Evaluated
+    under FULL cooperative routing."""
+    (cloud, *edges), _ = _effective_sizes(capacities, catalog.num_files)
+    ranked = top_popular(popularity, catalog.num_files)
+    start = max(edges)
+    return Placement(capacities, catalog.num_files,
+                     [ranked[start:start + cloud], *(ranked[:size] for size in edges)])
 
 
 def place_femtox(topology, catalog, popularity, capacities):

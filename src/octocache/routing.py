@@ -71,9 +71,10 @@ class Placement:
 
     A placement is feasible when every cache holds at most its capacity.
     The same file may be replicated across caches but appears at most once
-    within a cache. ``add``/``remove`` enforce feasibility; mutation
-    requires exclusive access, reads of a stable placement are safe to
-    share.
+    within a cache. The constructor checks each cache's size and its
+    smallest and largest file; ``add``/``remove`` enforce feasibility;
+    mutation requires exclusive access, reads of a stable placement are
+    safe to share.
     """
 
     __slots__ = ("capacities", "num_files", "contents", "_caps")
@@ -89,8 +90,9 @@ class Placement:
                 raise ValueError(f"expected {len(caps)} cache sets, got {len(contents)}")
             self.contents = [set(c) for c in contents]
             for r, files in enumerate(self.contents):
-                for f in files:
-                    self._check_file(f)
+                if files:
+                    self._check_file(min(files))
+                    self._check_file(max(files))
                 if len(files) > caps[r]:
                     raise ValueError(f"cache {r} over capacity: {len(files)} > {caps[r]}")
 
@@ -138,7 +140,8 @@ class Placement:
         return sum(len(c) for c in self.contents)
 
     def is_feasible(self):
-        return all(len(files) <= cap and all(1 <= f <= self.num_files for f in files)
+        return all(len(files) <= cap
+                   and (not files or 1 <= min(files) and max(files) <= self.num_files)
                    for files, cap in zip(self.contents, self._caps))
 
     def copy(self):
@@ -226,15 +229,14 @@ def _serving_table(contents, order, num_files):
 
     Returns an (R+1, F+1) array whose entry [bs, file] is the source index
     ``_cheapest(contents, order[bs - 1], file)``; row 0 and column 0 hold
-    0, the CDN. Each BS writes its caches in reverse order, so the first
-    holder in ``order`` wins.
+    0, the CDN. Each cache becomes an array once, and each BS writes its
+    caches in reverse order, so the first holder in ``order`` wins.
     """
+    arrays = [np.fromiter(files, dtype=np.intp, count=len(files)) for files in contents]
     table = np.zeros((len(order) + 1, num_files + 1), dtype=np.intp)
     for bs, caches in enumerate(order, start=1):
         for cache, index in reversed(caches):
-            files = contents[cache]
-            if files:
-                table[bs, np.fromiter(files, dtype=np.intp, count=len(files))] = index
+            table[bs, arrays[cache]] = index
     return table
 
 

@@ -355,6 +355,13 @@ SMALL = ("--files", "30", "--requests", "300", "--cache-total", "1GB")
     ("oracle", "--config", "{num_bs_mismatch}"),
     ("oracle", "--config", "{nan_popularity}"),
     ("oracle", "--config", "{nan_edge_delay}"),
+    # 10^18 files: the first array asks for 8 EB and fails at once
+    ("simulate", "--policy", "eo", "--files", "1000000000000000000",
+     "--requests", "10", "--cache-total", "1GB"),
+    ("gen-trace", "--files", "1000000000000000000", "--requests", "3"),
+    ("oracle", "--files", "1000000000000000000", "--cache-total", "1GB"),
+    ("sweep", "--axis", "policy", "--values", "eo", "--files",
+     "1000000000000000000", "--requests", "10", "--cache-total", "1GB"),
 ])
 def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
     configs = {

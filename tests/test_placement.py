@@ -467,6 +467,41 @@ def test_place_exmpc_cloud_takes_second_tier():
         assert placement.contents[0] == want
 
 
+def _rank_reference(kind, catalog, pop, caps):
+    """eo, ecnc or exmpc built copy by copy through ``Placement.add``:
+    each edge takes the head of the ranking, and the cloud nothing (eo),
+    the head (ecnc) or the ranks after the longest edge (exmpc)."""
+    num_files = catalog.num_files
+    sizes = [min(cap, num_files) for cap in caps.as_list()]
+    ranked = top_popular(pop, num_files)
+    placement = Placement(caps, num_files)
+    for cache in range(1, len(sizes)):
+        for f in ranked[:sizes[cache]]:
+            placement.add(f, cache)
+    start = {"eo": num_files, "ecnc": 0, "exmpc": max(sizes[1:])}[kind]
+    for f in ranked[start:start + sizes[0]]:
+        placement.add(f, 0)
+    return placement
+
+
+def test_rank_baselines_equal_per_file_reference():
+    # unequal edges, capacities above the catalog and tie-heavy weights
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        num_bs, num_files = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        weights = rng.integers(0, 4, num_files).astype(float)
+        weights[rng.integers(num_files)] += 1.0
+        pop = Popularity.from_weights(weights)
+        catalog = Catalog(num_files=num_files)
+        caps = CacheCapacities(cloud=int(rng.integers(0, num_files + 3)),
+                               edge=tuple(rng.integers(0, num_files + 3, num_bs).tolist()))
+        for kind, place in (("eo", place_eo), ("ecnc", place_ecnc),
+                            ("exmpc", place_exmpc)):
+            placement = place(None, catalog, pop, caps)
+            assert placement.contents == _rank_reference(kind, catalog, pop, caps).contents
+            assert all(type(f) is int for files in placement.contents for f in files)
+
+
 def test_place_femtox_single_bs_equals_pcd():
     topo = Topology(num_bs=1, edge_delay=(12.0,), peer_delay=((0.0,),),
                     cdn_delay=90.0, users=(("u", 1), ("v", 1)))

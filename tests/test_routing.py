@@ -458,6 +458,24 @@ def test_evaluator_losses_with_tied_t_values(mode):
             _assert_marginals_match_reference(ev, topo, pop, mode)
 
 
+@pytest.mark.parametrize("contents, message", [
+    ([{1, 2}, {0, 3}, {4}], "file index 0 outside 1..4"),
+    ([{1}, {2, 5}, {3, 4}], "file index 5 outside 1..4"),
+    ([{1, 2, 3}, {1}, {2}], "cache 0 over capacity: 3 > 2"),
+    ([{1}, {2}], "expected 3 cache sets, got 2"),
+], ids=["file-0", "file-5", "cloud-over", "two-sets"])
+def test_placement_rejects_bad_contents(contents, message):
+    with pytest.raises(ValueError, match=message):
+        Placement(CacheCapacities(cloud=2, edge=(2, 2)), 4, contents)
+
+
+def test_is_feasible_sees_a_file_out_of_range():
+    placement = Placement(CacheCapacities(cloud=2, edge=(2, 2)), 4, [{1, 4}, {2}, {3, 4}])
+    assert placement.is_feasible()
+    placement.contents[1].add(5)
+    assert not placement.is_feasible()
+
+
 # ---------------------------------------------------------------- matroid
 
 def test_feasibility_downward_closed():
