@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .policies import POLICY_NAMES, LfuPolicy, LruPolicy, Policy, make_policy
+from .policies import POLICY_NAMES, make_policy
 from .routing import SourceKind
 from .topology import (Catalog, build_paper_topology, capacities_from_budget)
 from .workload import (assign_users, estimate_popularity, generate_requests,
@@ -162,13 +162,12 @@ def run_experiment(config):
 
     Builds topology and workload from derived seeds, estimates popularity
     over the warm-up window (unless given explicitly) and constructs the
-    policy. One pass then names each request's server by its index in
-    ``policy.sources``: a static placement (a plain ``Policy``) by a
-    serving-table lookup, the others through ``Policy.serve``. The pass of
-    the cold reactive policies (lfu, lru) starts at request 0, so their
-    warm-up is its head; the others start at the evaluation window. It
-    skips events of users the assignment does not cover, and only the
-    evaluation window, tallied once, counts them as malformed.
+    policy. One ``Policy.replay`` call then names each request's server by
+    its index in ``policy.sources``. A policy whose placement starts empty
+    (lfu, lru) replays from request 0, so the warm-up window is the head of
+    its pass; a policy placed from that window replays from the evaluation
+    window. The pass skips events of users the assignment does not cover,
+    and only the evaluation window, tallied once, counts them as malformed.
     Deterministic per master seed.
     """
     config.validate()
@@ -214,16 +213,12 @@ def run_experiment(config):
                         dtype=np.intp, count=len(trace.user_labels))
     bs, files = homes[trace.user_index], trace.file_ids
     valid = bs > 0
-    # cold policies warm up on the estimation window: the head of their pass
-    start = 0 if isinstance(policy, (LfuPolicy, LruPolicy)) else warm_count
+    # a policy that starts empty (lfu, lru) learns from the warm-up window,
+    # the head of its pass; one placed from that window starts after it
+    start = warm_count if policy.placement.size() else 0
     keep = valid[start:]
     bs, files = bs[start:][keep], files[start:][keep]
-    if type(policy) is Policy:
-        served = policy.serving_table()[bs, files]
-    else:
-        served = np.fromiter(map(policy.serve, bs.tolist(), files.tolist()),
-                             dtype=np.intp, count=bs.size)
-    evaluated = served[np.count_nonzero(keep[:warm_count - start]):]
+    evaluated = policy.replay(bs, files)[np.count_nonzero(keep[:warm_count - start]):]
     window = len(trace.file_ids) - warm_count
     metrics = Metrics(file_size_bytes=catalog.file_size_bytes,
                       malformed_events=window - evaluated.size)

@@ -23,6 +23,8 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 
+import numpy as np
+
 from .placement import _rcr_swaps, pcd, place_ecnc, place_eo, place_exmpc, place_femtox
 from .routing import (Placement, RoutingMode, UtilityEvaluator, _cheapest,
                       _check_instance, _serving_table, _source_table)
@@ -44,7 +46,7 @@ class Policy:
     ``Policy`` is a static placement. ``placement`` is the policy's own
     cache contents, which only the policy mutates. ``sources`` lists the
     :class:`Source` objects it routes to, the CDN at index 0; :meth:`serve`
-    and :meth:`serving_table` name a server by its index there."""
+    and :meth:`replay` name a server by its index there."""
 
     def __init__(self, name, placement, topology, routing_mode):
         _check_instance(topology, placement)
@@ -74,14 +76,17 @@ class Policy:
         self._update(bs, file, index == 0)
         return index
 
-    def serving_table(self):
-        """The (R+1, F+1) table of the :attr:`sources` index that serves
-        each (bs, file) under the current placement (see
-        ``routing._serving_table``). Replay may use it in place of
-        :meth:`serve` only for a plain ``Policy``, whose placement never
-        changes."""
-        return _serving_table(self.placement.contents, self._order,
-                              self.placement.num_files)
+    def replay(self, bs, files):
+        """:meth:`serve` each request for ``files[i]`` (1..F) from BS
+        ``bs[i]`` (1..R, which the caller checks), in order, and return each
+        request's :attr:`sources` index as an intp array. A class with no
+        update rule never changes its placement, so each request is then one
+        lookup in ``routing._serving_table``."""
+        if type(self)._update is Policy._update:
+            return _serving_table(self.placement.contents, self._order,
+                                  self.placement.num_files)[bs, files]
+        return np.fromiter(map(self.serve, bs.tolist(), files.tolist()),
+                           dtype=np.intp, count=len(bs))
 
     def _update(self, bs, file, missed):
         """Update rule after ``file`` is served at ``bs``, ``missed`` if by the CDN."""

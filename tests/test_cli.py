@@ -314,6 +314,17 @@ def test_config_file_flags_override(tmp_path, capsys):
     assert data_lines(capsys.readouterr().out)[1].split(",")[0] == "ecnc"
 
 
+def test_config_file_byte_order_mark_is_skipped(tmp_path, capsys):
+    cfg = tmp_path / "canonical.cfg"
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):  # without, then with a BOM
+        cfg.write_text(CANONICAL_CFG, encoding=encoding)
+        assert run_cli("oracle", "--config", str(cfg)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+
+
 def test_config_file_unknown_key_exits_1(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("polycy = eo\n", encoding="utf-8")

@@ -243,8 +243,9 @@ def mixed_coverage_trace(path):
 
 
 def replay_configs(tmp_path):
-    """A trace cell and a synthetic cell, each leaving some users without a
-    home BS (x0 and x1; users 5 and 6)."""
+    """A trace cell, a synthetic cell and the synthetic cell with every
+    capacity 0, each leaving some users without a home BS (x0 and x1;
+    users 5 and 6)."""
     trace = ExperimentConfig(policy="eo", num_bs=3, trace_path=mixed_coverage_trace(
                                  tmp_path / "trace.csv"),
                              capacities=CacheCapacities(cloud=6, edge=(2, 3, 2)),
@@ -252,10 +253,11 @@ def replay_configs(tmp_path):
                              user_assignment={f"u{k}": k % 3 + 1 for k in range(6)})
     synthetic = small_config(num_users=6, num_requests=2000,
                              user_assignment={1: 1, 2: 2, 3: 3, 4: 1})
-    return {"trace": trace, "synthetic": synthetic}
+    empty = replace(synthetic, capacities=CacheCapacities(cloud=0, edge=(0, 0, 0)))
+    return {"trace": trace, "synthetic": synthetic, "zero-capacity": empty}
 
 
-@pytest.mark.parametrize("workload", ["trace", "synthetic"])
+@pytest.mark.parametrize("workload", ["trace", "synthetic", "zero-capacity"])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_replay_equals_per_request_loop(policy, workload, tmp_path, monkeypatch):
     # the columnar replay against the per-event on_request loop, bit for bit
@@ -290,7 +292,7 @@ def test_replay_equals_per_request_loop(policy, workload, tmp_path, monkeypatch)
     assert got.sum_delay_ms == want.sum_delay_ms
 
 
-@pytest.mark.parametrize("workload", ["trace", "synthetic"])
+@pytest.mark.parametrize("workload", ["trace", "synthetic", "zero-capacity"])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_replay_builds_no_request_events(policy, workload, tmp_path, monkeypatch):
     def no_events(*args, **kwargs):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy, Placement,
-                       OctopusPolicy, Popularity, RequestEvent, RoutingMode,
-                       SourceKind, Topology, make_policy, pcd, route_request,
-                       utility)
+from octocache import (POLICY_NAMES, CacheCapacities, Catalog, LfuPolicy, LruPolicy,
+                       Placement, OctopusPolicy, Popularity, RequestEvent,
+                       RoutingMode, SourceKind, Topology, build_paper_topology,
+                       make_policy, pcd, route_request, utility)
 
 from octocache.policies import _HEAP_SLACK, Policy
-from octocache.routing import _cheapest
+from octocache.routing import _cheapest, _serving_table
 
 from conftest import random_feasible_placement, random_instance
 
@@ -264,7 +264,7 @@ def test_serving_table_equals_cheapest(mode):
         placement = random_feasible_placement(rng, caps, num_files, fill=1.0)
         topology = tie_heavy_topology(rng, num_bs)
         policy = Policy("static", placement, topology, mode)
-        table = policy.serving_table()
+        table = _serving_table(placement.contents, policy._order, num_files)
         assert table.shape == (num_bs + 1, num_files + 1)
         assert set(table[0]) == {0} and set(table[:, 0]) == {0}
         assert policy.sources[0].kind is SourceKind.CDN
@@ -274,6 +274,42 @@ def test_serving_table_equals_cheapest(mode):
                 assert table[bs, file] == want
                 assert (route_request(placement, topology, bs, file, mode)
                         == policy.sources[policy.serve(bs, file)])
+
+
+def test_replay_is_serve_request_by_request(monkeypatch):
+    # replay's answers and final placement equal those of an identically
+    # built twin served one request at a time; the static placements
+    # answer without serve
+    def no_serve(bs, file):
+        raise AssertionError("a static placement called serve")
+
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        num_bs, num_files = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        # every eighth instance has all capacities 0
+        caps = rng.integers(0, num_files + 3, num_bs + 1) * (trial % 8 != 0)
+        capacities = CacheCapacities(cloud=int(caps[0]),
+                                     edge=tuple(int(c) for c in caps[1:]))
+        topology = build_paper_topology(num_bs, trial)
+        catalog = Catalog(num_files=num_files)
+        popularity = Popularity.from_weights(rng.random(num_files) + 0.01)
+        assignment = {f"u{r}": r for r in range(1, num_bs + 1)}
+        size = int(rng.integers(0, 60))
+        bs = rng.integers(1, num_bs + 1, size)
+        files = rng.integers(1, num_files + 1, size)
+        for name in POLICY_NAMES:
+            for rcr_enabled in (True, False) if name == "octopus" else (True,):
+                policy, twin = (make_policy(name, topology, catalog, popularity,
+                                            capacities, assignment,
+                                            rcr_enabled=rcr_enabled)
+                                for _ in range(2))
+                if name in ("eo", "ecnc", "exmpc", "femtox") or not rcr_enabled:
+                    monkeypatch.setattr(policy, "serve", no_serve)
+                served = policy.replay(bs, files)
+                assert served.dtype == np.intp
+                assert served.tolist() == list(map(twin.serve, bs.tolist(),
+                                                   files.tolist()))
+                assert policy.placement == twin.placement
 
 
 def test_serve_is_on_request_without_the_user_lookup(canonical):
