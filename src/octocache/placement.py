@@ -198,6 +198,19 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
                                     steps=steps, warnings=warnings)
 
 
+def _swap_commits(ev, gain, loss):
+    """RCR's commit rule: swapping a copy of marginal gain ``gain`` into the
+    slot of the evaluator's min-loss copy, of marginal loss ``loss``, commits
+    when ``gain > loss`` and ``gain - loss`` exceeds
+    ``SWAP_MIN_RELATIVE_GAIN`` of the utility. ``gain`` is a float or an
+    array of candidate gains, which gives a mask. ``utility()`` costs an
+    (R, F) product, so it is read only when some gain beats the loss."""
+    commits = gain > loss  # a bool for a float gain, else a mask
+    if commits if isinstance(commits, bool) else commits.any():
+        commits &= gain - loss > SWAP_MIN_RELATIVE_GAIN * ev.utility()
+    return commits
+
+
 def _rcr_swaps(ev, new_file):
     """Run the reactive replacement loop against an evaluator in place.
 
@@ -222,8 +235,7 @@ def _rcr_swaps(ev, new_file):
             break
         loss, evict_file, cache = worst
         gain = float(ev._gain_table()[new_file - 1, cache])
-        # utility() costs an (R, F) product, so it is read only for a gain
-        if gain <= loss or gain - loss <= SWAP_MIN_RELATIVE_GAIN * ev.utility():
+        if not _swap_commits(ev, gain, loss):
             break
         ev.remove(evict_file, cache)
         ev.add(new_file, cache)
@@ -233,13 +245,29 @@ def _rcr_swaps(ev, new_file):
     return steps
 
 
+def _rcr_triggers(ev):
+    """The misses on which :func:`_rcr_swaps` would commit a swap, as a mask
+    over file ids 0..F (0 is never set). A miss's first attempt evicts the
+    min-loss copy, so the mask holds the uncached files whose gain at that
+    copy's cache passes :func:`_swap_commits` against its loss. It stays
+    valid until the evaluator mutates."""
+    triggers = np.zeros(ev.placement.num_files + 1, dtype=bool)
+    worst = ev.min_loss_element()
+    if worst is not None:
+        loss, _, cache = worst
+        triggers[1:] = (_swap_commits(ev, ev._gain_table()[:, cache], loss)
+                        & ~ev.mask.any(axis=0))
+    return triggers
+
+
 def rcr(placement, new_file, topology, popularity, mode=RoutingMode.FULL):
     """Reactive cache replacement after a miss on ``new_file``.
 
     The new file must not be cached anywhere (it was just fetched from the
     CDN). Utility never decreases; every committed swap raises it by more
     than ``SWAP_MIN_RELATIVE_GAIN`` of its value before the swap;
-    capacities are preserved. ``OctopusPolicy`` runs the same loop per miss.
+    capacities are preserved. ``OctopusPolicy`` runs the same loop on each
+    miss that :func:`_rcr_triggers` says would commit a swap.
 
     Returns
     -------

@@ -3,9 +3,10 @@
 Policies resolve each request against their current cache contents (the
 routing mode is a property of the policy) and update state on misses:
 
-* ``octopus``  - greedy warm placement, then reactive replacement on every
-  miss; full cooperative routing. Without replacement it is a static
-  placement.
+* ``octopus``  - greedy warm placement, then reactive replacement after a
+  miss; full cooperative routing. Only the few misses that commit a swap
+  change the placement, so it replays as static segments between those
+  swaps. Without replacement it is a static placement.
 * ``eo`` / ``ecnc`` / ``exmpc`` / ``femtox`` - static placements, no
   reactive updates; ``eo`` routes edge-only, ``ecnc`` edge+cloud, the rest
   use full cooperative routing.
@@ -25,7 +26,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .placement import _rcr_swaps, pcd, place_ecnc, place_eo, place_exmpc, place_femtox
+from .placement import (_rcr_swaps, _rcr_triggers, pcd, place_ecnc, place_eo,
+                        place_exmpc, place_femtox)
 from .routing import (Placement, RoutingMode, UtilityEvaluator, _cheapest,
                       _check_instance, _serving_table, _source_table)
 
@@ -81,7 +83,8 @@ class Policy:
         ``bs[i]`` (1..R, which the caller checks), in order, and return each
         request's :attr:`sources` index as an intp array. A class with no
         update rule never changes its placement, so each request is then one
-        lookup in ``routing._serving_table``."""
+        lookup in ``routing._serving_table``; :class:`OctopusPolicy` looks up
+        the segments between its swaps the same way."""
         if type(self)._update is Policy._update:
             return _serving_table(self.placement.contents, self._order,
                                   self.placement.num_files)[bs, files]
@@ -92,11 +95,30 @@ class Policy:
         """Update rule after ``file`` is served at ``bs``, ``missed`` if by the CDN."""
 
 
+#: Requests :meth:`OctopusPolicy.replay` scans first for a segment's end;
+#: each further scan doubles, so a segment costs about its own length.
+_FIRST_SCAN = 256
+
+
+def _first_marked(marked, files, start):
+    """Index of the first request at or after ``start`` whose file is set in
+    ``marked``, else ``len(files)``, read in scans of doubling length."""
+    scan = _FIRST_SCAN
+    while start < len(files):
+        hit = marked[files[start:start + scan]]
+        if hit.any():
+            return start + int(hit.argmax())
+        start += scan
+        scan *= 2
+    return len(files)
+
+
 class OctopusPolicy(Policy):
     """Greedy warm placement plus reactive replacement on each miss.
 
     The popularity snapshot is fixed when the policy is built; replacement
     decisions during replay reuse it unchanged. Hits are read-only.
+    :meth:`replay` serves the requests between two swaps as static segments.
     """
 
     def __init__(self, topology, popularity, placement):
@@ -104,6 +126,33 @@ class OctopusPolicy(Policy):
                                     mode=RoutingMode.FULL)
         # the evaluator's own copy, which replacement mutates in place
         super().__init__("octopus", self._ev.placement, topology, RoutingMode.FULL)
+
+    def replay(self, bs, files):
+        """:meth:`Policy.replay` in static segments, exact to :meth:`serve`.
+
+        Octopus routes FULL over finite delays, so a cached file is a hit and
+        only an uncached file misses. Until a swap, the placement, its
+        min-loss copy, utility and gain table stay fixed, and so does the
+        set of files whose miss would commit one (``_rcr_triggers``); every
+        other miss changes nothing. Each segment is therefore one serving
+        table lookup up to and including the first request for such a file,
+        whose miss then runs ``_rcr_swaps``; only the swapped files' columns
+        of the table are rewritten."""
+        served = np.empty(len(files), dtype=np.intp)
+        contents, order = self.placement.contents, self._order
+        table = _serving_table(contents, order, self.placement.num_files)
+        start = 0
+        while start < len(files):
+            stop = _first_marked(_rcr_triggers(self._ev), files, start)
+            served[start:stop + 1] = table[bs[start:stop + 1], files[start:stop + 1]]
+            if stop < len(files):
+                file = int(files[stop])
+                swaps = _rcr_swaps(self._ev, file)
+                for touched in {file, *(s["evicted_file"] for s in swaps)}:
+                    table[1:, touched] = [_cheapest(contents, caches, touched)
+                                          for caches in order]
+            start = stop + 1
+        return served
 
     def _update(self, bs, file, missed):
         if missed:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import octocache.engine
+import octocache.policies
 import octocache.workload
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        ExperimentConfig, Metrics, Popularity, Topology,
@@ -260,16 +261,24 @@ def replay_configs(tmp_path):
 @pytest.mark.parametrize("workload", ["trace", "synthetic", "zero-capacity"])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_replay_equals_per_request_loop(policy, workload, tmp_path, monkeypatch):
-    # the columnar replay against the per-event on_request loop, bit for bit
+    # the columnar replay against the per-event on_request loop, bit for bit;
+    # octopus calls reactive replacement only on the misses that swap, and
+    # the trace and synthetic cells have some
     config = replace(replay_configs(tmp_path)[workload], policy=policy)
-    built, traces = [], []
+    built, traces, swaps = [], [], []
     make_policy, resolve = octocache.engine.make_policy, octocache.engine._resolve_workload
+    rcr_swaps = octocache.policies._rcr_swaps
     monkeypatch.setattr(octocache.engine, "make_policy",
                         lambda *args, **kwargs: built.append((args, kwargs))
                         or make_policy(*args, **kwargs))
     monkeypatch.setattr(octocache.engine, "_resolve_workload",
                         lambda *args: traces.append(resolve(*args)) or traces[-1])
+    monkeypatch.setattr(octocache.policies, "_rcr_swaps",
+                        lambda ev, file: swaps.append(rcr_swaps(ev, file)) or swaps[-1])
     got = run_experiment(config)
+    if policy == "octopus":
+        assert all(swaps) and bool(swaps) == (workload != "zero-capacity")
+    monkeypatch.undo()
 
     [(args, kwargs)], [trace] = built, traces
     reference = make_policy(*args, **kwargs)

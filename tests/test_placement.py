@@ -1,11 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octocache import (CacheCapacities, Catalog, OracleSizeError, Placement,
                        Popularity, RoutingMode, Topology, brute_force_optimal,
                        build_paper_topology, marginal_loss, pcd, rcr, utility,
                        zipf_popularity)
-from octocache.placement import (place_ecnc, place_eo, place_exmpc,
+from octocache.placement import (SWAP_MIN_RELATIVE_GAIN, _rcr_swaps, _rcr_triggers,
+                                 _swap_commits, place_ecnc, place_eo, place_exmpc,
                                  place_femtox, top_popular)
 from octocache.routing import UtilityEvaluator
 from octocache.topology import uturn_peer_delays
@@ -328,6 +333,45 @@ def test_rcr_commits_no_float_noise_swaps():
         for before, step in zip(report.utility_trace, report.steps):
             assert step["gain"] > 1e-9 * before
     assert calls > 300
+
+
+def test_swap_rule_needs_more_than_rounding_noise(shifted):
+    # the one commit rule, for a gain and for a mask of gains: beating the
+    # loss by less than SWAP_MIN_RELATIVE_GAIN of the utility does not
+    # commit, and the utility is read only when some gain beats the loss
+    topo, _, pop, placement = shifted
+    ev = UtilityEvaluator(topo, pop, placement)
+    loss, margin = 10.0, SWAP_MIN_RELATIVE_GAIN * ev.utility()
+    noise, real = loss + margin / 2, loss + margin * 2
+    assert not _swap_commits(ev, noise, loss)
+    assert _swap_commits(ev, real, loss)
+    assert _swap_commits(ev, np.array([loss, noise, real, 0.0]),
+                         loss).tolist() == [False, False, True, False]
+    ev.utility = lambda: pytest.fail("utility read with no gain above the loss")
+    assert not _swap_commits(ev, loss, loss)
+    assert not _swap_commits(ev, np.array([loss, 0.0]), loss).any()
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_rcr_triggers_are_the_misses_that_swap(seed, tied, misses):
+    # on a random evaluator state, after a few misses have run, the trigger
+    # mask holds exactly the uncached files whose miss commits a swap;
+    # weights 1 or 2 make many copies tie in worth
+    rng = np.random.default_rng(seed)
+    topo, catalog, pop, caps = random_instance(rng, max_bs=3, max_files=8, max_cap=3)
+    if tied:
+        pop = Popularity.from_weights(rng.integers(1, 3, catalog.num_files).astype(float))
+    ev = UtilityEvaluator(topo, pop, random_feasible_placement(
+        rng, caps, catalog.num_files, fill=float(rng.random())))
+    for file in rng.integers(1, catalog.num_files + 1, misses).tolist():
+        if not ev.mask[:, file - 1].any():
+            _rcr_swaps(ev, file)
+    triggers = _rcr_triggers(ev)
+    assert triggers.shape == (catalog.num_files + 1,) and not triggers[0]
+    swapping = [f for f in range(1, catalog.num_files + 1)
+                if not ev.mask[:, f - 1].any() and _rcr_swaps(copy.deepcopy(ev), f)]
+    assert np.flatnonzero(triggers).tolist() == swapping
 
 
 def test_rcr_swapped_out_element_had_minimum_loss(shifted):

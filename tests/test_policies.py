@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import octocache.policies
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, LfuPolicy, LruPolicy,
                        Placement, OctopusPolicy, Popularity, RequestEvent,
                        RoutingMode, SourceKind, Topology, build_paper_topology,
@@ -152,6 +153,89 @@ def test_octopus_miss_triggers_replacement(canonical):
     assert policy.placement.contents == [{1}, {2}, {4}]
     # f4 is now resident; a repeat request is a hit and changes nothing
     assert policy.on_request(req(1, "u2", 4)).kind is SourceKind.LOCAL_EDGE
+
+
+def segment_replay_equals_serve(make, bs, files, monkeypatch):
+    """Replay ``files`` from ``bs`` on one policy built by ``make`` and serve
+    them one request at a time on a twin; both must agree bit for bit.
+    Returns the served indices and the swap lists of every ``_rcr_swaps``
+    call the replay made."""
+    policy, twin = make(), make()
+    calls = []
+    swaps = octocache.policies._rcr_swaps
+    monkeypatch.setattr(octocache.policies, "_rcr_swaps",
+                        lambda ev, file: calls.append(swaps(ev, file)) or calls[-1])
+    served = policy.replay(np.array(bs, dtype=np.intp), np.array(files, dtype=np.intp))
+    monkeypatch.undo()
+    assert served.dtype == np.intp
+    assert served.tolist() == list(map(twin.serve, bs, files))
+    assert policy.placement == twin.placement
+    assert policy._ev.utility() == twin._ev.utility()
+    return served, calls
+
+
+def shifted_octopus(canonical):
+    # the warm placement of test_octopus_miss_triggers_replacement: a miss
+    # on f4 swaps it in for f3, and no other miss commits a swap
+    topo, _, _, caps = canonical
+    warm = Placement(caps, 4, [{1}, {2}, {3}])
+    return lambda: OctopusPolicy(topo, Popularity(np.array([0.45, 0.27, 0.09, 0.19])), warm)
+
+
+def test_octopus_segment_replay_swaps_on_first_request(canonical, monkeypatch):
+    served, calls = segment_replay_equals_serve(
+        shifted_octopus(canonical), [1, 2, 1, 2, 1, 2], [4, 1, 2, 4, 3, 3], monkeypatch)
+    assert [len(swaps) for swaps in calls] == [1]
+    # f4 is a hit from the second request on, and the evicted f3 misses
+    assert served[0] == 0 and served[3] != 0 and served[4] == served[5] == 0
+
+
+def test_octopus_segment_replay_swaps_on_last_request(canonical, monkeypatch):
+    served, calls = segment_replay_equals_serve(
+        shifted_octopus(canonical), [1, 2, 1, 2, 1, 2], [1, 2, 3, 1, 3, 4], monkeypatch)
+    assert [len(swaps) for swaps in calls] == [1]
+    assert served[:-1].all() and served[-1] == 0
+
+
+def test_octopus_segment_replay_with_many_swaps(monkeypatch):
+    # the warm placement holds the least popular files, so misses keep
+    # swapping popular files in until the placement settles; the misses
+    # after that change nothing
+    topo = build_paper_topology(3, 8).with_users({f"u{k}": k % 3 + 1 for k in range(9)})
+    caps = CacheCapacities(cloud=3, edge=(2, 2, 2))
+    pop = Popularity.from_weights(1.0 / np.arange(1, 13))
+    warm = Placement(caps, 12, [{10, 11, 12}, {7, 8}, {9, 10}, {11, 12}])
+    rng = np.random.default_rng(29)
+    bs = rng.integers(1, 4, 600).tolist()
+    files = (rng.choice(12, 600, p=pop.as_array()) + 1).tolist()
+    served, calls = segment_replay_equals_serve(
+        lambda: OctopusPolicy(topo, pop, warm), bs, files, monkeypatch)
+    assert len(calls) >= 5 and all(calls)
+    assert (served == 0).sum() > len(calls)
+
+
+def test_octopus_segment_replay_when_every_request_hits(canonical, monkeypatch):
+    topo, catalog, pop, caps = canonical
+    warm = pcd(topo, catalog, pop, caps).placement
+    served, calls = segment_replay_equals_serve(
+        lambda: OctopusPolicy(topo, pop, warm), [1, 2, 2, 1, 1], [1, 2, 3, 3, 1],
+        monkeypatch)
+    assert served.all() and calls == []
+
+
+def test_octopus_segment_replay_with_every_capacity_zero(canonical, monkeypatch):
+    topo, _, pop, _ = canonical
+    caps = CacheCapacities(cloud=0, edge=(0, 0))
+    served, calls = segment_replay_equals_serve(
+        lambda: OctopusPolicy(topo, pop, Placement(caps, 3)), [1, 2, 1], [1, 2, 3],
+        monkeypatch)
+    assert served.tolist() == [0, 0, 0] and calls == []
+
+
+def test_octopus_segment_replay_of_no_requests(canonical, monkeypatch):
+    served, calls = segment_replay_equals_serve(shifted_octopus(canonical), [], [],
+                                                monkeypatch)
+    assert served.shape == (0,) and calls == []
 
 
 def test_octopus_rcr_disabled_is_static(canonical):
