@@ -13,6 +13,10 @@ routing mode is a property of the policy) and update state on misses:
 * ``lfu`` / ``lru`` - classic reactive replacement applied hierarchically:
   a CDN miss inserts the file into both the requesting BS's edge cache and
   the cloud cache, each applying its own eviction rule. Both start cold.
+  Each policy builds one per-request step, a closure over its caches and
+  bookkeeping; it is the policy's ``serve``, and ``replay`` maps it over
+  the requests. LFU keys each resident once in a per-cache victim heap and
+  re-keys the stale top only when the cache evicts.
 
 Observation scopes for the reactive bookkeeping: an edge cache sees the
 requests of the users homed at its BS; the cloud cache (managed centrally)
@@ -43,12 +47,14 @@ POLICY_ROUTING = {
 
 
 class Policy:
-    """The one request step of every policy: route against the current
-    placement, then apply the policy's update rule (``_update``). A plain
-    ``Policy`` is a static placement. ``placement`` is the policy's own
-    cache contents, which only the policy mutates. ``sources`` lists the
-    :class:`Source` objects it routes to, the CDN at index 0; :meth:`serve`
-    and :meth:`replay` name a server by its index there."""
+    """A static placement, and the base of every policy. ``placement`` is
+    the policy's own cache contents, which only the policy mutates.
+    ``sources`` lists the :class:`Source` objects it routes to, the CDN at
+    index 0; :meth:`serve` and :meth:`replay` name a server by its index
+    there. A policy that changes its placement overrides both, each stating
+    its own replay: :class:`OctopusPolicy` in static segments between its
+    swaps, :class:`LfuPolicy` and :class:`LruPolicy` through one
+    per-request step that is also their :meth:`serve`."""
 
     def __init__(self, name, placement, topology, routing_mode):
         _check_instance(topology, placement)
@@ -72,27 +78,26 @@ class Policy:
 
     def serve(self, bs, file):
         """Route a request for ``file`` (1..F) from BS ``bs`` (1..R), which
-        the caller checks, then apply the policy's update rule. Returns the
-        index in :attr:`sources` of the source used; 0 is a CDN miss."""
-        index = _cheapest(self.placement.contents, self._order[bs - 1], file)
-        self._update(bs, file, index == 0)
-        return index
+        the caller checks, then apply the policy's update rule, if any.
+        Returns the index in :attr:`sources` of the source used; 0 is a CDN
+        miss."""
+        return _cheapest(self.placement.contents, self._order[bs - 1], file)
 
     def replay(self, bs, files):
         """:meth:`serve` each request for ``files[i]`` (1..F) from BS
         ``bs[i]`` (1..R, which the caller checks), in order, and return each
-        request's :attr:`sources` index as an intp array. A class with no
-        update rule never changes its placement, so each request is then one
-        lookup in ``routing._serving_table``; :class:`OctopusPolicy` looks up
-        the segments between its swaps the same way."""
-        if type(self)._update is Policy._update:
-            return _serving_table(self.placement.contents, self._order,
-                                  self.placement.num_files)[bs, files]
-        return np.fromiter(map(self.serve, bs.tolist(), files.tolist()),
-                           dtype=np.intp, count=len(bs))
+        request's :attr:`sources` index as an intp array. A static placement
+        answers each request with one lookup in ``routing._serving_table``."""
+        return _serving_table(self.placement.contents, self._order,
+                              self.placement.num_files)[bs, files]
 
-    def _update(self, bs, file, missed):
-        """Update rule after ``file`` is served at ``bs``, ``missed`` if by the CDN."""
+
+def _replay_by_step(self, bs, files):
+    """:meth:`Policy.replay` through the policy's per-request step,
+    ``self.serve``, for a policy that may change its placement on any
+    request."""
+    return np.fromiter(map(self.serve, bs.tolist(), files.tolist()),
+                       dtype=np.intp, count=len(bs))
 
 
 #: Requests :meth:`OctopusPolicy.replay` scans first for a segment's end;
@@ -118,7 +123,8 @@ class OctopusPolicy(Policy):
 
     The popularity snapshot is fixed when the policy is built; replacement
     decisions during replay reuse it unchanged. Hits are read-only.
-    :meth:`replay` serves the requests between two swaps as static segments.
+    :meth:`serve` runs :meth:`on_miss` after each CDN miss; :meth:`replay`
+    serves the requests between two swaps as static segments.
     """
 
     def __init__(self, topology, popularity, placement):
@@ -126,6 +132,12 @@ class OctopusPolicy(Policy):
                                     mode=RoutingMode.FULL)
         # the evaluator's own copy, which replacement mutates in place
         super().__init__("octopus", self._ev.placement, topology, RoutingMode.FULL)
+
+    def serve(self, bs, file):
+        index = _cheapest(self.placement.contents, self._order[bs - 1], file)
+        if index == 0:
+            self.on_miss(file)
+        return index
 
     def replay(self, bs, files):
         """:meth:`Policy.replay` in static segments, exact to :meth:`serve`.
@@ -154,54 +166,22 @@ class OctopusPolicy(Policy):
             start = stop + 1
         return served
 
-    def _update(self, bs, file, missed):
-        if missed:
-            self.on_miss(file)
-
     def on_miss(self, file):
         """Reactive replacement for a file just fetched from the CDN."""
         return _rcr_swaps(self._ev, file)
 
 
-_HEAP_SLACK = 4  # LFU heap entries per resident file before a rebuild
-
-
-class _LfuBookkeeping:
-    """Per-cache LFU state: request counters, recency for tie-breaks, and a
-    lazy min-heap over (count, last_use, file) keys of the ``residents``
-    (the cache's own contents set), rebuilt when stale keys pile up."""
-
-    __slots__ = ("counts", "last_use", "heap", "residents")
-
-    def __init__(self, num_files, residents):
-        self.counts = [0] * (num_files + 1)
-        self.last_use = {}
-        self.heap = []
-        self.residents = residents
-
-    def observe(self, file, seq):
-        self.counts[file] += 1
-        if file in self.residents:
-            self.use(file, seq)
-
-    def use(self, file, seq):
-        """Record a use of the resident ``file`` at time ``seq``."""
-        self.last_use[file] = seq
-        heapq.heappush(self.heap, (self.counts[file], seq, file))
-        if len(self.heap) > _HEAP_SLACK * len(self.residents):
-            self.heap = [(self.counts[f], self.last_use[f], f)
-                         for f in self.residents]
-            heapq.heapify(self.heap)
-
-    def victim(self):
-        """Resident file with the lowest (count, last_use, file) key."""
-        while self.heap:
-            count, seq, file = self.heap[0]
-            if (file in self.residents and self.counts[file] == count
-                    and self.last_use.get(file) == seq):
-                return file
-            heapq.heappop(self.heap)
-        return None
+def _lfu_victim(heap, counts, last_use):
+    """The resident file with the lowest (count, last_use) key, read from a
+    cache's LFU ``heap``, which holds one (count, last_use, file) entry per
+    resident. An entry is stale once its file was used again, which also
+    bumped its count; as keys only grow, re-pushing the stale top with its
+    current key until the top is fresh leaves the true minimum on top."""
+    _, used, file = heap[0]
+    while used != last_use[file]:
+        heapq.heapreplace(heap, (counts[file], last_use[file], file))
+        _, used, file = heap[0]
+    return file
 
 
 class LfuPolicy(Policy):
@@ -211,37 +191,52 @@ class LfuPolicy(Policy):
     (edge cache of the home BS, plus the cloud). On a CDN miss the file is
     inserted at both caches, evicting the lowest-count resident, but only if
     the new file's count strictly exceeds the victim's. Counter ties evict
-    the least recently used, then the lowest file. Counters never
-    decay.
+    the least recently used; a cache never holds two files of one last use,
+    since each request uses one file. Counters never decay.
+
+    A hit only bumps the counter and the last use; each cache's victim heap
+    is re-keyed when the cache evicts (:func:`_lfu_victim`).
     """
 
     def __init__(self, topology, capacities, num_files):
         super().__init__("lfu", Placement(capacities, num_files), topology,
                          RoutingMode.FULL)
-        self._books = [_LfuBookkeeping(num_files, residents)
-                       for residents in self.placement.contents]
-        self._seq = 0
+        contents, order = self.placement.contents, self._order
+        caps = capacities.as_list()
+        self._counts = counts = [[0] * (num_files + 1) for _ in caps]
+        self._last_use = last_use = [[0] * (num_files + 1) for _ in caps]
+        self._heaps = heaps = [[] for _ in caps]
+        seq = 0
+
+        def serve(bs, file):
+            nonlocal seq
+            seq += 1
+            index = _cheapest(contents, order[bs - 1], file)
+            for cache in (bs, 0):
+                count, used, residents = counts[cache], last_use[cache], contents[cache]
+                count[file] += 1
+                if file in residents:
+                    used[file] = seq
+                elif index == 0:
+                    heap, key = heaps[cache], (count[file], seq, file)
+                    if len(residents) < caps[cache]:
+                        heapq.heappush(heap, key)
+                    elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
+                        residents.remove(heapq.heapreplace(heap, key)[2])
+                    else:
+                        continue
+                    residents.add(file)
+                    used[file] = seq
+            return index
+
+        # the per-request step, shared by serve and replay
+        self.serve = serve
+
+    replay = _replay_by_step
 
     def counts(self, cache):
         """Observed request counts at one cache (index 0 is unused)."""
-        return self._books[cache].counts
-
-    def _update(self, bs, file, missed):
-        self._seq += 1
-        for cache in (bs, 0):
-            self._books[cache].observe(file, self._seq)
-            if missed:
-                self._admit(cache, file)
-
-    def _admit(self, cache, file):
-        book = self._books[cache]
-        if self.placement.is_full(cache):
-            victim = book.victim()
-            if victim is None or book.counts[file] <= book.counts[victim]:
-                return
-            self.placement.remove(victim, cache)
-        self.placement.add(file, cache)
-        book.use(file, self._seq)
+        return self._counts[cache]
 
 
 class LruPolicy(Policy):
@@ -256,24 +251,31 @@ class LruPolicy(Policy):
     def __init__(self, topology, capacities, num_files):
         super().__init__("lru", Placement(capacities, num_files), topology,
                          RoutingMode.FULL)
-        self._recency = [OrderedDict() for _ in range(topology.num_bs + 1)]
+        contents, order = self.placement.contents, self._order
+        caps = capacities.as_list()
+        self._recency = recency = [OrderedDict() for _ in caps]
 
-    def _update(self, bs, file, missed):
-        for cache in (bs, 0):
-            if missed:
-                self._insert(cache, file)
-            elif self.placement.contains(file, cache):
-                self._recency[cache].move_to_end(file)
+        def serve(bs, file):
+            index = _cheapest(contents, order[bs - 1], file)
+            for cache in (bs, 0):
+                used = recency[cache]
+                if index:
+                    if file in used:
+                        used.move_to_end(file)
+                    continue
+                residents = contents[cache]
+                if len(residents) >= caps[cache]:
+                    if not used:  # a cache of capacity 0
+                        continue
+                    residents.remove(used.popitem(last=False)[0])
+                residents.add(file)
+                used[file] = None
+            return index
 
-    def _insert(self, cache, file):
-        recency = self._recency[cache]
-        if self.placement.is_full(cache):
-            if not recency:  # a cache of capacity 0
-                return
-            evicted, _ = recency.popitem(last=False)
-            self.placement.remove(evicted, cache)
-        self.placement.add(file, cache)
-        recency[file] = None
+        # the per-request step, shared by serve and replay
+        self.serve = serve
+
+    replay = _replay_by_step
 
 
 def make_policy(name, topology, catalog, popularity, capacities, assignment,

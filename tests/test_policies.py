@@ -7,7 +7,7 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, LfuPolicy, LruPol
                        RoutingMode, SourceKind, Topology, build_paper_topology,
                        make_policy, pcd, route_request, utility)
 
-from octocache.policies import _HEAP_SLACK, Policy
+from octocache.policies import Policy, _lfu_victim
 from octocache.routing import _cheapest, _serving_table
 
 from conftest import random_feasible_placement, random_instance
@@ -99,19 +99,21 @@ def test_lfu_tie_evicts_least_recently_used():
 
 
 def test_lfu_heap_stays_bounded_by_the_cache():
-    # each request to a resident file pushes a heap key; over a long stream
-    # the stale keys must not pile up beyond a constant per resident file
+    # a hit only bumps the counter and last use; the heap keeps exactly one
+    # entry per resident file, and re-keying its stale top at eviction time
+    # still finds the lowest (count, last_use, file) resident
     topo = single_bs_topology()
     policy = LfuPolicy(topo, CacheCapacities(cloud=2, edge=(1,)), 6)
     rng = np.random.default_rng(11)
     for i, f in enumerate(rng.zipf(1.5, size=20_000) % 6 + 1):
         policy.on_request(req(i, "u", int(f)))
         for cache, residents in enumerate(policy.placement.contents):
-            book = policy._books[cache]
-            assert len(book.heap) <= _HEAP_SLACK * len(residents)
-            # the lowest live key is still the victim
-            assert book.victim() == min(
-                residents, key=lambda g: (book.counts[g], book.last_use[g], g))
+            heap, counts = policy._heaps[cache], policy.counts(cache)
+            last_use = policy._last_use[cache]
+            assert sorted(file for *_, file in heap) == sorted(residents)
+            if residents:
+                assert _lfu_victim(heap, counts, last_use) == min(
+                    residents, key=lambda g: (counts[g], last_use[g], g))
 
 
 # ----------------------------------------------------------------- octopus
@@ -236,6 +238,24 @@ def test_octopus_segment_replay_of_no_requests(canonical, monkeypatch):
     served, calls = segment_replay_equals_serve(shifted_octopus(canonical), [], [],
                                                 monkeypatch)
     assert served.shape == (0,) and calls == []
+
+
+def test_octopus_on_request_calls_on_miss_by_attribute():
+    # a wrapper set on the instance sees every CDN miss that on_request
+    # serves, and only those: a traced rebuild counts misses this way
+    rng = np.random.default_rng(31)
+    topo, catalog, pop, _ = random_instance(rng, max_bs=3, max_files=10)
+    caps = CacheCapacities(cloud=1, edge=(1,) * topo.num_bs)
+    policy = make_policy("octopus", topo, catalog, pop, caps, topo.users)
+    seen, on_miss = [], policy.on_miss
+    policy.on_miss = lambda file: seen.append(file) or on_miss(file)
+    users, misses = list(topo.users), []
+    for i in range(300):
+        file = int(rng.integers(1, catalog.num_files + 1))
+        source = policy.on_request(req(i, users[int(rng.integers(len(users)))], file))
+        if source.kind is SourceKind.CDN:
+            misses.append(file)
+    assert misses and seen == misses
 
 
 def test_octopus_rcr_disabled_is_static(canonical):
