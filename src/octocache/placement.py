@@ -157,7 +157,24 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     Returns
     -------
     PlacementAlgorithmReport
+        Built from ``_greedy``'s commits; ``make_policy`` calls ``_greedy`` itself.
     """
+    ev, chosen_files, chosen_caches, chosen_gains, warnings = _greedy(
+        topology, catalog, popularity, capacities, mode)
+    # from the empty placement's 0; cumsum adds in order, as a running total would
+    utility_trace = np.cumsum([0.0, *chosen_gains]).tolist()
+    steps = [{"iteration": i, "file": f, "cache": c, "gain": g, "utility": u}
+             for i, (f, c, g, u) in enumerate(zip(chosen_files, chosen_caches,
+                                                  chosen_gains, utility_trace[1:]),
+                                              start=1)]
+    return PlacementAlgorithmReport(placement=ev.placement, iterations=len(steps),
+                                    utility_trace=utility_trace,
+                                    steps=steps, warnings=warnings)
+
+
+def _greedy(topology, catalog, popularity, capacities, mode):
+    """:func:`pcd`'s rounds on a new evaluator for ``mode``: returns it filled,
+    the committed files, caches and gains in greedy order, and the warnings."""
     num_files = catalog.num_files
     sizes, warnings = _effective_sizes(capacities, num_files)
     ev = UtilityEvaluator(topology, popularity, Placement(capacities, num_files),
@@ -186,16 +203,7 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
         chosen_gains += gain.tolist()
         ev.add_copies(file + 1, cache)
         room -= np.bincount(cache, minlength=room.size)
-
-    # from the empty placement's 0; cumsum adds in order, as a running total would
-    utility_trace = np.cumsum([0.0, *chosen_gains]).tolist()
-    steps = [{"iteration": i, "file": f, "cache": c, "gain": g, "utility": u}
-             for i, (f, c, g, u) in enumerate(zip(chosen_files, chosen_caches,
-                                                  chosen_gains, utility_trace[1:]),
-                                              start=1)]
-    return PlacementAlgorithmReport(placement=ev.placement, iterations=len(steps),
-                                    utility_trace=utility_trace,
-                                    steps=steps, warnings=warnings)
+    return ev, chosen_files, chosen_caches, chosen_gains, warnings
 
 
 def _swap_commits(ev, gain, loss):
@@ -367,8 +375,8 @@ def place_exmpc(topology, catalog, popularity, capacities):
 
 
 def place_femtox(topology, catalog, popularity, capacities):
-    """Helper-style greedy baseline: identical to :func:`pcd` except copies
-    are valued without the neighbor U-turn (each edge cache only serves its
-    own cell, plus the cloud). Evaluated under FULL cooperative routing."""
-    return pcd(topology, catalog, popularity, capacities,
-               mode=RoutingMode.EDGE_CLOUD).placement
+    """Helper-style greedy baseline: :func:`pcd`'s placement, with no report,
+    except copies are valued without the neighbor U-turn (each edge cache
+    only serves its own cell, plus the cloud). Evaluated under FULL routing."""
+    return _greedy(topology, catalog, popularity, capacities,
+                   RoutingMode.EDGE_CLOUD)[0].placement

@@ -30,10 +30,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .placement import (_rcr_swaps, _rcr_triggers, pcd, place_ecnc, place_eo,
+from .placement import (_greedy, _rcr_swaps, _rcr_triggers, place_ecnc, place_eo,
                         place_exmpc, place_femtox)
-from .routing import (Placement, RoutingMode, UtilityEvaluator, _cheapest,
-                      _check_instance, _serving_table, _source_table)
+from .routing import (Placement, RoutingMode, _cheapest, _check_instance,
+                      _serving_table, _source_table)
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
@@ -121,17 +121,16 @@ def _first_marked(marked, files, start):
 class OctopusPolicy(Policy):
     """Greedy warm placement plus reactive replacement on each miss.
 
-    The popularity snapshot is fixed when the policy is built; replacement
-    decisions during replay reuse it unchanged. Hits are read-only.
-    :meth:`serve` runs :meth:`on_miss` after each CDN miss; :meth:`replay`
-    serves the requests between two swaps as static segments.
+    The policy keeps ``evaluator`` (FULL routing), not a copy: its placement
+    is the policy's, and its popularity, fixed, drives every swap. Hits are
+    read-only. :meth:`serve` runs :meth:`on_miss` after each CDN miss;
+    :meth:`replay` serves the requests between two swaps as static segments.
     """
 
-    def __init__(self, topology, popularity, placement):
-        self._ev = UtilityEvaluator(topology, popularity, placement,
-                                    mode=RoutingMode.FULL)
-        # the evaluator's own copy, which replacement mutates in place
-        super().__init__("octopus", self._ev.placement, topology, RoutingMode.FULL)
+    def __init__(self, topology, evaluator):
+        self._ev = evaluator
+        # the evaluator's own placement, which replacement mutates in place
+        super().__init__("octopus", evaluator.placement, topology, RoutingMode.FULL)
 
     def serve(self, bs, file):
         index = _cheapest(self.placement.contents, self._order[bs - 1], file)
@@ -283,9 +282,9 @@ def make_policy(name, topology, catalog, popularity, capacities, assignment,
     """Build a replay-ready policy by its contract name.
 
     The policy runs on ``topology.with_users(assignment)``. ``octopus``
-    runs the greedy warm placement here, and without ``rcr_enabled`` keeps
-    it as a static placement under full routing; the static baselines
-    compute their placements; ``lfu``/``lru`` start cold.
+    hands the evaluator the greedy fills to :class:`OctopusPolicy`, or,
+    without ``rcr_enabled``, keeps its placement static under full routing;
+    the static baselines compute their placements; ``lfu``/``lru`` start cold.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}")
@@ -294,9 +293,10 @@ def make_policy(name, topology, catalog, popularity, capacities, assignment,
         cold = LfuPolicy if name == "lfu" else LruPolicy
         return cold(topology, capacities, catalog.num_files)
     if name == "octopus":
-        placement = pcd(topology, catalog, popularity, capacities).placement
+        ev = _greedy(topology, catalog, popularity, capacities, RoutingMode.FULL)[0]
         if rcr_enabled:
-            return OctopusPolicy(topology, popularity, placement)
+            return OctopusPolicy(topology, ev)
+        placement = ev.placement
     else:
         builder = {"eo": place_eo, "ecnc": place_ecnc,
                    "exmpc": place_exmpc, "femtox": place_femtox}[name]

@@ -77,16 +77,11 @@ class Topology:
                   self.cdn_delay)
         if not all(math.isfinite(d) for d in delays):
             raise ValueError("delays must be finite")
-        for r in range(R):
-            for k in range(R):
-                if r != k and self.peer_delay[r][k] <= 0:
-                    raise ValueError("peer delays must be positive for r != k")
-        worst = max(self.edge_delay)
-        for r in range(R):
-            for k in range(R):
-                if r != k:
-                    worst = max(worst, self.peer_delay[r][k])
-        if self.cdn_delay <= worst:
+        peers = [d for r, row in enumerate(self.peer_delay)
+                 for k, d in enumerate(row) if r != k]  # empty when R = 1
+        if any(d <= 0 for d in peers):
+            raise ValueError("peer delays must be positive for r != k")
+        if self.cdn_delay <= max([*self.edge_delay, *peers]):
             raise ValueError("cdn_delay must exceed every in-network delay")
         pairs = self.users.items() if isinstance(self.users, Mapping) else self.users
         users = {}

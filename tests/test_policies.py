@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import octocache.placement
 import octocache.policies
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, LfuPolicy, LruPolicy,
                        Placement, OctopusPolicy, Popularity, RequestEvent,
                        RoutingMode, SourceKind, Topology, build_paper_topology,
                        make_policy, pcd, route_request, utility)
 
+from octocache.placement import _rcr_triggers
 from octocache.policies import Policy, _lfu_victim
-from octocache.routing import _cheapest, _serving_table
+from octocache.routing import UtilityEvaluator, _cheapest, _serving_table
 
 from conftest import random_feasible_placement, random_instance
 
@@ -121,7 +123,7 @@ def test_lfu_heap_stays_bounded_by_the_cache():
 def test_octopus_hit_is_read_only(canonical):
     topo, catalog, pop, caps = canonical
     warm = pcd(topo, catalog, pop, caps).placement
-    policy = OctopusPolicy(topo, pop, warm)
+    policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
     before = policy.placement.copy()
     src = policy.on_request(req(0, "u1", 2))
     assert src.kind is SourceKind.LOCAL_EDGE
@@ -149,7 +151,7 @@ def test_octopus_miss_triggers_replacement(canonical):
     warm.add(1, 0)
     warm.add(2, 1)
     warm.add(3, 2)
-    policy = OctopusPolicy(topo, pop, warm)
+    policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
     src = policy.on_request(req(0, "u1", 4))
     assert src.kind is SourceKind.CDN
     assert policy.placement.contents == [{1}, {2}, {4}]
@@ -181,7 +183,8 @@ def shifted_octopus(canonical):
     # on f4 swaps it in for f3, and no other miss commits a swap
     topo, _, _, caps = canonical
     warm = Placement(caps, 4, [{1}, {2}, {3}])
-    return lambda: OctopusPolicy(topo, Popularity(np.array([0.45, 0.27, 0.09, 0.19])), warm)
+    pop = Popularity(np.array([0.45, 0.27, 0.09, 0.19]))
+    return lambda: OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
 
 
 def test_octopus_segment_replay_swaps_on_first_request(canonical, monkeypatch):
@@ -211,7 +214,7 @@ def test_octopus_segment_replay_with_many_swaps(monkeypatch):
     bs = rng.integers(1, 4, 600).tolist()
     files = (rng.choice(12, 600, p=pop.as_array()) + 1).tolist()
     served, calls = segment_replay_equals_serve(
-        lambda: OctopusPolicy(topo, pop, warm), bs, files, monkeypatch)
+        lambda: OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm)), bs, files, monkeypatch)
     assert len(calls) >= 5 and all(calls)
     assert (served == 0).sum() > len(calls)
 
@@ -220,8 +223,8 @@ def test_octopus_segment_replay_when_every_request_hits(canonical, monkeypatch):
     topo, catalog, pop, caps = canonical
     warm = pcd(topo, catalog, pop, caps).placement
     served, calls = segment_replay_equals_serve(
-        lambda: OctopusPolicy(topo, pop, warm), [1, 2, 2, 1, 1], [1, 2, 3, 3, 1],
-        monkeypatch)
+        lambda: OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm)),
+        [1, 2, 2, 1, 1], [1, 2, 3, 3, 1], monkeypatch)
     assert served.all() and calls == []
 
 
@@ -229,8 +232,8 @@ def test_octopus_segment_replay_with_every_capacity_zero(canonical, monkeypatch)
     topo, _, pop, _ = canonical
     caps = CacheCapacities(cloud=0, edge=(0, 0))
     served, calls = segment_replay_equals_serve(
-        lambda: OctopusPolicy(topo, pop, Placement(caps, 3)), [1, 2, 1], [1, 2, 3],
-        monkeypatch)
+        lambda: OctopusPolicy(topo, UtilityEvaluator(topo, pop, Placement(caps, 3))),
+        [1, 2, 1], [1, 2, 3], monkeypatch)
     assert served.tolist() == [0, 0, 0] and calls == []
 
 
@@ -272,11 +275,61 @@ def test_octopus_rcr_disabled_is_static(canonical):
     assert policy.placement == warm
 
 
+def test_make_policy_hands_the_greedy_evaluator_to_octopus(canonical, monkeypatch):
+    # the greedy fills the one evaluator that reactive replacement then
+    # mutates: no second evaluator, no pcd report, for octopus or femtox
+    topo, catalog, pop, caps = canonical
+    built, reports = [], []
+    init = UtilityEvaluator.__init__
+    monkeypatch.setattr(UtilityEvaluator, "__init__",
+                        lambda ev, *args, **kw: built.append(ev) or init(ev, *args, **kw))
+    for module in (octocache.placement, octocache.policies):
+        monkeypatch.setattr(module, "pcd",
+                            lambda *args, **kw: reports.append(args) or pcd(*args, **kw),
+                            raising=False)
+    policy = make_policy("octopus", topo, catalog, pop, caps, topo.users)
+    assert isinstance(policy, OctopusPolicy)
+    assert reports == []
+    assert len(built) == 1 and policy._ev is built[0]
+    assert policy._ev.placement is policy.placement
+    make_policy("femtox", topo, catalog, pop, caps, topo.users)
+    assert reports == []
+
+
+def test_make_policy_greedy_evaluator_equals_a_fresh_one():
+    # the placements equal pcd's, and the evaluator the greedy filled reads
+    # bit for bit like one built afresh on its placement
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        topo, *_ = random_instance(rng, max_bs=4)
+        num_files = int(rng.integers(1, 13))
+        catalog = Catalog(num_files=num_files)
+        pop = Popularity.from_weights(rng.random(num_files) + 0.01)
+        # every eighth instance has all capacities 0
+        drawn = rng.integers(0, num_files + 3, topo.num_bs + 1) * (trial % 8 != 0)
+        caps = CacheCapacities(cloud=int(drawn[0]), edge=tuple(int(c) for c in drawn[1:]))
+        greedy = pcd(topo, catalog, pop, caps).placement
+        for rcr_enabled in (True, False):
+            policy = make_policy("octopus", topo, catalog, pop, caps, topo.users,
+                                 rcr_enabled=rcr_enabled)
+            assert policy.placement == greedy
+        femtox = make_policy("femtox", topo, catalog, pop, caps, topo.users)
+        assert femtox.placement == pcd(topo, catalog, pop, caps,
+                                       mode=RoutingMode.EDGE_CLOUD).placement
+        ev = make_policy("octopus", topo, catalog, pop, caps, topo.users)._ev
+        fresh = UtilityEvaluator(topo, pop, greedy)
+        for read in (lambda e: e.mask, lambda e: e.best1, lambda e: e._gain_table(),
+                     lambda e: e._loss_table(), _rcr_triggers):
+            assert read(ev).tobytes() == read(fresh).tobytes()
+        assert ev.utility() == fresh.utility()
+        assert ev.min_loss_element() == fresh.min_loss_element()
+
+
 def test_octopus_utility_nondecreasing_over_stream():
     rng = np.random.default_rng(19)
     topo, catalog, pop, caps = random_instance(rng, max_bs=3, max_files=8, max_cap=2)
     warm = pcd(topo, catalog, pop, caps).placement
-    policy = OctopusPolicy(topo, pop, warm)
+    policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
     users = list(topo.users)
     last = utility(policy.placement, topo, pop)
     for i in range(300):

@@ -63,6 +63,10 @@ def test_topology_validation_errors():
     with pytest.raises(ValueError):  # nonpositive peer delay
         Topology(num_bs=2, edge_delay=(10.0, 10.0),
                  peer_delay=((0.0, 0.0), (20.0, 0.0)), cdn_delay=100.0)
+    with pytest.raises(ValueError, match="cdn_delay must exceed every in-network"):
+        # above every edge delay, not above serving BS 2 from BS 1's cache
+        Topology(num_bs=2, edge_delay=(10.0, 20.0),
+                 peer_delay=((0.0, 30.0), (60.0, 0.0)), cdn_delay=50.0)
     with pytest.raises(ValueError):  # duplicate user
         Topology(num_bs=2, edge_delay=(10.0, 10.0),
                  peer_delay=((0.0, 20.0), (20.0, 0.0)), cdn_delay=100.0,
