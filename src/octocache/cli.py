@@ -41,15 +41,12 @@ from .workload import (generate_requests, parse_trace_file, serialize_trace,
 
 _SIZE_SUFFIXES = {"B": 1, "KB": 10**3, "MB": 10**6, "GB": 10**9, "TB": 10**12}
 
-_AXIS_BY_FLAG = {"cache-total": "total_cache_bytes",
-                 "zipf-alpha": "zipf_alpha",
-                 "policy": "policy"}
-
-# the options each sweep axis sets anew in every cell, or does not read;
-# a sweep header leaves them out
-_AXIS_IGNORES = {"cache-total": ("cache_total", "capacity_cloud", "capacity_edge"),
-                 "zipf-alpha": ("zipf_alpha",),
-                 "policy": ("policy", "policies")}
+# each --axis value's config field, and the options that every cell sets
+# anew or does not read, which a sweep header leaves out
+_SWEEP_AXES = {"cache-total": ("total_cache_bytes",
+                               ("cache_total", "capacity_cloud", "capacity_edge")),
+               "zipf-alpha": ("zipf_alpha", ("zipf_alpha",)),
+               "policy": ("policy", ("policy", "policies"))}
 
 # skew of a synthetic workload when --zipf-alpha is not given
 _ZIPF_ALPHA = 0.8
@@ -160,7 +157,7 @@ OPTIONS = (
     Option("policy", _RUNS, choices=POLICY_NAMES),
     Option("jobs", ("sweep",), _count(1), 1, help="parallel sweep workers"),
     Option("policies", ("sweep",), help="comma-separated policy names"),
-    Option("axis", ("sweep",), choices=tuple(_AXIS_BY_FLAG)),
+    Option("axis", ("sweep",), choices=tuple(_SWEEP_AXES)),
     Option("values", ("sweep",), help="comma-separated axis values"),
     Option("trials", ("oracle",), _count(1),
            help="batch mode: number of random desk-scale instances"),
@@ -362,7 +359,7 @@ def cmd_simulate(opts):
 def cmd_sweep(opts):
     if opts["axis"] is None:
         raise ConfigError("--axis is required")
-    axis = _AXIS_BY_FLAG[opts["axis"]]
+    axis, ignored = _SWEEP_AXES[opts["axis"]]
     axis_option = _OPTION_BY_NAME[opts["axis"].replace("-", "_")]
     with opts.naming("values"):
         values = [axis_option.parse(text)
@@ -370,22 +367,19 @@ def cmd_sweep(opts):
     if not values:
         raise ConfigError("--values must list at least one value")
 
-    rows = []
-    ignored = set(_AXIS_IGNORES[opts["axis"]])
+    policies = parse_config_list(opts["policies"] or "", str)
     if axis == "policy":
-        base = _experiment_config(opts, values[0], axis)
-        rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
+        policies = values[:1]
+    elif policies:
+        ignored += ("policy",)
+    elif opts["policy"]:
+        policies = [opts["policy"]]
     else:
-        policies = parse_config_list(opts["policies"] or "", str)
-        if policies:
-            ignored.add("policy")
-        else:
-            policies = [opts["policy"]] if opts["policy"] else []
-        if not policies:
-            raise ConfigError("--policies is required for this axis")
-        for name in policies:
-            base = _experiment_config(opts, name, axis)
-            rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
+        raise ConfigError("--policies is required for this axis")
+    rows = []
+    for name in policies:
+        base = _experiment_config(opts, name, axis)
+        rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
     echoed = Options({name: value for name, value in opts.items()
                       if name not in ignored}, opts.given)
     _emit_rows(rows, echoed, "sweep")
@@ -425,10 +419,12 @@ def _oracle_instance(opts):
     return topology, catalog, popularity, capacities
 
 
-def _ratio(greedy_value, optimal_value):
-    if optimal_value <= 0:
-        return 1.0
-    return greedy_value / optimal_value
+def _greedy_and_optimum(topology, catalog, popularity, capacities):
+    """pcd's utility, the brute-force optimum's, and their ratio (1 at optimum 0)."""
+    optimal = brute_force_optimal(topology, catalog, popularity, capacities)
+    optimum = utility(optimal, topology, popularity)
+    greedy = pcd(topology, catalog, popularity, capacities).final_utility
+    return greedy, optimum, greedy / optimum if optimum > 0 else 1.0
 
 
 # the options an --trials batch reads; it draws every instance at random
@@ -452,22 +448,17 @@ def _trial_ratios(trials, seed):
         capacities = CacheCapacities(
             cloud=int(rng.integers(0, 3)),
             edge=tuple(int(rng.integers(0, 3)) for _ in range(num_bs)))
-        optimal = brute_force_optimal(topology, catalog, popularity, capacities)
-        greedy = pcd(topology, catalog, popularity, capacities)
-        ratios.append(_ratio(greedy.final_utility,
-                             utility(optimal, topology, popularity)))
+        ratios.append(_greedy_and_optimum(topology, catalog, popularity,
+                                          capacities)[2])
     return ratios
 
 
 def cmd_oracle(opts):
     if opts["trials"] is None:
-        topology, catalog, popularity, capacities = _oracle_instance(opts)
-        optimal = brute_force_optimal(topology, catalog, popularity, capacities)
-        optimal_value = utility(optimal, topology, popularity)
-        greedy = pcd(topology, catalog, popularity, capacities)
-        lines = [f"pcd_utility={format(greedy.final_utility, '.10g')}",
-                 f"optimal_utility={format(optimal_value, '.10g')}",
-                 f"ratio={format(_ratio(greedy.final_utility, optimal_value), '.10g')}"]
+        greedy, optimum, ratio = _greedy_and_optimum(*_oracle_instance(opts))
+        lines = [f"pcd_utility={format(greedy, '.10g')}",
+                 f"optimal_utility={format(optimum, '.10g')}",
+                 f"ratio={format(ratio, '.10g')}"]
     else:
         for name, spelled in opts.given.items():
             if name not in _TRIAL_OPTIONS and spelled.startswith("--"):

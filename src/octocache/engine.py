@@ -240,13 +240,10 @@ class SweepRow:
 
 
 def _sweep_cell(args):
+    """The row of ``config`` with field ``axis`` at ``value`` (a budget drops capacities)."""
     axis, value, config = args
-    if axis == "policy":
-        cell = replace(config, policy=value)
-    elif axis == "total_cache_bytes":
-        cell = replace(config, total_cache_bytes=value, capacities=None)
-    else:
-        cell = replace(config, zipf_alpha=value)
+    reset = {"capacities": None} if axis == "total_cache_bytes" else {}
+    cell = replace(config, **{axis: value}, **reset)
     return SweepRow(policy=cell.policy, axis_value=value,
                     seed=cell.master_seed, metrics=run_experiment(cell))
 

@@ -37,12 +37,12 @@ from .routing import (Placement, RoutingMode, _cheapest, _check_instance,
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
-#: Routing restriction of each static baseline during evaluation.
-POLICY_ROUTING = {
-    "eo": RoutingMode.EDGE_ONLY,
-    "ecnc": RoutingMode.EDGE_CLOUD,
-    "exmpc": RoutingMode.FULL,
-    "femtox": RoutingMode.FULL,
+#: Each static baseline's placement function and its evaluation routing.
+_STATIC_POLICIES = {
+    "eo": (place_eo, RoutingMode.EDGE_ONLY),
+    "ecnc": (place_ecnc, RoutingMode.EDGE_CLOUD),
+    "exmpc": (place_exmpc, RoutingMode.FULL),
+    "femtox": (place_femtox, RoutingMode.FULL),
 }
 
 
@@ -284,7 +284,7 @@ def make_policy(name, topology, catalog, popularity, capacities, assignment,
     The policy runs on ``topology.with_users(assignment)``. ``octopus``
     hands the evaluator the greedy fills to :class:`OctopusPolicy`, or,
     without ``rcr_enabled``, keeps its placement static under full routing;
-    the static baselines compute their placements; ``lfu``/``lru`` start cold.
+    ``_STATIC_POLICIES`` places and routes the rest; ``lfu``/``lru`` start cold.
     """
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}")
@@ -296,10 +296,7 @@ def make_policy(name, topology, catalog, popularity, capacities, assignment,
         ev = _greedy(topology, catalog, popularity, capacities, RoutingMode.FULL)[0]
         if rcr_enabled:
             return OctopusPolicy(topology, ev)
-        placement = ev.placement
-    else:
-        builder = {"eo": place_eo, "ecnc": place_ecnc,
-                   "exmpc": place_exmpc, "femtox": place_femtox}[name]
-        placement = builder(topology, catalog, popularity, capacities)
-    return Policy(name, placement, topology,
-                  POLICY_ROUTING.get(name, RoutingMode.FULL))
+        return Policy(name, ev.placement, topology, RoutingMode.FULL)
+    place, mode = _STATIC_POLICIES[name]
+    return Policy(name, place(topology, catalog, popularity, capacities),
+                  topology, mode)

@@ -32,6 +32,14 @@ DEFAULT_FILE_SIZE_MB = 20.0
 DEFAULT_CLOUD_EDGE_RATIO = 4
 
 
+def _whole(value, low=0, high=math.inf):
+    """``value`` as an int if it is a whole number in [low, high], else None."""
+    try:
+        return int(value) if int(value) == value and low <= value <= high else None
+    except (TypeError, ValueError, OverflowError):  # a non-number, nan or infinity
+        return None
+
+
 @dataclass(frozen=True)
 class Topology:
     """The cache hierarchy: R base stations, one cloud cache, delay costs.
@@ -54,7 +62,8 @@ class Topology:
     users : dict
         Active users, user id -> home BS, each served only by its home BS.
         Built from a mapping or from ``(user, home)`` pairs; a user listed
-        twice is rejected. A plain dict, so that a topology pickles.
+        twice, or a home that is not a whole number in 1..R, is rejected.
+        Homes are stored as ints. A plain dict, so that a topology pickles.
     """
 
     num_bs: int
@@ -86,11 +95,11 @@ class Topology:
         pairs = self.users.items() if isinstance(self.users, Mapping) else self.users
         users = {}
         for user, home in pairs:
-            if not 1 <= home <= R:
+            if _whole(home, 1, R) is None:
                 raise ValueError(f"user {user!r} has home BS {home} outside 1..{R}")
             if user in users:
                 raise ValueError(f"user {user!r} assigned more than once")
-            users[user] = home
+            users[user] = int(home)
         object.__setattr__(self, "users", users)
 
     def home_bs(self, user):
@@ -175,17 +184,18 @@ class Popularity:
 
 @dataclass(frozen=True)
 class CacheCapacities:
-    """Per-cache storage capacities in whole files: cloud M_0, edges M_r."""
+    """Per-cache storage capacities in whole files, held as ints: cloud M_0, edges M_r."""
 
     cloud: int
     edge: tuple
 
     def __post_init__(self):
-        if self.cloud < 0 or int(self.cloud) != self.cloud:
+        object.__setattr__(self, "cloud", _whole(self.cloud))
+        object.__setattr__(self, "edge", tuple(map(_whole, self.edge)))
+        if self.cloud is None:
             raise ValueError("cloud capacity must be a non-negative integer")
-        for m in self.edge:
-            if m < 0 or int(m) != m:
-                raise ValueError("edge capacities must be non-negative integers")
+        if None in self.edge:
+            raise ValueError("edge capacities must be non-negative integers")
 
     @property
     def num_bs(self):

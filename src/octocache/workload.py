@@ -166,9 +166,9 @@ def parse_trace(source):
 
     A line ends at LF, CRLF or a lone CR. Rows are stable-sorted by
     timestamp, then content and user ids are interned to dense indices in
-    first-appearance order of the sorted stream. Malformed lines (wrong
-    arity, non-numeric or non-finite timestamp, empty fields) are skipped
-    and counted.
+    first-appearance order of the sorted stream. A non-blank line that is not
+    three comma-separated fields, a finite timestamp then two ids non-empty
+    once stripped, is malformed, skipped and counted.
 
     Raises
     ------
@@ -190,27 +190,17 @@ def parse_trace(source):
     malformed = 0
     isfinite = math.isfinite
     for line in lines:
-        fields = line.split(",")
-        if len(fields) != 3:
-            if line.strip():
-                malformed += 1
-            continue
-        stamp, user, content = fields
-        stamp, user, content = stamp.strip(), user.strip(), content.strip()
-        if not (stamp and user and content):
+        try:  # user and content are read only once both lines succeed
+            stamp, user, content = line.split(",")
+            ts = float(stamp.strip())  # float() keeps U+001C..U+001F; strip() drops them
+        except ValueError:  # not three fields, or no number before the first comma
+            ts = math.nan
+        if isfinite(ts) and (user := user.strip()) and (content := content.strip()):
+            times.append(ts)
+            users.append(user_codes.setdefault(user, len(user_codes)))
+            contents.append(content_codes.setdefault(content, len(content_codes)))
+        elif line.strip():
             malformed += 1
-            continue
-        try:
-            ts = float(stamp)
-        except ValueError:
-            malformed += 1
-            continue
-        if not isfinite(ts):
-            malformed += 1
-            continue
-        times.append(ts)
-        users.append(user_codes.setdefault(user, len(user_codes)))
-        contents.append(content_codes.setdefault(content, len(content_codes)))
     considered = len(times) + malformed
     if considered and malformed / considered > MALFORMED_LINE_TOLERANCE:
         raise TraceFormatError(

@@ -182,6 +182,15 @@ def test_sweep_header_leaves_out_what_every_cell_sets(tmp_path, capsys):
     assert "cache_total=1000000000" in plain.split("\n")[1]
 
 
+def test_sweep_policy_flag_stands_in_for_policies(capsys):
+    budgets = ("--axis", "cache-total", "--values", "1GB,2GB", "--files", "40",
+               "--requests", "300")
+    assert run_cli("sweep", *budgets, "--policies", "eo") == 0
+    want = data_lines(capsys.readouterr().out)
+    assert run_cli("sweep", *budgets, "--policy", "eo") == 0
+    assert data_lines(capsys.readouterr().out) == want
+
+
 def test_sweep_empty_values_exits_1(capsys):
     code = run_cli("sweep", "--axis", "cache-total", "--values", "",
                    "--policies", "eo", "--files", "10")
@@ -325,6 +334,18 @@ def test_config_file_byte_order_mark_is_skipped(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_config_file_blank_and_comment_lines_are_skipped(tmp_path, capsys):
+    cfg = tmp_path / "canonical.cfg"
+    commented = ("# the worked instance\n\n"
+                 + CANONICAL_CFG.replace("\n", "\n   \n  # two BSs\n", 2))
+    outputs = []
+    for text in (CANONICAL_CFG, commented):
+        cfg.write_text(text, encoding="utf-8")
+        assert run_cli("oracle", "--config", str(cfg)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_config_file_unknown_key_exits_1(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("polycy = eo\n", encoding="utf-8")
@@ -427,6 +448,23 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
       "--requests", "300", "--cache-total", "1GB"), "capacity_cloud"),
     (("oracle", "--config", "{cloud_only}", "--files", "3",
       "--cache-total", "200MB"), "capacity_cloud"),
+    # a sweep needs an axis, and on a cache-total or zipf-alpha axis a policy
+    (("sweep", "--values", "1GB", "--policies", "eo", "--files", "40"), "--axis"),
+    (("sweep", "--axis", "cache-total", "--values", "1GB", "--files", "40",
+      "--requests", "300"), "--policies"),
+    # the topology keys of a config file
+    (("oracle", "--config", "{no_cdn_delay}", "--files", "3",
+      "--cache-total", "200MB"), "cdn_delay_ms"),
+    (("oracle", "--config", "{explicit_without_matrix}", "--files", "3",
+      "--cache-total", "200MB"), "peer_delay_ms"),
+    (("oracle", "--config", "{unknown_peer_model}", "--files", "3",
+      "--cache-total", "200MB"), "peer_delay_model"),
+    # a lone capacity_edge is as incomplete as a lone capacity_cloud
+    (("simulate", "--policy", "eo", "--config", "{edge_only}", "--files", "40",
+      "--requests", "300", "--cache-total", "1GB"), "capacity_cloud"),
+    (("oracle", "--config", "{canonical}", "--files", "4"), "popularity"),
+    (("oracle", "--bs", "2", "--files", "3"), "--cache-total"),
+    (("validate-trace",), "--trace"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
@@ -441,6 +479,12 @@ def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
         "cloud_only": "capacity_cloud = 0\n",
         "format_xml": "format = xml\n",
         "nul_trace": "trace = a\0b.csv\n",
+        "no_cdn_delay": "edge_delay_ms = 10, 20\n",
+        "explicit_without_matrix": "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+                                   "peer_delay_model = explicit\n",
+        "unknown_peer_model": "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+                              "peer_delay_model = mesh\n",
+        "edge_only": "capacity_edge = 0\n",
     }
     paths = {name: _write(tmp_path, name + ".cfg", text)
              for name, text in configs.items()}

@@ -63,6 +63,19 @@ def test_config_rejects_capacities_for_other_bs_count():
                 policy=policy, capacities=CacheCapacities(cloud=2, edge=(2, 2))))
 
 
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_whole_float_cloud_edge_ratio_runs_as_its_int(policy):
+    # 1 GB of 20 MB files over 3 BSs at ratio 2: cloud 20, edges 10
+    budget = dict(policy=policy, capacities=None, total_cache_bytes=10**9)
+    assert (run_experiment(small_config(**budget, cloud_edge_ratio=2.0))
+            == run_experiment(small_config(**budget, cloud_edge_ratio=2)))
+
+
+def test_fractional_home_bs_is_rejected():
+    with pytest.raises(ValueError, match="home BS 1.5"):
+        run_experiment(small_config(num_users=2, user_assignment={1: 1.5, 2: 2}))
+
+
 def test_empty_evaluation_window():
     with pytest.raises(ConfigError):
         run_experiment(small_config(num_requests=0))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from octocache import (CacheCapacities, Catalog, ConfigError, Popularity,
                        Topology, build_paper_topology, capacities_from_budget)
-from octocache.topology import (parse_config_text, topology_from_config,
+from octocache.topology import (CDN_DELAY_RANGE_MS, EDGE_DELAY_RANGE_MS,
+                                parse_config_text, topology_from_config,
                                 uturn_peer_delays)
 
 
@@ -47,6 +49,19 @@ def test_cdn_delay_clears_every_peer_delay(seed):
         assert 0 < topo.edge_delay[r] < topo.cdn_delay
 
 
+def test_cdn_delay_is_resampled_until_it_clears_the_peers():
+    # seed 10032's first CDN draw, 60.37 ms, falls short of its largest
+    # U-turn delay, 59.42 ms, plus 1 ms
+    rng = np.random.default_rng(10032)
+    edge = rng.uniform(*EDGE_DELAY_RANGE_MS, size=7)
+    first = float(rng.uniform(*CDN_DELAY_RANGE_MS))
+    worst = max(max(row) for row in uturn_peer_delays(edge))
+    assert first < worst + 1.0
+    topo = build_paper_topology(7, 10032)
+    assert topo.edge_delay == tuple(edge.tolist())
+    assert topo.cdn_delay != first and topo.cdn_delay >= worst + 1.0
+
+
 def test_ordering_chain_edge_peer_cdn():
     topo = build_paper_topology(4, seed=77)
     for r in range(4):
@@ -75,6 +90,15 @@ def test_topology_validation_errors():
         Topology(num_bs=2, edge_delay=(10.0, 10.0),
                  peer_delay=((0.0, 20.0), (20.0, 0.0)), cdn_delay=100.0,
                  users=(("u", 3),))
+    peer = ((0.0, 20.0), (20.0, 0.0))
+    with pytest.raises(ValueError, match="expected 2 edge delays, got 1"):
+        Topology(num_bs=2, edge_delay=(10.0,), peer_delay=peer, cdn_delay=100.0)
+    with pytest.raises(ValueError, match="edge delays must be positive"):
+        Topology(num_bs=2, edge_delay=(10.0, 0.0), peer_delay=peer, cdn_delay=100.0)
+    for ragged in (((0.0, 20.0), (20.0,)), peer + ((20.0, 20.0),)):
+        with pytest.raises(ValueError, match="R x R matrix"):
+            Topology(num_bs=2, edge_delay=(10.0, 10.0), peer_delay=ragged,
+                     cdn_delay=100.0)
 
 
 def test_asymmetric_peer_delays_accepted():
@@ -131,6 +155,31 @@ def test_capacity_validation():
         CacheCapacities(cloud=-1, edge=(1,))
     with pytest.raises(ValueError):
         CacheCapacities(cloud=1, edge=(1.5,))
+
+
+def test_capacities_are_stored_as_ints():
+    caps = CacheCapacities(cloud=2.0, edge=(np.int64(1), 3.0))
+    assert caps == CacheCapacities(cloud=2, edge=(1, 3))
+    assert [type(m) for m in caps.as_list()] == [int, int, int]
+    for bad in (math.inf, math.nan, "2", None, 1.5, -1):
+        with pytest.raises(ValueError, match="cloud capacity"):
+            CacheCapacities(cloud=bad, edge=(1,))
+        with pytest.raises(ValueError, match="edge capacities"):
+            CacheCapacities(cloud=1, edge=(1, bad))
+    topo = build_paper_topology(3, seed=0)
+    caps = capacities_from_budget(10**9, topo, Catalog(60, 20.0), cloud_edge_ratio=2.0)
+    assert caps == CacheCapacities(cloud=20, edge=(10, 10, 10))
+    assert [type(m) for m in caps.as_list()] == [int] * 4
+
+
+def test_home_bs_must_be_a_whole_number():
+    topo = build_paper_topology(2, seed=1)
+    for home in (1.5, math.nan, math.inf, "1", None):
+        with pytest.raises(ValueError, match="home BS"):
+            topo.with_users({"u": home})
+    users = topo.with_users({"a": 2.0, "b": np.int64(1)}).users
+    assert users == {"a": 2, "b": 1}
+    assert [type(home) for home in users.values()] == [int, int]
 
 
 def test_catalog_and_popularity_validation():

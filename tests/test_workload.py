@@ -35,6 +35,14 @@ def test_parse_counts_nonfinite_timestamp_malformed():
     assert times == sorted(times) and len(times) == 9
 
 
+def test_parse_strips_a_timestamp_as_str_strip_does():
+    # float() alone rejects the separators U+001C..U+001F that strip() removes
+    for space in (" ", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u3000"):
+        trace = parse_trace(f"{space}4{space},u,x\n1,v,y\n")
+        assert [e.time for e in trace.events] == [1.0, 4.0]
+        assert trace.malformed_lines == 0
+
+
 def test_parse_file_non_utf8_is_trace_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"1,u1,caf\xe9\n")
