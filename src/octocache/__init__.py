@@ -15,8 +15,8 @@ everything else is reached through its submodule.
 
 __version__ = "0.1.0"
 
-from .engine import (ExperimentConfig, Metrics, SweepRow, derive_seed,
-                     run_experiment, run_sweep, rows_to_csv)
+from .engine import (ExperimentConfig, Metrics, SweepRow, derive_seed, prepare,
+                     replay, run_experiment, run_sweep, rows_to_csv)
 from .errors import (ConfigError, EmptyTraceError, InfeasibleInstanceError,
                      OracleSizeError, TraceError, TraceFormatError)
 from .placement import brute_force_optimal, pcd, rcr
@@ -38,7 +38,7 @@ __all__ = [
     "SweepRow", "Topology", "TraceError", "TraceFormatError", "assign_users",
     "brute_force_optimal", "build_paper_topology", "capacities_from_budget",
     "derive_seed", "estimate_popularity", "generate_requests", "make_policy",
-    "marginal_gain", "marginal_loss", "parse_trace_file", "pcd", "rcr",
-    "route_request", "rows_to_csv", "run_experiment", "run_sweep",
-    "total_expected_delay", "utility", "zipf_popularity",
+    "marginal_gain", "marginal_loss", "parse_trace_file", "pcd", "prepare",
+    "rcr", "replay", "route_request", "rows_to_csv", "run_experiment",
+    "run_sweep", "total_expected_delay", "utility", "zipf_popularity",
 ]

@@ -148,32 +148,38 @@ class ExperimentConfig:
                 "workload": derive_seed(m, "workload")}
 
 
-def _resolve_workload(config, seeds):
-    if config.trace_path is not None:
-        return parse_trace_file(config.trace_path)
-    popularity = zipf_popularity(config.num_files, config.zipf_alpha)
-    users = list(range(1, config.num_users + 1))
-    return generate_requests(popularity, config.num_requests, users,
-                             seeds["workload"])
+@dataclass(frozen=True)
+class Instance:
+    """One replay-ready instance: everything a cell needs but its policy.
 
-
-def run_experiment(config):
-    """Replay one configured experiment and return its metrics.
-
-    Builds topology and workload from derived seeds, estimates popularity
-    over the warm-up window (unless given explicitly) and constructs the
-    policy. One ``Policy.replay`` call then names each request's server by
-    its index in ``policy.sources``. A policy whose placement starts empty
-    (lfu, lru) replays from request 0, so the warm-up window is the head of
-    its pass; a policy placed from that window replays from the evaluation
-    window. The pass skips events of users the assignment does not cover,
-    and only the evaluation window, tallied once, counts them as malformed.
-    Deterministic per master seed.
+    ``topology`` carries the users; ``home_bs`` is the read-only home BS of
+    each request, 0 for a user the topology does not cover. No replay
+    changes an instance, so cells of one sweep may share it.
     """
+
+    trace: object
+    catalog: Catalog
+    topology: object
+    capacities: object
+    popularity: object
+    warm_count: int
+    home_bs: np.ndarray
+
+
+def prepare(config):
+    """Validate ``config`` and build its instance from derived seeds: each
+    part is taken from ``config`` when given there, else drawn, split from
+    the byte budget or, for the popularity, estimated over the warm-up."""
     config.validate()
     seeds = config.seeds()
 
-    trace = _resolve_workload(config, seeds)
+    if config.trace_path is not None:
+        trace = parse_trace_file(config.trace_path)
+    else:
+        trace = generate_requests(zipf_popularity(config.num_files, config.zipf_alpha),
+                                  config.num_requests,
+                                  list(range(1, config.num_users + 1)),
+                                  seeds["workload"])
     catalog = Catalog(num_files=trace.catalog_size,
                       file_size_mb=config.file_size_mb)
 
@@ -205,22 +211,34 @@ def run_experiment(config):
     elif popularity.num_files != catalog.num_files:
         raise ConfigError(f"popularity length must match the {catalog.num_files}-file catalog")
 
-    policy = make_policy(config.policy, topology, catalog, popularity,
-                         capacities, assignment, rcr_enabled=config.rcr_enabled)
-
-    # home BS per request, 0 for a user the assignment does not cover
     homes = np.fromiter((topology.users.get(user, 0) for user in trace.user_labels),
                         dtype=np.intp, count=len(trace.user_labels))
-    bs, files = homes[trace.user_index], trace.file_ids
-    valid = bs > 0
+    home_bs = homes[trace.user_index]
+    home_bs.flags.writeable = False
+    return Instance(trace, catalog, topology, capacities, popularity,
+                    warm_count, home_bs)
+
+
+def replay(instance, policy):
+    """Replay ``instance``'s requests against ``policy`` and tally them.
+
+    One ``Policy.replay`` call names each request's server by its index in
+    ``policy.sources``. A policy whose placement starts empty (lfu, lru)
+    replays from request 0, so the warm-up window is the head of its pass;
+    a policy placed from that window replays from the evaluation window.
+    The pass skips requests of users without a home BS, and only the
+    evaluation window, tallied once, counts them as malformed.
+    """
+    bs, files = instance.home_bs, instance.trace.file_ids
+    warm_count = instance.warm_count
     # a policy that starts empty (lfu, lru) learns from the warm-up window,
     # the head of its pass; one placed from that window starts after it
     start = warm_count if policy.placement.size() else 0
-    keep = valid[start:]
+    keep = bs[start:] > 0
     bs, files = bs[start:][keep], files[start:][keep]
     evaluated = policy.replay(bs, files)[np.count_nonzero(keep[:warm_count - start]):]
-    window = len(trace.file_ids) - warm_count
-    metrics = Metrics(file_size_bytes=catalog.file_size_bytes,
+    window = len(instance.trace.file_ids) - warm_count
+    metrics = Metrics(file_size_bytes=instance.catalog.file_size_bytes,
                       malformed_events=window - evaluated.size)
     for source, requests in zip(policy.sources, np.bincount(
             evaluated, minlength=len(policy.sources)).tolist()):
@@ -229,6 +247,21 @@ def run_experiment(config):
         delays = np.array([source.delay_cost for source in policy.sources])
         metrics.sum_delay_ms = float(np.cumsum(delays[evaluated])[-1])
     return metrics
+
+
+def _run(instance, config):
+    """Replay ``config``'s policy, built on ``instance``'s network."""
+    return replay(instance, make_policy(
+        config.policy, instance.topology, instance.catalog, instance.popularity,
+        instance.capacities, instance.topology.users,
+        rcr_enabled=config.rcr_enabled))
+
+
+def run_experiment(config):
+    """Replay one configured experiment and return its metrics: ``replay``
+    of ``prepare(config)`` against the policy ``config`` names, built by
+    ``make_policy`` on the instance. Deterministic per master seed."""
+    return _run(prepare(config), config)
 
 
 @dataclass
@@ -240,17 +273,29 @@ class SweepRow:
 
 
 def _sweep_cell(args):
-    """The row of ``config`` with field ``axis`` at ``value`` (a budget drops capacities)."""
-    axis, value, config = args
-    reset = {"capacities": None} if axis == "total_cache_bytes" else {}
-    cell = replace(config, **{axis: value}, **reset)
+    """The row of ``cell``, whose field ``axis`` is ``value``, replayed on
+    the sweep's shared ``instance`` (with its own budget's capacities on a
+    budget axis), or on its own instance when ``instance`` is None."""
+    axis, value, cell, instance = args
+    cell.validate()
+    if instance is None:
+        instance = prepare(cell)
+    elif axis == "total_cache_bytes":
+        instance = replace(instance, capacities=capacities_from_budget(
+            value, instance.topology, instance.catalog, cell.cloud_edge_ratio))
     return SweepRow(policy=cell.policy, axis_value=value,
-                    seed=cell.master_seed, metrics=run_experiment(cell))
+                    seed=cell.master_seed, metrics=_run(instance, cell))
 
 
 def run_sweep(base, axis, values, jobs=1):
     """Run one experiment per axis value, all from the same master seed so
     the resulting curves are comparable. Returns rows in input order.
+
+    Each cell is ``base`` with the axis field set to its value (a budget
+    also drops explicit ``capacities``) and validates on its own. An axis
+    that leaves the workload alone prepares one instance, from the first
+    cell, for every cell: a policy axis shares all of it, and a budget axis
+    all but the capacities. A ``zipf_alpha`` axis prepares each cell.
 
     ``jobs`` > 1 runs cells in parallel processes, at most one per cell;
     ordering is deterministic regardless. ``jobs`` < 1 is a ``ConfigError``.
@@ -260,11 +305,14 @@ def run_sweep(base, axis, values, jobs=1):
                           + ", ".join(SWEEP_AXES))
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    cells = [(axis, value, base) for value in values]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(cell) for cell in cells]
+    reset = {"capacities": None} if axis == "total_cache_bytes" else {}
+    cells = [replace(base, **{axis: value}, **reset) for value in values]
+    instance = prepare(cells[0]) if cells and axis != "zipf_alpha" else None
+    tasks = [(axis, value, cell, instance) for value, cell in zip(values, cells)]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(_sweep_cell, tasks))
+    return [_sweep_cell(task) for task in tasks]
 
 
 def format_row(row):

@@ -96,7 +96,8 @@ class Topology:
         users = {}
         for user, home in pairs:
             if _whole(home, 1, R) is None:
-                raise ValueError(f"user {user!r} has home BS {home} outside 1..{R}")
+                raise ValueError(f"user {user!r} has home BS {home}, "
+                                 f"not a whole number in 1..{R}")
             if user in users:
                 raise ValueError(f"user {user!r} assigned more than once")
             users[user] = int(home)
@@ -119,7 +120,10 @@ class Topology:
 
     def with_users(self, assignment):
         """Return a copy of this topology with users taken from a mapping
-        of user id to home BS (iteration order is preserved)."""
+        of user id to home BS (iteration order is preserved), or this
+        topology itself when ``assignment`` is its own ``users`` map."""
+        if assignment is self.users:
+            return self
         return replace(self, users=assignment)
 
 

@@ -25,7 +25,7 @@ def readme_names():
 
 def test_all_namespace_and_readme_list_agree():
     names = readme_names()
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 43
     assert sorted(octocache.__all__) == sorted(names)
     exported = {name for name, value in vars(octocache).items()
                 if not name.startswith("_")

@@ -8,8 +8,9 @@ import octocache.engine
 import octocache.policies
 import octocache.workload
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
-                       ExperimentConfig, Metrics, Popularity, Topology,
-                       derive_seed, pcd, rows_to_csv, run_experiment, run_sweep,
+                       ExperimentConfig, Metrics, Popularity, SweepRow,
+                       Topology, derive_seed, make_policy, pcd, prepare, replay,
+                       rows_to_csv, run_experiment, run_sweep,
                        total_expected_delay)
 from octocache.routing import Source, SourceKind
 
@@ -278,14 +279,11 @@ def test_replay_equals_per_request_loop(policy, workload, tmp_path, monkeypatch)
     # octopus calls reactive replacement only on the misses that swap, and
     # the trace and synthetic cells have some
     config = replace(replay_configs(tmp_path)[workload], policy=policy)
-    built, traces, swaps = [], [], []
-    make_policy, resolve = octocache.engine.make_policy, octocache.engine._resolve_workload
-    rcr_swaps = octocache.policies._rcr_swaps
+    built, swaps = [], []
+    make_policy, rcr_swaps = octocache.engine.make_policy, octocache.policies._rcr_swaps
     monkeypatch.setattr(octocache.engine, "make_policy",
                         lambda *args, **kwargs: built.append((args, kwargs))
                         or make_policy(*args, **kwargs))
-    monkeypatch.setattr(octocache.engine, "_resolve_workload",
-                        lambda *args: traces.append(resolve(*args)) or traces[-1])
     monkeypatch.setattr(octocache.policies, "_rcr_swaps",
                         lambda ev, file: swaps.append(rcr_swaps(ev, file)) or swaps[-1])
     got = run_experiment(config)
@@ -293,7 +291,7 @@ def test_replay_equals_per_request_loop(policy, workload, tmp_path, monkeypatch)
         assert all(swaps) and bool(swaps) == (workload != "zero-capacity")
     monkeypatch.undo()
 
-    [(args, kwargs)], [trace] = built, traces
+    [(args, kwargs)], trace = built, prepare(config).trace
     reference = make_policy(*args, **kwargs)
     catalog, assignment = args[2], args[5]
     want = Metrics(file_size_bytes=catalog.file_size_bytes)
@@ -323,6 +321,18 @@ def test_replay_builds_no_request_events(policy, workload, tmp_path, monkeypatch
     monkeypatch.setattr(octocache.workload, "RequestEvent", no_events)
     config = replace(replay_configs(tmp_path)[workload], policy=policy)
     assert run_experiment(config).requests_total > 0
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_run_experiment_is_prepare_then_replay(policy, tmp_path):
+    # two replays of one instance, each with a fresh policy, equal a fresh run
+    config = replace(replay_configs(tmp_path)["trace"], policy=policy)
+    instance = prepare(config)
+    runs = [replay(instance, make_policy(policy, instance.topology, instance.catalog,
+                                         instance.popularity, instance.capacities,
+                                         instance.topology.users))
+            for _ in range(2)]
+    assert runs[0] == runs[1] == run_experiment(config)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -395,6 +405,63 @@ def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
                      jobs=500)
     assert workers == [2]
     assert [r.axis_value for r in rows] == [0.6, 0.8]
+
+
+SWEEP_VALUES = {"policy": [*POLICY_NAMES, "octopus", "lfu"],
+                "total_cache_bytes": [4 * 10**8, 10**9, 2 * 10**8, 4 * 10**8],
+                "zipf_alpha": [0.6, 1.0, 0.6]}
+
+
+@pytest.mark.parametrize("workload, axis, builds", [
+    ("synthetic", "policy", 1), ("synthetic", "total_cache_bytes", 1),
+    ("synthetic", "zipf_alpha", 3), ("trace", "policy", 1),
+    ("trace", "total_cache_bytes", 1)])
+def test_sweep_builds_the_workload_once_unless_its_axis_changes_it(
+        workload, axis, builds, tmp_path, monkeypatch):
+    def recording(name, into):
+        build = getattr(octocache.engine, name)
+        monkeypatch.setattr(octocache.engine, name, lambda *args, **kwargs:
+                            into.append(build(*args, **kwargs)) or into[-1])
+
+    traces, instances, policies = [], [], []
+    recording("parse_trace_file", traces)
+    recording("generate_requests", traces)
+    recording("prepare", instances)
+    recording("make_policy", policies)
+    values = SWEEP_VALUES[axis][:3]
+    run_sweep(replay_configs(tmp_path)[workload], axis, values)
+    assert len(traces) == len(instances) == builds
+    assert len(policies) == len(values)
+    # every policy runs on its instance's populated topology, not a copy
+    topologies = [instance.topology for instance in instances]
+    assert all(any(policy.topology is topology for topology in topologies)
+               for policy in policies)
+
+
+def rows_or_error(run):
+    try:
+        return run()
+    except ConfigError as exc:  # a trace config has no zipf_alpha axis
+        return str(exc)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("axis", octocache.engine.SWEEP_AXES)
+@pytest.mark.parametrize("workload", ["trace", "synthetic"])
+def test_shared_instance_rows_equal_fresh_rows(workload, axis, jobs, tmp_path):
+    # a value listed twice replays the shared instance after other cells, so
+    # a cell that left state in it would change the repeated row
+    base, values = replay_configs(tmp_path)[workload], SWEEP_VALUES[axis]
+    reset = {"capacities": None} if axis == "total_cache_bytes" else {}
+
+    def fresh_rows():
+        cells = [replace(base, **{axis: value}, **reset) for value in values]
+        return [SweepRow(cell.policy, value, cell.master_seed, run_experiment(cell))
+                for value, cell in zip(values, cells)]
+
+    rows = rows_or_error(lambda: run_sweep(base, axis, values, jobs=jobs))
+    assert rows == rows_or_error(fresh_rows)
+    assert rows == rows_or_error(lambda: run_sweep(base, axis, values, jobs=jobs))
 
 
 def test_policy_sweep_csv_is_pinned():

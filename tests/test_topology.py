@@ -174,8 +174,8 @@ def test_capacities_are_stored_as_ints():
 
 def test_home_bs_must_be_a_whole_number():
     topo = build_paper_topology(2, seed=1)
-    for home in (1.5, math.nan, math.inf, "1", None):
-        with pytest.raises(ValueError, match="home BS"):
+    for home in (1.5, math.nan, math.inf, "1", None, 0, 3):
+        with pytest.raises(ValueError, match=f"home BS {home}, not a whole number in 1..2"):
             topo.with_users({"u": home})
     users = topo.with_users({"a": 2.0, "b": np.int64(1)}).users
     assert users == {"a": 2, "b": 1}
