@@ -376,10 +376,8 @@ def cmd_sweep(opts):
         policies = [opts["policy"]]
     else:
         raise ConfigError("--policies is required for this axis")
-    rows = []
-    for name in policies:
-        base = _experiment_config(opts, name, axis)
-        rows.extend(run_sweep(base, axis, values, jobs=opts["jobs"]))
+    rows = run_sweep(_experiment_config(opts, policies[0], axis), axis, values,
+                     jobs=opts["jobs"], policies=policies)
     echoed = Options({name: value for name, value in opts.items()
                       if name not in ignored}, opts.given)
     _emit_rows(rows, echoed, "sweep")

@@ -150,7 +150,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Instance:
-    """One replay-ready instance: everything a cell needs but its policy.
+    """One replay-ready instance: all a cell needs but policy and capacities.
 
     ``topology`` carries the users; ``home_bs`` is the read-only home BS of
     each request, 0 for a user the topology does not cover. No replay
@@ -160,7 +160,6 @@ class Instance:
     trace: object
     catalog: Catalog
     topology: object
-    capacities: object
     popularity: object
     warm_count: int
     home_bs: np.ndarray
@@ -168,8 +167,9 @@ class Instance:
 
 def prepare(config):
     """Validate ``config`` and build its instance from derived seeds: each
-    part is taken from ``config`` when given there, else drawn, split from
-    the byte budget or, for the popularity, estimated over the warm-up."""
+    part is taken from ``config`` when given there, else drawn or, for the
+    popularity, estimated over the warm-up. It reads neither the policy nor
+    the cache sizes, so cells that differ only in those may share it."""
     config.validate()
     seeds = config.seeds()
 
@@ -192,14 +192,6 @@ def prepare(config):
                                   seeds["assignment"])
     topology = topology.with_users(assignment)
 
-    capacities = config.capacities
-    if capacities is None:
-        capacities = capacities_from_budget(config.total_cache_bytes, topology,
-                                            catalog, config.cloud_edge_ratio)
-    elif capacities.num_bs != topology.num_bs:
-        raise ConfigError(f"capacities list {capacities.num_bs} edge caches "
-                          f"for {topology.num_bs} base stations")
-
     warm_count = int(len(trace.file_ids) * config.warmup_frac)
     if warm_count == len(trace.file_ids):
         raise ConfigError("empty evaluation window after warm-up split")
@@ -215,8 +207,7 @@ def prepare(config):
                         dtype=np.intp, count=len(trace.user_labels))
     home_bs = homes[trace.user_index]
     home_bs.flags.writeable = False
-    return Instance(trace, catalog, topology, capacities, popularity,
-                    warm_count, home_bs)
+    return Instance(trace, catalog, topology, popularity, warm_count, home_bs)
 
 
 def replay(instance, policy):
@@ -250,11 +241,18 @@ def replay(instance, policy):
 
 
 def _run(instance, config):
-    """Replay ``config``'s policy, built on ``instance``'s network."""
+    """Replay ``config``'s policy on ``instance``'s network, with the given
+    ``capacities`` or else those split from the cell's byte budget."""
+    topology, capacities = instance.topology, config.capacities
+    if capacities is None:
+        capacities = capacities_from_budget(config.total_cache_bytes, topology,
+                                            instance.catalog, config.cloud_edge_ratio)
+    elif capacities.num_bs != topology.num_bs:
+        raise ConfigError(f"capacities list {capacities.num_bs} edge caches "
+                          f"for {topology.num_bs} base stations")
     return replay(instance, make_policy(
-        config.policy, instance.topology, instance.catalog, instance.popularity,
-        instance.capacities, instance.topology.users,
-        rcr_enabled=config.rcr_enabled))
+        config.policy, topology, instance.catalog, instance.popularity,
+        capacities, topology.users, rcr_enabled=config.rcr_enabled))
 
 
 def run_experiment(config):
@@ -272,47 +270,68 @@ class SweepRow:
     metrics: Metrics
 
 
-def _sweep_cell(args):
-    """The row of ``cell``, whose field ``axis`` is ``value``, replayed on
-    the sweep's shared ``instance`` (with its own budget's capacities on a
-    budget axis), or on its own instance when ``instance`` is None."""
-    axis, value, cell, instance = args
+def _sweep_cell(instance, value, cell):
+    """The row of ``cell``, whose swept field is ``value``, replayed on
+    ``instance``."""
     cell.validate()
-    if instance is None:
-        instance = prepare(cell)
-    elif axis == "total_cache_bytes":
-        instance = replace(instance, capacities=capacities_from_budget(
-            value, instance.topology, instance.catalog, cell.cloud_edge_ratio))
     return SweepRow(policy=cell.policy, axis_value=value,
                     seed=cell.master_seed, metrics=_run(instance, cell))
 
 
-def run_sweep(base, axis, values, jobs=1):
-    """Run one experiment per axis value, all from the same master seed so
-    the resulting curves are comparable. Returns rows in input order.
+# a pool worker's copy of its sweep's instances, by key, sent to it once
+_worker_instances = {}
 
-    Each cell is ``base`` with the axis field set to its value (a budget
-    also drops explicit ``capacities``) and validates on its own. An axis
-    that leaves the workload alone prepares one instance, from the first
-    cell, for every cell: a policy axis shares all of it, and a budget axis
-    all but the capacities. A ``zipf_alpha`` axis prepares each cell.
 
-    ``jobs`` > 1 runs cells in parallel processes, at most one per cell;
-    ordering is deterministic regardless. ``jobs`` < 1 is a ``ConfigError``.
+def _receive_instances(instances):
+    global _worker_instances
+    _worker_instances = instances
+
+
+def _worker_cell(task):
+    """``_sweep_cell`` in a pool worker, on the instance ``task`` names."""
+    key, value, cell = task
+    return _sweep_cell(_worker_instances[key], value, cell)
+
+
+def run_sweep(base, axis, values, jobs=1, policies=None):
+    """Run the grid of ``policies`` (default ``[base.policy]``) by axis
+    ``values``, all from the same master seed so the resulting curves are
+    comparable. Returns the rows policy by policy, each in value order.
+
+    Each cell is ``base`` with its policy and its axis value set (a budget
+    also drops explicit ``capacities``) and validates on its own. Cells
+    share what ``prepare`` builds, which reads neither the policy nor the
+    cache sizes: the sweep prepares one instance, or on a ``zipf_alpha``
+    axis one per distinct value. A ``policy`` axis takes its policies from
+    ``values``, so more than one entry in ``policies`` is a ``ConfigError``.
+
+    ``jobs`` > 1 runs cells in parallel processes, at most one per cell,
+    each sent every instance once; ordering is deterministic regardless.
+    ``jobs`` < 1 is a ``ConfigError``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of "
                           + ", ".join(SWEEP_AXES))
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    policies = [base.policy] if policies is None else policies
+    if axis == "policy" and len(policies) > 1:
+        raise ConfigError("a policy sweep takes its policies from its values")
     reset = {"capacities": None} if axis == "total_cache_bytes" else {}
-    cells = [replace(base, **{axis: value}, **reset) for value in values]
-    instance = prepare(cells[0]) if cells and axis != "zipf_alpha" else None
-    tasks = [(axis, value, cell, instance) for value, cell in zip(values, cells)]
+    instances, tasks = {}, []
+    for policy in policies:
+        for value in values:
+            cell = replace(base, **{"policy": policy, axis: value}, **reset)
+            key = value if axis == "zipf_alpha" else None
+            if key not in instances:
+                instances[key] = prepare(cell)
+            tasks.append((key, value, cell))
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(_sweep_cell, tasks))
-    return [_sweep_cell(task) for task in tasks]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_receive_instances,
+                                 initargs=(instances,)) as pool:
+            return list(pool.map(_worker_cell, tasks))
+    return [_sweep_cell(instances[key], value, cell) for key, value, cell in tasks]
 
 
 def format_row(row):

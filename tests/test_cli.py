@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import octocache.engine
 from octocache import ConfigError, cli
 from octocache.cli import OPTIONS, build_parser, main, parse_size
 
@@ -189,6 +190,24 @@ def test_sweep_policy_flag_stands_in_for_policies(capsys):
     want = data_lines(capsys.readouterr().out)
     assert run_cli("sweep", *budgets, "--policy", "eo") == 0
     assert data_lines(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("grid, prepared, cells", [
+    (("--axis", "cache-total", "--values", "1GB,2GB",
+      "--policies", "octopus,lfu,eo"), 1, 6),
+    (("--axis", "zipf-alpha", "--values", "0.6,0.8", "--policies", "octopus,eo",
+      "--cache-total", "1GB"), 2, 4),
+])
+def test_sweep_prepares_one_instance_per_workload(grid, prepared, cells,
+                                                   monkeypatch, capsys):
+    # every policy of the grid shares its workload's instance
+    instances = []
+    prepare = octocache.engine.prepare
+    monkeypatch.setattr(octocache.engine, "prepare", lambda config:
+                        instances.append(prepare(config)) or instances[-1])
+    assert run_cli("sweep", *grid, "--files", "40", "--requests", "300") == 0
+    assert len(instances) == prepared
+    assert len(data_lines(capsys.readouterr().out)) == 1 + cells
 
 
 def test_sweep_empty_values_exits_1(capsys):

@@ -9,9 +9,9 @@ import octocache.policies
 import octocache.workload
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        ExperimentConfig, Metrics, Popularity, SweepRow,
-                       Topology, derive_seed, make_policy, pcd, prepare, replay,
-                       rows_to_csv, run_experiment, run_sweep,
-                       total_expected_delay)
+                       Topology, capacities_from_budget, derive_seed,
+                       make_policy, pcd, prepare, replay, rows_to_csv,
+                       run_experiment, run_sweep, total_expected_delay)
 from octocache.routing import Source, SourceKind
 
 
@@ -325,11 +325,15 @@ def test_replay_builds_no_request_events(policy, workload, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_run_experiment_is_prepare_then_replay(policy, tmp_path):
-    # two replays of one instance, each with a fresh policy, equal a fresh run
-    config = replace(replay_configs(tmp_path)["trace"], policy=policy)
+    # two replays of one instance, each with a fresh policy on the capacities
+    # split from the config's budget, equal a fresh run
+    config = replace(replay_configs(tmp_path)["trace"], policy=policy,
+                     capacities=None, total_cache_bytes=4 * 10**8)
     instance = prepare(config)
+    capacities = capacities_from_budget(config.total_cache_bytes, instance.topology,
+                                        instance.catalog, config.cloud_edge_ratio)
     runs = [replay(instance, make_policy(policy, instance.topology, instance.catalog,
-                                         instance.popularity, instance.capacities,
+                                         instance.popularity, capacities,
                                          instance.topology.users))
             for _ in range(2)]
     assert runs[0] == runs[1] == run_experiment(config)
@@ -350,6 +354,9 @@ def test_sweep_policy_axis():
     assert [r.policy for r in rows] == ["eo", "ecnc"]
     # identical workload seeds: same number of evaluated requests
     assert rows[0].metrics.requests_total == rows[1].metrics.requests_total
+    # a policy axis takes its policies from its values
+    with pytest.raises(ConfigError, match="policy sweep"):
+        run_sweep(small_config(), "policy", ["eo"], policies=["eo", "ecnc"])
 
 
 def test_sweep_empty_values():
@@ -384,12 +391,14 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
-    # a recording stand-in for the process pool: no process starts
+    # a recording stand-in for the process pool: no process starts, and the
+    # initializer hands this process the sweep's instances
     workers = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             workers.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -401,6 +410,7 @@ def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(octocache.engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(octocache.engine, "_worker_instances", {})
     rows = run_sweep(small_config(num_requests=1000), "zipf_alpha", [0.6, 0.8],
                      jobs=500)
     assert workers == [2]
@@ -414,7 +424,7 @@ SWEEP_VALUES = {"policy": [*POLICY_NAMES, "octopus", "lfu"],
 
 @pytest.mark.parametrize("workload, axis, builds", [
     ("synthetic", "policy", 1), ("synthetic", "total_cache_bytes", 1),
-    ("synthetic", "zipf_alpha", 3), ("trace", "policy", 1),
+    ("synthetic", "zipf_alpha", 2), ("trace", "policy", 1),
     ("trace", "total_cache_bytes", 1)])
 def test_sweep_builds_the_workload_once_unless_its_axis_changes_it(
         workload, axis, builds, tmp_path, monkeypatch):
@@ -450,18 +460,23 @@ def rows_or_error(run):
 @pytest.mark.parametrize("workload", ["trace", "synthetic"])
 def test_shared_instance_rows_equal_fresh_rows(workload, axis, jobs, tmp_path):
     # a value listed twice replays the shared instance after other cells, so
-    # a cell that left state in it would change the repeated row
+    # a cell that left state in it would change the repeated row; the grid
+    # runs policy by policy, and a policy axis takes its policies from values
     base, values = replay_configs(tmp_path)[workload], SWEEP_VALUES[axis]
+    policies = ["lfu"] if axis == "policy" else ["lfu", "octopus", "eo"]
     reset = {"capacities": None} if axis == "total_cache_bytes" else {}
 
     def fresh_rows():
-        cells = [replace(base, **{axis: value}, **reset) for value in values]
         return [SweepRow(cell.policy, value, cell.master_seed, run_experiment(cell))
-                for value, cell in zip(values, cells)]
+                for policy in policies for value in values
+                for cell in [replace(base, **{"policy": policy, axis: value}, **reset)]]
 
-    rows = rows_or_error(lambda: run_sweep(base, axis, values, jobs=jobs))
+    def sweep():
+        return run_sweep(base, axis, values, jobs=jobs, policies=policies)
+
+    rows = rows_or_error(sweep)
     assert rows == rows_or_error(fresh_rows)
-    assert rows == rows_or_error(lambda: run_sweep(base, axis, values, jobs=jobs))
+    assert rows == rows_or_error(sweep)
 
 
 def test_policy_sweep_csv_is_pinned():
