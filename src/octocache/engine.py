@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,7 +107,8 @@ class ExperimentConfig:
     for synthetic generation. Capacities come either explicitly or from a
     total byte budget. The optional explicit fields (topology, popularity,
     user_assignment, capacities) override the seeded constructions; when a
-    trace workload is used the catalog size comes from the trace.
+    trace workload is used the catalog size comes from the trace. The user
+    map is ``user_assignment``, else the users of ``topology``, else drawn.
     """
 
     policy: str
@@ -122,7 +124,7 @@ class ExperimentConfig:
     num_users: int = 1_000
     warmup_frac: float = 0.2
     master_seed: int = 0
-    smoothing: float = 1.0
+    smoothing: ClassVar[float] = 1.0  # Laplace smoothing of the popularity estimate
     rcr_enabled: bool = True
     topology: object = None
     popularity: object = None
@@ -188,8 +190,8 @@ def prepare(config):
         topology = build_paper_topology(config.num_bs, seeds["topology"])
     assignment = config.user_assignment
     if assignment is None:
-        assignment = assign_users(trace.users(), topology.num_bs,
-                                  seeds["assignment"])
+        assignment = topology.users or assign_users(
+            trace.users(), topology.num_bs, seeds["assignment"])
     topology = topology.with_users(assignment)
 
     warm_count = int(len(trace.file_ids) * config.warmup_frac)
@@ -198,8 +200,7 @@ def prepare(config):
 
     popularity = config.popularity
     if popularity is None:
-        popularity = estimate_popularity(trace, warm_count,
-                                         smoothing=config.smoothing)
+        popularity = estimate_popularity(trace, warm_count, config.smoothing)
     elif popularity.num_files != catalog.num_files:
         raise ConfigError(f"popularity length must match the {catalog.num_files}-file catalog")
 
@@ -273,7 +274,6 @@ class SweepRow:
 def _sweep_cell(instance, value, cell):
     """The row of ``cell``, whose swept field is ``value``, replayed on
     ``instance``."""
-    cell.validate()
     return SweepRow(policy=cell.policy, axis_value=value,
                     seed=cell.master_seed, metrics=_run(instance, cell))
 
@@ -299,11 +299,12 @@ def run_sweep(base, axis, values, jobs=1, policies=None):
     comparable. Returns the rows policy by policy, each in value order.
 
     Each cell is ``base`` with its policy and its axis value set (a budget
-    also drops explicit ``capacities``) and validates on its own. Cells
-    share what ``prepare`` builds, which reads neither the policy nor the
-    cache sizes: the sweep prepares one instance, or on a ``zipf_alpha``
-    axis one per distinct value. A ``policy`` axis takes its policies from
-    ``values``, so more than one entry in ``policies`` is a ``ConfigError``.
+    also drops explicit ``capacities``); every cell validates before any
+    is prepared or run. Cells share what ``prepare`` builds, which reads
+    neither the policy nor the cache sizes: the sweep prepares one
+    instance, or on a ``zipf_alpha`` axis one per distinct value. A
+    ``policy`` axis takes its policies from ``values``, so more than one
+    entry in ``policies`` is a ``ConfigError``.
 
     ``jobs`` > 1 runs cells in parallel processes, at most one per cell,
     each sent every instance once; ordering is deterministic regardless.
@@ -318,14 +319,15 @@ def run_sweep(base, axis, values, jobs=1, policies=None):
     if axis == "policy" and len(policies) > 1:
         raise ConfigError("a policy sweep takes its policies from its values")
     reset = {"capacities": None} if axis == "total_cache_bytes" else {}
-    instances, tasks = {}, []
+    tasks, firsts = [], {}  # firsts: the first cell of each instance key
     for policy in policies:
         for value in values:
             cell = replace(base, **{"policy": policy, axis: value}, **reset)
+            cell.validate()
             key = value if axis == "zipf_alpha" else None
-            if key not in instances:
-                instances[key] = prepare(cell)
+            firsts.setdefault(key, cell)
             tasks.append((key, value, cell))
+    instances = {key: prepare(cell) for key, cell in firsts.items()}
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                  initializer=_receive_instances,

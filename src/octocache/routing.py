@@ -117,19 +117,25 @@ class Placement:
     def is_full(self, cache):
         return len(self.contents[cache]) >= self._caps[cache]
 
-    def add(self, file, cache):
+    def _check_add(self, file, cache):
         self._check_file(file)
         self._check_cache(cache)
         if file in self.contents[cache]:
             raise ValueError(f"file {file} already placed in cache {cache}")
         if self.is_full(cache):
             raise ValueError(f"cache {cache} is full")
-        self.contents[cache].add(file)
 
-    def remove(self, file, cache):
+    def _check_remove(self, file, cache):
         self._check_cache(cache)
         if file not in self.contents[cache]:
             raise ValueError(f"file {file} not in cache {cache}")
+
+    def add(self, file, cache):
+        self._check_add(file, cache)
+        self.contents[cache].add(file)
+
+    def remove(self, file, cache):
+        self._check_remove(file, cache)
         self.contents[cache].remove(file)
 
     def elements(self):
@@ -409,18 +415,11 @@ class UtilityEvaluator:
         return self._losses
 
     def marginal_gain(self, file, cache):
-        self.placement._check_file(file)
-        self.placement._check_cache(cache)
-        if self.placement.contains(file, cache):
-            raise ValueError(f"file {file} already placed in cache {cache}")
-        if self.placement.is_full(cache):
-            raise ValueError(f"cache {cache} is full")
+        self.placement._check_add(file, cache)
         return float(self._gain_table()[file - 1, cache])
 
     def marginal_loss(self, file, cache):
-        self.placement._check_cache(cache)
-        if not self.placement.contains(file, cache):
-            raise ValueError(f"file {file} not in cache {cache}")
+        self.placement._check_remove(file, cache)
         return float(self._loss_table()[file - 1, cache])
 
     def min_loss_element(self):

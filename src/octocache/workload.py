@@ -12,7 +12,6 @@ the trace's user labels in the same order.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -168,7 +167,9 @@ def parse_trace(source):
     timestamp, then content and user ids are interned to dense indices in
     first-appearance order of the sorted stream. A non-blank line that is not
     three comma-separated fields, a finite timestamp then two ids non-empty
-    once stripped, is malformed, skipped and counted.
+    once stripped, is malformed, skipped and counted; only the first
+    non-blank line is skipped uncounted instead, when it is a header: three
+    fields, the first not a number.
 
     Raises
     ------
@@ -179,17 +180,11 @@ def parse_trace(source):
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline="")
-    lines = iter(source)
-    for line in lines:
-        if line.strip():
-            if not _looks_like_header(line.split(",")):
-                lines = itertools.chain((line,), lines)
-            break
     times, users, contents = [], [], []
     user_codes, content_codes = {}, {}  # label -> code, in file order
-    malformed = 0
+    malformed, header = 0, False
     isfinite = math.isfinite
-    for line in lines:
+    for line in source:
         try:  # user and content are read only once both lines succeed
             stamp, user, content = line.split(",")
             ts = float(stamp.strip())  # float() keeps U+001C..U+001F; strip() drops them
@@ -199,8 +194,11 @@ def parse_trace(source):
             times.append(ts)
             users.append(user_codes.setdefault(user, len(user_codes)))
             contents.append(content_codes.setdefault(content, len(content_codes)))
-        elif line.strip():
-            malformed += 1
+        elif line.strip():  # a header only as the first non-blank line
+            if times or malformed or header or not _looks_like_header(line.split(",")):
+                malformed += 1
+            else:
+                header = True
     considered = len(times) + malformed
     if considered and malformed / considered > MALFORMED_LINE_TOLERANCE:
         raise TraceFormatError(

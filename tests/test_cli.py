@@ -210,6 +210,19 @@ def test_sweep_prepares_one_instance_per_workload(grid, prepared, cells,
     assert len(data_lines(capsys.readouterr().out)) == 1 + cells
 
 
+def test_sweep_checks_every_policy_before_any_cell(monkeypatch, capsys):
+    # an unknown name in --policies exits 1 before any instance is prepared
+    def unreachable(config):
+        raise AssertionError("prepare called before the grid was checked")
+
+    monkeypatch.setattr(octocache.engine, "prepare", unreachable)
+    code = run_cli("sweep", "--axis", "cache-total", "--values", "1GB,2GB",
+                   "--policies", "octopus,bogus", "--files", "40",
+                   "--requests", "300")
+    assert code == 1
+    assert "unknown policy 'bogus'" in capsys.readouterr().err
+
+
 def test_sweep_empty_values_exits_1(capsys):
     code = run_cli("sweep", "--axis", "cache-total", "--values", "",
                    "--policies", "eo", "--files", "10")

@@ -43,6 +43,13 @@ def test_config_rejects_unknown_policy():
         run_experiment(small_config(policy="magic"))
 
 
+def test_run_smoothing_is_a_constant():
+    # the popularity estimate's Laplace smoothing is fixed, not a config field
+    assert small_config().smoothing == 1.0
+    with pytest.raises(TypeError):
+        small_config(smoothing=0.5)
+
+
 def test_config_requires_capacities():
     with pytest.raises(ConfigError):
         run_experiment(small_config(capacities=None))
@@ -339,6 +346,24 @@ def test_run_experiment_is_prepare_then_replay(policy, tmp_path):
     assert runs[0] == runs[1] == run_experiment(config)
 
 
+def test_prepare_takes_the_user_map_by_one_rule():
+    # user_assignment, else the users the config topology was built with,
+    # else the seeded draw
+    users = {1: 1, 2: 1, 3: 1, 4: 1}
+    topo = Topology(num_bs=2, edge_delay=(10.0, 20.0),
+                    peer_delay=((0.0, 30.0), (30.0, 0.0)), cdn_delay=100.0,
+                    users=users)
+    config = small_config(num_bs=2, num_users=4, topology=topo,
+                          capacities=CacheCapacities(cloud=20, edge=(5, 5)))
+    instance = prepare(config)
+    assert instance.topology is topo and instance.topology.users == users
+    assert set(instance.home_bs.tolist()) == {1}
+    given = {1: 2, 2: 2, 3: 1, 4: 2}
+    assert prepare(replace(config, user_assignment=given)).topology.users == given
+    drawn = prepare(replace(config, topology=canonical_topology())).topology.users
+    assert sorted(drawn) == [1, 2, 3, 4] and drawn != users
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_sweep_rows_and_order():
@@ -371,6 +396,19 @@ def test_sweep_rejects_jobs_below_one():
 def test_sweep_unknown_axis():
     with pytest.raises(ConfigError):
         run_sweep(small_config(), "backhaul", [1])
+
+
+def test_sweep_validates_its_whole_grid_before_any_cell(monkeypatch):
+    # an unknown policy after a valid one stops the sweep before any
+    # instance is prepared or any policy built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("called before the grid was validated")
+
+    monkeypatch.setattr(octocache.engine, "prepare", unreachable)
+    monkeypatch.setattr(octocache.engine, "make_policy", unreachable)
+    with pytest.raises(ConfigError, match="unknown policy 'bogus'"):
+        run_sweep(small_config(capacities=None), "total_cache_bytes",
+                  [10**8, 2 * 10**8], policies=["octopus", "bogus"])
 
 
 def test_sweep_capacity_axis_monotone_hit_ratio():

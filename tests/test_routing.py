@@ -458,6 +458,33 @@ def test_evaluator_losses_with_tied_t_values(mode):
             _assert_marginals_match_reference(ev, topo, pop, mode)
 
 
+def _rejection(call, *args):
+    """The message of the ``ValueError`` that ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_evaluator_rejects_a_copy_as_its_placement_does(canonical):
+    # a marginal gain checks what add checks and a marginal loss what remove
+    # checks, with the same message where more than one check fails
+    topo, _, pop, _ = canonical
+    placement = Placement(CacheCapacities(cloud=2, edge=(1, 1)), 3, [{1}, {2}, set()])
+    ev = UtilityEvaluator(topo, pop, placement)
+    outcomes = set()
+    for file in range(5):
+        for cache in range(-1, 4):
+            for move, marginal in ((Placement.add, ev.marginal_gain),
+                                   (Placement.remove, ev.marginal_loss)):
+                want = _rejection(move, placement.copy(), file, cache)
+                assert _rejection(marginal, file, cache) == want
+                outcomes.add(want.split()[0] if want else want)
+    assert ev.placement == placement
+    assert outcomes == {None, "file", "cache"}
+
+
 @pytest.mark.parametrize("contents, message", [
     ([{1, 2}, {0, 3}, {4}], "file index 0 outside 1..4"),
     ([{1}, {2, 5}, {3, 4}], "file index 5 outside 1..4"),

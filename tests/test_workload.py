@@ -27,6 +27,20 @@ def test_parse_detects_header():
     assert len(trace.events) == 1 and trace.malformed_lines == 0
 
 
+def test_parse_takes_only_the_first_non_blank_line_as_a_header():
+    header = "timestamp,user_id,content_id"
+    rows = [f"{i},u{i % 3},c{i}" for i in range(20)]
+    # a second header line is malformed
+    trace = parse_trace("\n".join([header, header, *rows]))
+    assert trace.malformed_lines == 1 and len(trace.file_ids) == 20
+    # blank lines before the header leave it the first non-blank line
+    trace = parse_trace("\n".join(["", "  ", "\t", header, *rows]))
+    assert trace.malformed_lines == 0 and len(trace.file_ids) == 20
+    # after a malformed first line, a header-like line is malformed too
+    trace = parse_trace("\n".join(["x,y", header, *rows]))
+    assert trace.malformed_lines == 2 and len(trace.file_ids) == 20
+
+
 def test_parse_counts_nonfinite_timestamp_malformed():
     lines = [f"{i},u{i},c{i}" for i in range(3, 12)]
     trace = parse_trace("\n".join(lines[:1] + ["nan,u,x"] + lines[1:]) + "\n")
