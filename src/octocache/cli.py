@@ -32,10 +32,9 @@ from .errors import ConfigError, InfeasibleInstanceError, TraceError
 from .placement import brute_force_optimal, pcd
 from .policies import POLICY_NAMES
 from .routing import utility
-from .topology import (CacheCapacities, Catalog, Popularity,
+from .topology import (CacheCapacities, Catalog, Popularity, Topology,
                        build_paper_topology, capacities_from_budget,
-                       parse_config_list, parse_config_text,
-                       topology_from_config)
+                       uturn_peer_delays)
 from .workload import (generate_requests, parse_trace_file, serialize_trace,
                        zipf_popularity)
 
@@ -164,7 +163,8 @@ OPTIONS = (
     # instance keys, config files only
     Option("edge_delay_ms", _INSTANCE, flag=False),
     Option("cdn_delay_ms", _INSTANCE, _number(float, 0), flag=False),
-    Option("peer_delay_model", _INSTANCE, flag=False),
+    Option("peer_delay_model", _INSTANCE, choices=("uturn-sum", "explicit"),
+           flag=False),
     Option("peer_delay_ms", _INSTANCE, flag=False),
     Option("capacity_cloud", _INSTANCE, _count(0), flag=False),
     Option("capacity_edge", _INSTANCE, flag=False),
@@ -197,15 +197,35 @@ class Options(dict):
 
 
 def _load_config_file(path):
+    """The file's ``key = value`` lines, by key with dashes read as
+    underscores; '#' starts a comment."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            lines = parse_config_text(handle.read())
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for key in lines:
+    lines = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        lines[key] = value.strip()
     return lines
+
+
+def _split(text, convert=float, sep=","):
+    """The non-empty items of a config value split on ``sep``, each converted."""
+    items = (item.strip() for item in str(text).split(sep))
+    try:
+        return [convert(item) for item in items if item]
+    except ValueError:
+        raise ConfigError(f"cannot parse list {text!r}") from None
 
 
 def _resolve(args):
@@ -232,19 +252,28 @@ def _resolve(args):
     return opts
 
 
-_TOPOLOGY_KEYS = ("edge_delay_ms", "cdn_delay_ms", "peer_delay_model",
-                  "peer_delay_ms")
-
-
 def _config_topology(opts):
-    """The topology given by the config's ``edge_delay_ms`` and related
-    keys, or None without them. A BS count the user gave must agree; the
-    delay list's count becomes ``opts["bs"]``, which the header echoes."""
-    if opts["edge_delay_ms"] is None:
+    """The topology given by the config's delay keys, or None without them;
+    the peer delays are U-turn sums unless ``peer_delay_model = explicit``.
+    A BS count the user gave must agree; the delay list's count becomes
+    ``opts["bs"]``, which the header echoes."""
+    keys = [key for key in ("edge_delay_ms", "cdn_delay_ms", "peer_delay_model",
+                            "peer_delay_ms") if opts[key] is not None]
+    if not keys:
         return None
-    keys = [key for key in _TOPOLOGY_KEYS if opts[key] is not None]
+    missing = [key for key in ("edge_delay_ms", "cdn_delay_ms") if key not in keys]
+    if missing:
+        raise ConfigError(f"{', '.join(keys)} given without {' and '.join(missing)}")
+    explicit = opts["peer_delay_model"] == "explicit"
+    if explicit != ("peer_delay_ms" in keys):
+        raise ConfigError("peer_delay_ms goes with peer_delay_model = explicit")
     with opts.naming(*keys):
-        topology = topology_from_config({key: opts[key] for key in keys})
+        edge = tuple(_split(opts["edge_delay_ms"]))
+        peer = (tuple(tuple(_split(row))
+                      for row in _split(opts["peer_delay_ms"], str, ";"))
+                if explicit else uturn_peer_delays(edge))
+        topology = Topology(num_bs=len(edge), edge_delay=edge, peer_delay=peer,
+                            cdn_delay=opts["cdn_delay_ms"])
     if "bs" in opts.given and opts["bs"] != topology.num_bs:
         raise ConfigError(f"{opts.given['bs']} gives {opts['bs']} base "
                           f"stations but edge_delay_ms lists "
@@ -253,29 +282,38 @@ def _config_topology(opts):
     return topology
 
 
-def _explicit_capacities(opts, num_bs):
-    if opts["capacity_edge"] is None:
-        if opts["capacity_cloud"] is not None:
-            raise ConfigError("capacity_cloud requires capacity_edge")
-        return None
-    with opts.naming("capacity_edge"):
-        edges = parse_config_list(opts["capacity_edge"], int)
-    if len(edges) == 1:
-        edges = edges * num_bs
-    elif len(edges) != num_bs:
-        raise ConfigError(f"capacity_edge lists {len(edges)} capacities "
-                          f"for {num_bs} base stations; give 1 or {num_bs}")
-    if opts["capacity_cloud"] is None:
-        raise ConfigError("capacity_edge requires capacity_cloud")
-    with opts.naming("capacity_edge"):
-        return CacheCapacities(cloud=opts["capacity_cloud"], edge=tuple(edges))
+def _explicit_capacities(opts, num_bs, axis=None):
+    """The config's capacities, or None where the run splits --cache-total.
+    A run takes exactly one of the two, except that each cell of a
+    ``total_cache_bytes`` sweep ``axis`` sets its own budget and drops both."""
+    capacities = None
+    if opts["capacity_edge"] is not None:
+        with opts.naming("capacity_edge"):
+            edges = _split(opts["capacity_edge"], int)
+        if len(edges) == 1:
+            edges = edges * num_bs
+        elif len(edges) != num_bs:
+            raise ConfigError(f"capacity_edge lists {len(edges)} capacities "
+                              f"for {num_bs} base stations; give 1 or {num_bs}")
+        if opts["capacity_cloud"] is None:
+            raise ConfigError("capacity_edge requires capacity_cloud")
+        with opts.naming("capacity_edge"):
+            capacities = CacheCapacities(cloud=opts["capacity_cloud"],
+                                         edge=tuple(edges))
+    elif opts["capacity_cloud"] is not None:
+        raise ConfigError("capacity_cloud requires capacity_edge")
+    if (axis != "total_cache_bytes"
+            and (capacities is None) == (opts["cache_total"] is None)):
+        budget = opts.given.get("cache_total", "--cache-total")
+        raise ConfigError(f"exactly one of {budget} and explicit capacities required")
+    return capacities
 
 
 def _explicit_popularity(opts):
     if opts["popularity"] is None:
         return None
     with opts.naming("popularity"):
-        return Popularity(np.array(parse_config_list(opts["popularity"])))
+        return Popularity(np.array(_split(opts["popularity"])))
 
 
 def _zipf_alpha(opts):
@@ -286,10 +324,7 @@ def _experiment_config(opts, policy, axis=None):
     """The run's config; a ``total_cache_bytes`` sweep ``axis`` supplies
     each cell's budget, so the base needs none."""
     topology = _config_topology(opts)
-    capacities = _explicit_capacities(opts, opts["bs"])
-    if (capacities is None and opts["cache_total"] is None
-            and axis != "total_cache_bytes"):
-        raise ConfigError("--cache-total (or explicit capacities) required")
+    capacities = _explicit_capacities(opts, opts["bs"], axis)
     return ExperimentConfig(
         policy=policy,
         num_bs=opts["bs"],
@@ -363,11 +398,11 @@ def cmd_sweep(opts):
     axis_option = _OPTION_BY_NAME[opts["axis"].replace("-", "_")]
     with opts.naming("values"):
         values = [axis_option.parse(text)
-                  for text in parse_config_list(opts["values"] or "", str)]
+                  for text in _split(opts["values"] or "", str)]
     if not values:
         raise ConfigError("--values must list at least one value")
 
-    policies = parse_config_list(opts["policies"] or "", str)
+    policies = _split(opts["policies"] or "", str)
     if axis == "policy":
         policies = values[:1]
     elif policies:
@@ -406,12 +441,13 @@ def _oracle_instance(opts):
     popularity = _explicit_popularity(opts)
     if popularity is None:
         popularity = zipf_popularity(opts["files"], _zipf_alpha(opts))
+    elif opts["zipf_alpha"] is not None:
+        raise ConfigError(f"popularity and {opts.given['zipf_alpha']} "
+                          f"exclude each other")
     if popularity.num_files != catalog.num_files:
         raise ConfigError("popularity length must match --files")
     capacities = _explicit_capacities(opts, topology.num_bs)
     if capacities is None:
-        if opts["cache_total"] is None:
-            raise ConfigError("--cache-total or explicit capacities required")
         capacities = capacities_from_budget(opts["cache_total"], topology,
                                             catalog, opts["cloud_edge_ratio"])
     return topology, catalog, popularity, capacities

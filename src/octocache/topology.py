@@ -24,8 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
-
 EDGE_DELAY_RANGE_MS = (10.0, 30.0)
 CDN_DELAY_RANGE_MS = (60.0, 100.0)
 DEFAULT_FILE_SIZE_MB = 20.0
@@ -287,57 +285,3 @@ def capacities_from_budget(total_bytes, topology, catalog,
     per_edge = total_files // (cloud_edge_ratio + topology.num_bs)
     return CacheCapacities(cloud=cloud_edge_ratio * per_edge,
                            edge=(per_edge,) * topology.num_bs)
-
-
-def parse_config_text(text):
-    """Parse flat ``key = value`` lines into a dict. '#' starts a comment."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def parse_config_list(text, convert=float, sep=","):
-    """Split a config value on ``sep`` and convert each non-empty item."""
-    items = (item.strip() for item in str(text).split(sep))
-    try:
-        return [convert(item) for item in items if item]
-    except ValueError:
-        raise ConfigError(f"cannot parse list {text!r}") from None
-
-
-def topology_from_config(values):
-    """Build a :class:`Topology` from a mapping of config keys to values,
-    such as :func:`parse_config_text` returns; a key mapped to None counts
-    as absent.
-
-    ``num_bs`` is optional: the length of ``edge_delay_ms`` sets it, and a
-    given ``num_bs`` that disagrees with that length is a ``ConfigError``.
-    """
-    for key in ("edge_delay_ms", "cdn_delay_ms"):
-        if values.get(key) is None:
-            raise ConfigError(f"missing topology key: {key!r}")
-    edge = tuple(parse_config_list(values["edge_delay_ms"]))
-    num_bs = values.get("num_bs")
-    if num_bs is not None and int(num_bs) != len(edge):
-        raise ConfigError(f"num_bs = {num_bs} but edge_delay_ms lists "
-                          f"{len(edge)} delays")
-    model = values.get("peer_delay_model") or "uturn-sum"
-    if model == "uturn-sum":
-        peer = uturn_peer_delays(edge)
-    elif model == "explicit":
-        if values.get("peer_delay_ms") is None:
-            raise ConfigError("peer_delay_model=explicit requires peer_delay_ms")
-        peer = tuple(tuple(parse_config_list(row))
-                     for row in parse_config_list(values["peer_delay_ms"],
-                                                  str, ";"))
-    else:
-        raise ConfigError(f"unknown peer_delay_model {model!r}")
-    return Topology(num_bs=len(edge), edge_delay=edge, peer_delay=peer,
-                    cdn_delay=float(values["cdn_delay_ms"]))

@@ -5,6 +5,7 @@ captured by pytest's capsys.
 """
 
 import argparse
+import dataclasses
 import os
 import re
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import octocache.engine
-from octocache import ConfigError, cli
+from octocache import ConfigError, Topology, build_paper_topology, cli
 from octocache.cli import OPTIONS, build_parser, main, parse_size
 
 CANONICAL_CFG = """\
@@ -384,6 +385,35 @@ def test_config_file_unknown_key_exits_1(tmp_path):
     assert run_cli("simulate", "--config", str(cfg)) == 1
 
 
+def config_topology(tmp_path, text):
+    args = build_parser().parse_args(
+        ["oracle", "--config", _write(tmp_path, "topology.cfg", text)])
+    return cli._config_topology(cli._resolve(args))
+
+
+def test_config_num_bs_inferred_and_checked(tmp_path):
+    text = "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+    assert config_topology(tmp_path, text).num_bs == 2
+    assert config_topology(tmp_path, "num_bs = 2\n" + text).num_bs == 2
+    with pytest.raises(ConfigError):
+        config_topology(tmp_path, "num_bs = 3\n" + text)
+
+
+def test_config_roundtrip_uturn(tmp_path):
+    topo = build_paper_topology(4, seed=11)
+    text = ("edge_delay_ms = " + ", ".join(map(repr, topo.edge_delay))
+            + f"\ncdn_delay_ms = {topo.cdn_delay!r}\npeer_delay_model = uturn-sum\n")
+    assert config_topology(tmp_path, text) == dataclasses.replace(topo, users=())
+
+
+def test_config_roundtrip_explicit_matrix(tmp_path):
+    topo = Topology(num_bs=2, edge_delay=(10.0, 20.0),
+                    peer_delay=((0.0, 25.0), (35.0, 0.0)), cdn_delay=100.0)
+    text = ("num_bs = 2\nedge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+            "peer_delay_model = explicit\npeer_delay_ms = 0, 25; 35, 0\n")
+    assert config_topology(tmp_path, text) == topo
+
+
 def test_out_file_writing(tmp_path):
     out = tmp_path / "rows.csv"
     code = run_cli("simulate", "--policy", "eo", "--files", "30",
@@ -497,6 +527,26 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
     (("oracle", "--config", "{canonical}", "--files", "4"), "popularity"),
     (("oracle", "--bs", "2", "--files", "3"), "--cache-total"),
     (("validate-trace",), "--trace"),
+    # every topology key needs the delays; peer_delay_ms needs the explicit model
+    (("simulate", "--policy", "eo", "--config", "{cdn_only}", *SMALL),
+     "edge_delay_ms"),
+    (("oracle", "--config", "{explicit_without_edges}", "--files", "3",
+      "--cache-total", "200MB"), "edge_delay_ms"),
+    (("oracle", "--config", "{matrix_beside_uturn}", "--files", "3",
+      "--cache-total", "200MB"), "peer_delay_model = explicit"),
+    (("oracle", "--config", "{matrix_without_model}", "--files", "3",
+      "--cache-total", "200MB"), "peer_delay_model = explicit"),
+    # explicit capacities and a budget exclude each other outside a cache-total sweep
+    (("simulate", "--policy", "eo", "--config", "{capacities}", *SMALL),
+     "--cache-total"),
+    (("oracle", "--config", "{canonical}", "--cache-total", "200MB"),
+     "--cache-total"),
+    (("sweep", "--axis", "zipf-alpha", "--values", "0.6,0.8", "--policies", "eo",
+      "--config", "{capacities}", *SMALL), "--cache-total"),
+    (("sweep", "--axis", "policy", "--values", "eo,lru", "--files", "30",
+      "--requests", "300", "--config", "{capacities_and_budget}"), "cache_total"),
+    # the oracle's popularity is its skew
+    (("oracle", "--config", "{canonical}", "--zipf-alpha", "3"), "--zipf-alpha"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
@@ -517,6 +567,17 @@ def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
         "unknown_peer_model": "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
                               "peer_delay_model = mesh\n",
         "edge_only": "capacity_edge = 0\n",
+        "cdn_only": "cdn_delay_ms = 1000\n",
+        "explicit_without_edges": "cdn_delay_ms = 100\npeer_delay_model = explicit\n"
+                                  "peer_delay_ms = 0, 25; 35, 0\n",
+        "matrix_beside_uturn": "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+                               "peer_delay_model = uturn-sum\n"
+                               "peer_delay_ms = 0, 25; 35, 0\n",
+        "matrix_without_model": "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+                                "peer_delay_ms = 0, 25; 35, 0\n",
+        "capacities": "capacity_cloud = 1\ncapacity_edge = 1\n",
+        "capacities_and_budget": "capacity_cloud = 1\ncapacity_edge = 1\n"
+                                 "cache_total = 1GB\n",
     }
     paths = {name: _write(tmp_path, name + ".cfg", text)
              for name, text in configs.items()}

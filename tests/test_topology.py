@@ -5,10 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
-from octocache import (CacheCapacities, Catalog, ConfigError, Popularity,
+from octocache import (CacheCapacities, Catalog, Popularity,
                        Topology, build_paper_topology, capacities_from_budget)
 from octocache.topology import (CDN_DELAY_RANGE_MS, EDGE_DELAY_RANGE_MS,
-                                parse_config_text, topology_from_config,
                                 uturn_peer_delays)
 
 
@@ -203,33 +202,6 @@ def test_nonfinite_values_rejected():
                  cdn_delay=np.inf)
     with pytest.raises(ValueError):
         Catalog(num_files=3, file_size_mb=np.inf)
-
-
-def config_topology(text):
-    return topology_from_config(parse_config_text(text))
-
-
-def test_config_num_bs_inferred_and_checked():
-    text = "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
-    assert config_topology(text).num_bs == 2
-    assert config_topology("num_bs = 2\n" + text).num_bs == 2
-    with pytest.raises(ConfigError):
-        config_topology("num_bs = 3\n" + text)
-
-
-def test_config_roundtrip_uturn():
-    topo = build_paper_topology(4, seed=11)
-    text = ("edge_delay_ms = " + ", ".join(map(repr, topo.edge_delay))
-            + f"\ncdn_delay_ms = {topo.cdn_delay!r}\npeer_delay_model = uturn-sum\n")
-    assert config_topology(text) == dataclasses.replace(topo, users=())
-
-
-def test_config_roundtrip_explicit_matrix():
-    topo = Topology(num_bs=2, edge_delay=(10.0, 20.0),
-                    peer_delay=((0.0, 25.0), (35.0, 0.0)), cdn_delay=100.0)
-    text = ("num_bs = 2\nedge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
-            "peer_delay_model = explicit\npeer_delay_ms = 0, 25; 35, 0\n")
-    assert config_topology(text) == topo
 
 
 def test_uturn_matrix_values():
