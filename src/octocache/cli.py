@@ -8,8 +8,11 @@ Each option is declared once, in ``OPTIONS``: its name (the config key,
 and with dashes the flag), the subcommands that read it, its converter
 with its range check, its choices and its default. A subcommand accepts
 only the flags it reads. ``--config`` reads flat ``key = value`` lines;
-explicit flags win over config values, a key that only another subcommand
-reads is ignored, and a key that no subcommand reads is an error. Sizes
+explicit flags win over config values, and a key that no subcommand reads,
+or that the file repeats, is an error. A key that only another subcommand
+reads is ignored, and so is one that this run does not read because
+another of its inputs gives or replaces the value (``_unread``); such a
+flag is an error, so the header echoes only what the run read. Sizes
 accept decimal suffixes (KB/MB/GB/TB). Exit codes: 0 success, 1
 configuration error, 2 trace I/O or format error, 3 structurally
 infeasible instance.
@@ -40,15 +43,12 @@ from .workload import (generate_requests, parse_trace_file, serialize_trace,
 
 _SIZE_SUFFIXES = {"B": 1, "KB": 10**3, "MB": 10**6, "GB": 10**9, "TB": 10**12}
 
-# each --axis value's config field, and the options that every cell sets
-# anew or does not read, which a sweep header leaves out
+# each --axis value's config field, and the options whose value every
+# cell supplies anew, so the sweep does not read them
 _SWEEP_AXES = {"cache-total": ("total_cache_bytes",
                                ("cache_total", "capacity_cloud", "capacity_edge")),
-               "zipf-alpha": ("zipf_alpha", ("zipf_alpha",)),
+               "zipf-alpha": ("zipf_alpha", ("zipf_alpha", "trace")),
                "policy": ("policy", ("policy", "policies"))}
-
-# skew of a synthetic workload when --zipf-alpha is not given
-_ZIPF_ALPHA = 0.8
 
 
 def parse_size(text):
@@ -140,8 +140,8 @@ OPTIONS = (
            help="total cache budget, e.g. 0.4TB"),
     Option("cloud_edge_ratio", _INSTANCE, _count(0), 4,
            help="cloud capacity as a multiple of one edge (default 4)"),
-    Option("zipf_alpha", _INSTANCE + ("gen-trace",), _number(float, 0),
-           help=f"Zipf skew of a synthetic workload (default {_ZIPF_ALPHA})"),
+    Option("zipf_alpha", _INSTANCE + ("gen-trace",), _number(float, 0), 0.8,
+           help="Zipf skew of a synthetic workload (default 0.8)"),
     Option("requests", _RUNS + ("gen-trace",), _count(0), 100_000),
     Option("users", _RUNS + ("gen-trace",), _count(1), 1000),
     Option("trace", _RUNS + ("validate-trace",), _path,
@@ -172,18 +172,17 @@ OPTIONS = (
     Option("users_per_bs", ("oracle",), _count(1), flag=False),
 )
 
-_OPTION_BY_NAME = {option.name: option for option in OPTIONS}
-_CONFIG_KEYS = {key for option in OPTIONS for key in option.keys}
+_OPTION_BY_KEY = {key: option for option in OPTIONS for key in option.keys}
 
 
 class Options(dict):
-    """The value of each option one subcommand reads, by option name.
-    ``given`` maps each option the user set to the flag or config key that
+    """The value of each option of one subcommand, by option name, or None
+    where the run does not read it. ``given`` maps each option the user set to the flag or config key that
     set it."""
 
-    def __init__(self, values=(), given=()):
-        super().__init__(values)
-        self.given = dict(given)
+    def __init__(self):
+        super().__init__()
+        self.given = {}
 
     @contextmanager
     def naming(self, *names):
@@ -197,8 +196,8 @@ class Options(dict):
 
 
 def _load_config_file(path):
-    """The file's ``key = value`` lines, by key with dashes read as
-    underscores; '#' starts a comment."""
+    """The key and value of each ``key = value`` line, by option name, once
+    each; keys read dashes as underscores, and '#' starts a comment."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -213,9 +212,12 @@ def _load_config_file(path):
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTION_BY_KEY:
             raise ConfigError(f"unknown config key {key!r}")
-        lines[key] = value.strip()
+        name = _OPTION_BY_KEY[key].name
+        if name in lines:
+            raise ConfigError(f"line {lineno}: {key} repeats {lines[name][0]}")
+        lines[name] = key, value.strip()
     return lines
 
 
@@ -229,18 +231,17 @@ def _split(text, convert=float, sep=","):
 
 
 def _resolve(args):
-    """Each option the subcommand reads: its flag, else its config line,
-    else its default. Config lines of other subcommands' options are
-    ignored."""
+    """Each option the subcommand reads: its flag, else its config line, else
+    its default; None where ``_unread`` finds that this run does not read
+    it, and then its flag is an error. Other subcommands' keys are ignored."""
     lines = _load_config_file(args.config) if args.config else {}
     opts = Options()
     for option in OPTIONS:
         if args.command not in option.commands:
             continue
-        text = None
-        for key, line in lines.items():
-            if key in option.keys:
-                text, opts.given[option.name] = line, key
+        key, text = lines.get(option.name, (None, None))
+        if key:
+            opts.given[option.name] = key
         if option.flag and getattr(args, option.name) is not None:
             text = getattr(args, option.name)
             opts.given[option.name] = option.flag_spelling
@@ -249,7 +250,38 @@ def _resolve(args):
         else:
             with opts.naming(option.name):
                 opts[option.name] = option.parse(text)
+    for name, reason in _unread(opts, args.command).items():
+        spelled = opts.given.pop(name, "")
+        if spelled.startswith("--"):
+            raise ConfigError(f"{spelled} is not read: {reason}")
+        opts[name] = None
     return opts
+
+
+def _unread(opts, command):
+    """Each option ``command`` takes that this run does not read, with the
+    reason: another input gives or replaces its value. A rule holds only
+    where the run reads its cause, so a rule may void a later one."""
+    unread = {}
+
+    def drop(cause, reason, *names):
+        if opts.get(cause) is not None and cause not in unread:
+            unread.update({name: reason.format(opts.given[cause]) for name in names
+                           if name in opts and name not in unread})
+
+    drop("trials", "{} draws every instance at random",
+         *(name for name in opts if name not in ("seed", "trials", "out")))
+    if opts.get("axis"):
+        drop("axis", f"each cell of {{}} {opts['axis']} supplies its own",
+             *_SWEEP_AXES[opts["axis"]][1])
+    drop("policies", "{} names the policies", "policy")
+    drop("trace", "the requests come from {}", "files", "requests", "users", "zipf_alpha")
+    drop("capacity_edge", "the config gives the capacities", "cloud_edge_ratio")
+    if command == "oracle":
+        drop("capacity_edge", "the config gives the capacities in files", "file_size_mb")
+        drop("popularity", "the config gives the popularity", "zipf_alpha")
+        drop("edge_delay_ms", "the config gives the topology", "seed")
+    return unread
 
 
 def _config_topology(opts):
@@ -316,10 +348,6 @@ def _explicit_popularity(opts):
         return Popularity(np.array(_split(opts["popularity"])))
 
 
-def _zipf_alpha(opts):
-    return _ZIPF_ALPHA if opts["zipf_alpha"] is None else opts["zipf_alpha"]
-
-
 def _experiment_config(opts, policy, axis=None):
     """The run's config; a ``total_cache_bytes`` sweep ``axis`` supplies
     each cell's budget, so the base needs none."""
@@ -334,8 +362,7 @@ def _experiment_config(opts, policy, axis=None):
         cloud_edge_ratio=opts["cloud_edge_ratio"],
         capacities=capacities,
         trace_path=opts["trace"],
-        zipf_alpha=(opts["zipf_alpha"] if opts["trace"] is not None
-                    else _zipf_alpha(opts)),
+        zipf_alpha=opts["zipf_alpha"],
         num_requests=opts["requests"],
         num_users=opts["users"],
         warmup_frac=opts["warmup_frac"],
@@ -385,17 +412,18 @@ def cmd_simulate(opts):
     metrics = run_experiment(config)
     row = SweepRow(policy=config.policy, axis_value="", seed=config.master_seed,
                    metrics=metrics)
-    seeds = config.seeds()
-    seed_line = " ".join(f"seed_{k}={v}" for k, v in seeds.items() if k != "master")
-    _emit_rows([row], opts, "simulate", [seed_line])
+    drawn = {"topology": config.topology is None, "assignment": True,
+             "workload": config.trace_path is None}
+    seeds = " ".join(f"seed_{k}={v}" for k, v in config.seeds().items() if drawn.get(k))
+    _emit_rows([row], opts, "simulate", [seeds])
     return 0
 
 
 def cmd_sweep(opts):
     if opts["axis"] is None:
         raise ConfigError("--axis is required")
-    axis, ignored = _SWEEP_AXES[opts["axis"]]
-    axis_option = _OPTION_BY_NAME[opts["axis"].replace("-", "_")]
+    axis = _SWEEP_AXES[opts["axis"]][0]
+    axis_option = _OPTION_BY_KEY[opts["axis"].replace("-", "_")]
     with opts.naming("values"):
         values = [axis_option.parse(text)
                   for text in _split(opts["values"] or "", str)]
@@ -405,22 +433,18 @@ def cmd_sweep(opts):
     policies = _split(opts["policies"] or "", str)
     if axis == "policy":
         policies = values[:1]
-    elif policies:
-        ignored += ("policy",)
-    elif opts["policy"]:
+    elif opts["policy"]:  # None beside --policies
         policies = [opts["policy"]]
-    else:
+    elif not policies:
         raise ConfigError("--policies is required for this axis")
     rows = run_sweep(_experiment_config(opts, policies[0], axis), axis, values,
                      jobs=opts["jobs"], policies=policies)
-    echoed = Options({name: value for name, value in opts.items()
-                      if name not in ignored}, opts.given)
-    _emit_rows(rows, echoed, "sweep")
+    _emit_rows(rows, opts, "sweep")
     return 0
 
 
 def cmd_gen_trace(opts):
-    popularity = zipf_popularity(opts["files"], _zipf_alpha(opts))
+    popularity = zipf_popularity(opts["files"], opts["zipf_alpha"])
     users = list(range(1, opts["users"] + 1))
     trace = generate_requests(popularity, opts["requests"], users, opts["seed"])
     print(" | ".join(_header_lines(opts, "gen-trace")), file=sys.stderr)
@@ -437,19 +461,17 @@ def _oracle_instance(opts):
                   for r in range(1, topology.num_bs + 1)
                   for i in range(1, per_bs + 1)}
     topology = topology.with_users(assignment)
-    catalog = Catalog(num_files=opts["files"], file_size_mb=opts["file_size_mb"])
+    catalog = Catalog(num_files=opts["files"])
     popularity = _explicit_popularity(opts)
     if popularity is None:
-        popularity = zipf_popularity(opts["files"], _zipf_alpha(opts))
-    elif opts["zipf_alpha"] is not None:
-        raise ConfigError(f"popularity and {opts.given['zipf_alpha']} "
-                          f"exclude each other")
+        popularity = zipf_popularity(opts["files"], opts["zipf_alpha"])
     if popularity.num_files != catalog.num_files:
         raise ConfigError("popularity length must match --files")
     capacities = _explicit_capacities(opts, topology.num_bs)
     if capacities is None:
-        capacities = capacities_from_budget(opts["cache_total"], topology,
-                                            catalog, opts["cloud_edge_ratio"])
+        capacities = capacities_from_budget(
+            opts["cache_total"], topology,
+            Catalog(opts["files"], opts["file_size_mb"]), opts["cloud_edge_ratio"])
     return topology, catalog, popularity, capacities
 
 
@@ -459,10 +481,6 @@ def _greedy_and_optimum(topology, catalog, popularity, capacities):
     optimum = utility(optimal, topology, popularity)
     greedy = pcd(topology, catalog, popularity, capacities).final_utility
     return greedy, optimum, greedy / optimum if optimum > 0 else 1.0
-
-
-# the options an --trials batch reads; it draws every instance at random
-_TRIAL_OPTIONS = ("seed", "trials", "out")
 
 
 def _trial_ratios(trials, seed):
@@ -494,12 +512,6 @@ def cmd_oracle(opts):
                  f"optimal_utility={format(optimum, '.10g')}",
                  f"ratio={format(ratio, '.10g')}"]
     else:
-        for name, spelled in opts.given.items():
-            if name not in _TRIAL_OPTIONS and spelled.startswith("--"):
-                raise ConfigError(f"{spelled} is not read with --trials, "
-                                  f"which draws every instance at random")
-        # instance keys of a config file are ignored, and not echoed
-        opts = Options({name: opts[name] for name in _TRIAL_OPTIONS}, opts.given)
         ratios = _trial_ratios(opts["trials"], opts["seed"])
         lines = [f"trials={opts['trials']}",
                  f"min_ratio={format(min(ratios), '.10g')}",

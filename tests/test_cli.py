@@ -6,6 +6,7 @@ captured by pytest's capsys.
 
 import argparse
 import dataclasses
+import json
 import os
 import re
 from pathlib import Path
@@ -37,6 +38,20 @@ def run_cli(*argv):
 
 def data_lines(out):
     return [l for l in out.strip().split("\n") if l and not l.startswith("#")]
+
+
+def header_names(out):
+    """The names of the options and seeds a run's header echoes."""
+    if out.startswith("{"):
+        lines = json.loads(out)["config"].split(" | ")
+    else:
+        lines = [l[2:] for l in out.split("\n") if l.startswith("# ")]
+    return [token.split("=")[0] for line in lines[1:] for token in line.split()
+            if "=" in token]
+
+
+# fifty requests of four users for six contents
+TRACE_CSV = "".join(f"{i},u{i % 4},c{i % 6}\n" for i in range(50))
 
 
 # ------------------------------------------------------------------- sizes
@@ -91,7 +106,6 @@ def test_simulate_unknown_flag_exits_1(capsys):
 
 
 def test_simulate_json_format(capsys):
-    import json
     code = run_cli("simulate", "--policy", "ecnc", "--files", "40",
                    "--requests", "400", "--cache-total", "2GB",
                    "--format", "json")
@@ -150,38 +164,49 @@ def test_sweep_alpha_axis_rows(capsys):
     assert len(rows) == 1 + 9
 
 
-def test_sweep_cache_total_axis_echoes_no_budget(capsys):
-    sizes = ("--files", "40", "--requests", "300", "--policies", "eo,lru")
-    assert run_cli("sweep", "--axis", "cache-total", "--values", "1GB,2GB",
-                   *sizes) == 0
+def test_sweep_cache_total_axis_echoes_no_budget(tmp_path, capsys):
+    budgets = ("sweep", "--axis", "cache-total", "--values", "1GB,2GB",
+               "--files", "40", "--requests", "300", "--policies", "eo,lru")
+    assert run_cli(*budgets) == 0
     out = capsys.readouterr().out
     assert "cache_total=" not in out
-    # each cell sets its own budget: a --cache-total changes no data row
-    assert run_cli("sweep", "--axis", "cache-total", "--values", "1GB,2GB",
-                   "--cache-total", "5GB", *sizes) == 0
-    assert data_lines(capsys.readouterr().out) == data_lines(out)
+    # each cell sets its own budget: a --cache-total is not read and exits 1,
+    assert run_cli(*budgets, "--cache-total", "5GB") == 1
+    assert "--cache-total is not read" in capsys.readouterr().err
+    # and a config file's cache_total is ignored
+    cfg = _write(tmp_path, "budget.cfg", "cache_total = 5GB\n")
+    assert run_cli(*budgets, "--config", cfg) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_sweep_header_leaves_out_what_every_cell_sets(tmp_path, capsys):
     def sweep(*argv):
-        assert run_cli("sweep", *argv, "--files", "40", "--requests", "300") == 0
-        return capsys.readouterr().out
+        code = run_cli("sweep", *argv, "--files", "40", "--requests", "300")
+        out, err = capsys.readouterr()
+        return code, out, err
 
-    # each cell sets its own budget, so explicit capacities shape no row
     budgets = ("--axis", "cache-total", "--values", "1GB,2GB", "--policies", "eo")
-    plain = sweep(*budgets)
-    caps = _write(tmp_path, "caps.cfg", "capacity_cloud = 0\ncapacity_edge = 0\n")
-    assert sweep(*budgets, "--config", caps) == plain
-    assert sweep(*budgets, "--cache-total", "5GB") == plain
     alphas = ("--axis", "zipf-alpha", "--values", "0.6,0.8", "--policies", "eo",
               "--cache-total", "1GB")
-    plain = sweep(*alphas)
-    assert sweep(*alphas, "--zipf-alpha", "0.3") == plain
-    assert sweep(*alphas, "--policy", "lru") == plain
     policies = ("--axis", "policy", "--values", "eo,lru", "--cache-total", "1GB")
-    plain = sweep(*policies)
-    assert sweep(*policies, "--policy", "ecnc", "--policies", "lfu") == plain
-    assert "cache_total=1000000000" in plain.split("\n")[1]
+    for grid, flag, value in ((budgets, "--cache-total", "5GB"),
+                              (alphas, "--zipf-alpha", "0.3"),
+                              (alphas, "--policy", "lru"),
+                              (policies, "--policy", "ecnc"),
+                              (policies, "--policies", "lfu")):
+        plain = sweep(*grid)
+        key = flag[2:].replace("-", "_")
+        assert plain[0] == 0 and key not in header_names(plain[1])
+        # the sweep does not read the option: its flag exits 1 naming it,
+        code, _, err = sweep(*grid, flag, value)
+        assert code == 1 and f"{flag} is not read" in err
+        # and its config key is ignored
+        cfg = _write(tmp_path, "sweep.cfg", f"{key} = {value}\n")
+        assert sweep(*grid, "--config", cfg) == plain
+    # explicit capacities, config keys only, are ignored on a cache-total axis
+    caps = _write(tmp_path, "caps.cfg", "capacity_cloud = 0\ncapacity_edge = 0\n")
+    assert sweep(*budgets, "--config", caps) == sweep(*budgets)
+    assert "cache_total=1000000000" in sweep(*policies)[1].split("\n")[1]
 
 
 def test_sweep_policy_flag_stands_in_for_policies(capsys):
@@ -547,6 +572,17 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
       "--requests", "300", "--config", "{capacities_and_budget}"), "cache_total"),
     # the oracle's popularity is its skew
     (("oracle", "--config", "{canonical}", "--zipf-alpha", "3"), "--zipf-alpha"),
+    # a config file sets each option once, under one of its keys
+    (("simulate", "--policy", "eo", "--config", "{bs_twice}", *SMALL),
+     "line 2: num_bs repeats bs"),
+    (("simulate", "--policy", "eo", "--config", "{files_twice}", *SMALL),
+     "line 2: files repeats files"),
+    # a zipf-alpha axis draws each cell's requests, so it reads no trace
+    (("sweep", "--axis", "zipf-alpha", "--values", "0.6", "--policies", "eo",
+      "--trace", "{trace}", "--cache-total", "1GB"),
+     "--trace is not read: each cell of --axis zipf-alpha"),
+    (("simulate", "--policy", "eo", "--trace", "{trace}", "--cache-total", "1GB",
+      "--zipf-alpha", "0.5"), "--zipf-alpha is not read: the requests come from --trace"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
@@ -578,9 +614,12 @@ def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
         "capacities": "capacity_cloud = 1\ncapacity_edge = 1\n",
         "capacities_and_budget": "capacity_cloud = 1\ncapacity_edge = 1\n"
                                  "cache_total = 1GB\n",
+        "bs_twice": "bs = 2\nnum_bs = 3\n",
+        "files_twice": "files = 40\nfiles = 50\n",
     }
     paths = {name: _write(tmp_path, name + ".cfg", text)
              for name, text in configs.items()}
+    paths["trace"] = _write(tmp_path, "t.csv", TRACE_CSV)
     assert run_cli(*[arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and named in err and "Traceback" not in err
@@ -664,6 +703,119 @@ def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
     assert "users_per_bs" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, config, flag, value", [
+    (("simulate", "--policy", "eo", "--trace", "{trace}", "--cache-total", "1GB"),
+     "empty", "--files", "5"),
+    (("sweep", "--axis", "cache-total", "--values", "1GB", "--policies", "eo",
+      "--files", "40", "--requests", "300"), "empty", "--cache-total", "5GB"),
+    (("sweep", "--axis", "zipf-alpha", "--values", "0.6", "--policies", "eo",
+      *SMALL), "empty", "--zipf-alpha", "0.3"),
+    (("sweep", "--axis", "policy", "--values", "eo", *SMALL), "empty",
+     "--policies", "lfu"),
+    (("sweep", "--axis", "cache-total", "--values", "1GB", "--policies", "eo",
+      "--files", "40", "--requests", "300"), "empty", "--policy", "lru"),
+    (("oracle", "--trials", "5"), "empty", "--bs", "3"),
+    (("oracle",), "canonical", "--zipf-alpha", "3"),
+    (("oracle",), "canonical", "--seed", "5"),
+    (("oracle",), "canonical", "--cloud-edge-ratio", "9"),
+    (("oracle",), "canonical", "--file-size-mb", "7"),
+    (("simulate", "--policy", "eo", "--files", "40", "--requests", "300"),
+     "capacities", "--cloud-edge-ratio", "9"),
+])
+def test_unread_flag_exits_1_and_its_config_key_is_ignored(argv, config, flag, value,
+                                                          tmp_path, capsys):
+    config = {"empty": "", "canonical": CANONICAL_CFG,
+              "capacities": "capacity_cloud = 1\ncapacity_edge = 1\n"}[config]
+    argv = [arg.format(trace=_write(tmp_path, "t.csv", TRACE_CSV)) for arg in argv]
+    plain = _write(tmp_path, "plain.cfg", config)
+    assert run_cli(*argv, "--config", plain, flag, value) == 1
+    assert f"{flag} is not read" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    keyed = _write(tmp_path, "keyed.cfg", f"{config}{key} = {value}\n")
+    assert run_cli(*argv, "--config", keyed) == 0
+    out = capsys.readouterr().out
+    assert key not in header_names(out)
+    assert run_cli(*argv, "--config", plain) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_header_shows_what_the_run_drew(tmp_path, capsys):
+    def header(*argv):
+        """The run's option settings and the names of its seeds."""
+        assert run_cli("simulate", "--policy", "eo", "--cache-total", "1GB", *argv) == 0
+        lines = capsys.readouterr().out.split("\n")
+        return lines[1].split(), [token.split("=")[0] for token in lines[2][2:].split()]
+
+    seeds = ["seed_topology", "seed_assignment", "seed_workload"]
+    options, drawn = header("--files", "40", "--requests", "300")
+    assert "zipf_alpha=0.8" in options and drawn == seeds
+    options, drawn = header("--trace", _write(tmp_path, "t.csv", TRACE_CSV))
+    assert "zipf_alpha" not in " ".join(options) and drawn == seeds[:2]
+    delays = _write(tmp_path, "delays.cfg", "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n")
+    _, drawn = header("--config", delays, "--files", "40", "--requests", "300")
+    assert drawn == seeds[1:]
+
+
+# A valid run per context, as config lines, so that a flag given beside
+# them takes the place of a line rather than clashing with a flag
+_SYNTHETIC = "files = 40\nrequests = 300\nusers = 20\n"
+_CONTEXTS = {
+    "simulate": ("simulate", "policy = eo\ncache_total = 1GB\n" + _SYNTHETIC),
+    "simulate-trace": ("simulate", "policy = eo\ncache_total = 1GB\n"
+                                   "trace = {trace}\n" + _SYNTHETIC),
+    "sweep-cache-total": ("sweep", "axis = cache-total\nvalues = 1GB,2GB\n"
+                                   "policies = eo\n" + _SYNTHETIC),
+    "sweep-cache-total-trace": ("sweep", "axis = cache-total\nvalues = 1GB,2GB\n"
+                                         "policies = eo\ntrace = {trace}\n"),
+    "sweep-zipf-alpha": ("sweep", "axis = zipf-alpha\nvalues = 0.6,0.8\n"
+                                  "policies = eo\ncache_total = 1GB\n" + _SYNTHETIC),
+    "sweep-policy": ("sweep", "axis = policy\nvalues = eo,lru\ncache_total = 1GB\n"
+                     + _SYNTHETIC),
+    "sweep-policy-trace": ("sweep", "axis = policy\nvalues = eo,lru\n"
+                                    "cache_total = 1GB\ntrace = {trace}\n"),
+    "sweep-one-policy": ("sweep", "axis = cache-total\nvalues = 1GB,2GB\n"
+                                  "policy = eo\n" + _SYNTHETIC),
+    "oracle": ("oracle", "bs = 2\nfiles = 3\ncache_total = 200MB\n"),
+    "oracle-popularity": ("oracle", "bs = 2\nfiles = 3\ncache_total = 200MB\n"
+                                    "popularity = 0.5, 0.3, 0.2\n"),
+    "oracle-topology": ("oracle", "edge_delay_ms = 10, 20\ncdn_delay_ms = 100\n"
+                                  "files = 3\ncache_total = 200MB\n"),
+    "oracle-instance": ("oracle", CANONICAL_CFG),
+    "oracle-trials": ("oracle", CANONICAL_CFG + "trials = 3\n"),
+}
+# a valid value for each flag a context does not set
+_SAMPLES = {"bs": "2", "files": "3", "file_size_mb": "10", "cache_total": "1GB",
+            "cloud_edge_ratio": "2", "zipf_alpha": "0.5", "requests": "300",
+            "users": "20", "trace": "{trace}", "warmup_frac": "0.1", "seed": "3",
+            "out": "{out}", "format": "json", "policy": "lru", "jobs": "1",
+            "policies": "eo", "axis": "cache-total", "values": "1GB", "trials": "3"}
+
+
+@pytest.mark.parametrize("context", sorted(_CONTEXTS))
+def test_every_flag_is_echoed_or_refused(context, tmp_path, capsys):
+    # a flag the run does not read fails rather than being dropped unseen
+    command, config = _CONTEXTS[context]
+    paths = {"trace": _write(tmp_path, "t.csv", TRACE_CSV),
+             "out": str(tmp_path / "out.txt")}
+    config = config.format(**paths)
+    cfg = _write(tmp_path, "run.cfg", config)
+    assert run_cli(command, "--config", cfg) == 0
+    capsys.readouterr()
+    names = {key: option.name for option in OPTIONS for key in option.keys}
+    lines = dict(line.split(" = ") for line in config.splitlines())
+    values = {names[key]: value for key, value in lines.items()}
+    for option in OPTIONS:
+        if not option.flag or command not in option.commands:
+            continue
+        value = values.get(option.name, _SAMPLES[option.name]).format(**paths)
+        code = run_cli(command, "--config", cfg, option.flag_spelling, value)
+        out, err = capsys.readouterr()
+        if code == 0 and option.name == "out":
+            out = Path(value).read_text(encoding="utf-8")
+        assert (code == 0 and option.name in header_names(out)
+                or code == 1 and option.flag_spelling in err), option.name
+
+
 def readme_options():
     """README's list of the options each subcommand reads: the command,
     then its flags and its config-only keys."""
@@ -695,18 +847,22 @@ def test_readme_option_list_equals_the_parser():
 # ------------------------------------------------------------ fuzzed argv
 
 _SIZES = ("--files", "50", "--requests", "200", "--users", "20")
-# A valid small run per command. Fuzzed flags come after it and win; no
-# value in the pool raises a size above these (the pool's integers are
-# small and its other values do not parse as integers).
+_GRID = ("--jobs", "1", "--axis", "cache-total", "--values", "1GB,2GB",
+         "--policies", "eo,lru")
+# A valid small run per command, and one on the fuzzed trace per command
+# that replays requests, which reads no sizes. Fuzzed flags come after it
+# and win; no value in the pool raises a size above these (the pool's
+# integers are small and its other values do not parse as integers).
 _BASE = {
-    "simulate": ("--config", "{config}", *_SIZES, "--cache-total", "1GB",
+    "simulate": ("simulate", "--config", "{config}", *_SIZES, "--cache-total", "1GB",
                  "--policy", "octopus"),
-    "sweep": ("--config", "{config}", *_SIZES, "--cache-total", "1GB",
-              "--jobs", "1", "--axis", "cache-total", "--values", "1GB,2GB",
-              "--policies", "eo,lru"),
-    "gen-trace": ("--config", "{config}", *_SIZES),
-    "oracle": ("--config", "{config}", "--trials", "3"),
-    "validate-trace": ("--config", "{config}", "--trace", "{trace}"),
+    "simulate-trace": ("simulate", "--config", "{config}", "--trace", "{trace}",
+                       "--cache-total", "1GB", "--policy", "octopus"),
+    "sweep": ("sweep", "--config", "{config}", *_SIZES, *_GRID),
+    "sweep-trace": ("sweep", "--config", "{config}", "--trace", "{trace}", *_GRID),
+    "gen-trace": ("gen-trace", "--config", "{config}", *_SIZES),
+    "oracle": ("oracle", "--config", "{config}", "--trials", "3"),
+    "validate-trace": ("validate-trace", "--config", "{config}", "--trace", "{trace}"),
 }
 # Hostile values, a few valid ones so that runs reach the simulator, and
 # placeholders for paths: a missing directory, an existing directory, and
@@ -720,11 +876,11 @@ _NAMES = ("eo", "octopus", "lru", "csv", "json", "explicit", "cache-total",
 _POOLS = {"--config": _PATHS, "--trace": _PATHS, "--out": _PATHS,
           "--format": _NAMES, "--policy": _NAMES, "--policies": _NAMES,
           "--axis": _NAMES, "--values": _NAMES + _NUMBERS}
-# the flags each subcommand accepts and every config key, from the
+# the flags each base's subcommand accepts and every config key, from the
 # declarations the parser is built from
-_FLAGS = {command: ("--config",) + tuple(option.flag_spelling for option in OPTIONS
-                                         if option.flag and command in option.commands)
-          for command in _BASE}
+_FLAGS = {base: ("--config",) + tuple(option.flag_spelling for option in OPTIONS
+                                      if option.flag and argv[0] in option.commands)
+          for base, argv in _BASE.items()}
 _CONFIG_KEYS = sorted(key for option in OPTIONS for key in option.keys)
 _TRACE_LINES = ("1,u1,a", "2,u2,b", "3,u1,a", "nan,u3,c", "inf,u4,a",
                 "-inf,u1,b", "x", "", "4,\u00fc,\u221e",
@@ -737,8 +893,8 @@ def _flag_and_value(flag):
 
 @st.composite
 def _cli_inputs(draw):
-    command = draw(st.sampled_from(sorted(_FLAGS)))
-    flags = draw(st.lists(st.sampled_from(_FLAGS[command]).flatmap(
+    base = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_FLAGS[base]).flatmap(
         _flag_and_value), max_size=3))
     config = draw(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS),
                                      st.sampled_from(_NUMBERS + _NAMES + _PATHS)),
@@ -747,10 +903,10 @@ def _cli_inputs(draw):
         st.binary(max_size=300),
         st.lists(st.sampled_from(_TRACE_LINES), max_size=200).map(
             lambda lines: "\n".join(lines).encode("utf-8"))))
-    return command, flags, config, trace
+    return base, flags, config, trace
 
 
-def _run_fuzz_case(command, flags, config, trace, tmp_path, monkeypatch):
+def _run_fuzz_case(base, flags, config, trace, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative --out values land here
     paths = {"missing": str(tmp_path / "missing" / "x"), "dir": str(tmp_path),
              "trace": str(tmp_path / "trace.csv"),
@@ -759,16 +915,16 @@ def _run_fuzz_case(command, flags, config, trace, tmp_path, monkeypatch):
     (tmp_path / "fuzz.cfg").write_text(
         "".join(f"{key} = {value.format(**paths)}\n" for key, value in config),
         encoding="utf-8")
-    argv = [command, *_BASE[command]]
+    argv = list(_BASE[base])
     for flag, value in flags:
         argv += [flag, value]
     return main([arg.format(**paths) for arg in argv])
 
 
-@pytest.mark.parametrize("command", sorted(_BASE))
-def test_fuzz_base_run_exits_0(command, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("base", sorted(_BASE))
+def test_fuzz_base_run_exits_0(base, tmp_path, monkeypatch, capsys):
     trace = "\n".join(_TRACE_LINES[:3]).encode("utf-8")
-    assert _run_fuzz_case(command, [], [], trace, tmp_path, monkeypatch) == 0
+    assert _run_fuzz_case(base, [], [], trace, tmp_path, monkeypatch) == 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -776,7 +932,7 @@ def test_fuzz_base_run_exits_0(command, tmp_path, monkeypatch, capsys):
 @given(inputs=_cli_inputs())
 def test_fuzzed_argv_keeps_exit_code_contract(inputs, tmp_path, monkeypatch,
                                               capsys):
-    command, flags, config, trace = inputs
-    assert _run_fuzz_case(command, flags, config, trace, tmp_path,
+    base, flags, config, trace = inputs
+    assert _run_fuzz_case(base, flags, config, trace, tmp_path,
                           monkeypatch) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
