@@ -3,16 +3,8 @@
 * :func:`pcd` - proactive greedy distribution: repeatedly add the
   (file, cache) copy with the highest marginal utility until every cache is
   full. Carries a 1/2 approximation guarantee against the optimum. It runs
-  in rounds, not one argmax per copy. A copy's gain depends only on its own
-  file's copies, so each file's successive best copies form a chain whose
-  gains never increase. A round grows the chains while their gains stay at
-  or above a threshold, the n-th largest gain among the files' best copies
-  (n: the room left, or the live files if fewer), and commits the entries
-  in the greedy's order, up to the first copy that fills a cache, into the
-  ``UtilityEvaluator`` that values them, which holds the placement under
-  construction. Every entry left out sorts after the committed ones, so the
-  merge is exact, and each round fills a cache or gives every live file a
-  copy, so there are at most 2(R+1) rounds.
+  in rounds that commit whole chains of one file's successive best copies,
+  exactly as the one-copy-at-a-time greedy would (see :func:`pcd`).
 * :func:`rcr` - reactive replacement after a cache miss: up to R+1 times,
   swap the minimum-marginal-loss cached copy for the newly fetched file,
   stopping at the first swap that fails to raise utility by more than
@@ -89,18 +81,15 @@ def _chains(ev, files, cache, gain, closed, threshold):
     long as the gains stay at or above ``threshold``.
 
     Returns the entries as arrays (file, step, cache, gain)."""
-    held = ev.mask[:, files].T
-    best = ev.best1[:, files].T
+    held = ev.mask[:, files]
     entries = []
     step = 0
     while files.size:
         entries.append((files, np.full(files.size, step), cache, gain))
-        held[np.arange(files.size), cache] = True
-        best = np.maximum(best, ev.t_table[:, cache].T)
-        cache, gain = _best_open(ev._marginals(files, best.T), held | closed)
+        held[cache, np.arange(files.size)] = True
+        cache, gain = _best_open(ev._marginals(files, held), held.T | closed)
         keep = gain >= threshold
-        files, cache, gain = files[keep], cache[keep], gain[keep]
-        held, best = held[keep], best[keep]
+        files, cache, gain, held = files[keep], cache[keep], gain[keep], held[:, keep]
         step += 1
     return [np.concatenate(column) for column in zip(*entries)]
 
@@ -132,9 +121,10 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
        result, and its gain table refreshes the rows of the files touched.
 
     This is exactly the one-copy-at-a-time greedy. Along a chain the gains
-    never increase, bit for bit: ``max(t - best1, 0)`` only falls as
-    ``best1`` rises, every operation after it rounds monotonically, and
-    ``UtilityEvaluator._marginals`` adds BSs in a fixed order. So every
+    never increase, bit for bit: each step adds a holder to the file's mask
+    column, so ``max(t - rival, 0)`` only falls as the rival, the holders'
+    best t-value, rises; every operation after it rounds monotonically,
+    and ``UtilityEvaluator._marginals`` adds BSs in a fixed order. So every
     entry not grown has a gain below ``T`` and sorts after every grown one,
     and the first cache to fill ends the round before a closed cache is
     offered. Rounds are few: when the room left is at most the number of

@@ -345,18 +345,15 @@ class UtilityEvaluator:
     All state derives from the cache mask (R+1, F): ``best1`` (R, F) holds,
     per (BS, file), the best t-value among the caches holding the file, and
     two (F, R+1) tables hold each copy's marginal gain (0 where the cache
-    holds the file) and marginal loss (``inf`` where it does not), both
-    ``p_j * sum_b count_b * max(t[b, k] - rival[b, j], 0)``: the rival is
-    ``best1`` for a gain and the holders' second-best t-value for a loss.
-    :meth:`_marginals`, the one code that works in chunks of
-    ``_TABLE_CHUNK_ROWS`` files, computes both. A file's gain and loss
-    depend only on its own mask column, so :meth:`add`, :meth:`remove` and
-    the bulk :meth:`add_copies` update the mask and ``best1`` and mark the
-    files' rows stale; a table read recomputes its stale rows at once. The
-    evaluator owns its placement copy: mutate through those three only. A
-    table read refreshes that table, so even reads need exclusive access
-    while any row is stale. A placement or popularity that does not fit
-    the topology or catalog is a ``ValueError``.
+    holds the file) and marginal loss (``inf`` where it does not). Both are
+    rows of :meth:`_marginals`, which depend only on the file's mask column,
+    its holder pattern, so each pattern's row is built once. :meth:`add`,
+    :meth:`remove` and the bulk :meth:`add_copies` update the mask and
+    ``best1`` and mark the files' rows stale; a table read recomputes its
+    stale rows at once. The evaluator owns its placement copy: mutate
+    through those three only. A table read refreshes that table, so even
+    reads need exclusive access while any row is stale. A placement or
+    popularity that does not fit the topology or catalog is a ``ValueError``.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -380,28 +377,36 @@ class UtilityEvaluator:
     def utility(self):
         return float(self.counts @ self.best1 @ self.probs)
 
-    def _marginals(self, js, rival=None):
+    def _marginals(self, js, held, rank=1):
         """``p_j * sum_b count_b * max(t[b, k] - rival[b, n], 0)`` for files
-        ``j = js[n]``, shape (len(js), R+1); the rival defaults to the
-        holders' second-best t-value, for a loss. Built ``_TABLE_CHUNK_ROWS``
-        files at a time to bound the temporaries. numpy adds the BS axis in
-        BS order (no BLAS dot, no pairwise blocks), so a row built alone is
-        bitwise equal to the same row built in bulk."""
-        rows = np.empty((js.size, self.num_bs + 1))
-        for start in range(0, js.size, _TABLE_CHUNK_ROWS):
+        ``j = js[n]`` with holder columns ``held[:, n]``, shape (len(js), R+1).
+        The rival is the holders' ``rank``-th best t-value: 1 for a gain, 2
+        for a loss. It depends only on the holder set, so the sum is built
+        once per distinct column (keyed by its packed bytes, for any R),
+        ``_TABLE_CHUNK_ROWS`` columns at a time to bound the temporaries.
+        Selecting the rival does not round, and numpy adds the BS axis in BS
+        order, so a row is bitwise the same built alone or in bulk."""
+        packed = np.packbits(held, axis=0)
+        order = np.lexsort(packed)
+        first = np.concatenate(([True], np.diff(packed[:, order], axis=1).any(axis=0)))
+        pattern_of = np.empty_like(order)
+        pattern_of[order] = np.cumsum(first) - 1
+        patterns = held[:, order[first]]
+        sums = np.empty((patterns.shape[1], self.num_bs + 1))
+        for start in range(0, len(sums), _TABLE_CHUNK_ROWS):
             part = slice(start, start + _TABLE_CHUNK_ROWS)
-            versus = rival[:, part] if rival is not None else np.partition(
-                self.t_table[:, :, None] * self.mask[:, js[part]], -2, axis=1)[:, -2, :]
+            versus = np.partition(self.t_table[:, :, None] * patterns[:, part],
+                                  -rank, axis=1)[:, -rank, :]
             drop = np.maximum(self.t_table[:, None, :] - versus[:, :, None], 0.0)
             drop *= self.counts[:, None, None]
-            rows[part] = self.probs[js[part], None] * drop.sum(axis=0)
-        return rows
+            sums[part] = drop.sum(axis=0)
+        return self.probs[js, None] * sums[pattern_of]
 
     def _gain_table(self):
         """The gain table, its stale rows recomputed first."""
         if self._gains_stale.any():
             js = np.flatnonzero(self._gains_stale)
-            self._gains[js] = self._marginals(js, self.best1[:, js])
+            self._gains[js] = self._marginals(js, self.mask[:, js])
             self._gains_stale[js] = False
         return self._gains
 
@@ -410,7 +415,8 @@ class UtilityEvaluator:
         to its second-best holder, or to the CDN (t-value 0)."""
         if self._losses_stale.any():
             js = np.flatnonzero(self._losses_stale)
-            self._losses[js] = np.where(self.mask[:, js].T, self._marginals(js), np.inf)
+            held = self.mask[:, js]
+            self._losses[js] = np.where(held.T, self._marginals(js, held, rank=2), np.inf)
             self._losses_stale[js] = False
         return self._losses
 

@@ -135,8 +135,8 @@ class Catalog:
     def __post_init__(self):
         if self.num_files < 1:
             raise ValueError("num_files must be >= 1")
-        if not (math.isfinite(self.file_size_mb) and self.file_size_mb > 0):
-            raise ValueError("file_size_mb must be positive and finite")
+        if not (math.isfinite(self.file_size_mb) and self.file_size_bytes >= 1):
+            raise ValueError("file_size_mb must be finite and at least one byte")
 
     @property
     def file_size_bytes(self):

@@ -79,6 +79,16 @@ def test_whole_float_cloud_edge_ratio_runs_as_its_int(policy):
             == run_experiment(small_config(**budget, cloud_edge_ratio=2)))
 
 
+def test_file_size_below_one_byte_is_rejected():
+    # 1e-9 MB rounds to 0 bytes, which capacities_from_budget would divide by
+    with pytest.raises(ValueError, match="at least one byte"):
+        Catalog(num_files=4, file_size_mb=1e-9)
+    with pytest.raises(ValueError, match="at least one byte"):
+        run_experiment(small_config(policy="eo", capacities=None, file_size_mb=1e-9,
+                                    total_cache_bytes=10**9))
+    assert Catalog(num_files=4, file_size_mb=1e-6).file_size_bytes == 1
+
+
 def test_fractional_home_bs_is_rejected():
     with pytest.raises(ValueError, match="home BS 1.5"):
         run_experiment(small_config(num_users=2, user_assignment={1: 1.5, 2: 2}))

@@ -5,8 +5,8 @@ import pytest
 
 from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy,
                        Placement, Popularity, RoutingMode, SourceKind,
-                       Topology, make_policy, marginal_gain, marginal_loss,
-                       route_request, total_expected_delay, utility)
+                       Topology, build_paper_topology, make_policy, marginal_gain,
+                       marginal_loss, route_request, total_expected_delay, utility)
 from octocache.routing import UtilityEvaluator
 from octocache.topology import uturn_peer_delays
 
@@ -439,23 +439,101 @@ def test_evaluator_min_loss_matches_scan():
         _assert_marginals_match_reference(ev, topo, pop, RoutingMode.FULL)
 
 
-@pytest.mark.parametrize("mode", list(RoutingMode))
-def test_evaluator_losses_with_tied_t_values(mode):
-    # equal fronthaul delays give equal U-turn costs, so neighbour copies tie
-    # for a user's best t-value; with users at BS 1 only, most copies are
-    # shadowed and tie at zero loss across files and caches
-    rng = np.random.default_rng(41)
+def _tied_topologies():
+    """Equal fronthaul delays give equal U-turn costs, so neighbour copies tie
+    for a user's best t-value; with users at BS 1 only, most copies are
+    shadowed and tie at zero loss across files and caches."""
     for num_bs, homes in ((2, "all"), (3, "all"), (4, "all"), (3, "one"), (4, "one")):
         users = {f"u{b}": b for b in range(1, num_bs + 1) if homes == "all" or b == 1}
-        topo = Topology(num_bs=num_bs, edge_delay=(15.0,) * num_bs,
-                        peer_delay=uturn_peer_delays((15.0,) * num_bs),
-                        cdn_delay=80.0, users=users)
+        yield Topology(num_bs=num_bs, edge_delay=(15.0,) * num_bs,
+                       peer_delay=uturn_peer_delays((15.0,) * num_bs),
+                       cdn_delay=80.0, users=users)
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+def test_evaluator_losses_with_tied_t_values(mode):
+    rng = np.random.default_rng(41)
+    for topo in _tied_topologies():
         pop = Popularity.from_weights(rng.random(6) + 0.01)
-        caps = CacheCapacities(cloud=2, edge=(3,) * num_bs)
+        caps = CacheCapacities(cloud=2, edge=(3,) * topo.num_bs)
         ev = UtilityEvaluator(topo, pop, Placement(caps, 6), mode=mode)
         for _ in range(60):
             _mutate(rng, ev, 6)
             _assert_marginals_match_reference(ev, topo, pop, mode)
+
+
+def _tables_row_by_row(ev):
+    """The gain and loss tables, each row built alone from its own file's
+    mask column: the rival is the file's ``best1`` column for a gain and its
+    holders' second-best t-value for a loss, and the BSs are added one at a
+    time, in order."""
+    gains = np.empty((ev.placement.num_files, ev.num_bs + 1))
+    losses = np.empty_like(gains)
+    for j in range(ev.placement.num_files):
+        second = np.sort(ev.t_table * ev.mask[:, j], axis=1)[:, -2]
+        for table, rival in ((gains, ev.best1[:, j]), (losses, second)):
+            drop = np.maximum(ev.t_table - rival[:, None], 0.0) * ev.counts[:, None]
+            total = drop[0]
+            for b in range(1, ev.num_bs):
+                total = total + drop[b]
+            table[j] = ev.probs[j] * total
+    return gains, np.where(ev.mask.T, losses, np.inf)
+
+
+def _assert_tables_equal_rows_built_alone(ev):
+    gains, losses = _tables_row_by_row(ev)
+    assert np.array_equal(ev._gain_table(), gains)
+    assert np.array_equal(ev._loss_table(), losses)
+
+
+def _patterned_evaluator(rng, num_bs, patterns, pattern_of, mode):
+    """An evaluator whose file ``j + 1`` is held by the caches of column
+    ``patterns[:, pattern_of[j]]``, every cache full, on a paper topology
+    with 1-2 users per BS and random popularity."""
+    held = patterns[:, pattern_of]
+    contents = [(np.flatnonzero(row) + 1).tolist() for row in held]
+    caps = CacheCapacities(cloud=len(contents[0]), edge=tuple(map(len, contents[1:])))
+    users = {f"u{b}-{i}": b for b in range(1, num_bs + 1)
+             for i in range(int(rng.integers(1, 3)))}
+    topo = build_paper_topology(num_bs, int(rng.integers(0, 2**31))).with_users(users)
+    pop = Popularity.from_weights(rng.random(len(pattern_of)) + 0.01)
+    return UtilityEvaluator(topo, pop, Placement(caps, len(pattern_of), contents),
+                            mode=mode)
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+def test_table_rows_equal_rows_built_alone(mode):
+    # _marginals builds one row per distinct holder column and scatters it to
+    # the files sharing that column; each row must equal, bit for bit, the
+    # row that file's own column gives
+    rng = np.random.default_rng(57)
+    for _ in range(8):  # many files on a few holder patterns
+        num_bs, num_files = int(rng.integers(2, 7)), int(rng.integers(40, 120))
+        patterns = rng.random((num_bs + 1, int(rng.integers(1, 6)))) < 0.4
+        ev = _patterned_evaluator(rng, num_bs, patterns,
+                                  rng.integers(0, patterns.shape[1], num_files), mode)
+        _assert_tables_equal_rows_built_alone(ev)
+        for _ in range(5):
+            _mutate(rng, ev, num_files, bulk=True)
+            _assert_tables_equal_rows_built_alone(ev)
+    for topo in _tied_topologies():
+        pop = Popularity.from_weights(rng.random(6) + 0.01)
+        caps = CacheCapacities(cloud=2, edge=(3,) * topo.num_bs)
+        ev = UtilityEvaluator(topo, pop, Placement(caps, 6), mode=mode)
+        for _ in range(20):
+            _mutate(rng, ev, 6, bulk=True)
+            _assert_tables_equal_rows_built_alone(ev)
+    # 70 BSs: holder keys span nine bytes, and files 2 and 4 differ from
+    # files 1 and 3 only in caches 68 and 70, past the first 64; a local copy
+    # is worth most to that BS's users, so a key that dropped those caches
+    # would give files 2 and 4 the wrong rows
+    patterns = rng.random((71, 4)) < 0.1
+    patterns[:, 1] = patterns[:, 0]
+    patterns[:, 3] = patterns[:, 2]
+    patterns[68, 0] = patterns[70, 2] = False
+    patterns[68, 1] = patterns[70, 3] = True
+    ev = _patterned_evaluator(rng, 70, patterns, np.array([0, 1, 2, 3, 0, 1, 2, 3]), mode)
+    _assert_tables_equal_rows_built_alone(ev)
 
 
 def _rejection(call, *args):
