@@ -13,10 +13,12 @@ routing mode is a property of the policy) and update state on misses:
 * ``lfu`` / ``lru`` - classic reactive replacement applied hierarchically:
   a CDN miss inserts the file into both the requesting BS's edge cache and
   the cloud cache, each applying its own eviction rule. Both start cold.
-  Each policy builds one per-request step, a closure over its caches and
-  bookkeeping; it is the policy's ``serve``, and ``replay`` maps it over
-  the requests. LFU keys each resident once in a per-cache victim heap and
-  re-keys the stale top only when the cache evicts.
+  Each policy builds one pass, a closure over its caches and bookkeeping
+  that serves a run of requests in one loop with the step inline; ``serve``
+  is a one-request pass and ``replay`` one pass over every request. A
+  per-file count of copies tells a CDN miss with no routing scan. LFU keys
+  each resident once in a per-cache victim heap and re-keys the stale top
+  only when the cache evicts.
 
 Observation scopes for the reactive bookkeeping: an edge cache sees the
 requests of the users homed at its BS; the cloud cache (managed centrally)
@@ -53,8 +55,8 @@ class Policy:
     index 0; :meth:`serve` and :meth:`replay` name a server by its index
     there. A policy that changes its placement overrides both, each stating
     its own replay: :class:`OctopusPolicy` in static segments between its
-    swaps, :class:`LfuPolicy` and :class:`LruPolicy` through one
-    per-request step that is also their :meth:`serve`."""
+    swaps, :class:`LfuPolicy` and :class:`LruPolicy` in one pass whose
+    one-request form is their :meth:`serve`."""
 
     def __init__(self, name, placement, topology, routing_mode):
         _check_instance(topology, placement)
@@ -90,14 +92,6 @@ class Policy:
         answers each request with one lookup in ``routing._serving_table``."""
         return _serving_table(self.placement.contents, self._order,
                               self.placement.num_files)[bs, files]
-
-
-def _replay_by_step(self, bs, files):
-    """:meth:`Policy.replay` through the policy's per-request step,
-    ``self.serve``, for a policy that may change its placement on any
-    request."""
-    return np.fromiter(map(self.serve, bs.tolist(), files.tolist()),
-                       dtype=np.intp, count=len(bs))
 
 
 #: Requests :meth:`OctopusPolicy.replay` scans first for a segment's end;
@@ -183,7 +177,40 @@ def _lfu_victim(heap, counts, last_use):
     return file
 
 
-class LfuPolicy(Policy):
+class _ColdPolicy(Policy):
+    """Base of :class:`LfuPolicy` and :class:`LruPolicy`: empty caches at
+    the start, FULL routing, and an update on any request.
+
+    A subclass builds its pass, ``self._pass(bs_list, file_list)``: one
+    closure that serves the requests in order, the policy's step inline,
+    and returns each request's :attr:`sources` index in a list.
+    :meth:`serve` is a one-request pass and :meth:`replay` one pass over
+    every request, so the two share one step and one state.
+
+    The pass keeps ``held``, each file's copies over all caches. FULL
+    routing over finite delays (``Topology`` rejects any other) reaches
+    every cache, so a file with no copy is a CDN miss, read with no scan,
+    and a held file is a hit at the first cache of ``scan[bs]`` holding it.
+    """
+
+    def __init__(self, name, topology, capacities, num_files):
+        super().__init__(name, Placement(capacities, num_files), topology,
+                         RoutingMode.FULL)
+        contents = self.placement.contents
+        # per requesting BS (entry 0 unused): its (resident set, source
+        # index) pairs, cheapest first
+        self._scan = (None, *(tuple((contents[cache], index) for cache, index in caches)
+                              for caches in self._order))
+        self._held = [0] * (num_files + 1)
+
+    def serve(self, bs, file):
+        return self._pass((bs,), (file,))[0]
+
+    def replay(self, bs, files):
+        return np.array(self._pass(bs.tolist(), files.tolist()), dtype=np.intp)
+
+
+class LfuPolicy(_ColdPolicy):
     """Hierarchical least-frequently-used replacement.
 
     Every observed request bumps the file's counter at the observing caches
@@ -198,47 +225,63 @@ class LfuPolicy(Policy):
     """
 
     def __init__(self, topology, capacities, num_files):
-        super().__init__("lfu", Placement(capacities, num_files), topology,
-                         RoutingMode.FULL)
-        contents, order = self.placement.contents, self._order
+        super().__init__("lfu", topology, capacities, num_files)
+        contents, scan, held = self.placement.contents, self._scan, self._held
         caps = capacities.as_list()
         self._counts = counts = [[0] * (num_files + 1) for _ in caps]
         self._last_use = last_use = [[0] * (num_files + 1) for _ in caps]
         self._heaps = heaps = [[] for _ in caps]
-        seq = 0
+        # per requesting BS (entry 0 unused): (resident set, counts, last
+        # uses, victim heap, capacity) of its edge cache, then of the cloud
+        sides = (None, *(tuple((contents[cache], counts[cache], last_use[cache],
+                                heaps[cache], caps[cache]) for cache in (bs, 0))
+                         for bs in range(1, len(caps))))
+        seq = 0  # the last use stamped so far
 
-        def serve(bs, file):
+        def run(bs_list, file_list):
             nonlocal seq
-            seq += 1
-            index = _cheapest(contents, order[bs - 1], file)
-            for cache in (bs, 0):
-                count, used, residents = counts[cache], last_use[cache], contents[cache]
-                count[file] += 1
-                if file in residents:
-                    used[file] = seq
-                elif index == 0:
-                    heap, key = heaps[cache], (count[file], seq, file)
-                    if len(residents) < caps[cache]:
-                        heapq.heappush(heap, key)
-                    elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
-                        residents.remove(heapq.heapreplace(heap, key)[2])
-                    else:
-                        continue
-                    residents.add(file)
-                    used[file] = seq
-            return index
+            # the pass's stamps are reserved up front, so a pass that raises
+            # still leaves the clock past every stamp it wrote
+            stamp, seq = seq, seq + len(file_list)
+            served = []
+            append = served.append
+            for bs, file in zip(bs_list, file_list):
+                stamp += 1
+                if held[file]:
+                    for residents, index in scan[bs]:
+                        if file in residents:
+                            break
+                    for residents, count, used, _, _ in sides[bs]:
+                        count[file] += 1
+                        if file in residents:
+                            used[file] = stamp
+                else:
+                    index = 0
+                    for residents, count, used, heap, cap in sides[bs]:
+                        count[file] += 1
+                        key = (count[file], stamp, file)
+                        if len(residents) < cap:
+                            heapq.heappush(heap, key)
+                        elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
+                            evicted = heapq.heapreplace(heap, key)[2]
+                            residents.remove(evicted)
+                            held[evicted] -= 1
+                        else:
+                            continue
+                        residents.add(file)
+                        held[file] += 1
+                        used[file] = stamp
+                append(index)
+            return served
 
-        # the per-request step, shared by serve and replay
-        self.serve = serve
-
-    replay = _replay_by_step
+        self._pass = run
 
     def counts(self, cache):
         """Observed request counts at one cache (index 0 is unused)."""
         return self._counts[cache]
 
 
-class LruPolicy(Policy):
+class LruPolicy(_ColdPolicy):
     """Hierarchical least-recently-used replacement.
 
     A request refreshes the file's recency at the observing caches where it
@@ -248,33 +291,42 @@ class LruPolicy(Policy):
     """
 
     def __init__(self, topology, capacities, num_files):
-        super().__init__("lru", Placement(capacities, num_files), topology,
-                         RoutingMode.FULL)
-        contents, order = self.placement.contents, self._order
+        super().__init__("lru", topology, capacities, num_files)
+        contents, scan, held = self.placement.contents, self._scan, self._held
         caps = capacities.as_list()
-        self._recency = recency = [OrderedDict() for _ in caps]
+        recency = [OrderedDict() for _ in caps]
+        # per requesting BS (entry 0 unused): (resident set, recency, capacity)
+        # of its edge cache, then of the cloud
+        sides = (None, *(tuple((contents[cache], recency[cache], caps[cache])
+                               for cache in (bs, 0)) for bs in range(1, len(caps))))
 
-        def serve(bs, file):
-            index = _cheapest(contents, order[bs - 1], file)
-            for cache in (bs, 0):
-                used = recency[cache]
-                if index:
-                    if file in used:
-                        used.move_to_end(file)
-                    continue
-                residents = contents[cache]
-                if len(residents) >= caps[cache]:
-                    if not used:  # a cache of capacity 0
-                        continue
-                    residents.remove(used.popitem(last=False)[0])
-                residents.add(file)
-                used[file] = None
-            return index
+        def run(bs_list, file_list):
+            served = []
+            append = served.append
+            for bs, file in zip(bs_list, file_list):
+                if held[file]:
+                    for residents, index in scan[bs]:
+                        if file in residents:
+                            break
+                    for _, used, _ in sides[bs]:
+                        if file in used:
+                            used.move_to_end(file)
+                else:
+                    index = 0
+                    for residents, used, cap in sides[bs]:
+                        if len(residents) >= cap:
+                            if not used:  # a cache of capacity 0
+                                continue
+                            evicted = used.popitem(last=False)[0]
+                            residents.remove(evicted)
+                            held[evicted] -= 1
+                        residents.add(file)
+                        held[file] += 1
+                        used[file] = None
+                append(index)
+            return served
 
-        # the per-request step, shared by serve and replay
-        self.serve = serve
-
-    replay = _replay_by_step
+        self._pass = run
 
 
 def make_policy(name, topology, catalog, popularity, capacities, assignment,

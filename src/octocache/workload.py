@@ -256,10 +256,39 @@ def zipf_popularity(num_files, alpha):
     return Popularity(weights / weights.sum())
 
 
+#: Inverse-CDF draws :func:`_inverse_cdf` settles by stepping up from its
+#: guide table before it falls back to a binary search.
+_GUIDE_STEPS = 3
+
+
+def _inverse_cdf(cdf, u):
+    """``np.searchsorted(cdf, u, side="right")`` for a non-decreasing ``cdf``
+    of F entries and keys ``u`` in [0, 1), read through a guide table
+    (Chen & Asau 1974; Devroye 1986, section III.2.4).
+
+    With K = 2F buckets, ``guide[j]`` counts the entries <= (j - 1) / K, a
+    lower bound on the answer for every key whose ``int(u * K)`` is j; the
+    table covers j = K, which ``u * K`` can round to. Each draw then steps
+    up the CDF, padded with +inf, while the entry it stands on is <= u. As
+    the CDF is non-decreasing, the walk stops at the binary search's index.
+    Keys still unsettled after ``_GUIDE_STEPS`` steps, as in the crowded
+    tail buckets of a steep Zipf law, get one ``np.searchsorted``."""
+    K = 2 * len(cdf)
+    guide = np.searchsorted(cdf, (np.arange(K + 1) - 1) / K, side="right")
+    padded = np.append(cdf, np.inf)
+    draws = guide[(u * K).astype(np.intp)]
+    for _ in range(_GUIDE_STEPS):
+        draws += padded[draws] <= u
+    unsettled = np.flatnonzero(padded[draws] <= u)
+    draws[unsettled] = np.searchsorted(cdf, u[unsettled], side="right")
+    return draws
+
+
 def generate_requests(popularity, num_requests, users, seed):
     """Sample a synthetic trace: file by inverse-CDF draw from the
-    popularity, user uniformly from ``users``, timestamps equal to the event
-    index. Bit-for-bit reproducible per seed."""
+    popularity (:func:`_inverse_cdf`), user uniformly from ``users``,
+    timestamps equal to the event index. Bit-for-bit reproducible per
+    seed."""
     if num_requests < 0:
         raise ValueError("num_requests must be >= 0")
     if not users:
@@ -269,7 +298,7 @@ def generate_requests(popularity, num_requests, users, seed):
                           dtype=np.intp)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(popularity.as_array())
-    draws = np.searchsorted(cdf, rng.random(num_requests), side="right")
+    draws = _inverse_cdf(cdf, rng.random(num_requests))
     files = np.minimum(draws, popularity.num_files - 1) + 1
     who = rng.integers(0, len(user_codes), size=num_requests)
     user_index, user_labels = _by_first_appearance(user_codes[who], list(ids))

@@ -2,7 +2,8 @@
 ``octocache`` namespace and README's "Public names" are the same set, and
 README's library example runs and gives the values its comments state.
 Each input guard that the CLI's own range checks pre-empt states its limit
-when the library is called directly."""
+when the library is called directly, and the library's entry points raise
+nothing but their documented errors on any input."""
 
 import ast
 import io
@@ -12,11 +13,16 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import octocache
-from octocache import (CacheCapacities, Catalog, ExperimentConfig, Placement,
-                       Popularity, assign_users, build_paper_topology,
-                       capacities_from_budget, cli, generate_requests,
+from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
+                       ExperimentConfig, InfeasibleInstanceError,
+                       OracleSizeError, Placement, Popularity, Topology,
+                       TraceError, assign_users, brute_force_optimal,
+                       build_paper_topology, capacities_from_budget, cli,
+                       generate_requests, pcd, rcr, run_experiment,
                        zipf_popularity)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -119,3 +125,121 @@ def test_input_guard_states_its_limit(call, message, tmp_path, monkeypatch,
     except ValueError as exc:
         text = str(exc)
     assert re.search(message, text)
+
+
+#: What the library's entry points may raise on bad input; the CLI maps
+#: each onto its exit-code contract.
+LIBRARY_ERRORS = (ConfigError, TraceError, InfeasibleInstanceError,
+                  OracleSizeError, ValueError)
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+#: Each entry point's arguments, by the name the strategy below draws them
+#: under; ``run_experiment`` reads the network arguments only when its
+#: config is given the object they build.
+_NETWORK = ("num_bs", "edge_delay", "peer_delay", "cdn_delay", "users",
+            "num_files", "cloud", "edges", "weights")
+_ARGUMENTS = {
+    "run_experiment": _NETWORK + (
+        "policy", "file_size_mb", "total_cache_bytes", "cloud_edge_ratio",
+        "zipf_alpha", "trace_path", "num_requests", "num_users", "warmup_frac",
+        "master_seed", "user_assignment"),
+    "pcd": _NETWORK,
+    "brute_force_optimal": _NETWORK,
+    "rcr": _NETWORK + ("contents", "new_file"),
+}
+
+
+@st.composite
+def _library_calls(draw):
+    """One call of ``run_experiment``, ``pcd``, ``brute_force_optimal`` or
+    ``rcr`` as a thunk that also builds its inputs. Each argument takes a
+    valid value except for up to two of the entry point's, drawn to take an
+    invalid one, so that most calls get past the first guard."""
+    # run_experiment reads the most arguments, so it gets half the calls
+    entry = draw(st.sampled_from(sorted(_ARGUMENTS) + ["run_experiment"] * 2))
+    broken = {draw(st.sampled_from(_ARGUMENTS[entry]))
+              for _ in range(draw(st.sampled_from([0, 1, 1, 2])))}
+
+    def pick(name, valid, invalid):
+        return draw(st.sampled_from(invalid if name in broken else valid))
+
+    num_bs = pick("num_bs", [1, 2, 3], [0, -1])
+    R = max(num_bs, 1)
+    edge = pick("edge_delay", [[1.0, 2.0, 5.0][:R]],
+                [[0.0] * R, [-1.0] * R, [_NAN] * R, [_INF] * R, [1.0] * (R + 1)])
+    peer = [[0.0 if r == k else 3.0 for k in range(R)] for r in range(R)]
+    peer[0][-1] = pick("peer_delay", [peer[0][-1]], [0.0, -1.0, _NAN, _INF])
+    cdn = pick("cdn_delay", [50.0], [1.0, _INF, _NAN])
+    users = pick("users", [{"u": 1}, {}], [{"u": 0}, {"u": R + 1}, {"u": 1.5}])
+    num_files = pick("num_files", [1, 2, 4], [0, -1])
+    F = max(num_files, 0)
+    cloud = pick("cloud", [0, 1, 2, 5], [-1])
+    edges = pick("edges", [(1,) * R, (0,) * R, (5,) * R],
+                 [(-1,) * R, (1,) * (R + 1), ()])
+    weights = pick("weights", [[1.0] * F, [float(F - k) for k in range(F)]],
+                   [[1.0] * (F + 1), [0.0] * F, [-1.0] * F, [_NAN] * F])
+
+    def inputs():
+        return (Topology(num_bs=num_bs, edge_delay=tuple(edge),
+                         peer_delay=tuple(map(tuple, peer)), cdn_delay=cdn,
+                         users=users),
+                Catalog(num_files=num_files), Popularity.from_weights(weights),
+                CacheCapacities(cloud=cloud, edge=edges))
+
+    if entry == "run_experiment":
+        fields = {
+            "policy": pick("policy", POLICY_NAMES, ["lifo"]),
+            "num_bs": num_bs,
+            "num_files": num_files,
+            "file_size_mb": pick("file_size_mb", [20.0, 1.0], [1e-9, 0.0, _NAN]),
+            "total_cache_bytes": pick("total_cache_bytes", [10**8, 10**12, 0],
+                                      [-5, None]),
+            "cloud_edge_ratio": pick("cloud_edge_ratio", [4, 0, 1], [-1]),
+            "zipf_alpha": pick("zipf_alpha", [0.8, 0.0, 3.0], [-1.0, _NAN, None]),
+            "trace_path": pick("trace_path", [None], ["/nonexistent/trace.csv"]),
+            "num_requests": pick("num_requests", [40, 1], [0, -1]),
+            "num_users": pick("num_users", [5, 1], [0, -1]),
+            "warmup_frac": pick("warmup_frac", [0.2, 0.0, 0.9], [1.0, -0.1, _NAN]),
+            "master_seed": pick("master_seed", [0, 1], [-1]),
+            "rcr_enabled": draw(st.booleans()),
+            "user_assignment": pick("user_assignment", [None, {"u": 1}],
+                                    [{}, {"u": R + 1}]),
+        }
+        given_inputs = draw(st.sets(st.sampled_from(["topology", "popularity",
+                                                     "capacities"])))
+
+        def call():
+            built = dict(zip(("topology", "catalog", "popularity", "capacities"),
+                             inputs()))
+            return run_experiment(ExperimentConfig(
+                **fields, **{name: built[name] for name in given_inputs}))
+        return call
+
+    new_file = pick("new_file", list(range(1, F + 1)) or [1], [0, F + 1])
+    # a valid placement leaves the missed file out
+    others = st.sampled_from([f for f in range(1, F + 1) if f != new_file] or [1])
+    contents = [draw(st.sets(others, max_size=2 if F > 1 else 0))
+                for _ in range(pick("contents", [R + 1], [1, R + 2]))]
+    if "contents" in broken and F:
+        contents[0].add(new_file)
+
+    def call():
+        topology, catalog, popularity, capacities = inputs()
+        if entry == "pcd":
+            return pcd(topology, catalog, popularity, capacities)
+        if entry == "brute_force_optimal":
+            return brute_force_optimal(topology, catalog, popularity, capacities)
+        placement = Placement(capacities, num_files, contents)
+        return rcr(placement, new_file, topology, popularity)
+    return call
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(call=_library_calls())
+def test_library_raises_only_its_documented_errors(call):
+    try:
+        call()
+    except LIBRARY_ERRORS:
+        pass

@@ -103,6 +103,28 @@ def run_in_chunks(policy, bs, files, rng):
     return served
 
 
+def check_against_references(topology, capacities, num_files, bs, files, rng):
+    """Both policies, replayed in one pass and in interleaved ``serve`` and
+    ``replay`` chunks, serve every request from the references' cache and
+    end with their contents (and, for LFU, their counters)."""
+    requests = list(zip(bs.tolist(), files.tolist()))
+    want_lru, lru_contents = reference_lru(topology, capacities, requests)
+    want_lfu, lfu_contents, lfu_counts = reference_lfu(
+        topology, capacities, num_files, requests)
+    for cls, want, contents in ((LruPolicy, want_lru, lru_contents),
+                                (LfuPolicy, want_lfu, lfu_contents)):
+        by_replay = cls(topology, capacities, num_files)
+        by_chunks = cls(topology, capacities, num_files)
+        for policy, served in (
+                (by_replay, by_replay.replay(bs, files).tolist()),
+                (by_chunks, run_in_chunks(by_chunks, bs, files, rng))):
+            assert [policy.sources[i].cache for i in served] == want
+            assert policy.placement.contents == contents
+            if cls is LfuPolicy:
+                for cache, counts in enumerate(lfu_counts):
+                    assert policy.counts(cache) == counts
+
+
 def test_lfu_and_lru_equal_textbook_loops():
     rng = np.random.default_rng(181)
     big_caches = 0
@@ -118,21 +140,18 @@ def test_lfu_and_lru_equal_textbook_loops():
         bs = rng.integers(1, num_bs + 1, size)
         # skewed file draws, so files recur and counters tie and differ
         files = np.minimum(rng.zipf(1.6, size), num_files)
-        requests = list(zip(bs.tolist(), files.tolist()))
-
-        want_lru, lru_contents = reference_lru(topology, capacities, requests)
-        want_lfu, lfu_contents, lfu_counts = reference_lfu(
-            topology, capacities, num_files, requests)
-        for cls, want, contents in ((LruPolicy, want_lru, lru_contents),
-                                    (LfuPolicy, want_lfu, lfu_contents)):
-            by_replay = cls(topology, capacities, num_files)
-            by_chunks = cls(topology, capacities, num_files)
-            for policy, served in (
-                    (by_replay, by_replay.replay(bs, files).tolist()),
-                    (by_chunks, run_in_chunks(by_chunks, bs, files, rng))):
-                assert [policy.sources[i].cache for i in served] == want
-                assert policy.placement.contents == contents
-                if cls is LfuPolicy:
-                    for cache, counts in enumerate(lfu_counts):
-                        assert policy.counts(cache) == counts
+        check_against_references(topology, capacities, num_files, bs, files, rng)
     assert big_caches > 50
+    # long streams over small caches: each file's copies come and go many
+    # times, and LFU re-keys long runs of stale heap tops at each eviction
+    for _ in range(3):
+        num_files = int(rng.integers(150, 301))
+        caps = np.maximum(1, (rng.uniform(0.02, 0.15, 8) * num_files).astype(int))
+        capacities = CacheCapacities(cloud=int(caps[0]),
+                                     edge=tuple(int(c) for c in caps[1:]))
+        size = int(rng.integers(2000, 4001))
+        weights = np.arange(1, num_files + 1) ** -rng.uniform(0.6, 1.2)
+        files = rng.choice(np.arange(1, num_files + 1), size, p=weights / weights.sum())
+        bs = rng.integers(1, 8, size)
+        check_against_references(random_topology(rng, 7), capacities, num_files,
+                                 bs, files, rng)

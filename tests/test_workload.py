@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from octocache import (EmptyTraceError, TraceError, TraceFormatError,
                        assign_users, estimate_popularity, generate_requests,
                        parse_trace_file, zipf_popularity)
-from octocache.workload import parse_trace, serialize_trace
+import octocache.workload
+from octocache.workload import _inverse_cdf, parse_trace, serialize_trace
 
 # ------------------------------------------------------------------ parsing
 
@@ -303,6 +304,39 @@ def test_generate_reproducible():
 def test_generate_timestamps_are_event_indices():
     trace = generate_requests(zipf_popularity(3, 0.8), 10, ["u"], seed=2)
     assert [e.time for e in trace.events] == [float(i) for i in range(10)]
+
+
+def test_inverse_cdf_equals_binary_search(monkeypatch):
+    search = np.searchsorted
+    fallback_keys = []
+
+    def spy(cdf, keys, side):
+        if len(keys) != 2 * len(cdf) + 1:  # not the guide table's own search
+            fallback_keys.append(len(keys))
+        return search(cdf, keys, side=side)
+
+    monkeypatch.setattr(octocache.workload.np, "searchsorted", spy)
+    rng = np.random.default_rng(27)
+    for alpha in (0.0, 0.8, 1.2, 3.0):
+        for num_files in (1, 2, 10, 1000, 10_000):
+            full = np.cumsum(zipf_popularity(num_files, alpha).as_array())
+            # the scaled CDF ends below 1, so keys fall past its end; the
+            # exact uniform one puts entries on the bucket edges j / K
+            exact = np.arange(1, num_files + 1) / num_files
+            for cdf in (full, full * 0.75, exact):
+                K = 2 * num_files
+                edges = np.concatenate([cdf, np.arange(K) / K])
+                u = np.concatenate([
+                    rng.random(20_000), [0.0, np.nextafter(1.0, 0.0)],
+                    edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+                u = u[(u >= 0.0) & (u < 1.0)]
+                for keys in (u, u[:0]):
+                    got = _inverse_cdf(cdf, keys)
+                    assert got.dtype == np.intp
+                    assert np.array_equal(got, search(cdf, keys, side="right"))
+    # steep laws crowd thousands of tail files into the last buckets, where
+    # draws fall back to the binary search
+    assert max(fallback_keys) > 1000
 
 
 # --------------------------------------------------------------- estimation
