@@ -169,7 +169,7 @@ OPTIONS = (
     Option("capacity_cloud", _INSTANCE, _count(0), flag=False),
     Option("capacity_edge", _INSTANCE, flag=False),
     Option("popularity", _INSTANCE, flag=False),
-    Option("users_per_bs", ("oracle",), _count(1), flag=False),
+    Option("users_per_bs", ("oracle",), _count(1), 1, flag=False),
 )
 
 _OPTION_BY_KEY = {key: option for option in OPTIONS for key in option.keys}
@@ -456,10 +456,9 @@ def _oracle_instance(opts):
     topology = _config_topology(opts)
     if topology is None:
         topology = build_paper_topology(opts["bs"], opts["seed"])
-    per_bs = 1 if opts["users_per_bs"] is None else opts["users_per_bs"]
     assignment = {f"u{r}_{i}": r
                   for r in range(1, topology.num_bs + 1)
-                  for i in range(1, per_bs + 1)}
+                  for i in range(1, opts["users_per_bs"] + 1)}
     topology = topology.with_users(assignment)
     catalog = Catalog(num_files=opts["files"])
     popularity = _explicit_popularity(opts)

@@ -1,7 +1,10 @@
 """Cache-management policies driven by the request stream.
 
 Policies resolve each request against their current cache contents (the
-routing mode is a property of the policy) and update state on misses:
+routing mode is a property of the policy) and update state on misses. A
+policy reads its placement's byte mask through one scan per requesting BS,
+the memoryview row and source index of each cache it may be served from,
+cheapest first; lfu and lru insert and evict by writing those rows.
 
 * ``octopus``  - greedy warm placement, then reactive replacement after a
   miss; full cooperative routing. Only the few misses that commit a swap
@@ -65,6 +68,11 @@ class Policy:
         self.topology = topology
         self.routing_mode = routing_mode
         self.sources, self._order = _source_table(topology, routing_mode)
+        rows = placement._rows()
+        # per requesting BS (entry 0 unused): its (mask row, source index)
+        # pairs, cheapest first
+        self._scan = (None, *(tuple((rows[cache], index) for cache, index in caches)
+                              for caches in self._order))
 
     def on_request(self, event):
         """Serve one :class:`RequestEvent`: its user's home BS, then
@@ -83,15 +91,14 @@ class Policy:
         the caller checks, then apply the policy's update rule, if any.
         Returns the index in :attr:`sources` of the source used; 0 is a CDN
         miss."""
-        return _cheapest(self.placement.contents, self._order[bs - 1], file)
+        return _cheapest(self._scan[bs], file)
 
     def replay(self, bs, files):
         """:meth:`serve` each request for ``files[i]`` (1..F) from BS
         ``bs[i]`` (1..R, which the caller checks), in order, and return each
         request's :attr:`sources` index as an intp array. A static placement
         answers each request with one lookup in ``routing._serving_table``."""
-        return _serving_table(self.placement.contents, self._order,
-                              self.placement.num_files)[bs, files]
+        return _serving_table(self.placement.mask, self._order)[bs, files]
 
 
 #: Requests :meth:`OctopusPolicy.replay` scans first for a segment's end;
@@ -127,7 +134,7 @@ class OctopusPolicy(Policy):
         super().__init__("octopus", evaluator.placement, topology, RoutingMode.FULL)
 
     def serve(self, bs, file):
-        index = _cheapest(self.placement.contents, self._order[bs - 1], file)
+        index = _cheapest(self._scan[bs], file)
         if index == 0:
             self.on_miss(file)
         return index
@@ -144,8 +151,7 @@ class OctopusPolicy(Policy):
         whose miss then runs ``_rcr_swaps``; only the swapped files' columns
         of the table are rewritten."""
         served = np.empty(len(files), dtype=np.intp)
-        contents, order = self.placement.contents, self._order
-        table = _serving_table(contents, order, self.placement.num_files)
+        table = _serving_table(self.placement.mask, self._order)
         start = 0
         while start < len(files):
             stop = _first_marked(_rcr_triggers(self._ev), files, start)
@@ -154,8 +160,8 @@ class OctopusPolicy(Policy):
                 file = int(files[stop])
                 swaps = _rcr_swaps(self._ev, file)
                 for touched in {file, *(s["evicted_file"] for s in swaps)}:
-                    table[1:, touched] = [_cheapest(contents, caches, touched)
-                                          for caches in order]
+                    table[1:, touched] = [_cheapest(scan, touched)
+                                          for scan in self._scan[1:]]
             start = stop + 1
         return served
 
@@ -190,17 +196,12 @@ class _ColdPolicy(Policy):
     The pass keeps ``held``, each file's copies over all caches. FULL
     routing over finite delays (``Topology`` rejects any other) reaches
     every cache, so a file with no copy is a CDN miss, read with no scan,
-    and a held file is a hit at the first cache of ``scan[bs]`` holding it.
+    and a held file is a hit at the first row of ``_scan[bs]`` holding it.
     """
 
     def __init__(self, name, topology, capacities, num_files):
         super().__init__(name, Placement(capacities, num_files), topology,
                          RoutingMode.FULL)
-        contents = self.placement.contents
-        # per requesting BS (entry 0 unused): its (resident set, source
-        # index) pairs, cheapest first
-        self._scan = (None, *(tuple((contents[cache], index) for cache, index in caches)
-                              for caches in self._order))
         self._held = [0] * (num_files + 1)
 
     def serve(self, bs, file):
@@ -226,14 +227,14 @@ class LfuPolicy(_ColdPolicy):
 
     def __init__(self, topology, capacities, num_files):
         super().__init__("lfu", topology, capacities, num_files)
-        contents, scan, held = self.placement.contents, self._scan, self._held
+        rows, scan, held = self.placement._rows(), self._scan, self._held
         caps = capacities.as_list()
         self._counts = counts = [[0] * (num_files + 1) for _ in caps]
         self._last_use = last_use = [[0] * (num_files + 1) for _ in caps]
         self._heaps = heaps = [[] for _ in caps]
-        # per requesting BS (entry 0 unused): (resident set, counts, last
-        # uses, victim heap, capacity) of its edge cache, then of the cloud
-        sides = (None, *(tuple((contents[cache], counts[cache], last_use[cache],
+        # per requesting BS (entry 0 unused): (mask row, counts, last uses,
+        # victim heap, capacity) of its edge cache, then of the cloud
+        sides = (None, *(tuple((rows[cache], counts[cache], last_use[cache],
                                 heaps[cache], caps[cache]) for cache in (bs, 0))
                          for bs in range(1, len(caps))))
         seq = 0  # the last use stamped so far
@@ -248,27 +249,27 @@ class LfuPolicy(_ColdPolicy):
             for bs, file in zip(bs_list, file_list):
                 stamp += 1
                 if held[file]:
-                    for residents, index in scan[bs]:
-                        if file in residents:
+                    for row, index in scan[bs]:
+                        if row[file]:
                             break
-                    for residents, count, used, _, _ in sides[bs]:
+                    for row, count, used, _, _ in sides[bs]:
                         count[file] += 1
-                        if file in residents:
+                        if row[file]:
                             used[file] = stamp
                 else:
                     index = 0
-                    for residents, count, used, heap, cap in sides[bs]:
+                    for row, count, used, heap, cap in sides[bs]:
                         count[file] += 1
                         key = (count[file], stamp, file)
-                        if len(residents) < cap:
+                        if len(heap) < cap:  # one heap entry per resident
                             heapq.heappush(heap, key)
                         elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
                             evicted = heapq.heapreplace(heap, key)[2]
-                            residents.remove(evicted)
+                            row[evicted] = 0
                             held[evicted] -= 1
                         else:
                             continue
-                        residents.add(file)
+                        row[file] = 1
                         held[file] += 1
                         used[file] = stamp
                 append(index)
@@ -292,12 +293,12 @@ class LruPolicy(_ColdPolicy):
 
     def __init__(self, topology, capacities, num_files):
         super().__init__("lru", topology, capacities, num_files)
-        contents, scan, held = self.placement.contents, self._scan, self._held
+        rows, scan, held = self.placement._rows(), self._scan, self._held
         caps = capacities.as_list()
         recency = [OrderedDict() for _ in caps]
-        # per requesting BS (entry 0 unused): (resident set, recency, capacity)
+        # per requesting BS (entry 0 unused): (mask row, recency, capacity)
         # of its edge cache, then of the cloud
-        sides = (None, *(tuple((contents[cache], recency[cache], caps[cache])
+        sides = (None, *(tuple((rows[cache], recency[cache], caps[cache])
                                for cache in (bs, 0)) for bs in range(1, len(caps))))
 
         def run(bs_list, file_list):
@@ -305,22 +306,22 @@ class LruPolicy(_ColdPolicy):
             append = served.append
             for bs, file in zip(bs_list, file_list):
                 if held[file]:
-                    for residents, index in scan[bs]:
-                        if file in residents:
+                    for row, index in scan[bs]:
+                        if row[file]:
                             break
                     for _, used, _ in sides[bs]:
                         if file in used:
                             used.move_to_end(file)
                 else:
                     index = 0
-                    for residents, used, cap in sides[bs]:
-                        if len(residents) >= cap:
+                    for row, used, cap in sides[bs]:
+                        if len(used) >= cap:  # one recency entry per resident
                             if not used:  # a cache of capacity 0
                                 continue
                             evicted = used.popitem(last=False)[0]
-                            residents.remove(evicted)
+                            row[evicted] = 0
                             held[evicted] -= 1
-                        residents.add(file)
+                        row[file] = 1
                         held[file] += 1
                         used[file] = None
                 append(index)

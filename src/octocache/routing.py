@@ -14,6 +14,10 @@ and each user's per-file value is the best t among the caches currently
 holding the file (0 if uncached). The two views are dual: for any feasible
 placement, utility + total expected delay = U * d_0.
 
+A :class:`Placement` is one byte per (cache, file), and every reader here
+uses those bytes: :class:`UtilityEvaluator`, :func:`total_expected_delay`,
+the serving table and the per-request scan of :func:`_cheapest`.
+
 The utility is monotone and submodular in the set of (file, cache) copies,
 which is what makes the greedy placement in :mod:`octocache.placement` carry
 a 1/2 approximation guarantee. This module keeps the two computations on
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,101 +72,136 @@ class Source:
 
 
 class Placement:
-    """Cache contents: one set of file indices per cache, 0 = cloud.
-
-    A placement is feasible when every cache holds at most its capacity.
-    The same file may be replicated across caches but appears at most once
-    within a cache. The constructor checks each cache's size and its
-    smallest and largest file; ``add``/``remove`` enforce feasibility;
-    mutation requires exclusive access, reads of a stable placement are
-    safe to share.
+    """Cache contents: one byte per (cache k, file i), 0 = cloud, read as
+    the (R+1, F+1) bool view ``mask`` (column 0 stays clear) or as a fresh
+    list of sets, ``contents``. A placement is feasible when every cache
+    holds at most its capacity. The constructor checks each file and each
+    cache's size; ``add``/``remove`` enforce feasibility; mutation requires
+    exclusive access, reads of a stable placement are safe to share.
     """
 
-    __slots__ = ("capacities", "num_files", "contents", "_caps")
+    __slots__ = ("capacities", "num_files", "_caps", "_mask")
 
     def __init__(self, capacities, num_files, contents=None):
         self.capacities = capacities
         self.num_files = num_files
         self._caps = caps = capacities.as_list()
-        if contents is None:
-            self.contents = [set() for _ in caps]
-        else:
+        self._mask = bytearray(len(caps) * (num_files + 1))
+        if contents is not None:
             if len(contents) != len(caps):
                 raise ValueError(f"expected {len(caps)} cache sets, got {len(contents)}")
-            self.contents = [set(c) for c in contents]
-            for r, files in enumerate(self.contents):
-                if files:
-                    self._check_file(min(files))
-                    self._check_file(max(files))
-                if len(files) > caps[r]:
-                    raise ValueError(f"cache {r} over capacity: {len(files)} > {caps[r]}")
+            for r, files in enumerate(contents):
+                try:
+                    cols = np.fromiter(map(operator.index, files), dtype=np.intp)
+                except (TypeError, OverflowError):
+                    raise ValueError(f"cache {r} holds a non-integer file index") from None
+                if cols.size:
+                    self._check_file(cols.min())
+                    self._check_file(cols.max())
+                self.mask[r, cols] = True
+                if self.cache_size(r) > caps[r]:
+                    raise ValueError(f"cache {r} over capacity: {self.cache_size(r)} > {caps[r]}")
+
+    @property
+    def mask(self):  # a new view on each read: a stored one would outlive a copy
+        return np.frombuffer(self._mask, dtype=bool).reshape(len(self._caps), -1)
+
+    @property
+    def contents(self):
+        return [set(np.flatnonzero(row).tolist()) for row in self.mask]
+
+    def _rows(self):
+        """Each cache's row of the bytes as a memoryview, which reads and
+        writes this placement: callers may keep them, the placement does not."""
+        view, width = memoryview(self._mask), self.num_files + 1
+        return [view[start:start + width] for start in range(0, len(view), width)]
 
     def _check_file(self, file):
-        if not 1 <= file <= self.num_files:
+        if not _is_index(file, 1, self.num_files):
             raise ValueError(f"file index {file} outside 1..{self.num_files}")
 
     def _check_cache(self, cache):
-        if not 0 <= cache < len(self.contents):
-            raise ValueError(f"cache index {cache} outside 0..{len(self.contents) - 1}")
+        if not _is_index(cache, 0, len(self._caps) - 1):
+            raise ValueError(f"cache index {cache} outside 0..{len(self._caps) - 1}")
 
     @property
     def num_caches(self):
-        return len(self.contents)
+        return len(self._caps)
+
+    def _start(self, cache):
+        """Offset of a cache's row of bytes, after checking the cache."""
+        self._check_cache(cache)
+        return cache * (self.num_files + 1)
 
     def contains(self, file, cache):
-        return file in self.contents[cache]
+        start = self._start(cache)
+        return _is_index(file, 1, self.num_files) and self._mask[start + file] == 1
 
     def cache_size(self, cache):
-        return len(self.contents[cache])
+        start = self._start(cache)
+        return self._mask.count(1, start, start + self.num_files + 1)
 
     def is_full(self, cache):
-        return len(self.contents[cache]) >= self._caps[cache]
+        return self.cache_size(cache) >= self._caps[cache]
 
     def _check_add(self, file, cache):
+        """The offset of the copy's byte, unless adding it is a ``ValueError``."""
         self._check_file(file)
-        self._check_cache(cache)
-        if file in self.contents[cache]:
+        start = self._start(cache)
+        if self._mask[start + file]:
             raise ValueError(f"file {file} already placed in cache {cache}")
         if self.is_full(cache):
             raise ValueError(f"cache {cache} is full")
+        return start + file
 
     def _check_remove(self, file, cache):
-        self._check_cache(cache)
-        if file not in self.contents[cache]:
+        """The offset of the copy's byte, unless removing it is a ``ValueError``."""
+        start = self._start(cache)
+        if not (_is_index(file, 1, self.num_files) and self._mask[start + file]):
             raise ValueError(f"file {file} not in cache {cache}")
+        return start + file
 
     def add(self, file, cache):
-        self._check_add(file, cache)
-        self.contents[cache].add(file)
+        self._mask[self._check_add(file, cache)] = 1
 
     def remove(self, file, cache):
-        self._check_remove(file, cache)
-        self.contents[cache].remove(file)
+        self._mask[self._check_remove(file, cache)] = 0
 
     def elements(self):
         """All (file, cache) copies, sorted by cache then file."""
-        return [(f, r) for r, c in enumerate(self.contents) for f in sorted(c)]
+        return [(f, r) for r, row in enumerate(self.mask)
+                for f in np.flatnonzero(row).tolist()]
 
     def size(self):
-        return sum(len(c) for c in self.contents)
+        return self._mask.count(1)
 
     def is_feasible(self):
-        return all(len(files) <= cap
-                   and (not files or 1 <= min(files) and max(files) <= self.num_files)
-                   for files, cap in zip(self.contents, self._caps))
+        mask = self.mask
+        return not mask[:, 0].any() and bool((mask.sum(axis=1) <= self._caps).all())
 
     def copy(self):
-        return Placement(self.capacities, self.num_files, self.contents)
+        other = Placement(self.capacities, self.num_files)
+        other._mask[:] = self._mask
+        return other
 
     def __eq__(self, other):
         return (isinstance(other, Placement)
                 and self.num_files == other.num_files
                 and self.capacities == other.capacities
-                and self.contents == other.contents)
+                and self._mask == other._mask)
 
     def __repr__(self):
-        sets = ", ".join(f"C{r}={sorted(c)}" for r, c in enumerate(self.contents))
-        return f"Placement({sets})"
+        rows = ", ".join(f"C{r}={np.flatnonzero(row).tolist()}"
+                         for r, row in enumerate(self.mask))
+        return f"Placement({rows})"
+
+
+def _is_index(value, low, high):
+    """Whether ``value`` is an integer (as ``operator.index`` reads one) in low..high."""
+    try:
+        return low <= operator.index(value) <= high
+    except TypeError:
+        return False
 
 
 def t_value_table(topology, mode=RoutingMode.FULL):
@@ -221,28 +261,28 @@ def _source_table_of(edge_delay, peer_delay, cdn_delay, mode):
     return tuple(sources), tuple(order)
 
 
-def _cheapest(contents, order, file):
-    """Source index of the first cache in ``order`` whose contents hold
-    ``file``, else 0 (the CDN)."""
-    for cache, index in order:
-        if file in contents[cache]:
+def _cheapest(scan, file):
+    """Source index of the first (mask row, index) pair in ``scan`` whose row
+    holds ``file``, else 0 (the CDN)."""
+    for row, index in scan:
+        if row[file]:
             return index
     return 0
 
 
-def _serving_table(contents, order, num_files):
-    """:func:`_cheapest` for every request at once, for fixed ``contents``.
+def _serving_table(mask, order):
+    """:func:`_cheapest` for every request at once, for a fixed ``mask``.
 
     Returns an (R+1, F+1) array whose entry [bs, file] is the source index
-    ``_cheapest(contents, order[bs - 1], file)``; row 0 and column 0 hold
-    0, the CDN. Each cache becomes an array once, and each BS writes its
-    caches in reverse order, so the first holder in ``order`` wins.
+    of the first cache in ``order[bs - 1]`` holding the file, else 0 (the
+    CDN), and 0 in row 0. Each cache row becomes an array once, and each BS
+    writes its caches in reverse order, so the first holder in ``order`` wins.
     """
-    arrays = [np.fromiter(files, dtype=np.intp, count=len(files)) for files in contents]
-    table = np.zeros((len(order) + 1, num_files + 1), dtype=np.intp)
+    held = [np.flatnonzero(row) for row in mask]
+    table = np.zeros((len(order) + 1, mask.shape[1]), dtype=np.intp)
     for bs, caches in enumerate(order, start=1):
         for cache, index in reversed(caches):
-            table[bs, arrays[cache]] = index
+            table[bs, held[cache]] = index
     return table
 
 
@@ -269,11 +309,12 @@ def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
     Source
     """
     _check_instance(topology, placement)
-    if not 1 <= bs <= topology.num_bs:
+    if not _is_index(bs, 1, topology.num_bs):
         raise ValueError(f"bs index {bs} outside 1..{topology.num_bs}")
     placement._check_file(file)
     sources, order = _source_table(topology, mode)
-    return sources[_cheapest(placement.contents, order[bs - 1], file)]
+    rows = placement._rows()
+    return sources[_cheapest([(rows[k], index) for k, index in order[bs - 1]], file)]
 
 
 def _check_instance(topology, placement, popularity=None):
@@ -286,14 +327,6 @@ def _check_instance(topology, placement, popularity=None):
         raise ValueError(f"popularity of {popularity.num_files} files for a {F}-file catalog")
 
 
-def _cached_mask(placement, num_caches):
-    mask = np.zeros((num_caches, placement.num_files), dtype=bool)
-    for r, files in enumerate(placement.contents):
-        if files:
-            mask[r, np.fromiter(files, dtype=int) - 1] = True
-    return mask
-
-
 def total_expected_delay(placement, topology, popularity,
                          mode=RoutingMode.FULL):
     """Total expected delay [ms] summed over every user in the topology.
@@ -302,7 +335,7 @@ def total_expected_delay(placement, topology, popularity,
     source costs (independently of the t-value path)."""
     _check_instance(topology, placement, popularity)
     cost = source_cost_table(topology.edge_delay, topology.peer_delay, mode)
-    held = _cached_mask(placement, topology.num_bs + 1)[None, :, :]
+    held = placement.mask[None, :, 1:]
     delays = np.minimum(np.where(held, cost[:, :, None], np.inf).min(axis=1),
                         topology.cdn_delay)
     return float(topology.bs_user_counts() @ delays @ popularity.as_array())
@@ -342,13 +375,14 @@ def marginal_loss(placement, member, topology, popularity,
 class UtilityEvaluator:
     """Incremental utility bookkeeping for one mutable placement.
 
-    All state derives from the cache mask (R+1, F): ``best1`` (R, F) holds,
-    per (BS, file), the best t-value among the caches holding the file, and
-    two (F, R+1) tables hold each copy's marginal gain (0 where the cache
-    holds the file) and marginal loss (``inf`` where it does not). Both are
+    All state derives from the placement's (R+1, F) ``mask``, a view, not a
+    copy: ``best1`` (R, F) holds, per (BS, file), the best t-value among the
+    caches holding the file, and two (F, R+1) tables hold each copy's
+    marginal gain (0 where the cache holds the file) and marginal loss
+    (``inf`` where it does not). Both are
     rows of :meth:`_marginals`, which depend only on the file's mask column,
     its holder pattern, so each pattern's row is built once. :meth:`add`,
-    :meth:`remove` and the bulk :meth:`add_copies` update the mask and
+    :meth:`remove` and the bulk :meth:`add_copies` write the placement and
     ``best1`` and mark the files' rows stale; a table read recomputes its
     stale rows at once. The evaluator owns its placement copy: mutate
     through those three only. A table read refreshes that table, so even
@@ -363,7 +397,6 @@ class UtilityEvaluator:
         self.counts = topology.bs_user_counts()
         self.t_table = t_value_table(topology, mode)
         self.num_bs = topology.num_bs
-        self.mask = _cached_mask(self.placement, self.num_bs + 1)
         self.best1 = (self.t_table[:, :, None] * self.mask).max(axis=1)
         self._gains = np.zeros((placement.num_files, self.num_bs + 1))
         self._gains_stale = np.ones(placement.num_files, dtype=bool)
@@ -373,6 +406,10 @@ class UtilityEvaluator:
         self._min_loss_stale = True
 
     # -- queries ----------------------------------------------------------
+
+    @property
+    def mask(self):
+        return self.placement.mask[:, 1:]
 
     def utility(self):
         return float(self.counts @ self.best1 @ self.probs)
@@ -446,11 +483,11 @@ class UtilityEvaluator:
 
     def add(self, file, cache):
         self.placement.add(file, cache)
-        self._update_column(file, cache, True)
+        self._update_column(file)
 
     def remove(self, file, cache):
         self.placement.remove(file, cache)
-        self._update_column(file, cache, False)
+        self._update_column(file)
 
     def add_copies(self, files, caches):
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
@@ -458,28 +495,29 @@ class UtilityEvaluator:
         of range, a copy held or given twice, or a cache it would overflow."""
         placement = self.placement
         for file, cache in ((files.min(), caches.min()), (files.max(), caches.max())):
-            placement._check_file(int(file))
-            placement._check_cache(int(cache))
-        js = files - 1
-        keys = np.sort(js * (self.num_bs + 1) + caches)
-        if self.mask[caches, js].any() or (keys[1:] == keys[:-1]).any():
+            placement._check_file(file)
+            placement._check_cache(cache)
+        mask = placement.mask
+        keys = np.sort(files * (self.num_bs + 1) + caches)
+        if mask[caches, files].any() or (keys[1:] == keys[:-1]).any():
             raise ValueError("a copy is already placed or given twice")
         counts = np.bincount(caches, minlength=placement.num_caches)
-        over = counts + [len(c) for c in placement.contents] > placement._caps
+        over = counts + mask.sum(axis=1) > placement._caps
         if over.any():
             raise ValueError(f"cache {int(over.argmax())} would overflow its capacity")
-        self.mask[caches, js] = True
+        mask[caches, files] = True
+        js = files - 1
         for cache in np.flatnonzero(counts).tolist():
             cols = js[caches == cache]  # distinct files
-            placement.contents[cache].update((cols + 1).tolist())
             self.best1[:, cols] = np.maximum(self.best1[:, cols], self.t_table[:, cache, None])
         self._gains_stale[js] = self._losses_stale[js] = True
         self._min_loss_stale = True
 
-    def _update_column(self, file, cache, held):
+    def _update_column(self, file):
         j = file - 1
-        self.mask[cache, j] = held
-        self.best1[:, j] = (self.t_table * self.mask[:, j]).max(axis=1)
+        # the file's column of the bytes, one per cache, copied: no 2-D view
+        held = np.frombuffer(self.placement._mask[file::self.placement.num_files + 1], bool)
+        self.best1[:, j] = (self.t_table * held).max(axis=1)
         self._gains_stale[j] = self._losses_stale[j] = True
         self._min_loss_stale = True
 

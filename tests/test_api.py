@@ -22,8 +22,8 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        OracleSizeError, Placement, Popularity, Topology,
                        TraceError, assign_users, brute_force_optimal,
                        build_paper_topology, capacities_from_budget, cli,
-                       generate_requests, pcd, rcr, run_experiment,
-                       zipf_popularity)
+                       generate_requests, pcd, rcr, route_request,
+                       run_experiment, zipf_popularity)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -137,7 +137,9 @@ _NAN, _INF = float("nan"), float("inf")
 
 #: Each entry point's arguments, by the name the strategy below draws them
 #: under; ``run_experiment`` reads the network arguments only when its
-#: config is given the object they build.
+#: config is given the object they build. ``rcr`` lists its own arguments
+#: first, and ``route_request`` breaks only its own, so that more of their
+#: calls get past the network guards the other entries already reach.
 _NETWORK = ("num_bs", "edge_delay", "peer_delay", "cdn_delay", "users",
             "num_files", "cloud", "edges", "weights")
 _ARGUMENTS = {
@@ -147,18 +149,20 @@ _ARGUMENTS = {
         "master_seed", "user_assignment"),
     "pcd": _NETWORK,
     "brute_force_optimal": _NETWORK,
-    "rcr": _NETWORK + ("contents", "new_file"),
+    "rcr": ("new_file", "contents") + _NETWORK,
+    "route_request": ("bs", "file", "contents"),
 }
 
 
 @st.composite
 def _library_calls(draw):
-    """One call of ``run_experiment``, ``pcd``, ``brute_force_optimal`` or
-    ``rcr`` as a thunk that also builds its inputs. Each argument takes a
-    valid value except for up to two of the entry point's, drawn to take an
-    invalid one, so that most calls get past the first guard."""
+    """One call of ``run_experiment``, ``pcd``, ``brute_force_optimal``,
+    ``rcr`` or ``route_request`` as a thunk that also builds its inputs. Each
+    argument takes a valid value except for up to two of the entry point's,
+    drawn to take an invalid one, so that most calls get past the first
+    guard. An index may be drawn as a float, integral or not."""
     # run_experiment reads the most arguments, so it gets half the calls
-    entry = draw(st.sampled_from(sorted(_ARGUMENTS) + ["run_experiment"] * 2))
+    entry = draw(st.sampled_from(sorted(_ARGUMENTS) + ["run_experiment"] * 3))
     broken = {draw(st.sampled_from(_ARGUMENTS[entry]))
               for _ in range(draw(st.sampled_from([0, 1, 1, 2])))}
 
@@ -217,13 +221,15 @@ def _library_calls(draw):
                 **fields, **{name: built[name] for name in given_inputs}))
         return call
 
-    new_file = pick("new_file", list(range(1, F + 1)) or [1], [0, F + 1])
+    new_file = pick("new_file", list(range(1, F + 1)) or [1], [1.5, 1.0, 0, F + 1])
     # a valid placement leaves the missed file out
     others = st.sampled_from([f for f in range(1, F + 1) if f != new_file] or [1])
     contents = [draw(st.sets(others, max_size=2 if F > 1 else 0))
-                for _ in range(pick("contents", [R + 1], [1, R + 2]))]
+                for _ in range(pick("contents", [R + 1], [R + 1, 1, R + 2]))]
     if "contents" in broken and F:
-        contents[0].add(new_file)
+        contents[0].add(draw(st.sampled_from([1.5, 1.0, new_file])))
+    bs = pick("bs", list(range(1, R + 1)), [1.5, 1.0, 0, R + 1])
+    file = pick("file", list(range(1, F + 1)) or [1], [1.5, 1.0, 0, F + 1])
 
     def call():
         topology, catalog, popularity, capacities = inputs()
@@ -232,6 +238,8 @@ def _library_calls(draw):
         if entry == "brute_force_optimal":
             return brute_force_optimal(topology, catalog, popularity, capacities)
         placement = Placement(capacities, num_files, contents)
+        if entry == "route_request":
+            return route_request(placement, topology, bs, file)
         return rcr(placement, new_file, topology, popularity)
     return call
 

@@ -356,6 +356,8 @@ def test_header_bs_is_the_count_the_edge_delays_give(tmp_path, capsys):
                    "--cache-total", "200MB") == 0
     header = capsys.readouterr().out.split("\n")[1].split()
     assert "bs=2" in header and "bs=7" not in header
+    # the config gives no users_per_bs, and the header echoes its default
+    assert "users_per_bs=1" in header
 
 
 def test_oracle_oversized_exits_3(capsys):

@@ -421,13 +421,13 @@ def test_serving_table_equals_cheapest(mode):
         placement = random_feasible_placement(rng, caps, num_files, fill=1.0)
         topology = tie_heavy_topology(rng, num_bs)
         policy = Policy("static", placement, topology, mode)
-        table = _serving_table(placement.contents, policy._order, num_files)
+        table = _serving_table(placement.mask, policy._order)
         assert table.shape == (num_bs + 1, num_files + 1)
         assert set(table[0]) == {0} and set(table[:, 0]) == {0}
         assert policy.sources[0].kind is SourceKind.CDN
         for bs in range(1, num_bs + 1):
             for file in range(1, num_files + 1):
-                want = _cheapest(placement.contents, policy._order[bs - 1], file)
+                want = _cheapest(policy._scan[bs], file)
                 assert table[bs, file] == want
                 assert (route_request(placement, topology, bs, file, mode)
                         == policy.sources[policy.serve(bs, file)])

@@ -1,4 +1,8 @@
+import copy
+import importlib
 import itertools
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ import pytest
 from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy,
                        Placement, Popularity, RoutingMode, SourceKind,
                        Topology, build_paper_topology, make_policy, marginal_gain,
-                       marginal_loss, route_request, total_expected_delay, utility)
+                       marginal_loss, pcd, route_request, total_expected_delay,
+                       utility, zipf_popularity)
 from octocache.routing import UtilityEvaluator
 from octocache.topology import uturn_peer_delays
 
@@ -575,10 +580,62 @@ def test_placement_rejects_bad_contents(contents, message):
 
 
 def test_is_feasible_sees_a_file_out_of_range():
+    # the mask has no column for a file past F; column 0 and a row over its
+    # capacity are what a write through the mask can break
     placement = Placement(CacheCapacities(cloud=2, edge=(2, 2)), 4, [{1, 4}, {2}, {3, 4}])
     assert placement.is_feasible()
-    placement.contents[1].add(5)
-    assert not placement.is_feasible()
+    file_0 = placement.copy()
+    file_0.mask[1, 0] = True
+    assert not file_0.is_feasible()
+    overfull = placement.copy()
+    overfull.mask[1, 1] = True
+    assert overfull.cache_size(1) == 2 and overfull.is_feasible()
+    overfull.mask[1, 3] = True
+    assert overfull.cache_size(1) == 3 and not overfull.is_feasible()
+    assert placement.is_feasible()
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                       lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copy_reads_and_writes_its_own_bytes(canonical, duplicate):
+    # a deep-copied or unpickled placement, alone or inside an evaluator, sees
+    # a write through its mask in contains, cache_size and contents, and an
+    # add in its mask; the original stays as it was. The evaluator's mask
+    # starts at file 1, the placement's at file 0.
+    topo, _, pop, _ = canonical
+    placement = Placement(CacheCapacities(cloud=2, edge=(2, 2)), 3, [{1}, {2}, set()])
+    for original, first in ((placement, 0), (UtilityEvaluator(topo, pop, placement), 1)):
+        twin = duplicate(original)
+        copied = getattr(twin, "placement", twin)
+        assert np.shares_memory(twin.mask, copied.mask)
+        twin.mask[0, 3 - first] = True
+        assert copied.contains(3, 0) and copied.cache_size(0) == 2
+        assert copied.contents == [{1, 3}, {2}, set()]
+        copied.add(3, 2)
+        assert twin.mask[2, 3 - first] and copied.size() == 4
+        assert getattr(original, "placement", original) == placement
+        assert original.mask.sum() == 2
+    assert placement.contents == [{1}, {2}, set()]
+
+
+def test_benchmark_reads_of_a_placement_agree_with_its_mask(monkeypatch):
+    # perfbench's traced cells read contents, size, cache_size and
+    # is_feasible, on a greedy placement and on lfu's after its replay
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    checks, replay = (importlib.import_module(name) for name in ("checks", "replay"))
+    topo = build_paper_topology(3, 5).with_users({f"u{i}": i % 3 + 1 for i in range(9)})
+    catalog, pop = Catalog(num_files=12), zipf_popularity(12, 0.8)
+    caps = CacheCapacities(cloud=4, edge=(2, 3, 2))
+    lfu = LfuPolicy(topo, caps, 12)
+    rng = np.random.default_rng(5)
+    lfu.replay(rng.integers(1, 4, 2000), rng.integers(1, 13, 2000))
+    for placement in (pcd(topo, catalog, pop, caps).placement, lfu.placement):
+        assert checks.check_placement(placement, topo, pop, caps, 12) == []
+        mask = placement.mask
+        assert replay.placement_composition(placement) == {
+            "copies": mask.sum(), "copies_per_cache": mask.sum(axis=1).tolist(),
+            "shadowed_cloud_copies": (mask[0] & mask[1:].all(axis=0)).sum()}
 
 
 # ---------------------------------------------------------------- matroid
