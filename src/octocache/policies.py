@@ -4,24 +4,23 @@ Policies resolve each request against their current cache contents (the
 routing mode is a property of the policy) and update state on misses. A
 policy reads its placement's byte mask through one scan per requesting BS,
 the memoryview row and source index of each cache it may be served from,
-cheapest first; lfu and lru insert and evict by writing those rows.
+cheapest first.
 
 * ``octopus``  - greedy warm placement, then reactive replacement after a
-  miss; full cooperative routing. Only the few misses that commit a swap
-  change the placement, so it replays as static segments between those
-  swaps. Without replacement it is a static placement.
+  miss; full cooperative routing. Without replacement it is a static
+  placement.
 * ``eo`` / ``ecnc`` / ``exmpc`` / ``femtox`` - static placements, no
   reactive updates; ``eo`` routes edge-only, ``ecnc`` edge+cloud, the rest
   use full cooperative routing.
 * ``lfu`` / ``lru`` - classic reactive replacement applied hierarchically:
   a CDN miss inserts the file into both the requesting BS's edge cache and
   the cloud cache, each applying its own eviction rule. Both start cold.
-  Each policy builds one pass, a closure over its caches and bookkeeping
-  that serves a run of requests in one loop with the step inline; ``serve``
-  is a one-request pass and ``replay`` one pass over every request. A
-  per-file count of copies tells a CDN miss with no routing scan. LFU keys
-  each resident once in a per-cache victim heap and re-keys the stale top
-  only when the cache evicts.
+
+Octopus and the static placements share one ``serve`` and one ``replay``:
+a static placement is octopus with no swap and no miss that triggers one,
+and every swap goes through ``on_miss``. lfu and lru replay in one pass, a
+method over the policy's attributes that serves a run of requests with the
+step inline and inserts and evicts by writing the mask rows.
 
 Observation scopes for the reactive bookkeeping: an edge cache sees the
 requests of the users homed at its BS; the cloud cache (managed centrally)
@@ -52,14 +51,15 @@ _STATIC_POLICIES = {
 
 
 class Policy:
-    """A static placement, and the base of every policy. ``placement`` is
-    the policy's own cache contents, which only the policy mutates.
-    ``sources`` lists the :class:`Source` objects it routes to, the CDN at
-    index 0; :meth:`serve` and :meth:`replay` name a server by its index
-    there. A policy that changes its placement overrides both, each stating
-    its own replay: :class:`OctopusPolicy` in static segments between its
-    swaps, :class:`LfuPolicy` and :class:`LruPolicy` in one pass whose
-    one-request form is their :meth:`serve`."""
+    """A placement and its routing: the base of every policy, and as it
+    stands a static placement. ``placement`` is the policy's own cache
+    contents, which only the policy mutates. ``sources`` lists the
+    :class:`Source` objects it routes to, the CDN at index 0; :meth:`serve`
+    and :meth:`replay` name a server by its index there. A policy that swaps
+    files after a CDN miss overrides :meth:`on_miss` and :meth:`_triggers`;
+    lfu and lru override :meth:`serve` and :meth:`replay`. A policy holds
+    memoryview rows of its placement, so ``copy.deepcopy`` and ``pickle``
+    of a policy raise ``TypeError``."""
 
     def __init__(self, name, placement, topology, routing_mode):
         _check_instance(topology, placement)
@@ -88,21 +88,54 @@ class Policy:
 
     def serve(self, bs, file):
         """Route a request for ``file`` (1..F) from BS ``bs`` (1..R), which
-        the caller checks, then apply the policy's update rule, if any.
-        Returns the index in :attr:`sources` of the source used; 0 is a CDN
-        miss."""
-        return _cheapest(self._scan[bs], file)
+        the caller checks, then apply the policy's update rule: after a CDN
+        miss, :meth:`on_miss`. Returns the index in :attr:`sources` of the
+        source used; 0 is a CDN miss."""
+        index = _cheapest(self._scan[bs], file)
+        if index == 0:
+            self.on_miss(file)
+        return index
 
     def replay(self, bs, files):
         """:meth:`serve` each request for ``files[i]`` (1..F) from BS
         ``bs[i]`` (1..R, which the caller checks), in order, and return each
-        request's :attr:`sources` index as an intp array. A static placement
-        answers each request with one lookup in ``routing._serving_table``."""
-        return _serving_table(self.placement.mask, self._order)[bs, files]
+        request's :attr:`sources` index as an intp array.
+
+        Only a miss on a file :meth:`_triggers` marks changes the placement,
+        so each segment is one serving table (``routing._serving_table``)
+        lookup up to and including the first request for such a file, whose
+        miss then runs :meth:`on_miss`; only the swapped files' columns of
+        the table are rewritten. This equals :meth:`serve` request by request;
+        a static placement marks no file, so it replays as one segment."""
+        served = np.empty(len(files), dtype=np.intp)
+        table = _serving_table(self.placement.mask, self._order)
+        start = 0
+        while start < len(files):
+            stop = _first_marked(self._triggers(), files, start)
+            served[start:stop + 1] = table[bs[start:stop + 1], files[start:stop + 1]]
+            if stop < len(files):
+                file = int(files[stop])
+                swaps = self.on_miss(file)
+                for touched in {file, *(s["evicted_file"] for s in swaps)}:
+                    table[1:, touched] = [_cheapest(scan, touched)
+                                          for scan in self._scan[1:]]
+            start = stop + 1
+        return served
+
+    def on_miss(self, file):
+        """Reactive replacement for ``file``, just fetched from the CDN.
+        Returns the committed swap records; a static placement has none."""
+        return []
+
+    def _triggers(self):
+        """The misses on which :meth:`on_miss` would commit a swap, as a mask
+        over file ids 0..F, valid until the placement changes; only uncached
+        files may be set. A static placement sets none."""
+        return np.zeros(self.placement.num_files + 1, dtype=bool)
 
 
-#: Requests :meth:`OctopusPolicy.replay` scans first for a segment's end;
-#: each further scan doubles, so a segment costs about its own length.
+#: Requests :meth:`Policy.replay` scans first for a segment's end; each
+#: further scan doubles, so a segment costs about its own length.
 _FIRST_SCAN = 256
 
 
@@ -124,8 +157,8 @@ class OctopusPolicy(Policy):
 
     The policy keeps ``evaluator`` (FULL routing), not a copy: its placement
     is the policy's, and its popularity, fixed, drives every swap. Hits are
-    read-only. :meth:`serve` runs :meth:`on_miss` after each CDN miss;
-    :meth:`replay` serves the requests between two swaps as static segments.
+    read-only; :meth:`on_miss` runs the swaps, and :meth:`_triggers` marks
+    the uncached files whose miss would commit one (``_rcr_triggers``).
     """
 
     def __init__(self, topology, evaluator):
@@ -133,41 +166,12 @@ class OctopusPolicy(Policy):
         # the evaluator's own placement, which replacement mutates in place
         super().__init__("octopus", evaluator.placement, topology, RoutingMode.FULL)
 
-    def serve(self, bs, file):
-        index = _cheapest(self._scan[bs], file)
-        if index == 0:
-            self.on_miss(file)
-        return index
-
-    def replay(self, bs, files):
-        """:meth:`Policy.replay` in static segments, exact to :meth:`serve`.
-
-        Octopus routes FULL over finite delays, so a cached file is a hit and
-        only an uncached file misses. Until a swap, the placement, its
-        min-loss copy, utility and gain table stay fixed, and so does the
-        set of files whose miss would commit one (``_rcr_triggers``); every
-        other miss changes nothing. Each segment is therefore one serving
-        table lookup up to and including the first request for such a file,
-        whose miss then runs ``_rcr_swaps``; only the swapped files' columns
-        of the table are rewritten."""
-        served = np.empty(len(files), dtype=np.intp)
-        table = _serving_table(self.placement.mask, self._order)
-        start = 0
-        while start < len(files):
-            stop = _first_marked(_rcr_triggers(self._ev), files, start)
-            served[start:stop + 1] = table[bs[start:stop + 1], files[start:stop + 1]]
-            if stop < len(files):
-                file = int(files[stop])
-                swaps = _rcr_swaps(self._ev, file)
-                for touched in {file, *(s["evicted_file"] for s in swaps)}:
-                    table[1:, touched] = [_cheapest(scan, touched)
-                                          for scan in self._scan[1:]]
-            start = stop + 1
-        return served
-
     def on_miss(self, file):
         """Reactive replacement for a file just fetched from the CDN."""
         return _rcr_swaps(self._ev, file)
+
+    def _triggers(self):
+        return _rcr_triggers(self._ev)
 
 
 def _lfu_victim(heap, counts, last_use):
@@ -187,22 +191,27 @@ class _ColdPolicy(Policy):
     """Base of :class:`LfuPolicy` and :class:`LruPolicy`: empty caches at
     the start, FULL routing, and an update on any request.
 
-    A subclass builds its pass, ``self._pass(bs_list, file_list)``: one
-    closure that serves the requests in order, the policy's step inline,
-    and returns each request's :attr:`sources` index in a list.
-    :meth:`serve` is a one-request pass and :meth:`replay` one pass over
-    every request, so the two share one step and one state.
-
-    The pass keeps ``held``, each file's copies over all caches. FULL
-    routing over finite delays (``Topology`` rejects any other) reaches
-    every cache, so a file with no copy is a CDN miss, read with no scan,
-    and a held file is a hit at the first row of ``_scan[bs]`` holding it.
+    A subclass's pass, the method ``_pass(bs_list, file_list)``, binds the
+    policy's attributes to locals and serves the requests in order, its step
+    inline, returning each request's :attr:`sources` index in a list.
+    :meth:`serve` is a one-request pass and :meth:`replay` one pass, so the
+    two share one step and one state. ``_sides[bs]`` holds a tuple for BS
+    ``bs``'s edge cache, then one for the cloud: the cache's mask row, its
+    entry of each per-cache list in ``state`` and its capacity. ``_held``
+    counts each file's copies. FULL routing over finite delays
+    (``Topology`` rejects any other) reaches every cache, so a file with no
+    copy is a CDN miss, read with no scan, and a held file is a hit at the
+    first row of ``_scan[bs]`` holding it.
     """
 
-    def __init__(self, name, topology, capacities, num_files):
+    def __init__(self, name, topology, capacities, num_files, *state):
         super().__init__(name, Placement(capacities, num_files), topology,
                          RoutingMode.FULL)
         self._held = [0] * (num_files + 1)
+        caps = capacities.as_list()
+        per_cache = (self.placement._rows(), *state, caps)
+        self._sides = (None, *(tuple(tuple(column[cache] for column in per_cache)
+                                     for cache in (bs, 0)) for bs in range(1, len(caps))))
 
     def serve(self, bs, file):
         return self._pass((bs,), (file,))[0]
@@ -226,56 +235,50 @@ class LfuPolicy(_ColdPolicy):
     """
 
     def __init__(self, topology, capacities, num_files):
-        super().__init__("lfu", topology, capacities, num_files)
-        rows, scan, held = self.placement._rows(), self._scan, self._held
         caps = capacities.as_list()
-        self._counts = counts = [[0] * (num_files + 1) for _ in caps]
-        self._last_use = last_use = [[0] * (num_files + 1) for _ in caps]
-        self._heaps = heaps = [[] for _ in caps]
-        # per requesting BS (entry 0 unused): (mask row, counts, last uses,
-        # victim heap, capacity) of its edge cache, then of the cloud
-        sides = (None, *(tuple((rows[cache], counts[cache], last_use[cache],
-                                heaps[cache], caps[cache]) for cache in (bs, 0))
-                         for bs in range(1, len(caps))))
-        seq = 0  # the last use stamped so far
+        self._counts = [[0] * (num_files + 1) for _ in caps]
+        self._last_use = [[0] * (num_files + 1) for _ in caps]
+        self._heaps = [[] for _ in caps]
+        self._seq = 0  # the last use stamped so far
+        # sides: (mask row, counts, last uses, victim heap, capacity)
+        super().__init__("lfu", topology, capacities, num_files,
+                         self._counts, self._last_use, self._heaps)
 
-        def run(bs_list, file_list):
-            nonlocal seq
-            # the pass's stamps are reserved up front, so a pass that raises
-            # still leaves the clock past every stamp it wrote
-            stamp, seq = seq, seq + len(file_list)
-            served = []
-            append = served.append
-            for bs, file in zip(bs_list, file_list):
-                stamp += 1
-                if held[file]:
-                    for row, index in scan[bs]:
-                        if row[file]:
-                            break
-                    for row, count, used, _, _ in sides[bs]:
-                        count[file] += 1
-                        if row[file]:
-                            used[file] = stamp
-                else:
-                    index = 0
-                    for row, count, used, heap, cap in sides[bs]:
-                        count[file] += 1
-                        key = (count[file], stamp, file)
-                        if len(heap) < cap:  # one heap entry per resident
-                            heapq.heappush(heap, key)
-                        elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
-                            evicted = heapq.heapreplace(heap, key)[2]
-                            row[evicted] = 0
-                            held[evicted] -= 1
-                        else:
-                            continue
-                        row[file] = 1
-                        held[file] += 1
+    def _pass(self, bs_list, file_list):
+        held, scan, sides = self._held, self._scan, self._sides
+        # the pass's stamps are reserved up front, so a pass that raises
+        # still leaves the clock past every stamp it wrote
+        stamp, self._seq = self._seq, self._seq + len(file_list)
+        served = []
+        append = served.append
+        for bs, file in zip(bs_list, file_list):
+            stamp += 1
+            if held[file]:
+                for row, index in scan[bs]:
+                    if row[file]:
+                        break
+                for row, count, used, _, _ in sides[bs]:
+                    count[file] += 1
+                    if row[file]:
                         used[file] = stamp
-                append(index)
-            return served
-
-        self._pass = run
+            else:
+                index = 0
+                for row, count, used, heap, cap in sides[bs]:
+                    count[file] += 1
+                    key = (count[file], stamp, file)
+                    if len(heap) < cap:  # one heap entry per resident
+                        heapq.heappush(heap, key)
+                    elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
+                        evicted = heapq.heapreplace(heap, key)[2]
+                        row[evicted] = 0
+                        held[evicted] -= 1
+                    else:
+                        continue
+                    row[file] = 1
+                    held[file] += 1
+                    used[file] = stamp
+            append(index)
+        return served
 
     def counts(self, cache):
         """Observed request counts at one cache (index 0 is unused)."""
@@ -292,42 +295,36 @@ class LruPolicy(_ColdPolicy):
     """
 
     def __init__(self, topology, capacities, num_files):
-        super().__init__("lru", topology, capacities, num_files)
-        rows, scan, held = self.placement._rows(), self._scan, self._held
-        caps = capacities.as_list()
-        recency = [OrderedDict() for _ in caps]
-        # per requesting BS (entry 0 unused): (mask row, recency, capacity)
-        # of its edge cache, then of the cloud
-        sides = (None, *(tuple((rows[cache], recency[cache], caps[cache])
-                               for cache in (bs, 0)) for bs in range(1, len(caps))))
+        # sides: (mask row, recency, capacity)
+        super().__init__("lru", topology, capacities, num_files,
+                         [OrderedDict() for _ in capacities.as_list()])
 
-        def run(bs_list, file_list):
-            served = []
-            append = served.append
-            for bs, file in zip(bs_list, file_list):
-                if held[file]:
-                    for row, index in scan[bs]:
-                        if row[file]:
-                            break
-                    for _, used, _ in sides[bs]:
-                        if file in used:
-                            used.move_to_end(file)
-                else:
-                    index = 0
-                    for row, used, cap in sides[bs]:
-                        if len(used) >= cap:  # one recency entry per resident
-                            if not used:  # a cache of capacity 0
-                                continue
-                            evicted = used.popitem(last=False)[0]
-                            row[evicted] = 0
-                            held[evicted] -= 1
-                        row[file] = 1
-                        held[file] += 1
-                        used[file] = None
-                append(index)
-            return served
-
-        self._pass = run
+    def _pass(self, bs_list, file_list):
+        held, scan, sides = self._held, self._scan, self._sides
+        served = []
+        append = served.append
+        for bs, file in zip(bs_list, file_list):
+            if held[file]:
+                for row, index in scan[bs]:
+                    if row[file]:
+                        break
+                for _, used, _ in sides[bs]:
+                    if file in used:
+                        used.move_to_end(file)
+            else:
+                index = 0
+                for row, used, cap in sides[bs]:
+                    if len(used) >= cap:  # one recency entry per resident
+                        if not used:  # a cache of capacity 0
+                            continue
+                        evicted = used.popitem(last=False)[0]
+                        row[evicted] = 0
+                        held[evicted] -= 1
+                    row[file] = 1
+                    held[file] += 1
+                    used[file] = None
+            append(index)
+        return served
 
 
 def make_policy(name, topology, catalog, popularity, capacities, assignment,

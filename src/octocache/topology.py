@@ -38,6 +38,15 @@ def _whole(value, low=0, high=math.inf):
         return None
 
 
+def _file_count(num_files):
+    """``num_files`` as an int, or a ``ValueError`` naming the limit it breaks."""
+    count = _whole(num_files, 1)
+    if count is None:
+        raise ValueError("num_files must be >= 1" if num_files < 1
+                         else "num_files must be a whole number")
+    return count
+
+
 @dataclass(frozen=True)
 class Topology:
     """The cache hierarchy: R base stations, one cloud cache, delay costs.
@@ -127,14 +136,14 @@ class Topology:
 
 @dataclass(frozen=True)
 class Catalog:
-    """The file library: F files of one uniform size."""
+    """The file library: F files of one uniform size. ``num_files`` is a
+    whole number >= 1, held as an int (4.0 becomes 4)."""
 
     num_files: int
     file_size_mb: float = DEFAULT_FILE_SIZE_MB
 
     def __post_init__(self):
-        if self.num_files < 1:
-            raise ValueError("num_files must be >= 1")
+        object.__setattr__(self, "num_files", _file_count(self.num_files))
         if not (math.isfinite(self.file_size_mb) and self.file_size_bytes >= 1):
             raise ValueError("file_size_mb must be finite and at least one byte")
 

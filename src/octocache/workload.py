@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyTraceError, TraceError, TraceFormatError
-from .topology import Popularity
+from .topology import Popularity, _file_count
 
 #: Fraction of malformed lines beyond which the input is rejected outright.
 MALFORMED_LINE_TOLERANCE = 0.10
@@ -247,8 +247,7 @@ def zipf_popularity(num_files, alpha):
     alpha = 0 degenerates to the uniform distribution; larger alpha
     concentrates mass on the top ranks.
     """
-    if num_files < 1:
-        raise ValueError("num_files must be >= 1")
+    num_files = _file_count(num_files)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     ranks = np.arange(1, num_files + 1, dtype=float)

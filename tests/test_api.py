@@ -96,6 +96,9 @@ TWO_BS = build_paper_topology(2, 1)
 
 @pytest.mark.parametrize("call, message", [
     (lambda *_: zipf_popularity(0, 0.8), "num_files must be >= 1"),
+    (lambda *_: zipf_popularity(4.5, 0.8), "num_files must be a whole number"),
+    (lambda *_: Catalog(2.5), "num_files must be a whole number"),
+    (lambda *_: Catalog(float("nan")), "num_files must be a whole number"),
     (lambda *_: zipf_popularity(3, -0.1), "alpha must be >= 0"),
     (lambda *_: generate_requests(zipf_popularity(2, 0.8), -1, [1], 0),
      "num_requests must be >= 0"),
@@ -177,8 +180,8 @@ def _library_calls(draw):
     peer[0][-1] = pick("peer_delay", [peer[0][-1]], [0.0, -1.0, _NAN, _INF])
     cdn = pick("cdn_delay", [50.0], [1.0, _INF, _NAN])
     users = pick("users", [{"u": 1}, {}], [{"u": 0}, {"u": R + 1}, {"u": 1.5}])
-    num_files = pick("num_files", [1, 2, 4], [0, -1])
-    F = max(num_files, 0)
+    num_files = pick("num_files", [1, 2, 4], [0, -1, 2.5])
+    F = max(int(num_files), 0)
     cloud = pick("cloud", [0, 1, 2, 5], [-1])
     edges = pick("edges", [(1,) * R, (0,) * R, (5,) * R],
                  [(-1,) * R, (1,) * (R + 1), ()])

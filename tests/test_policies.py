@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,66 @@ def test_octopus_on_request_calls_on_miss_by_attribute():
         if source.kind is SourceKind.CDN:
             misses.append(file)
     assert misses and seen == misses
+
+
+def test_octopus_replay_swaps_through_on_miss_by_attribute():
+    # replacement has one hook: a wrapper set on the instance's on_miss sees,
+    # during one replay, exactly the swaps, in order, that a twin commits
+    # through its own on_miss when served one request at a time
+    topo = build_paper_topology(3, 8).with_users({f"u{k}": k % 3 + 1 for k in range(9)})
+    caps = CacheCapacities(cloud=3, edge=(2, 2, 2))
+    pop = Popularity.from_weights(1.0 / np.arange(1, 13))
+    warm = Placement(caps, 12, [{10, 11, 12}, {7, 8}, {9, 10}, {11, 12}])
+    rng = np.random.default_rng(37)
+    bs = rng.integers(1, 4, 600)
+    files = rng.choice(12, 600, p=pop.as_array()) + 1
+    policy, twin = (OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
+                    for _ in range(2))
+    swaps = {}
+    for target in (policy, twin):
+        on_miss, seen = target.on_miss, swaps.setdefault(target, [])
+        target.on_miss = lambda file, on_miss=on_miss, seen=seen: (
+            seen.append(on_miss(file)) or seen[-1])
+    policy.replay(bs, files)
+    for b, f in zip(bs.tolist(), files.tolist()):
+        twin.serve(b, f)
+    # the replay calls on_miss only on the misses that commit a swap
+    assert len(swaps[policy]) >= 5 and all(swaps[policy])
+    assert sum(swaps[policy], []) == sum(swaps[twin], [])
+    assert policy.placement == twin.placement
+
+
+def served_state(policy):
+    """A policy's placement bytes and, for lfu, its request counters."""
+    counts = getattr(policy, "counts", None)
+    return (bytes(policy.placement.mask),
+            [list(counts(cache)) for cache in range(len(policy.placement.mask))]
+            if counts else None)
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_a_deep_copy_raises_or_is_independent(name):
+    # a policy holds memoryview rows of its placement, so it cannot be
+    # copied; should it ever be copyable, serving through the copy must
+    # leave the original's placement and counters as they were. Octopus
+    # starts from the least popular files, so that serving it swaps
+    topo = build_paper_topology(3, 8).with_users({f"u{k}": k % 3 + 1 for k in range(9)})
+    caps = CacheCapacities(cloud=3, edge=(2, 2, 2))
+    pop = Popularity.from_weights(1.0 / np.arange(1, 13))
+    if name == "octopus":
+        warm = Placement(caps, 12, [{10, 11, 12}, {7, 8}, {9, 10}, {11, 12}])
+        policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
+    else:
+        policy = make_policy(name, topo, Catalog(12), pop, caps, topo.users)
+    try:
+        twin = copy.deepcopy(policy)
+    except TypeError:
+        return
+    before = served_state(policy)
+    rng = np.random.default_rng(41)
+    for b, f in zip(rng.integers(1, 4, 200), rng.choice(12, 200, p=pop.as_array()) + 1):
+        twin.serve(int(b), int(f))
+    assert served_state(policy) == before
 
 
 def test_octopus_rcr_disabled_is_static(canonical):
