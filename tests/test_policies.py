@@ -204,14 +204,21 @@ def test_octopus_segment_replay_swaps_on_last_request(canonical, monkeypatch):
     assert served[:-1].all() and served[-1] == 0
 
 
+def least_popular_warm():
+    """A 3-BS, 12-file instance with a 1/k popularity whose warm placement
+    holds the least popular files: (topology, capacities, popularity,
+    warm placement)."""
+    topo = build_paper_topology(3, 8).with_users({f"u{k}": k % 3 + 1 for k in range(9)})
+    caps = CacheCapacities(cloud=3, edge=(2, 2, 2))
+    pop = Popularity.from_weights(1.0 / np.arange(1, 13))
+    return topo, caps, pop, Placement(caps, 12, [{10, 11, 12}, {7, 8}, {9, 10}, {11, 12}])
+
+
 def test_octopus_segment_replay_with_many_swaps(monkeypatch):
     # the warm placement holds the least popular files, so misses keep
     # swapping popular files in until the placement settles; the misses
     # after that change nothing
-    topo = build_paper_topology(3, 8).with_users({f"u{k}": k % 3 + 1 for k in range(9)})
-    caps = CacheCapacities(cloud=3, edge=(2, 2, 2))
-    pop = Popularity.from_weights(1.0 / np.arange(1, 13))
-    warm = Placement(caps, 12, [{10, 11, 12}, {7, 8}, {9, 10}, {11, 12}])
+    topo, _, pop, warm = least_popular_warm()
     rng = np.random.default_rng(29)
     bs = rng.integers(1, 4, 600).tolist()
     files = (rng.choice(12, 600, p=pop.as_array()) + 1).tolist()
@@ -267,10 +274,7 @@ def test_octopus_replay_swaps_through_on_miss_by_attribute():
     # replacement has one hook: a wrapper set on the instance's on_miss sees,
     # during one replay, exactly the swaps, in order, that a twin commits
     # through its own on_miss when served one request at a time
-    topo = build_paper_topology(3, 8).with_users({f"u{k}": k % 3 + 1 for k in range(9)})
-    caps = CacheCapacities(cloud=3, edge=(2, 2, 2))
-    pop = Popularity.from_weights(1.0 / np.arange(1, 13))
-    warm = Placement(caps, 12, [{10, 11, 12}, {7, 8}, {9, 10}, {11, 12}])
+    topo, _, pop, warm = least_popular_warm()
     rng = np.random.default_rng(37)
     bs = rng.integers(1, 4, 600)
     files = rng.choice(12, 600, p=pop.as_array()) + 1
@@ -304,11 +308,8 @@ def test_a_deep_copy_raises_or_is_independent(name):
     # copied; should it ever be copyable, serving through the copy must
     # leave the original's placement and counters as they were. Octopus
     # starts from the least popular files, so that serving it swaps
-    topo = build_paper_topology(3, 8).with_users({f"u{k}": k % 3 + 1 for k in range(9)})
-    caps = CacheCapacities(cloud=3, edge=(2, 2, 2))
-    pop = Popularity.from_weights(1.0 / np.arange(1, 13))
+    topo, caps, pop, warm = least_popular_warm()
     if name == "octopus":
-        warm = Placement(caps, 12, [{10, 11, 12}, {7, 8}, {9, 10}, {11, 12}])
         policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
     else:
         policy = make_policy(name, topo, Catalog(12), pop, caps, topo.users)
