@@ -10,7 +10,7 @@ metrics.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
+import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -308,11 +308,17 @@ def run_sweep(base, axis, values, jobs=1, policies=None):
 
     ``jobs`` > 1 runs cells in parallel processes, at most one per cell,
     each sent every instance once; ordering is deterministic regardless.
-    ``jobs`` < 1 is a ``ConfigError``.
+    Only then is the process pool imported, so a serial run never loads it.
+    ``jobs`` that is not a whole number (as ``operator.index`` reads one)
+    or is < 1 is a ``ConfigError``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of "
                           + ", ".join(SWEEP_AXES))
+    try:
+        jobs = operator.index(jobs)
+    except TypeError:
+        raise ConfigError(f"jobs must be a whole number, got {jobs!r}") from None
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     policies = [base.policy] if policies is None else policies
@@ -329,6 +335,7 @@ def run_sweep(base, axis, values, jobs=1, policies=None):
             tasks.append((key, value, cell))
     instances = {key: prepare(cell) for key, cell in firsts.items()}
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                  initializer=_receive_instances,
                                  initargs=(instances,)) as pool:

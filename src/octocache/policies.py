@@ -141,7 +141,10 @@ _FIRST_SCAN = 256
 
 def _first_marked(marked, files, start):
     """Index of the first request at or after ``start`` whose file is set in
-    ``marked``, else ``len(files)``, read in scans of doubling length."""
+    ``marked``, else ``len(files)``, read in scans of doubling length; an
+    all-clear ``marked`` reads no request."""
+    if not marked.any():
+        return len(files)
     scan = _FIRST_SCAN
     while start < len(files):
         hit = marked[files[start:start + scan]]

@@ -1,5 +1,11 @@
+import concurrent.futures
 import hashlib
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +409,39 @@ def test_sweep_rejects_jobs_below_one():
         run_sweep(small_config(), "zipf_alpha", [0.6], jobs=-2)
 
 
+@pytest.mark.parametrize("jobs", [2.5, "2", math.nan])
+def test_sweep_rejects_jobs_that_are_not_whole_before_preparing(jobs, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("prepared before jobs was checked")
+
+    monkeypatch.setattr(octocache.engine, "prepare", unreachable)
+    with pytest.raises(ConfigError, match="jobs must be a whole number"):
+        run_sweep(small_config(), "zipf_alpha", [0.6, 0.7, 0.8], jobs=jobs)
+
+
+def test_sweep_jobs_true_is_one_serial_worker(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial sweep started a pool")
+
+    base = small_config(num_requests=1000)
+    serial = run_sweep(base, "zipf_alpha", [0.6, 0.8])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rows = run_sweep(base, "zipf_alpha", [0.6, 0.8], jobs=True)
+    assert [r.metrics.as_dict() for r in rows] == [r.metrics.as_dict() for r in serial]
+
+
+def test_import_loads_no_process_pool():
+    # the pool stack (multiprocessing, logging, socket, subprocess) is
+    # imported by a parallel sweep alone, not by the library or the CLI
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, octocache, octocache.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 def test_sweep_unknown_axis():
     with pytest.raises(ConfigError):
         run_sweep(small_config(), "backhaul", [1])
@@ -457,7 +496,7 @@ def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(octocache.engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(octocache.engine, "_worker_instances", {})
     rows = run_sweep(small_config(num_requests=1000), "zipf_alpha", [0.6, 0.8],
                      jobs=500)

@@ -11,7 +11,7 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, LfuPolicy, LruPol
                        make_policy, pcd, route_request, utility)
 
 from octocache.placement import _rcr_triggers
-from octocache.policies import Policy, _lfu_victim
+from octocache.policies import Policy, _first_marked, _lfu_victim
 from octocache.routing import UtilityEvaluator, _cheapest, _serving_table
 
 from conftest import random_feasible_placement, random_instance
@@ -250,6 +250,20 @@ def test_octopus_segment_replay_of_no_requests(canonical, monkeypatch):
     served, calls = segment_replay_equals_serve(shifted_octopus(canonical), [], [],
                                                 monkeypatch)
     assert served.shape == (0,) and calls == []
+
+
+def test_first_marked_reads_no_request_when_nothing_is_marked():
+    class Unread:
+        def __len__(self):
+            return 5000
+
+        def __getitem__(self, key):
+            raise AssertionError("read a request")
+
+    assert _first_marked(np.zeros(13, dtype=bool), Unread(), 0) == 5000
+    marked = np.zeros(13, dtype=bool)
+    marked[7] = True
+    assert _first_marked(marked, np.array([1, 7, 2, 7]), 2) == 3
 
 
 def test_octopus_on_request_calls_on_miss_by_attribute():
