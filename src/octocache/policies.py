@@ -20,7 +20,10 @@ Octopus and the static placements share one ``serve`` and one ``replay``:
 a static placement is octopus with no swap and no miss that triggers one,
 and every swap goes through ``on_miss``. lfu and lru replay in one pass, a
 method over the policy's attributes that serves a run of requests with the
-step inline and inserts and evicts by writing the mask rows.
+step inline and inserts and evicts by writing the mask rows. They keep one
+location code per file, the edge holding it and whether the cloud does (no
+file is in two edges), so a hit reads its server from a per-BS table with
+no scan.
 
 Observation scopes for the reactive bookkeeping: an edge cache sees the
 requests of the users homed at its BS; the cloud cache (managed centrally)
@@ -38,6 +41,7 @@ from .placement import (_greedy, _rcr_swaps, _rcr_triggers, place_ecnc, place_eo
                         place_exmpc, place_femtox)
 from .routing import (Placement, RoutingMode, _cheapest, _check_instance,
                       _serving_table, _source_table)
+from .topology import _file_count
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
@@ -190,6 +194,19 @@ def _lfu_victim(heap, counts, last_use):
     return file
 
 
+def _located_sources(caches, num_caches):
+    """Per location code 0..2 * num_caches - 1 (see :class:`_ColdPolicy`),
+    the source index of the first ``(cache, index)`` pair in ``caches`` (one
+    BS's routing order, cheapest first) whose cache the code names, else 0
+    (the CDN)."""
+    table = []
+    for code in range(2 * num_caches):
+        edge, cloud = divmod(code, 2)
+        table.append(next((index for cache, index in caches
+                           if (cache == edge if cache else cloud)), 0))
+    return tuple(table)
+
+
 class _ColdPolicy(Policy):
     """Base of :class:`LfuPolicy` and :class:`LruPolicy`: empty caches at
     the start, FULL routing, and an update on any request.
@@ -200,21 +217,31 @@ class _ColdPolicy(Policy):
     :meth:`serve` is a one-request pass and :meth:`replay` one pass, so the
     two share one step and one state. ``_sides[bs]`` holds a tuple for BS
     ``bs``'s edge cache, then one for the cloud: the cache's mask row, its
-    entry of each per-cache list in ``state`` and its capacity. ``_held``
-    counts each file's copies. FULL routing over finite delays
-    (``Topology`` rejects any other) reaches every cache, so a file with no
-    copy is a CDN miss, read with no scan, and a held file is a hit at the
-    first row of ``_scan[bs]`` holding it.
+    entry of each per-cache list in ``state``, its capacity, the bit the
+    cache sets in a location code and the mask that clears that bit.
+
+    ``_codes[file]`` is the file's location code, ``2 * edge + cloud``:
+    ``edge`` is the BS whose edge cache holds the file (0 for none) and
+    ``cloud`` is 1 if the cloud cache holds it; 0 means no copy. One edge is
+    enough: a pass inserts a file only on a CDN miss, when no cache holds
+    it, and only at the home edge and the cloud, so no file is ever in two
+    edge caches. FULL routing over finite delays (``Topology`` rejects any
+    other) reaches every cache, so code 0 is a CDN miss, and any other code
+    a hit at source ``_table[bs][code]`` (:func:`_located_sources`).
     """
 
     def __init__(self, name, topology, capacities, num_files, *state):
+        num_files = _file_count(num_files)
         super().__init__(name, Placement(capacities, num_files), topology,
                          RoutingMode.FULL)
-        self._held = [0] * (num_files + 1)
+        self._codes = [0] * (num_files + 1)
         caps = capacities.as_list()
         per_cache = (self.placement._rows(), *state, caps)
-        self._sides = (None, *(tuple(tuple(column[cache] for column in per_cache)
-                                     for cache in (bs, 0)) for bs in range(1, len(caps))))
+        self._sides = (None, *(tuple((*(column[cache] for column in per_cache), bit, keep)
+                                     for cache, bit, keep in ((bs, 2 * bs, 1), (0, 1, ~1)))
+                               for bs in range(1, len(caps))))
+        self._table = (None, *(_located_sources(caches, len(caps))
+                               for caches in self._order))
 
     def serve(self, bs, file):
         return self._pass((bs,), (file,))[0]
@@ -233,22 +260,26 @@ class LfuPolicy(_ColdPolicy):
     the least recently used; a cache never holds two files of one last use,
     since each request uses one file. Counters never decay.
 
-    A hit only bumps the counter and the last use; each cache's victim heap
-    is re-keyed when the cache evicts (:func:`_lfu_victim`).
+    A hit only bumps the counters and, where the file is resident, the last
+    use; each cache's victim heap is re-keyed when the cache evicts
+    (:func:`_lfu_victim`).
     """
 
     def __init__(self, topology, capacities, num_files):
         caps = capacities.as_list()
+        num_files = _file_count(num_files)  # sizes the counters below
         self._counts = [[0] * (num_files + 1) for _ in caps]
         self._last_use = [[0] * (num_files + 1) for _ in caps]
         self._heaps = [[] for _ in caps]
         self._seq = 0  # the last use stamped so far
-        # sides: (mask row, counts, last uses, victim heap, capacity)
+        # sides: (mask row, counts, last uses, victim heap, capacity, bit, keep)
         super().__init__("lfu", topology, capacities, num_files,
                          self._counts, self._last_use, self._heaps)
 
     def _pass(self, bs_list, file_list):
-        held, scan, sides = self._held, self._scan, self._sides
+        codes, table, sides = self._codes, self._table, self._sides
+        counts, last_use = self._counts, self._last_use
+        cloud_count, cloud_used = counts[0], last_use[0]
         # the pass's stamps are reserved up front, so a pass that raises
         # still leaves the clock past every stamp it wrote
         stamp, self._seq = self._seq, self._seq + len(file_list)
@@ -256,36 +287,39 @@ class LfuPolicy(_ColdPolicy):
         append = served.append
         for bs, file in zip(bs_list, file_list):
             stamp += 1
-            if held[file]:
-                for row, index in scan[bs]:
-                    if row[file]:
-                        break
-                for row, count, used, _, _ in sides[bs]:
-                    count[file] += 1
-                    if row[file]:
-                        used[file] = stamp
-            else:
-                index = 0
-                for row, count, used, heap, cap in sides[bs]:
-                    count[file] += 1
-                    key = (count[file], stamp, file)
-                    if len(heap) < cap:  # one heap entry per resident
-                        heapq.heappush(heap, key)
-                    elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
-                        evicted = heapq.heapreplace(heap, key)[2]
-                        row[evicted] = 0
-                        held[evicted] -= 1
-                    else:
-                        continue
-                    row[file] = 1
-                    held[file] += 1
-                    used[file] = stamp
-            append(index)
+            code = codes[file]
+            if code:
+                append(table[bs][code])
+                counts[bs][file] += 1
+                cloud_count[file] += 1
+                if code >> 1 == bs:
+                    last_use[bs][file] = stamp
+                if code & 1:
+                    cloud_used[file] = stamp
+                continue
+            for row, count, used, heap, cap, bit, keep in sides[bs]:
+                count[file] += 1
+                key = (count[file], stamp, file)
+                if len(heap) < cap:  # one heap entry per resident
+                    heapq.heappush(heap, key)
+                elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
+                    evicted = heapq.heapreplace(heap, key)[2]
+                    row[evicted] = 0
+                    codes[evicted] &= keep
+                else:
+                    continue
+                row[file] = 1
+                codes[file] |= bit
+                used[file] = stamp
+            append(0)
         return served
 
     def counts(self, cache):
-        """Observed request counts at one cache (index 0 is unused)."""
-        return self._counts[cache]
+        """A copy of the observed request counts at one cache, as a list
+        indexed by file (index 0 is unused); ``ValueError`` on a cache
+        outside 0..R."""
+        self.placement._check_cache(cache)
+        return list(self._counts[cache])
 
 
 class LruPolicy(_ColdPolicy):
@@ -298,35 +332,35 @@ class LruPolicy(_ColdPolicy):
     """
 
     def __init__(self, topology, capacities, num_files):
-        # sides: (mask row, recency, capacity)
-        super().__init__("lru", topology, capacities, num_files,
-                         [OrderedDict() for _ in capacities.as_list()])
+        self._recency = [OrderedDict() for _ in capacities.as_list()]
+        # sides: (mask row, recency, capacity, bit, keep)
+        super().__init__("lru", topology, capacities, num_files, self._recency)
 
     def _pass(self, bs_list, file_list):
-        held, scan, sides = self._held, self._scan, self._sides
+        codes, table, sides, recency = self._codes, self._table, self._sides, self._recency
+        cloud_used = recency[0]
         served = []
         append = served.append
         for bs, file in zip(bs_list, file_list):
-            if held[file]:
-                for row, index in scan[bs]:
-                    if row[file]:
-                        break
-                for _, used, _ in sides[bs]:
-                    if file in used:
-                        used.move_to_end(file)
-            else:
-                index = 0
-                for row, used, cap in sides[bs]:
-                    if len(used) >= cap:  # one recency entry per resident
-                        if not used:  # a cache of capacity 0
-                            continue
-                        evicted = used.popitem(last=False)[0]
-                        row[evicted] = 0
-                        held[evicted] -= 1
-                    row[file] = 1
-                    held[file] += 1
-                    used[file] = None
-            append(index)
+            code = codes[file]
+            if code:
+                append(table[bs][code])
+                if code >> 1 == bs:
+                    recency[bs].move_to_end(file)
+                if code & 1:
+                    cloud_used.move_to_end(file)
+                continue
+            for row, used, cap, bit, keep in sides[bs]:
+                if len(used) >= cap:  # one recency entry per resident
+                    if not used:  # a cache of capacity 0
+                        continue
+                    evicted = used.popitem(last=False)[0]
+                    row[evicted] = 0
+                    codes[evicted] &= keep
+                row[file] = 1
+                codes[file] |= bit
+                used[file] = None
+            append(0)
         return served
 
 

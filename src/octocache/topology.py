@@ -19,6 +19,7 @@ safe to share across concurrently running experiments.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -42,7 +43,8 @@ def _file_count(num_files):
     """``num_files`` as an int, or a ``ValueError`` naming the limit it breaks."""
     count = _whole(num_files, 1)
     if count is None:
-        raise ValueError("num_files must be >= 1" if num_files < 1
+        raise ValueError("num_files must be >= 1"
+                         if isinstance(num_files, numbers.Real) and num_files < 1
                          else "num_files must be a whole number")
     return count
 

@@ -99,6 +99,13 @@ TWO_BS = build_paper_topology(2, 1)
     (lambda *_: zipf_popularity(4.5, 0.8), "num_files must be a whole number"),
     (lambda *_: Catalog(2.5), "num_files must be a whole number"),
     (lambda *_: Catalog(float("nan")), "num_files must be a whole number"),
+    (lambda *_: Catalog("3"), "num_files must be a whole number"),
+    (lambda *_: Catalog(None), "num_files must be a whole number"),
+    (lambda *_: zipf_popularity("3", 0.8), "num_files must be a whole number"),
+    (lambda *_: run_experiment(ExperimentConfig(policy="lru", zipf_alpha=0.8,
+                                                num_files="3",
+                                                total_cache_bytes=10**9)),
+     "num_files must be a whole number"),
     (lambda *_: zipf_popularity(3, -0.1), "alpha must be >= 0"),
     (lambda *_: generate_requests(zipf_popularity(2, 0.8), -1, [1], 0),
      "num_requests must be >= 0"),

@@ -120,6 +120,66 @@ def test_lfu_heap_stays_bounded_by_the_cache():
                     residents, key=lambda g: (counts[g], last_use[g], g))
 
 
+def test_lfu_counts_checks_the_cache_and_hands_out_a_copy():
+    topo = single_bs_topology()
+    policy = LfuPolicy(topo, CacheCapacities(cloud=1, edge=(1,)), 3)
+    replay(policy, [1, 2])
+    for cache in (-1, 2, 1.0, "0", None):
+        with pytest.raises(ValueError, match="cache index"):
+            policy.counts(cache)
+    counts = policy.counts(1)
+    assert type(counts) is list and counts == [0, 1, 1, 0]
+    # a caller's write to the copy leaves the counter, and so the next
+    # eviction, as it was: f3 (one request) cannot displace f1 (count 1)
+    counts[1] = 0
+    assert policy.counts(1) == [0, 1, 1, 0]
+    assert replay(policy, [3]) == ["cdn"]
+    assert policy.placement.contents[1] == {1}
+
+
+# ------------------------------------------------------------- lfu and lru
+
+@pytest.mark.parametrize("cls", [LfuPolicy, LruPolicy])
+def test_cold_policy_reads_num_files_as_catalog_does(cls):
+    topo = single_bs_topology()
+    caps = CacheCapacities(cloud=1, edge=(1,))
+    policy = cls(topo, caps, 4.0)
+    assert policy.placement.num_files == 4 and type(policy.placement.num_files) is int
+    assert replay(policy, [4, 4]) == ["cdn", "local"]
+    for num_files, message in ((0, ">= 1"), (-1, ">= 1"), (2.5, "a whole number"),
+                               (float("nan"), "a whole number"),
+                               ("3", "a whole number")):
+        with pytest.raises(ValueError, match=f"^num_files must be {message}$"):
+            cls(topo, caps, num_files)
+
+
+@pytest.mark.parametrize("cls", [LfuPolicy, LruPolicy])
+def test_location_code_matches_the_mask(cls):
+    # after every request, each file's code is 2 * (the one edge holding it)
+    # + (1 if the cloud holds it), and serve answered the cheapest holder of
+    # the placement as it was before the request; delays tie often, and some
+    # caches, or all, hold nothing
+    rng = np.random.default_rng(59)
+    for trial in range(80):
+        num_bs, num_files = int(rng.integers(1, 8)), int(rng.integers(1, 13))
+        caps = rng.integers(0, num_files + 2, num_bs + 1) * (trial % 8 != 0)
+        policy = cls(tie_heavy_topology(rng, num_bs),
+                     CacheCapacities(cloud=int(caps[0]),
+                                     edge=tuple(int(c) for c in caps[1:])),
+                     num_files)
+        size = int(rng.integers(0, 80))
+        bs = rng.integers(1, num_bs + 1, size).tolist()
+        files = np.minimum(rng.zipf(1.4, size), num_files).tolist()
+        edge_ids = np.arange(1, num_bs + 1)[:, None]
+        for b, f in zip(bs, files):
+            want = _cheapest(policy._scan[b], f)
+            assert policy.serve(b, f) == want
+            mask = policy.placement.mask
+            assert mask[1:].sum(axis=0).max() <= 1  # no file in two edges
+            edge = (mask[1:] * edge_ids).sum(axis=0)
+            assert policy._codes == (2 * edge + mask[0]).tolist()
+
+
 # ----------------------------------------------------------------- octopus
 
 def test_octopus_hit_is_read_only(canonical):

@@ -5,9 +5,11 @@ sets, dicts and ``min``; they share no code with ``octocache.policies``
 beyond the two public constructors they check.
 """
 
+from collections import Counter
+
 import numpy as np
 
-from octocache import CacheCapacities, LfuPolicy, LruPolicy, Topology
+from octocache import CacheCapacities, LfuPolicy, LruPolicy, SourceKind, Topology
 
 
 def reference_cache(topology, contents, bs, file):
@@ -155,3 +157,28 @@ def test_lfu_and_lru_equal_textbook_loops():
         bs = rng.integers(1, 8, size)
         check_against_references(random_topology(rng, 7), capacities, num_files,
                                  bs, files, rng)
+
+
+def test_lfu_and_lru_equal_textbook_loops_when_most_requests_hit():
+    # the regime of the pinned benchmark: seven BSs whose caches each hold
+    # half to all of the catalog, so most requests hit, many of them at a
+    # neighbour's edge, and many files sit in an edge and the cloud at once
+    rng = np.random.default_rng(191)
+    for _ in range(4):
+        num_files = int(rng.integers(40, 121))
+        caps = (rng.uniform(0.5, 1.0, 8) * num_files).astype(int)
+        capacities = CacheCapacities(cloud=int(caps[0]),
+                                     edge=tuple(int(c) for c in caps[1:]))
+        topology = random_topology(rng, 7)
+        size = int(rng.integers(1500, 3001))
+        weights = np.arange(1, num_files + 1) ** -rng.uniform(0.6, 1.2)
+        files = rng.choice(np.arange(1, num_files + 1), size, p=weights / weights.sum())
+        bs = rng.integers(1, 8, size)
+        for cls in (LfuPolicy, LruPolicy):
+            policy = cls(topology, capacities, num_files)
+            kinds = Counter(policy.sources[i].kind for i in policy.replay(bs, files))
+            assert kinds[SourceKind.NEIGHBOR_EDGE] > size // 10
+            assert kinds[SourceKind.CDN] < size // 4
+            in_cloud, *in_edges = policy.placement.contents
+            assert len(in_cloud & set().union(*in_edges)) > num_files // 4
+        check_against_references(topology, capacities, num_files, bs, files, rng)
