@@ -1,10 +1,10 @@
 """Cache-management policies driven by the request stream.
 
 Policies resolve each request against their current cache contents (the
-routing mode is a property of the policy) and update state on misses. A
-policy reads its placement's byte mask through one scan per requesting BS,
-the memoryview row and source index of each cache it may be served from,
-cheapest first.
+routing mode is a property of the policy) and update state on misses. One
+serving table, built by ``routing._serving_table``, answers every request:
+its entry per (requesting BS, file), or for lfu and lru per (requesting BS,
+location code), is the index of the cheapest source holding the file.
 
 * ``octopus``  - greedy warm placement, then reactive replacement after a
   miss; full cooperative routing. Without replacement it is a static
@@ -18,12 +18,12 @@ cheapest first.
 
 Octopus and the static placements share one ``serve`` and one ``replay``:
 a static placement is octopus with no swap and no miss that triggers one,
-and every swap goes through ``on_miss``. lfu and lru replay in one pass, a
-method over the policy's attributes that serves a run of requests with the
-step inline and inserts and evicts by writing the mask rows. They keep one
-location code per file, the edge holding it and whether the cloud does (no
-file is in two edges), so a hit reads its server from a per-BS table with
-no scan.
+and every swap goes through ``on_miss``, which rewrites the table's columns
+of the files it touched. lfu and lru replay in one pass, a method over the
+policy's attributes that serves a run of requests with the step inline and
+inserts and evicts by writing the placement's bytes. They keep one location
+code per file, the edge holding it and whether the cloud does (no file is in
+two edges), so a hit reads its server from the table at that code.
 
 Observation scopes for the reactive bookkeeping: an edge cache sees the
 requests of the users homed at its BS; the cloud cache (managed centrally)
@@ -39,8 +39,7 @@ import numpy as np
 
 from .placement import (_greedy, _rcr_swaps, _rcr_triggers, place_ecnc, place_eo,
                         place_exmpc, place_femtox)
-from .routing import (Placement, RoutingMode, _cheapest, _check_instance,
-                      _serving_table, _source_table)
+from .routing import Placement, RoutingMode, _check_instance, _serving_table, _source_table
 from .topology import _file_count
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
@@ -59,11 +58,13 @@ class Policy:
     stands a static placement. ``placement`` is the policy's own cache
     contents, which only the policy mutates. ``sources`` lists the
     :class:`Source` objects it routes to, the CDN at index 0; :meth:`serve`
-    and :meth:`replay` name a server by its index there. A policy that swaps
-    files after a CDN miss overrides :meth:`on_miss` and :meth:`_triggers`;
-    lfu and lru override :meth:`serve` and :meth:`replay`. A policy holds
-    memoryview rows of its placement, so ``copy.deepcopy`` and ``pickle``
-    of a policy raise ``TypeError``."""
+    and :meth:`replay` name a server by its index there, read from the one
+    serving table ``_table`` (``routing._serving_table``). The table follows
+    the placement only through :meth:`on_miss`: a policy that swaps files
+    after a CDN miss overrides it, rewriting the table's columns of the
+    files it touched, and :meth:`_triggers`; lfu and lru override
+    :meth:`serve` and :meth:`replay`. A policy deep-copies and pickles, its
+    placement and table with it."""
 
     def __init__(self, name, placement, topology, routing_mode):
         _check_instance(topology, placement)
@@ -72,11 +73,7 @@ class Policy:
         self.topology = topology
         self.routing_mode = routing_mode
         self.sources, self._order = _source_table(topology, routing_mode)
-        rows = placement._rows()
-        # per requesting BS (entry 0 unused): its (mask row, source index)
-        # pairs, cheapest first
-        self._scan = (None, *(tuple((rows[cache], index) for cache, index in caches)
-                              for caches in self._order))
+        self._table = _serving_table(placement.mask, self._order)
 
     def on_request(self, event):
         """Serve one :class:`RequestEvent`: its user's home BS, then
@@ -95,7 +92,7 @@ class Policy:
         the caller checks, then apply the policy's update rule: after a CDN
         miss, :meth:`on_miss`. Returns the index in :attr:`sources` of the
         source used; 0 is a CDN miss."""
-        index = _cheapest(self._scan[bs], file)
+        index = int(self._table[bs, file])
         if index == 0:
             self.on_miss(file)
         return index
@@ -106,23 +103,17 @@ class Policy:
         request's :attr:`sources` index as an intp array.
 
         Only a miss on a file :meth:`_triggers` marks changes the placement,
-        so each segment is one serving table (``routing._serving_table``)
-        lookup up to and including the first request for such a file, whose
-        miss then runs :meth:`on_miss`; only the swapped files' columns of
-        the table are rewritten. This equals :meth:`serve` request by request;
-        a static placement marks no file, so it replays as one segment."""
+        so each segment is one lookup of the serving table up to and
+        including the first request for such a file, whose miss then runs
+        :meth:`on_miss`. This equals :meth:`serve` request by request; a
+        static placement marks no file, so it replays as one segment."""
         served = np.empty(len(files), dtype=np.intp)
-        table = _serving_table(self.placement.mask, self._order)
         start = 0
         while start < len(files):
             stop = _first_marked(self._triggers(), files, start)
-            served[start:stop + 1] = table[bs[start:stop + 1], files[start:stop + 1]]
+            served[start:stop + 1] = self._table[bs[start:stop + 1], files[start:stop + 1]]
             if stop < len(files):
-                file = int(files[stop])
-                swaps = self.on_miss(file)
-                for touched in {file, *(s["evicted_file"] for s in swaps)}:
-                    table[1:, touched] = [_cheapest(scan, touched)
-                                          for scan in self._scan[1:]]
+                self.on_miss(int(files[stop]))
             start = stop + 1
         return served
 
@@ -174,8 +165,14 @@ class OctopusPolicy(Policy):
         super().__init__("octopus", evaluator.placement, topology, RoutingMode.FULL)
 
     def on_miss(self, file):
-        """Reactive replacement for a file just fetched from the CDN."""
-        return _rcr_swaps(self._ev, file)
+        """Reactive replacement for a file just fetched from the CDN; the
+        serving table's columns of the files it swapped are rebuilt."""
+        swaps = _rcr_swaps(self._ev, file)
+        if swaps:
+            touched = [file, *(s["evicted_file"] for s in swaps)]
+            self._table[:, touched] = _serving_table(self.placement.mask[:, touched],
+                                                     self._order)
+        return swaps
 
     def _triggers(self):
         return _rcr_triggers(self._ev)
@@ -194,19 +191,6 @@ def _lfu_victim(heap, counts, last_use):
     return file
 
 
-def _located_sources(caches, num_caches):
-    """Per location code 0..2 * num_caches - 1 (see :class:`_ColdPolicy`),
-    the source index of the first ``(cache, index)`` pair in ``caches`` (one
-    BS's routing order, cheapest first) whose cache the code names, else 0
-    (the CDN)."""
-    table = []
-    for code in range(2 * num_caches):
-        edge, cloud = divmod(code, 2)
-        table.append(next((index for cache, index in caches
-                           if (cache == edge if cache else cloud)), 0))
-    return tuple(table)
-
-
 class _ColdPolicy(Policy):
     """Base of :class:`LfuPolicy` and :class:`LruPolicy`: empty caches at
     the start, FULL routing, and an update on any request.
@@ -216,9 +200,10 @@ class _ColdPolicy(Policy):
     inline, returning each request's :attr:`sources` index in a list.
     :meth:`serve` is a one-request pass and :meth:`replay` one pass, so the
     two share one step and one state. ``_sides[bs]`` holds a tuple for BS
-    ``bs``'s edge cache, then one for the cloud: the cache's mask row, its
-    entry of each per-cache list in ``state``, its capacity, the bit the
-    cache sets in a location code and the mask that clears that bit.
+    ``bs``'s edge cache, then one for the cloud: the offset of the cache's
+    row in the placement's bytes, its entry of each per-cache list in
+    ``state``, its capacity, the bit the cache sets in a location code and
+    the mask that clears that bit.
 
     ``_codes[file]`` is the file's location code, ``2 * edge + cloud``:
     ``edge`` is the BS whose edge cache holds the file (0 for none) and
@@ -227,7 +212,8 @@ class _ColdPolicy(Policy):
     it, and only at the home edge and the cloud, so no file is ever in two
     edge caches. FULL routing over finite delays (``Topology`` rejects any
     other) reaches every cache, so code 0 is a CDN miss, and any other code
-    a hit at source ``_table[bs][code]`` (:func:`_located_sources`).
+    a hit at source ``_table[bs][code]``: the serving table of the caches
+    each code names, one column per code.
     """
 
     def __init__(self, name, topology, capacities, num_files, *state):
@@ -236,12 +222,15 @@ class _ColdPolicy(Policy):
                          RoutingMode.FULL)
         self._codes = [0] * (num_files + 1)
         caps = capacities.as_list()
-        per_cache = (self.placement._rows(), *state, caps)
+        per_cache = (range(0, len(self.placement._mask), num_files + 1), *state, caps)
         self._sides = (None, *(tuple((*(column[cache] for column in per_cache), bit, keep)
                                      for cache, bit, keep in ((bs, 2 * bs, 1), (0, 1, ~1)))
                                for bs in range(1, len(caps))))
-        self._table = (None, *(_located_sources(caches, len(caps))
-                               for caches in self._order))
+        codes = np.arange(2, 2 * len(caps))
+        held = np.zeros((len(caps), 2 * len(caps)), dtype=bool)
+        held[codes >> 1, codes] = True  # code c names the edge c >> 1 ...
+        held[0, 1::2] = True  # ... and the cloud when c is odd
+        self._table = _serving_table(held, self._order).tolist()
 
     def serve(self, bs, file):
         return self._pass((bs,), (file,))[0]
@@ -272,13 +261,13 @@ class LfuPolicy(_ColdPolicy):
         self._last_use = [[0] * (num_files + 1) for _ in caps]
         self._heaps = [[] for _ in caps]
         self._seq = 0  # the last use stamped so far
-        # sides: (mask row, counts, last uses, victim heap, capacity, bit, keep)
+        # sides: (row offset, counts, last uses, victim heap, capacity, bit, keep)
         super().__init__("lfu", topology, capacities, num_files,
                          self._counts, self._last_use, self._heaps)
 
     def _pass(self, bs_list, file_list):
         codes, table, sides = self._codes, self._table, self._sides
-        counts, last_use = self._counts, self._last_use
+        mask, counts, last_use = self.placement._mask, self._counts, self._last_use
         cloud_count, cloud_used = counts[0], last_use[0]
         # the pass's stamps are reserved up front, so a pass that raises
         # still leaves the clock past every stamp it wrote
@@ -297,18 +286,18 @@ class LfuPolicy(_ColdPolicy):
                 if code & 1:
                     cloud_used[file] = stamp
                 continue
-            for row, count, used, heap, cap, bit, keep in sides[bs]:
+            for start, count, used, heap, cap, bit, keep in sides[bs]:
                 count[file] += 1
                 key = (count[file], stamp, file)
                 if len(heap) < cap:  # one heap entry per resident
                     heapq.heappush(heap, key)
                 elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
                     evicted = heapq.heapreplace(heap, key)[2]
-                    row[evicted] = 0
+                    mask[start + evicted] = 0
                     codes[evicted] &= keep
                 else:
                     continue
-                row[file] = 1
+                mask[start + file] = 1
                 codes[file] |= bit
                 used[file] = stamp
             append(0)
@@ -333,11 +322,12 @@ class LruPolicy(_ColdPolicy):
 
     def __init__(self, topology, capacities, num_files):
         self._recency = [OrderedDict() for _ in capacities.as_list()]
-        # sides: (mask row, recency, capacity, bit, keep)
+        # sides: (row offset, recency, capacity, bit, keep)
         super().__init__("lru", topology, capacities, num_files, self._recency)
 
     def _pass(self, bs_list, file_list):
         codes, table, sides, recency = self._codes, self._table, self._sides, self._recency
+        mask = self.placement._mask
         cloud_used = recency[0]
         served = []
         append = served.append
@@ -350,14 +340,14 @@ class LruPolicy(_ColdPolicy):
                 if code & 1:
                     cloud_used.move_to_end(file)
                 continue
-            for row, used, cap, bit, keep in sides[bs]:
+            for start, used, cap, bit, keep in sides[bs]:
                 if len(used) >= cap:  # one recency entry per resident
                     if not used:  # a cache of capacity 0
                         continue
                     evicted = used.popitem(last=False)[0]
-                    row[evicted] = 0
+                    mask[start + evicted] = 0
                     codes[evicted] &= keep
-                row[file] = 1
+                mask[start + file] = 1
                 codes[file] |= bit
                 used[file] = None
             append(0)

@@ -16,7 +16,8 @@ placement, utility + total expected delay = U * d_0.
 
 A :class:`Placement` is one byte per (cache, file), and every reader here
 uses those bytes: :class:`UtilityEvaluator`, :func:`total_expected_delay`,
-the serving table and the per-request scan of :func:`_cheapest`.
+the per-request walk of :func:`route_request` and :func:`_serving_table`,
+which answers every request of a policy at once.
 
 The utility is monotone and submodular in the set of (file, cache) copies,
 which is what makes the greedy placement in :mod:`octocache.placement` carry
@@ -109,12 +110,6 @@ class Placement:
     @property
     def contents(self):
         return [set(np.flatnonzero(row).tolist()) for row in self.mask]
-
-    def _rows(self):
-        """Each cache's row of the bytes as a memoryview, which reads and
-        writes this placement: callers may keep them, the placement does not."""
-        view, width = memoryview(self._mask), self.num_files + 1
-        return [view[start:start + width] for start in range(0, len(view), width)]
 
     def _check_file(self, file):
         if not _is_index(file, 1, self.num_files):
@@ -261,22 +256,15 @@ def _source_table_of(edge_delay, peer_delay, cdn_delay, mode):
     return tuple(sources), tuple(order)
 
 
-def _cheapest(scan, file):
-    """Source index of the first (mask row, index) pair in ``scan`` whose row
-    holds ``file``, else 0 (the CDN)."""
-    for row, index in scan:
-        if row[file]:
-            return index
-    return 0
-
-
 def _serving_table(mask, order):
-    """:func:`_cheapest` for every request at once, for a fixed ``mask``.
+    """The source index serving every request at once, for a fixed ``mask``.
 
-    Returns an (R+1, F+1) array whose entry [bs, file] is the source index
-    of the first cache in ``order[bs - 1]`` holding the file, else 0 (the
-    CDN), and 0 in row 0. Each cache row becomes an array once, and each BS
-    writes its caches in reverse order, so the first holder in ``order`` wins.
+    Returns an int array, one row per BS plus row 0 (all 0), one column per
+    column of ``mask``: entry [bs, col] is the index of the first cache in
+    ``order[bs - 1]`` whose mask row holds ``col``, else 0 (the CDN). Columns
+    are independent, so the table of a subset of ``mask``'s columns is those
+    columns of the full table. Each cache row becomes an array once, and each
+    BS writes its caches in reverse order, so the first holder wins.
     """
     held = [np.flatnonzero(row) for row in mask]
     table = np.zeros((len(order) + 1, mask.shape[1]), dtype=np.intp)
@@ -313,8 +301,8 @@ def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
         raise ValueError(f"bs index {bs} outside 1..{topology.num_bs}")
     placement._check_file(file)
     sources, order = _source_table(topology, mode)
-    rows = placement._rows()
-    return sources[_cheapest([(rows[k], index) for k, index in order[bs - 1]], file)]
+    mask = placement.mask
+    return next((sources[i] for k, i in order[bs - 1] if mask[k, file]), sources[0])
 
 
 def _check_instance(topology, placement, popularity=None):

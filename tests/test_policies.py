@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, LfuPolicy, LruPol
 
 from octocache.placement import _rcr_triggers
 from octocache.policies import Policy, _first_marked, _lfu_victim
-from octocache.routing import UtilityEvaluator, _cheapest, _serving_table
+from octocache.routing import UtilityEvaluator, _serving_table
 
 from conftest import random_feasible_placement, random_instance
 
@@ -172,8 +173,8 @@ def test_location_code_matches_the_mask(cls):
         files = np.minimum(rng.zipf(1.4, size), num_files).tolist()
         edge_ids = np.arange(1, num_bs + 1)[:, None]
         for b, f in zip(bs, files):
-            want = _cheapest(policy._scan[b], f)
-            assert policy.serve(b, f) == want
+            want = route_request(policy.placement, policy.topology, b, f)
+            assert policy.sources[policy.serve(b, f)] == want
             mask = policy.placement.mask
             assert mask[1:].sum(axis=0).max() <= 1  # no file in two edges
             edge = (mask[1:] * edge_ids).sum(axis=0)
@@ -288,6 +289,28 @@ def test_octopus_segment_replay_with_many_swaps(monkeypatch):
     assert (served == 0).sum() > len(calls)
 
 
+def test_serving_table_follows_swaps():
+    # the table octopus serves from equals one built afresh from its
+    # placement after a replay and after direct on_miss calls that swap;
+    # its refresh rebuilds only the touched columns, which equal those
+    # columns of the full table
+    topo, _, pop, warm = least_popular_warm()
+    rng = np.random.default_rng(43)
+    policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
+    policy.replay(rng.integers(1, 4, 300), rng.choice(12, 300, p=pop.as_array()) + 1)
+    assert policy.placement != warm
+    assert np.array_equal(policy._table, _serving_table(policy.placement.mask, policy._order))
+    policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
+    swaps = [policy.on_miss(file) for file in (1, 2, 3, 4)]
+    assert all(swaps)
+    full = _serving_table(policy.placement.mask, policy._order)
+    assert np.array_equal(policy._table, full)
+    for _ in range(20):
+        cols = rng.choice(13, int(rng.integers(1, 6)), replace=False)
+        assert np.array_equal(_serving_table(policy.placement.mask[:, cols], policy._order),
+                              full[:, cols])
+
+
 def test_octopus_segment_replay_when_every_request_hits(canonical, monkeypatch):
     topo, catalog, pop, caps = canonical
     warm = pcd(topo, catalog, pop, caps).placement
@@ -377,25 +400,27 @@ def served_state(policy):
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
-def test_a_deep_copy_raises_or_is_independent(name):
-    # a policy holds memoryview rows of its placement, so it cannot be
-    # copied; should it ever be copyable, serving through the copy must
-    # leave the original's placement and counters as they were. Octopus
-    # starts from the least popular files, so that serving it swaps
+@pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                       lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["deepcopy", "pickle"])
+def test_a_policy_copy_is_independent(duplicate, name):
+    # every policy copies, and serving through the copy changes its own
+    # placement and counters, not the original's. Octopus starts from the
+    # least popular files, so that serving it swaps
     topo, caps, pop, warm = least_popular_warm()
     if name == "octopus":
         policy = OctopusPolicy(topo, UtilityEvaluator(topo, pop, warm))
     else:
         policy = make_policy(name, topo, Catalog(12), pop, caps, topo.users)
-    try:
-        twin = copy.deepcopy(policy)
-    except TypeError:
-        return
+    twin = duplicate(policy)
     before = served_state(policy)
+    assert served_state(twin) == before
     rng = np.random.default_rng(41)
     for b, f in zip(rng.integers(1, 4, 200), rng.choice(12, 200, p=pop.as_array()) + 1):
         twin.serve(int(b), int(f))
     assert served_state(policy) == before
+    if name in ("octopus", "lfu", "lru"):
+        assert served_state(twin) != before
 
 
 def test_octopus_rcr_disabled_is_static(canonical):
@@ -546,9 +571,9 @@ def tie_heavy_topology(rng, num_bs):
 
 
 @pytest.mark.parametrize("mode", list(RoutingMode))
-def test_serving_table_equals_cheapest(mode):
-    # every (bs, file) entry is the source index the per-request walk picks,
-    # and that index names the Source route_request returns
+def test_serving_table_equals_route_request(mode):
+    # every (bs, file) entry is the policy's table entry and serve's answer,
+    # and it names the Source route_request's per-request walk returns
     rng = np.random.default_rng(17)
     for _ in range(60):
         num_bs = int(rng.integers(1, 6))
@@ -561,13 +586,13 @@ def test_serving_table_equals_cheapest(mode):
         table = _serving_table(placement.mask, policy._order)
         assert table.shape == (num_bs + 1, num_files + 1)
         assert set(table[0]) == {0} and set(table[:, 0]) == {0}
+        assert np.array_equal(policy._table, table)
         assert policy.sources[0].kind is SourceKind.CDN
         for bs in range(1, num_bs + 1):
             for file in range(1, num_files + 1):
-                want = _cheapest(policy._scan[bs], file)
-                assert table[bs, file] == want
-                assert (route_request(placement, topology, bs, file, mode)
-                        == policy.sources[policy.serve(bs, file)])
+                want = route_request(placement, topology, bs, file, mode)
+                assert policy.sources[table[bs, file]] == want
+                assert policy.serve(bs, file) == table[bs, file]
 
 
 def test_replay_is_serve_request_by_request(monkeypatch):
