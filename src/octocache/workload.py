@@ -11,6 +11,7 @@ the trace's user labels in the same order.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from collections.abc import Sequence
@@ -219,14 +220,47 @@ def parse_trace(source):
                         malformed_lines=malformed)
 
 
+#: ``(sha256 digest, trace)`` of the last file :func:`parse_trace_file`
+#: parsed, or None: one trace per process, never the file's bytes.
+_last_parse = None
+
+
 def parse_trace_file(path):
     """Parse the trace file at ``path``, skipping a leading UTF-8 byte-order
-    mark; an unreadable or non-UTF-8 file raises ``TraceError``."""
+    mark; an unreadable or non-UTF-8 file raises ``TraceError``.
+
+    The file is read whole. The last successfully parsed file's trace is
+    kept, keyed by the sha256 of the file's bytes, and reused while a
+    file's bytes are equal to those, whatever its path or modification
+    time; so one trace's columns stay alive per process. Each call returns
+    a fresh trace with an empty ``user_assignment`` whose columns are
+    read-only views of the kept ones, which cannot be made writeable, so
+    no caller can change what a later call returns."""
+    global _last_parse
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            return parse_trace(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest = hashlib.sha256(data).digest()
+        last = _last_parse
+        if last is None or last[0] != digest:
+            trace = parse_trace(io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8-sig", newline=""))
+            last = _last_parse = digest, replace(
+                trace, times=_over_bytes(trace.times),
+                user_index=_over_bytes(trace.user_index),
+                file_ids=_over_bytes(trace.file_ids))
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
+    trace = last[1]
+    return replace(trace, times=trace.times.view(),
+                   user_index=trace.user_index.view(),
+                   file_ids=trace.file_ids.view(), user_assignment={})
+
+
+def _over_bytes(column):
+    """A copy of ``column`` held in a ``bytes`` object, which numpy never
+    makes writeable: not even a view's ``base`` can then be written."""
+    return np.frombuffer(column.tobytes(), dtype=column.dtype)
 
 
 def serialize_trace(trace):
@@ -313,9 +347,16 @@ def estimate_popularity(trace, window, smoothing=1.0):
     probability.
 
     p_k = (count_k + smoothing) / (window + smoothing * F).
+
+    ``smoothing`` must be finite and >= 0, and > 0 when ``window`` is 0,
+    else the estimate is not a distribution: ``ValueError``.
     """
     if window < 0 or window > len(trace.file_ids):
         raise ValueError("window must lie within the trace length")
+    if not (math.isfinite(smoothing) and smoothing >= 0
+            and (smoothing > 0 or window > 0)):
+        raise ValueError("smoothing must be a finite number >= 0, "
+                         "and > 0 when window is 0")
     F = trace.catalog_size
     counts = np.bincount(trace.file_ids[:window], minlength=F + 1)[1:]
     return Popularity((counts + smoothing) / (window + smoothing * F))

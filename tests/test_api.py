@@ -22,8 +22,9 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        OracleSizeError, Placement, Popularity, Topology,
                        TraceError, assign_users, brute_force_optimal,
                        build_paper_topology, capacities_from_budget, cli,
-                       generate_requests, pcd, rcr, route_request,
-                       run_experiment, zipf_popularity)
+                       estimate_popularity, generate_requests, pcd, rcr,
+                       route_request, run_experiment, zipf_popularity)
+from octocache.workload import parse_trace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -92,6 +93,9 @@ def non_ascii_header_on_ascii_stdout(tmp_path, monkeypatch, capsys):
 
 
 TWO_BS = build_paper_topology(2, 1)
+TWO_FILES = parse_trace("1,u,a\n2,u,b\n")
+SMOOTHING_LIMIT = (r"^smoothing must be a finite number >= 0, "
+                   r"and > 0 when window is 0$")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -127,6 +131,11 @@ TWO_BS = build_paper_topology(2, 1)
      r"^Placement\(C0=\[2\], C1=\[1, 3\]\)$"),
     (non_ascii_header_on_ascii_stdout,
      "octocache: config error: cannot write to stdout"),
+    (lambda *_: estimate_popularity(TWO_FILES, 0, 0.0), SMOOTHING_LIMIT),
+    (lambda *_: estimate_popularity(TWO_FILES, 0, float("inf")), SMOOTHING_LIMIT),
+    (lambda *_: estimate_popularity(TWO_FILES, 1, float("inf")), SMOOTHING_LIMIT),
+    (lambda *_: estimate_popularity(TWO_FILES, 1, float("nan")), SMOOTHING_LIMIT),
+    (lambda *_: estimate_popularity(TWO_FILES, 1, -1.0), SMOOTHING_LIMIT),
 ])
 def test_input_guard_states_its_limit(call, message, tmp_path, monkeypatch,
                                       capsys):

@@ -362,6 +362,29 @@ def test_run_experiment_is_prepare_then_replay(policy, tmp_path):
     assert runs[0] == runs[1] == run_experiment(config)
 
 
+def test_trace_cells_parse_their_file_once(tmp_path, monkeypatch):
+    # cells replaying one trace file share its parse, and each cell's metrics
+    # equal those of a cell that parses the file afresh
+    base = replay_configs(tmp_path)["trace"]
+    calls, parse = [], octocache.workload.parse_trace
+    monkeypatch.setattr(octocache.workload, "parse_trace",
+                        lambda source: calls.append(source) or parse(source))
+
+    def cells(fresh):
+        rows = []
+        for policy in ["eo", "ecnc", "exmpc", "femtox"]:
+            if fresh or not rows:
+                monkeypatch.setattr(octocache.workload, "_last_parse", None,
+                                    raising=False)
+            rows.append(run_experiment(replace(base, policy=policy)).as_dict())
+        return rows
+
+    want = cells(fresh=True)
+    assert len(calls) == 4
+    assert cells(fresh=False) == want
+    assert len(calls) == 5
+
+
 def test_prepare_takes_the_user_map_by_one_rule():
     # user_assignment, else the users the config topology was built with,
     # else the seeded draw

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -135,6 +136,90 @@ def test_text_and_file_split_lines_alike(ending, tmp_path):
     assert len(want.events) == 3
     assert parse_trace(text) == want
     assert parse_trace_file(path) == want
+
+
+#: Twenty requests and one malformed line, under the 10% tolerance.
+MEMO_TEXT = "".join(f"{i % 7},u{i % 3},c{i % 5}\n" for i in range(20)) + "bad\n"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources ``parse_trace_file`` hands to ``parse_trace`` from here
+    on, starting from an empty memo slot."""
+    calls = []
+
+    def spy(source):
+        calls.append(source)
+        return parse_trace(source)
+    monkeypatch.setattr(octocache.workload, "_last_parse", None, raising=False)
+    monkeypatch.setattr(octocache.workload, "parse_trace", spy)
+    return calls
+
+
+def test_parse_file_reuses_the_last_parse_of_equal_bytes(parses, tmp_path):
+    path, copy = tmp_path / "trace.csv", tmp_path / "copy.csv"
+    path.write_text(MEMO_TEXT, encoding="utf-8")
+    copy.write_text(MEMO_TEXT, encoding="utf-8")
+    want = parse_trace(MEMO_TEXT)
+    first = parse_trace_file(path)
+    again, other = parse_trace_file(path), parse_trace_file(copy)
+    assert len(parses) == 1
+    for trace in (first, again, other):
+        assert trace == want and trace.malformed_lines == want.malformed_lines == 1
+    assert again is not first and again.times is not first.times
+
+
+def test_parse_file_reparses_a_same_size_rewrite_at_the_old_mtime(parses, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(MEMO_TEXT, encoding="utf-8")
+    before = path.stat()
+    first = parse_trace_file(path)
+    text = MEMO_TEXT.replace("0,u0,c0", "0;u0;c0", 1)  # one more malformed line
+    path.write_text(text, encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    got, want = parse_trace_file(path), parse_trace(text)
+    assert len(parses) == 2
+    assert got == want and got != first
+    assert got.malformed_lines == want.malformed_lines == 2
+
+
+@pytest.mark.parametrize("bad, error", [
+    (b"1,u1,caf\xe9\n", TraceError),
+    (b"1,u,a\nbad\nworse\n", TraceFormatError),
+    (None, TraceError),  # no file at the path
+], ids=["non-utf8", "malformed", "missing"])
+def test_a_failed_parse_keeps_the_last_good_one(bad, error, parses, tmp_path):
+    good, path = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(MEMO_TEXT, encoding="utf-8")
+    want = parse_trace_file(good)
+    if bad is not None:
+        path.write_bytes(bad)
+    with pytest.raises(error) as caught:
+        parse_trace_file(path)
+    assert type(caught.value) is error
+    parsed = len(parses)
+    assert parsed == 1 + (bad is not None)
+    assert parse_trace_file(good) == want and len(parses) == parsed
+
+
+def test_a_returned_trace_cannot_change_the_next(parses, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(MEMO_TEXT, encoding="utf-8")
+    first = parse_trace_file(path)
+    for column in (first.times, first.user_index, first.file_ids):
+        for array in (column, column.base):  # the view, then the kept column
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+    first.user_assignment["u0"] = 1
+    first.file_ids.shape = (4, 5)
+    first.times = np.zeros(3)
+    first.catalog_size = 99
+    second = parse_trace_file(path)
+    assert len(parses) == 1
+    assert second.user_assignment == {} and second.file_ids.shape == (20,)
+    assert second == parse_trace(MEMO_TEXT) and second.catalog_size == 5
 
 
 def reference_parse(text):
@@ -345,6 +430,9 @@ def test_estimate_example():
     trace = parse_trace("1,u,f1\n2,u,f1\n3,u,f2\n")
     pop = estimate_popularity(trace, window=3)
     assert pop.as_array() == pytest.approx([3 / 5, 2 / 5])
+    # no smoothing over a non-empty window is the plain frequency
+    pop = estimate_popularity(trace, window=3, smoothing=0.0)
+    assert pop.as_array() == pytest.approx([2 / 3, 1 / 3])
 
 
 def test_estimate_window_zero_uniform():
