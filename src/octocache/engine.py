@@ -10,7 +10,6 @@ metrics.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -19,7 +18,8 @@ import numpy as np
 from .errors import ConfigError
 from .policies import POLICY_NAMES, make_policy
 from .routing import SourceKind
-from .topology import (Catalog, build_paper_topology, capacities_from_budget)
+from .topology import (Catalog, _count, build_paper_topology,
+                       capacities_from_budget)
 from .workload import (assign_users, estimate_popularity, generate_requests,
                        parse_trace_file, zipf_popularity)
 
@@ -178,9 +178,9 @@ def prepare(config):
     if config.trace_path is not None:
         trace = parse_trace_file(config.trace_path)
     else:
+        num_users = _count(config.num_users, "num_users", 1)
         trace = generate_requests(zipf_popularity(config.num_files, config.zipf_alpha),
-                                  config.num_requests,
-                                  list(range(1, config.num_users + 1)),
+                                  config.num_requests, list(range(1, num_users + 1)),
                                   seeds["workload"])
     catalog = Catalog(num_files=trace.catalog_size,
                       file_size_mb=config.file_size_mb)
@@ -309,18 +309,15 @@ def run_sweep(base, axis, values, jobs=1, policies=None):
     ``jobs`` > 1 runs cells in parallel processes, at most one per cell,
     each sent every instance once; ordering is deterministic regardless.
     Only then is the process pool imported, so a serial run never loads it.
-    ``jobs`` that is not a whole number (as ``operator.index`` reads one)
-    or is < 1 is a ``ConfigError``.
+    ``jobs`` that is not a whole number >= 1 (2.0 is 2) is a ``ConfigError``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of "
                           + ", ".join(SWEEP_AXES))
     try:
-        jobs = operator.index(jobs)
-    except TypeError:
-        raise ConfigError(f"jobs must be a whole number, got {jobs!r}") from None
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        jobs = _count(jobs, "jobs", 1)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, got {jobs!r}") from None
     policies = [base.policy] if policies is None else policies
     if axis == "policy" and len(policies) > 1:
         raise ConfigError("a policy sweep takes its policies from its values")

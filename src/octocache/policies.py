@@ -40,7 +40,7 @@ import numpy as np
 from .placement import (_greedy, _rcr_swaps, _rcr_triggers, place_ecnc, place_eo,
                         place_exmpc, place_femtox)
 from .routing import Placement, RoutingMode, _check_instance, _serving_table, _source_table
-from .topology import _file_count
+from .topology import _count
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
 
@@ -217,7 +217,7 @@ class _ColdPolicy(Policy):
     """
 
     def __init__(self, name, topology, capacities, num_files, *state):
-        num_files = _file_count(num_files)
+        num_files = _count(num_files, "num_files", 1)
         super().__init__(name, Placement(capacities, num_files), topology,
                          RoutingMode.FULL)
         self._codes = [0] * (num_files + 1)
@@ -256,7 +256,7 @@ class LfuPolicy(_ColdPolicy):
 
     def __init__(self, topology, capacities, num_files):
         caps = capacities.as_list()
-        num_files = _file_count(num_files)  # sizes the counters below
+        num_files = _count(num_files, "num_files", 1)  # sizes the counters below
         self._counts = [[0] * (num_files + 1) for _ in caps]
         self._last_use = [[0] * (num_files + 1) for _ in caps]
         self._heaps = [[] for _ in caps]

@@ -39,13 +39,14 @@ def _whole(value, low=0, high=math.inf):
         return None
 
 
-def _file_count(num_files):
-    """``num_files`` as an int, or a ``ValueError`` naming the limit it breaks."""
-    count = _whole(num_files, 1)
+def _count(value, name, low):
+    """The count ``value`` as an int if it is a whole number >= ``low``
+    (4.0 is 4), else a ``ValueError`` naming ``name`` and the rule it breaks."""
+    count = _whole(value, low)
     if count is None:
-        raise ValueError("num_files must be >= 1"
-                         if isinstance(num_files, numbers.Real) and num_files < 1
-                         else "num_files must be a whole number")
+        raise ValueError(f"{name} must be >= {low}"
+                         if isinstance(value, numbers.Real) and value < low
+                         else f"{name} must be a whole number")
     return count
 
 
@@ -56,7 +57,8 @@ class Topology:
     Parameters
     ----------
     num_bs : int
-        Number of base stations R (one edge cache each), indexed 1..R.
+        Number of base stations R (one edge cache each), indexed 1..R: a
+        whole number >= 1, held as an int (2.0 becomes 2).
     edge_delay : tuple of float
         Fronthaul delay d_r [ms] between the cloud cache and BS r, r = 1..R.
     peer_delay : tuple of tuple of float
@@ -82,9 +84,8 @@ class Topology:
     users: object = ()
 
     def __post_init__(self):
-        R = self.num_bs
-        if R < 1:
-            raise ValueError("num_bs must be >= 1")
+        R = _count(self.num_bs, "num_bs", 1)
+        object.__setattr__(self, "num_bs", R)
         if len(self.edge_delay) != R:
             raise ValueError(f"expected {R} edge delays, got {len(self.edge_delay)}")
         if any(d <= 0 for d in self.edge_delay):
@@ -145,7 +146,7 @@ class Catalog:
     file_size_mb: float = DEFAULT_FILE_SIZE_MB
 
     def __post_init__(self):
-        object.__setattr__(self, "num_files", _file_count(self.num_files))
+        object.__setattr__(self, "num_files", _count(self.num_files, "num_files", 1))
         if not (math.isfinite(self.file_size_mb) and self.file_size_bytes >= 1):
             raise ValueError("file_size_mb must be finite and at least one byte")
 
@@ -203,12 +204,9 @@ class CacheCapacities:
     edge: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "cloud", _whole(self.cloud))
-        object.__setattr__(self, "edge", tuple(map(_whole, self.edge)))
-        if self.cloud is None:
-            raise ValueError("cloud capacity must be a non-negative integer")
-        if None in self.edge:
-            raise ValueError("edge capacities must be non-negative integers")
+        object.__setattr__(self, "cloud", _count(self.cloud, "cloud capacity", 0))
+        object.__setattr__(self, "edge", tuple(_count(m, "edge capacities", 0)
+                                               for m in self.edge))
 
     @property
     def num_bs(self):
@@ -243,7 +241,7 @@ def build_paper_topology(num_bs, seed):
     Parameters
     ----------
     num_bs : int
-        Number of base stations.
+        Number of base stations, a whole number >= 1 (4.0 is 4).
     seed : int
         RNG seed; the same seed always yields a bit-identical topology.
 
@@ -252,8 +250,7 @@ def build_paper_topology(num_bs, seed):
     Topology
         A topology with no users attached.
     """
-    if num_bs < 1:
-        raise ValueError("num_bs must be >= 1")
+    num_bs = _count(num_bs, "num_bs", 1)
     rng = np.random.default_rng(seed)
     edge = rng.uniform(*EDGE_DELAY_RANGE_MS, size=num_bs)
     cdn = float(rng.uniform(*CDN_DELAY_RANGE_MS))
@@ -278,21 +275,19 @@ def capacities_from_budget(total_bytes, topology, catalog,
     Parameters
     ----------
     total_bytes : int
-        Total storage budget across all caches, in bytes.
+        Total storage budget across all caches, in bytes: a whole number
+        >= 0 (1e9 is 10**9; a fractional budget is a ``ValueError``).
     topology : Topology
     catalog : Catalog
     cloud_edge_ratio : int
-        Ratio M_0 / M_r.
+        Ratio M_0 / M_r, a whole number >= 0 (4.0 is 4).
 
     Returns
     -------
     CacheCapacities
     """
-    if total_bytes < 0:
-        raise ValueError("total_bytes must be >= 0")
-    if cloud_edge_ratio < 0:
-        raise ValueError("cloud_edge_ratio must be >= 0")
-    total_files = int(total_bytes) // catalog.file_size_bytes
-    per_edge = total_files // (cloud_edge_ratio + topology.num_bs)
-    return CacheCapacities(cloud=cloud_edge_ratio * per_edge,
+    total_files = _count(total_bytes, "total_bytes", 0) // catalog.file_size_bytes
+    ratio = _count(cloud_edge_ratio, "cloud_edge_ratio", 0)
+    per_edge = total_files // (ratio + topology.num_bs)
+    return CacheCapacities(cloud=ratio * per_edge,
                            edge=(per_edge,) * topology.num_bs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyTraceError, TraceError, TraceFormatError
-from .topology import Popularity, _file_count
+from .topology import Popularity, _count
 
 #: Fraction of malformed lines beyond which the input is rejected outright.
 MALFORMED_LINE_TOLERANCE = 0.10
@@ -281,8 +281,8 @@ def zipf_popularity(num_files, alpha):
     alpha = 0 degenerates to the uniform distribution; larger alpha
     concentrates mass on the top ranks.
     """
-    num_files = _file_count(num_files)
-    if alpha < 0:
+    num_files = _count(num_files, "num_files", 1)
+    if not alpha >= 0:  # nan included
         raise ValueError("alpha must be >= 0")
     ranks = np.arange(1, num_files + 1, dtype=float)
     weights = ranks ** (-alpha)
@@ -321,9 +321,8 @@ def generate_requests(popularity, num_requests, users, seed):
     """Sample a synthetic trace: file by inverse-CDF draw from the
     popularity (:func:`_inverse_cdf`), user uniformly from ``users``,
     timestamps equal to the event index. Bit-for-bit reproducible per
-    seed."""
-    if num_requests < 0:
-        raise ValueError("num_requests must be >= 0")
+    seed. ``num_requests`` is a whole number >= 0 (500.0 is 500)."""
+    num_requests = _count(num_requests, "num_requests", 0)
     if not users:
         raise ValueError("users must be non-empty")
     ids = {}
@@ -348,10 +347,12 @@ def estimate_popularity(trace, window, smoothing=1.0):
 
     p_k = (count_k + smoothing) / (window + smoothing * F).
 
+    ``window`` is a whole number from 0 to the trace length (1.0 is 1).
     ``smoothing`` must be finite and >= 0, and > 0 when ``window`` is 0,
     else the estimate is not a distribution: ``ValueError``.
     """
-    if window < 0 or window > len(trace.file_ids):
+    window = _count(window, "window", 0)
+    if window > len(trace.file_ids):
         raise ValueError("window must lie within the trace length")
     if not (math.isfinite(smoothing) and smoothing >= 0
             and (smoothing > 0 or window > 0)):
@@ -363,10 +364,9 @@ def estimate_popularity(trace, window, smoothing=1.0):
 
 
 def assign_users(user_ids, num_bs, seed):
-    """Assign each user a home BS, i.i.d. uniform over 1..num_bs;
-    deterministic per seed."""
-    if num_bs < 1:
-        raise ValueError("num_bs must be >= 1")
+    """Assign each user a home BS, i.i.d. uniform over 1..num_bs, where
+    ``num_bs`` is a whole number >= 1 (4.0 is 4); deterministic per seed."""
+    num_bs = _count(num_bs, "num_bs", 1)
     rng = np.random.default_rng(seed)
     homes = rng.integers(1, num_bs + 1, size=len(user_ids))
     return {user: int(home) for user, home in zip(user_ids, homes)}

@@ -7,9 +7,11 @@ nothing but their documented errors on any input."""
 
 import ast
 import io
+import math
 import re
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,8 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        TraceError, assign_users, brute_force_optimal,
                        build_paper_topology, capacities_from_budget, cli,
                        estimate_popularity, generate_requests, pcd, rcr,
-                       route_request, run_experiment, zipf_popularity)
+                       route_request, run_experiment, run_sweep,
+                       zipf_popularity)
 from octocache.workload import parse_trace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -136,6 +139,21 @@ SMOOTHING_LIMIT = (r"^smoothing must be a finite number >= 0, "
     (lambda *_: estimate_popularity(TWO_FILES, 1, float("inf")), SMOOTHING_LIMIT),
     (lambda *_: estimate_popularity(TWO_FILES, 1, float("nan")), SMOOTHING_LIMIT),
     (lambda *_: estimate_popularity(TWO_FILES, 1, -1.0), SMOOTHING_LIMIT),
+    (lambda *_: zipf_popularity(3, math.nan), "^alpha must be >= 0$"),
+    (lambda *_: replace(TWO_BS, num_bs=2.5), "num_bs must be a whole number"),
+    (lambda *_: build_paper_topology(2.5, 1), "num_bs must be a whole number"),
+    (lambda *_: assign_users([1, 2], 2.5, 0), "num_bs must be a whole number"),
+    (lambda *_: generate_requests(zipf_popularity(2, 0.8), 2.5, [1], 0),
+     "num_requests must be a whole number"),
+    (lambda *_: estimate_popularity(TWO_FILES, 1.5), "window must be a whole number"),
+    (lambda *_: capacities_from_budget(math.inf, TWO_BS, Catalog(3)),
+     "total_bytes must be a whole number"),
+    (lambda *_: capacities_from_budget(10**9, TWO_BS, Catalog(3), 2.5),
+     "cloud_edge_ratio must be a whole number"),
+    (lambda *_: run_experiment(ExperimentConfig(policy="eo", zipf_alpha=0.8,
+                                                num_users=2.5,
+                                                total_cache_bytes=10**9)),
+     "num_users must be a whole number"),
 ])
 def test_input_guard_states_its_limit(call, message, tmp_path, monkeypatch,
                                       capsys):
@@ -218,12 +236,12 @@ def _library_calls(draw):
             "num_files": num_files,
             "file_size_mb": pick("file_size_mb", [20.0, 1.0], [1e-9, 0.0, _NAN]),
             "total_cache_bytes": pick("total_cache_bytes", [10**8, 10**12, 0],
-                                      [-5, None]),
+                                      [-5, None, _INF]),
             "cloud_edge_ratio": pick("cloud_edge_ratio", [4, 0, 1], [-1]),
             "zipf_alpha": pick("zipf_alpha", [0.8, 0.0, 3.0], [-1.0, _NAN, None]),
             "trace_path": pick("trace_path", [None], ["/nonexistent/trace.csv"]),
-            "num_requests": pick("num_requests", [40, 1], [0, -1]),
-            "num_users": pick("num_users", [5, 1], [0, -1]),
+            "num_requests": pick("num_requests", [40, 1], [0, -1, 2.5, _NAN]),
+            "num_users": pick("num_users", [5, 1], [0, -1, 2.5, _NAN]),
             "warmup_frac": pick("warmup_frac", [0.2, 0.0, 0.9], [1.0, -0.1, _NAN]),
             "master_seed": pick("master_seed", [0, 1], [-1]),
             "rcr_enabled": draw(st.booleans()),
@@ -270,3 +288,22 @@ def test_library_raises_only_its_documented_errors(call):
         call()
     except LIBRARY_ERRORS:
         pass
+
+
+def test_whole_float_counts_equal_ints():
+    def metrics(**counts):
+        return run_experiment(ExperimentConfig(policy="octopus", zipf_alpha=0.8,
+                                               **counts)).as_dict()
+
+    assert (metrics(num_bs=3.0, num_files=50.0, num_requests=500.0, num_users=20.0,
+                    total_cache_bytes=1e9, cloud_edge_ratio=4.0)
+            == metrics(num_bs=3, num_files=50, num_requests=500, num_users=20,
+                       total_cache_bytes=10**9, cloud_edge_ratio=4))
+    assert (estimate_popularity(TWO_FILES, 1.0).as_array().tolist()
+            == estimate_popularity(TWO_FILES, 1).as_array().tolist())
+    num_bs = replace(TWO_BS, num_bs=2.0).num_bs
+    assert num_bs == 2 and type(num_bs) is int
+    base = ExperimentConfig(policy="eo", zipf_alpha=0.8, num_bs=2, num_files=20,
+                            num_requests=200, num_users=5, total_cache_bytes=10**9)
+    assert (run_sweep(base, "zipf_alpha", [0.6, 0.8], jobs=2.0)
+            == run_sweep(base, "zipf_alpha", [0.6, 0.8], jobs=2))
