@@ -31,8 +31,9 @@ CSV_COLUMNS = ("policy", "axis_value", "seed", "requests", "hit_ratio",
 
 
 def derive_seed(master, label):
-    """Stable 63-bit child seed for a labeled role under one master seed."""
-    digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
+    """Stable 63-bit child seed for a labeled role under one master seed, a
+    whole number >= 0 whose int is hashed (1.0 derives what 1 does)."""
+    digest = hashlib.sha256(f"{_count(master, 'master', 0)}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
@@ -141,6 +142,10 @@ class ExperimentConfig:
             raise ConfigError("capacities or total_cache_bytes required")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must lie in [0, 1)")
+        try:
+            _count(self.master_seed, "master_seed", 0)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}, got {self.master_seed!r}") from None
 
     def seeds(self):
         m = self.master_seed
@@ -223,8 +228,6 @@ def replay(instance, policy):
     """
     bs, files = instance.home_bs, instance.trace.file_ids
     warm_count = instance.warm_count
-    # a policy that starts empty (lfu, lru) learns from the warm-up window,
-    # the head of its pass; one placed from that window starts after it
     start = warm_count if policy.placement.size() else 0
     keep = bs[start:] > 0
     bs, files = bs[start:][keep], files[start:][keep]

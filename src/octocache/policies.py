@@ -21,9 +21,10 @@ a static placement is octopus with no swap and no miss that triggers one,
 and every swap goes through ``on_miss``, which rewrites the table's columns
 of the files it touched. lfu and lru replay in one pass, a method over the
 policy's attributes that serves a run of requests with the step inline and
-inserts and evicts by writing the placement's bytes. They keep one location
-code per file, the edge holding it and whether the cloud does (no file is in
-two edges), so a hit reads its server from the table at that code.
+inserts and evicts by rewriting location codes. One code per file, the edge
+holding it and whether the cloud does (no file is in two edges), is their
+only record of their caches: a hit reads its server from the table at that
+code, and their ``placement`` is a snapshot built from the codes when read.
 
 Observation scopes for the reactive bookkeeping: an edge cache sees the
 requests of the users homed at its BS; the cloud cache (managed centrally)
@@ -39,7 +40,8 @@ import numpy as np
 
 from .placement import (_greedy, _rcr_swaps, _rcr_triggers, place_ecnc, place_eo,
                         place_exmpc, place_femtox)
-from .routing import Placement, RoutingMode, _check_instance, _serving_table, _source_table
+from .routing import (Placement, RoutingMode, _check_index, _check_instance, _serving_table,
+                      _source_table)
 from .topology import _count
 
 POLICY_NAMES = ("octopus", "eo", "ecnc", "exmpc", "femtox", "lfu", "lru")
@@ -56,23 +58,30 @@ _STATIC_POLICIES = {
 class Policy:
     """A placement and its routing: the base of every policy, and as it
     stands a static placement. ``placement`` is the policy's own cache
-    contents, which only the policy mutates. ``sources`` lists the
+    contents, which only the policy mutates; lfu and lru hold theirs as
+    location codes, and their ``placement`` is a snapshot of those
+    (:class:`_ColdPolicy`). ``sources`` lists the
     :class:`Source` objects it routes to, the CDN at index 0; :meth:`serve`
     and :meth:`replay` name a server by its index there, read from the one
     serving table ``_table`` (``routing._serving_table``). The table follows
     the placement only through :meth:`on_miss`: a policy that swaps files
     after a CDN miss overrides it, rewriting the table's columns of the
     files it touched, and :meth:`_triggers`; lfu and lru override
-    :meth:`serve` and :meth:`replay`. A policy deep-copies and pickles, its
-    placement and table with it."""
+    :meth:`serve`, :meth:`replay` and :meth:`_hold`. A policy deep-copies
+    and pickles, its cache contents and table with it."""
 
     def __init__(self, name, placement, topology, routing_mode):
         _check_instance(topology, placement)
         self.name = name
-        self.placement = placement
         self.topology = topology
         self.routing_mode = routing_mode
         self.sources, self._order = _source_table(topology, routing_mode)
+        self._num_files = placement.num_files
+        self._hold(placement)
+
+    def _hold(self, placement):
+        """Keep ``placement`` as the cache contents, and its serving table."""
+        self.placement = placement
         self._table = _serving_table(placement.mask, self._order)
 
     def on_request(self, event):
@@ -84,7 +93,7 @@ class Policy:
         doing bulk replay skip such events and tally them as malformed.
         """
         bs = self.topology.home_bs(event.user_id)
-        self.placement._check_file(event.file_id)
+        _check_index(event.file_id, 1, self._num_files, "file")
         return self.sources[self.serve(bs, event.file_id)]
 
     def serve(self, bs, file):
@@ -200,10 +209,14 @@ class _ColdPolicy(Policy):
     inline, returning each request's :attr:`sources` index in a list.
     :meth:`serve` is a one-request pass and :meth:`replay` one pass, so the
     two share one step and one state. ``_sides[bs]`` holds a tuple for BS
-    ``bs``'s edge cache, then one for the cloud: the offset of the cache's
-    row in the placement's bytes, its entry of each per-cache list in
-    ``state``, its capacity, the bit the cache sets in a location code and
-    the mask that clears that bit.
+    ``bs``'s edge cache, then one for the cloud: the cache's entry of each
+    per-cache list in ``state``, its capacity, the bit the cache sets in a
+    location code and the mask that clears that bit.
+
+    The location codes are the only record of what the caches hold; a pass
+    writes them and its own eviction state, nothing else. ``placement`` is
+    a snapshot, a new :class:`Placement` built from the codes on each read,
+    which the policy never reads back.
 
     ``_codes[file]`` is the file's location code, ``2 * edge + cloud``:
     ``edge`` is the BS whose edge cache holds the file (0 for none) and
@@ -217,20 +230,31 @@ class _ColdPolicy(Policy):
     """
 
     def __init__(self, name, topology, capacities, num_files, *state):
-        num_files = _count(num_files, "num_files", 1)
-        super().__init__(name, Placement(capacities, num_files), topology,
-                         RoutingMode.FULL)
-        self._codes = [0] * (num_files + 1)
+        super().__init__(name, Placement(capacities, _count(num_files, "num_files", 1)),
+                         topology, RoutingMode.FULL)
         caps = capacities.as_list()
-        per_cache = (range(0, len(self.placement._mask), num_files + 1), *state, caps)
-        self._sides = (None, *(tuple((*(column[cache] for column in per_cache), bit, keep)
+        self._sides = (None, *(tuple((*(column[cache] for column in (*state, caps)), bit, keep)
                                      for cache, bit, keep in ((bs, 2 * bs, 1), (0, 1, ~1)))
                                for bs in range(1, len(caps))))
-        codes = np.arange(2, 2 * len(caps))
-        held = np.zeros((len(caps), 2 * len(caps)), dtype=bool)
+
+    def _hold(self, placement):
+        """Keep the empty ``placement`` as a code per file, and the codes' table."""
+        self._capacities = placement.capacities
+        self._codes = [0] * (placement.num_files + 1)
+        codes = np.arange(2, 2 * placement.num_caches)
+        held = np.zeros((placement.num_caches, 2 * placement.num_caches), dtype=bool)
         held[codes >> 1, codes] = True  # code c names the edge c >> 1 ...
         held[0, 1::2] = True  # ... and the cloud when c is odd
         self._table = _serving_table(held, self._order).tolist()
+
+    @property
+    def placement(self):
+        """A snapshot of the caches, built from the location codes."""
+        codes = np.array(self._codes, dtype=np.intp)
+        snapshot = Placement(self._capacities, codes.size - 1)
+        snapshot.mask[codes >> 1, np.arange(codes.size)] = True  # the edges; row 0 is next
+        snapshot.mask[0] = codes & 1
+        return snapshot
 
     def serve(self, bs, file):
         return self._pass((bs,), (file,))[0]
@@ -261,13 +285,13 @@ class LfuPolicy(_ColdPolicy):
         self._last_use = [[0] * (num_files + 1) for _ in caps]
         self._heaps = [[] for _ in caps]
         self._seq = 0  # the last use stamped so far
-        # sides: (row offset, counts, last uses, victim heap, capacity, bit, keep)
+        # sides: (counts, last uses, victim heap, capacity, bit, keep)
         super().__init__("lfu", topology, capacities, num_files,
                          self._counts, self._last_use, self._heaps)
 
     def _pass(self, bs_list, file_list):
         codes, table, sides = self._codes, self._table, self._sides
-        mask, counts, last_use = self.placement._mask, self._counts, self._last_use
+        counts, last_use = self._counts, self._last_use
         cloud_count, cloud_used = counts[0], last_use[0]
         # the pass's stamps are reserved up front, so a pass that raises
         # still leaves the clock past every stamp it wrote
@@ -286,18 +310,15 @@ class LfuPolicy(_ColdPolicy):
                 if code & 1:
                     cloud_used[file] = stamp
                 continue
-            for start, count, used, heap, cap, bit, keep in sides[bs]:
+            for count, used, heap, cap, bit, keep in sides[bs]:
                 count[file] += 1
                 key = (count[file], stamp, file)
                 if len(heap) < cap:  # one heap entry per resident
                     heapq.heappush(heap, key)
                 elif heap and count[file] > count[_lfu_victim(heap, count, used)]:
-                    evicted = heapq.heapreplace(heap, key)[2]
-                    mask[start + evicted] = 0
-                    codes[evicted] &= keep
+                    codes[heapq.heapreplace(heap, key)[2]] &= keep
                 else:
                     continue
-                mask[start + file] = 1
                 codes[file] |= bit
                 used[file] = stamp
             append(0)
@@ -307,7 +328,7 @@ class LfuPolicy(_ColdPolicy):
         """A copy of the observed request counts at one cache, as a list
         indexed by file (index 0 is unused); ``ValueError`` on a cache
         outside 0..R."""
-        self.placement._check_cache(cache)
+        _check_index(cache, 0, len(self._counts) - 1, "cache")
         return list(self._counts[cache])
 
 
@@ -322,12 +343,11 @@ class LruPolicy(_ColdPolicy):
 
     def __init__(self, topology, capacities, num_files):
         self._recency = [OrderedDict() for _ in capacities.as_list()]
-        # sides: (row offset, recency, capacity, bit, keep)
+        # sides: (recency, capacity, bit, keep)
         super().__init__("lru", topology, capacities, num_files, self._recency)
 
     def _pass(self, bs_list, file_list):
         codes, table, sides, recency = self._codes, self._table, self._sides, self._recency
-        mask = self.placement._mask
         cloud_used = recency[0]
         served = []
         append = served.append
@@ -340,14 +360,11 @@ class LruPolicy(_ColdPolicy):
                 if code & 1:
                     cloud_used.move_to_end(file)
                 continue
-            for start, used, cap, bit, keep in sides[bs]:
+            for used, cap, bit, keep in sides[bs]:
                 if len(used) >= cap:  # one recency entry per resident
                     if not used:  # a cache of capacity 0
                         continue
-                    evicted = used.popitem(last=False)[0]
-                    mask[start + evicted] = 0
-                    codes[evicted] &= keep
-                mask[start + file] = 1
+                    codes[used.popitem(last=False)[0]] &= keep
                 codes[file] |= bit
                 used[file] = None
             append(0)

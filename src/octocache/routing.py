@@ -112,12 +112,10 @@ class Placement:
         return [set(np.flatnonzero(row).tolist()) for row in self.mask]
 
     def _check_file(self, file):
-        if not _is_index(file, 1, self.num_files):
-            raise ValueError(f"file index {file} outside 1..{self.num_files}")
+        _check_index(file, 1, self.num_files, "file")
 
     def _check_cache(self, cache):
-        if not _is_index(cache, 0, len(self._caps) - 1):
-            raise ValueError(f"cache index {cache} outside 0..{len(self._caps) - 1}")
+        _check_index(cache, 0, len(self._caps) - 1, "cache")
 
     @property
     def num_caches(self):
@@ -197,6 +195,12 @@ def _is_index(value, low, high):
         return low <= operator.index(value) <= high
     except TypeError:
         return False
+
+
+def _check_index(value, low, high, name):
+    """Raise ``ValueError`` unless ``value`` is a ``name`` index in low..high."""
+    if not _is_index(value, low, high):
+        raise ValueError(f"{name} index {value} outside {low}..{high}")
 
 
 def t_value_table(topology, mode=RoutingMode.FULL):
@@ -297,8 +301,7 @@ def route_request(placement, topology, bs, file, mode=RoutingMode.FULL):
     Source
     """
     _check_instance(topology, placement)
-    if not _is_index(bs, 1, topology.num_bs):
-        raise ValueError(f"bs index {bs} outside 1..{topology.num_bs}")
+    _check_index(bs, 1, topology.num_bs, "bs")
     placement._check_file(file)
     sources, order = _source_table(topology, mode)
     mask = placement.mask

@@ -41,7 +41,9 @@ def _whole(value, low=0, high=math.inf):
 
 def _count(value, name, low):
     """The count ``value`` as an int if it is a whole number >= ``low``
-    (4.0 is 4), else a ``ValueError`` naming ``name`` and the rule it breaks."""
+    (4.0 is 4), else a ``ValueError`` naming ``name`` and the rule it breaks.
+    It also reads every seed, with ``low`` 0: a seed of 1.0 is 1, and, as
+    numpy reads them, ``True`` is 1."""
     count = _whole(value, low)
     if count is None:
         raise ValueError(f"{name} must be >= {low}"
@@ -243,7 +245,8 @@ def build_paper_topology(num_bs, seed):
     num_bs : int
         Number of base stations, a whole number >= 1 (4.0 is 4).
     seed : int
-        RNG seed; the same seed always yields a bit-identical topology.
+        RNG seed, a whole number >= 0 (1.0 is 1); the same seed always
+        yields a bit-identical topology.
 
     Returns
     -------
@@ -251,7 +254,7 @@ def build_paper_topology(num_bs, seed):
         A topology with no users attached.
     """
     num_bs = _count(num_bs, "num_bs", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     edge = rng.uniform(*EDGE_DELAY_RANGE_MS, size=num_bs)
     cdn = float(rng.uniform(*CDN_DELAY_RANGE_MS))
     peer = uturn_peer_delays(edge)

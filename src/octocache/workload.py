@@ -321,14 +321,15 @@ def generate_requests(popularity, num_requests, users, seed):
     """Sample a synthetic trace: file by inverse-CDF draw from the
     popularity (:func:`_inverse_cdf`), user uniformly from ``users``,
     timestamps equal to the event index. Bit-for-bit reproducible per
-    seed. ``num_requests`` is a whole number >= 0 (500.0 is 500)."""
+    seed. ``num_requests`` and ``seed`` are whole numbers >= 0 (500.0 is
+    500)."""
     num_requests = _count(num_requests, "num_requests", 0)
     if not users:
         raise ValueError("users must be non-empty")
     ids = {}
     user_codes = np.array([ids.setdefault(user, len(ids)) for user in users],
                           dtype=np.intp)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     cdf = np.cumsum(popularity.as_array())
     draws = _inverse_cdf(cdf, rng.random(num_requests))
     files = np.minimum(draws, popularity.num_files - 1) + 1
@@ -365,8 +366,9 @@ def estimate_popularity(trace, window, smoothing=1.0):
 
 def assign_users(user_ids, num_bs, seed):
     """Assign each user a home BS, i.i.d. uniform over 1..num_bs, where
-    ``num_bs`` is a whole number >= 1 (4.0 is 4); deterministic per seed."""
+    ``num_bs`` is a whole number >= 1 (4.0 is 4); deterministic per seed, a
+    whole number >= 0."""
     num_bs = _count(num_bs, "num_bs", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     homes = rng.integers(1, num_bs + 1, size=len(user_ids))
     return {user: int(home) for user, home in zip(user_ids, homes)}

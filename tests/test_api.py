@@ -6,6 +6,7 @@ when the library is called directly, and the library's entry points raise
 nothing but their documented errors on any input."""
 
 import ast
+import hashlib
 import io
 import math
 import re
@@ -14,6 +15,7 @@ import types
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        OracleSizeError, Placement, Popularity, Topology,
                        TraceError, assign_users, brute_force_optimal,
                        build_paper_topology, capacities_from_budget, cli,
-                       estimate_popularity, generate_requests, pcd, rcr,
+                       derive_seed, estimate_popularity, generate_requests, pcd, rcr,
                        route_request, run_experiment, run_sweep,
                        zipf_popularity)
 from octocache.workload import parse_trace
@@ -154,6 +156,19 @@ SMOOTHING_LIMIT = (r"^smoothing must be a finite number >= 0, "
                                                 num_users=2.5,
                                                 total_cache_bytes=10**9)),
      "num_users must be a whole number"),
+    (lambda *_: build_paper_topology(3, 1.5), "^seed must be a whole number$"),
+    (lambda *_: build_paper_topology(3, -1), "^seed must be >= 0$"),
+    (lambda *_: assign_users([1, 2], 2, float("nan")), "^seed must be a whole number$"),
+    (lambda *_: generate_requests(zipf_popularity(2, 0.8), 5, [1], "1"),
+     "^seed must be a whole number$"),
+    (lambda *_: derive_seed(-1, "topology"), "^master must be >= 0$"),
+    (lambda *_: ExperimentConfig(policy="eo", zipf_alpha=0.8, total_cache_bytes=1,
+                                 master_seed=1.5).validate(),
+     r"^master_seed must be a whole number, got 1\.5$"),
+    (lambda *_: run_experiment(ExperimentConfig(policy="eo", zipf_alpha=0.8,
+                                                master_seed=-1,
+                                                total_cache_bytes=10**9)),
+     "^master_seed must be >= 0, got -1$"),
 ])
 def test_input_guard_states_its_limit(call, message, tmp_path, monkeypatch,
                                       capsys):
@@ -243,7 +258,7 @@ def _library_calls(draw):
             "num_requests": pick("num_requests", [40, 1], [0, -1, 2.5, _NAN]),
             "num_users": pick("num_users", [5, 1], [0, -1, 2.5, _NAN]),
             "warmup_frac": pick("warmup_frac", [0.2, 0.0, 0.9], [1.0, -0.1, _NAN]),
-            "master_seed": pick("master_seed", [0, 1], [-1]),
+            "master_seed": pick("master_seed", [0, 1, 1.0], [-1, 1.5, _NAN]),
             "rcr_enabled": draw(st.booleans()),
             "user_assignment": pick("user_assignment", [None, {"u": 1}],
                                     [{}, {"u": R + 1}]),
@@ -288,6 +303,24 @@ def test_library_raises_only_its_documented_errors(call):
         call()
     except LIBRARY_ERRORS:
         pass
+
+
+def test_whole_float_seeds_equal_ints():
+    # a seed is read as a count >= 0 is: 1.0 is 1, and True is 1 as numpy
+    # reads it; an int seed hashes the text it always did
+    base = dict(policy="lru", zipf_alpha=0.8, num_bs=3, num_files=50, num_requests=500,
+                num_users=20, total_cache_bytes=10**9)
+    one = run_experiment(ExperimentConfig(**base, master_seed=1)).as_dict()
+    for seed in (1.0, True, np.int64(1)):
+        assert run_experiment(ExperimentConfig(**base, master_seed=seed)).as_dict() == one
+        assert derive_seed(seed, "topology") == derive_seed(1, "topology")
+        assert build_paper_topology(3, seed) == build_paper_topology(3, 1)
+        assert assign_users(list("abcd"), 3, seed) == assign_users(list("abcd"), 3, 1)
+        trace = generate_requests(zipf_popularity(5, 0.8), 30, [1, 2], seed)
+        assert trace.file_ids.tolist() == generate_requests(
+            zipf_popularity(5, 0.8), 30, [1, 2], 1).file_ids.tolist()
+    digest = hashlib.sha256(b"7:workload").digest()
+    assert derive_seed(7, "workload") == int.from_bytes(digest[:8], "big") >> 1
 
 
 def test_whole_float_counts_equal_ints():

@@ -156,10 +156,13 @@ def test_cold_policy_reads_num_files_as_catalog_does(cls):
 
 @pytest.mark.parametrize("cls", [LfuPolicy, LruPolicy])
 def test_location_code_matches_the_mask(cls):
-    # after every request, each file's code is 2 * (the one edge holding it)
-    # + (1 if the cloud holds it), and serve answered the cheapest holder of
-    # the placement as it was before the request; delays tie often, and some
-    # caches, or all, hold nothing
+    # the placement is read from the location codes, so it is checked against
+    # the eviction state, a record kept apart from the codes: after every
+    # request each cache's row holds exactly the files of its victim heap
+    # (lfu) or recency dict (lru), within its capacity, no file is in two
+    # edges, and serve answered the cheapest holder of the placement as it
+    # was before the request; delays tie often, and some caches, or all,
+    # hold nothing
     rng = np.random.default_rng(59)
     for trial in range(80):
         num_bs, num_files = int(rng.integers(1, 8)), int(rng.integers(1, 13))
@@ -171,14 +174,52 @@ def test_location_code_matches_the_mask(cls):
         size = int(rng.integers(0, 80))
         bs = rng.integers(1, num_bs + 1, size).tolist()
         files = np.minimum(rng.zipf(1.4, size), num_files).tolist()
-        edge_ids = np.arange(1, num_bs + 1)[:, None]
         for b, f in zip(bs, files):
             want = route_request(policy.placement, policy.topology, b, f)
             assert policy.sources[policy.serve(b, f)] == want
             mask = policy.placement.mask
             assert mask[1:].sum(axis=0).max() <= 1  # no file in two edges
-            edge = (mask[1:] * edge_ids).sum(axis=0)
-            assert policy._codes == (2 * edge + mask[0]).tolist()
+            for cache, row in enumerate(mask):
+                held = (sorted(file for *_, file in policy._heaps[cache])
+                        if cls is LfuPolicy else sorted(policy._recency[cache]))
+                assert np.flatnonzero(row).tolist() == held
+                assert len(held) <= caps[cache]
+
+
+@pytest.mark.parametrize("name", ["lfu", "lru"])
+def test_cold_policy_builds_only_the_code_table(name, monkeypatch):
+    # lfu and lru serve from a table with one column per location code,
+    # 2(R+1) of them; no per-file table is built for an empty placement
+    topo, caps, pop, _ = least_popular_warm()
+    shapes = []
+    monkeypatch.setattr(octocache.policies, "_serving_table",
+                        lambda mask, order: shapes.append(mask.shape)
+                        or _serving_table(mask, order))
+    make_policy(name, topo, Catalog(12), pop, caps, topo.users)
+    assert shapes == [(4, 8)]
+
+
+@pytest.mark.parametrize("cls", [LfuPolicy, LruPolicy])
+def test_cold_policy_checks_requests_without_the_snapshot(cls, monkeypatch):
+    # on_request and counts check a request against the policy's own sizes:
+    # a per-event loop never pays for building the placement snapshot
+    topo = build_paper_topology(2, 3).with_users({"a": 1, "b": 2})
+    policy = cls(topo, CacheCapacities(cloud=2, edge=(1, 1)), 5)
+
+    def no_snapshot(policy):
+        raise AssertionError("built the placement snapshot")
+
+    monkeypatch.setattr(octocache.policies._ColdPolicy, "placement", property(no_snapshot))
+    rng = np.random.default_rng(47)
+    for i in range(1000):
+        policy.on_request(req(i, ("a", "b")[i % 2], int(rng.integers(1, 6))))
+    for file in (0, 6):
+        with pytest.raises(ValueError, match=f"^file index {file} outside 1..5$"):
+            policy.on_request(req(0, "a", file))
+    if cls is LfuPolicy:
+        assert sum(policy.counts(0)) == 1000
+        with pytest.raises(ValueError, match="^cache index 3 outside 0..2$"):
+            policy.counts(3)
 
 
 # ----------------------------------------------------------------- octopus
