@@ -410,12 +410,12 @@ def cmd_simulate(opts):
         raise ConfigError("--policy is required")
     config = _experiment_config(opts, opts["policy"])
     metrics = run_experiment(config)
-    row = SweepRow(policy=config.policy, axis_value="", seed=config.master_seed,
-                   metrics=metrics)
+    seeds = config.seeds()
+    row = SweepRow(policy=config.policy, axis_value="", seed=seeds["master"], metrics=metrics)
     drawn = {"topology": config.topology is None, "assignment": True,
              "workload": config.trace_path is None}
-    seeds = " ".join(f"seed_{k}={v}" for k, v in config.seeds().items() if drawn.get(k))
-    _emit_rows([row], opts, "simulate", [seeds])
+    header = " ".join(f"seed_{k}={v}" for k, v in seeds.items() if drawn.get(k))
+    _emit_rows([row], opts, "simulate", [header])
     return 0
 
 

@@ -148,7 +148,7 @@ class ExperimentConfig:
             raise ConfigError(f"{exc}, got {self.master_seed!r}") from None
 
     def seeds(self):
-        m = self.master_seed
+        m = _count(self.master_seed, "master_seed", 0)
         return {"master": m,
                 "topology": derive_seed(m, "topology"),
                 "assignment": derive_seed(m, "assignment"),
@@ -278,7 +278,7 @@ def _sweep_cell(instance, value, cell):
     """The row of ``cell``, whose swept field is ``value``, replayed on
     ``instance``."""
     return SweepRow(policy=cell.policy, axis_value=value,
-                    seed=cell.master_seed, metrics=_run(instance, cell))
+                    seed=cell.seeds()["master"], metrics=_run(instance, cell))
 
 
 # a pool worker's copy of its sweep's instances, by key, sent to it once

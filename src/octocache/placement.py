@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import OracleSizeError
-from .routing import Placement, RoutingMode, UtilityEvaluator
+from .routing import Placement, RoutingMode, UtilityEvaluator, _check_instance
 
 #: Guard on the number of placements brute_force_optimal may enumerate.
 ORACLE_ENUMERATION_LIMIT = 10_000_000
@@ -331,12 +331,19 @@ def top_popular(popularity, k):
     return (np.argsort(-popularity.as_array(), kind="stable")[:max(0, k)] + 1).tolist()
 
 
+def _ranked_sizes(topology, catalog, popularity, capacities):
+    """Each cache's fill target and the catalog ranked by popularity, once
+    the instance passes :func:`place_femtox`'s checks, else ``ValueError``."""
+    num_files = catalog.num_files
+    _check_instance(topology, Placement(capacities, num_files), popularity)
+    return _effective_sizes(capacities, num_files)[0], top_popular(popularity, num_files)
+
+
 def place_eo(topology, catalog, popularity, capacities):
     """Edge-only baseline: each edge cache independently stores its most
     popular files; the cloud cache stays empty. Meant to be evaluated under
     EDGE_ONLY routing (no cloud, no neighbor access)."""
-    (_, *edges), _ = _effective_sizes(capacities, catalog.num_files)
-    ranked = top_popular(popularity, catalog.num_files)
+    (_, *edges), ranked = _ranked_sizes(topology, catalog, popularity, capacities)
     return Placement(capacities, catalog.num_files,
                      [(), *(ranked[:size] for size in edges)])
 
@@ -345,8 +352,7 @@ def place_ecnc(topology, catalog, popularity, capacities):
     """Edge+cloud non-cooperative baseline: every cache, cloud included,
     independently stores the most popular files (duplication allowed).
     Meant to be evaluated under EDGE_CLOUD routing (no neighbor access)."""
-    sizes, _ = _effective_sizes(capacities, catalog.num_files)
-    ranked = top_popular(popularity, catalog.num_files)
+    sizes, ranked = _ranked_sizes(topology, catalog, popularity, capacities)
     return Placement(capacities, catalog.num_files,
                      [ranked[:size] for size in sizes])
 
@@ -357,8 +363,7 @@ def place_exmpc(topology, catalog, popularity, capacities):
     edge cache (second tier). Each edge holds a prefix of the ranking, so
     the cloud takes the ranks that start after the longest edge. Evaluated
     under FULL cooperative routing."""
-    (cloud, *edges), _ = _effective_sizes(capacities, catalog.num_files)
-    ranked = top_popular(popularity, catalog.num_files)
+    (cloud, *edges), ranked = _ranked_sizes(topology, catalog, popularity, capacities)
     start = max(edges)
     return Placement(capacities, catalog.num_files,
                      [ranked[start:start + cloud], *(ranked[:size] for size in edges)])

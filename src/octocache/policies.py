@@ -230,8 +230,7 @@ class _ColdPolicy(Policy):
     """
 
     def __init__(self, name, topology, capacities, num_files, *state):
-        super().__init__(name, Placement(capacities, _count(num_files, "num_files", 1)),
-                         topology, RoutingMode.FULL)
+        super().__init__(name, Placement(capacities, num_files), topology, RoutingMode.FULL)
         caps = capacities.as_list()
         self._sides = (None, *(tuple((*(column[cache] for column in (*state, caps)), bit, keep)
                                      for cache, bit, keep in ((bs, 2 * bs, 1), (0, 1, ~1)))

@@ -14,8 +14,8 @@ and each user's per-file value is the best t among the caches currently
 holding the file (0 if uncached). The two views are dual: for any feasible
 placement, utility + total expected delay = U * d_0.
 
-A :class:`Placement` is one byte per (cache, file), and every reader here
-uses those bytes: :class:`UtilityEvaluator`, :func:`total_expected_delay`,
+A :class:`Placement` is one (R+1, F+1) bool array, ``mask``, which every
+reader here indexes: :class:`UtilityEvaluator`, :func:`total_expected_delay`,
 the per-request walk of :func:`route_request` and :func:`_serving_table`,
 which answers every request of a policy at once.
 
@@ -34,6 +34,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .topology import _count
 
 _TABLE_CHUNK_ROWS = 1024  # gain/loss-table rows built at once, bounding the temporaries
 
@@ -73,21 +75,22 @@ class Source:
 
 
 class Placement:
-    """Cache contents: one byte per (cache k, file i), 0 = cloud, read as
-    the (R+1, F+1) bool view ``mask`` (column 0 stays clear) or as a fresh
-    list of sets, ``contents``. A placement is feasible when every cache
-    holds at most its capacity. The constructor checks each file and each
-    cache's size; ``add``/``remove`` enforce feasibility; mutation requires
+    """Cache contents: the (R+1, F+1) bool array ``mask``, entry [k, i] set
+    when cache k (0 = cloud) holds file i, column 0 clear; ``contents`` reads
+    it as a fresh list of sets. A placement is feasible when every cache
+    holds at most its capacity. The constructor checks its contents, and
+    ``add``, ``remove`` and the batch ``_add_copies`` check each change
+    before writing it; a write through ``mask`` goes unchecked. Mutation requires
     exclusive access, reads of a stable placement are safe to share.
     """
 
-    __slots__ = ("capacities", "num_files", "_caps", "_mask")
+    __slots__ = ("capacities", "num_files", "mask", "_caps")
 
     def __init__(self, capacities, num_files, contents=None):
         self.capacities = capacities
-        self.num_files = num_files
+        self.num_files = num_files = _count(num_files, "num_files", 1)
         self._caps = caps = capacities.as_list()
-        self._mask = bytearray(len(caps) * (num_files + 1))
+        self.mask = np.zeros((len(caps), num_files + 1), dtype=bool)
         if contents is not None:
             if len(contents) != len(caps):
                 raise ValueError(f"expected {len(caps)} cache sets, got {len(contents)}")
@@ -104,10 +107,6 @@ class Placement:
                     raise ValueError(f"cache {r} over capacity: {self.cache_size(r)} > {caps[r]}")
 
     @property
-    def mask(self):  # a new view on each read: a stored one would outlive a copy
-        return np.frombuffer(self._mask, dtype=bool).reshape(len(self._caps), -1)
-
-    @property
     def contents(self):
         return [set(np.flatnonzero(row).tolist()) for row in self.mask]
 
@@ -121,44 +120,54 @@ class Placement:
     def num_caches(self):
         return len(self._caps)
 
-    def _start(self, cache):
-        """Offset of a cache's row of bytes, after checking the cache."""
-        self._check_cache(cache)
-        return cache * (self.num_files + 1)
-
     def contains(self, file, cache):
-        start = self._start(cache)
-        return _is_index(file, 1, self.num_files) and self._mask[start + file] == 1
+        self._check_cache(cache)
+        return _is_index(file, 1, self.num_files) and bool(self.mask[cache, file])
 
     def cache_size(self, cache):
-        start = self._start(cache)
-        return self._mask.count(1, start, start + self.num_files + 1)
+        self._check_cache(cache)
+        return int(np.count_nonzero(self.mask[cache]))
 
     def is_full(self, cache):
         return self.cache_size(cache) >= self._caps[cache]
 
     def _check_add(self, file, cache):
-        """The offset of the copy's byte, unless adding it is a ``ValueError``."""
+        """Raise ``ValueError`` unless the copy may be added."""
         self._check_file(file)
-        start = self._start(cache)
-        if self._mask[start + file]:
+        self._check_cache(cache)
+        if self.mask[cache, file]:
             raise ValueError(f"file {file} already placed in cache {cache}")
         if self.is_full(cache):
             raise ValueError(f"cache {cache} is full")
-        return start + file
 
     def _check_remove(self, file, cache):
-        """The offset of the copy's byte, unless removing it is a ``ValueError``."""
-        start = self._start(cache)
-        if not (_is_index(file, 1, self.num_files) and self._mask[start + file]):
+        """Raise ``ValueError`` unless the copy may be removed."""
+        if not self.contains(file, cache):
             raise ValueError(f"file {file} not in cache {cache}")
-        return start + file
 
     def add(self, file, cache):
-        self._mask[self._check_add(file, cache)] = 1
+        self._check_add(file, cache)
+        self.mask[cache, file] = True
 
     def remove(self, file, cache):
-        self._mask[self._check_remove(file, cache)] = 0
+        self._check_remove(file, cache)
+        self.mask[cache, file] = False
+
+    def _add_copies(self, files, caches):
+        """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
+        once. Raises ``ValueError``, before any change, on a file or cache out
+        of range, a copy held or given twice, or a cache it would overflow."""
+        for file, cache in ((files.min(), caches.min()), (files.max(), caches.max())):
+            self._check_file(file)
+            self._check_cache(cache)
+        keys = np.sort(files * len(self._caps) + caches)
+        if self.mask[caches, files].any() or (keys[1:] == keys[:-1]).any():
+            raise ValueError("a copy is already placed or given twice")
+        counts = np.bincount(caches, minlength=len(self._caps))
+        over = counts + self.mask.sum(axis=1) > self._caps
+        if over.any():
+            raise ValueError(f"cache {int(over.argmax())} would overflow its capacity")
+        self.mask[caches, files] = True
 
     def elements(self):
         """All (file, cache) copies, sorted by cache then file."""
@@ -166,7 +175,7 @@ class Placement:
                 for f in np.flatnonzero(row).tolist()]
 
     def size(self):
-        return self._mask.count(1)
+        return int(np.count_nonzero(self.mask))
 
     def is_feasible(self):
         mask = self.mask
@@ -174,14 +183,14 @@ class Placement:
 
     def copy(self):
         other = Placement(self.capacities, self.num_files)
-        other._mask[:] = self._mask
+        other.mask[:] = self.mask
         return other
 
     def __eq__(self, other):
         return (isinstance(other, Placement)
                 and self.num_files == other.num_files
                 and self.capacities == other.capacities
-                and self._mask == other._mask)
+                and np.array_equal(self.mask, other.mask))
 
     def __repr__(self):
         rows = ", ".join(f"C{r}={np.flatnonzero(row).tolist()}"
@@ -366,19 +375,20 @@ def marginal_loss(placement, member, topology, popularity,
 class UtilityEvaluator:
     """Incremental utility bookkeeping for one mutable placement.
 
-    All state derives from the placement's (R+1, F) ``mask``, a view, not a
-    copy: ``best1`` (R, F) holds, per (BS, file), the best t-value among the
-    caches holding the file, and two (F, R+1) tables hold each copy's
-    marginal gain (0 where the cache holds the file) and marginal loss
-    (``inf`` where it does not). Both are
-    rows of :meth:`_marginals`, which depend only on the file's mask column,
-    its holder pattern, so each pattern's row is built once. :meth:`add`,
-    :meth:`remove` and the bulk :meth:`add_copies` write the placement and
-    ``best1`` and mark the files' rows stale; a table read recomputes its
-    stale rows at once. The evaluator owns its placement copy: mutate
-    through those three only. A table read refreshes that table, so even
-    reads need exclusive access while any row is stale. A placement or
-    popularity that does not fit the topology or catalog is a ``ValueError``.
+    All state derives from the placement's (R+1, F) ``mask``, a view of the
+    placement's array without column 0: ``best1`` (R, F) holds, per (BS,
+    file), the best t-value among the caches holding the file, and two
+    (F, R+1) tables hold each copy's marginal gain (0 where the cache holds
+    the file) and marginal loss (``inf`` where it does not). Both are rows
+    of :meth:`_marginals`, which depend only on the file's mask column, its
+    holder pattern, so each pattern's row is built once. :meth:`add`,
+    :meth:`remove` and the bulk :meth:`add_copies` change the placement
+    through its own checked methods, then update ``best1`` and mark the
+    files' rows stale; a table read recomputes its stale rows at once. The
+    evaluator owns its placement copy: mutate through those three only. A
+    table read refreshes that table, so even reads need exclusive access
+    while any row is stale. A placement or popularity that does not fit the
+    topology or catalog is a ``ValueError``.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -482,23 +492,11 @@ class UtilityEvaluator:
 
     def add_copies(self, files, caches):
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
-        once. Raises ``ValueError``, before any change, on a file or cache out
-        of range, a copy held or given twice, or a cache it would overflow."""
-        placement = self.placement
-        for file, cache in ((files.min(), caches.min()), (files.max(), caches.max())):
-            placement._check_file(file)
-            placement._check_cache(cache)
-        mask = placement.mask
-        keys = np.sort(files * (self.num_bs + 1) + caches)
-        if mask[caches, files].any() or (keys[1:] == keys[:-1]).any():
-            raise ValueError("a copy is already placed or given twice")
-        counts = np.bincount(caches, minlength=placement.num_caches)
-        over = counts + mask.sum(axis=1) > placement._caps
-        if over.any():
-            raise ValueError(f"cache {int(over.argmax())} would overflow its capacity")
-        mask[caches, files] = True
+        once, through ``Placement._add_copies``, which raises its
+        ``ValueError`` before any change."""
+        self.placement._add_copies(files, caches)
         js = files - 1
-        for cache in np.flatnonzero(counts).tolist():
+        for cache in np.flatnonzero(np.bincount(caches)).tolist():
             cols = js[caches == cache]  # distinct files
             self.best1[:, cols] = np.maximum(self.best1[:, cols], self.t_table[:, cache, None])
         self._gains_stale[js] = self._losses_stale[js] = True
@@ -506,9 +504,6 @@ class UtilityEvaluator:
 
     def _update_column(self, file):
         j = file - 1
-        # the file's column of the bytes, one per cache, copied: no 2-D view
-        held = np.frombuffer(self.placement._mask[file::self.placement.num_files + 1], bool)
-        self.best1[:, j] = (self.t_table * held).max(axis=1)
+        self.best1[:, j] = (self.t_table * self.placement.mask[:, file]).max(axis=1)
         self._gains_stale[j] = self._losses_stale[j] = True
         self._min_loss_stale = True
-

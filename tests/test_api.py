@@ -27,8 +27,9 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        TraceError, assign_users, brute_force_optimal,
                        build_paper_topology, capacities_from_budget, cli,
                        derive_seed, estimate_popularity, generate_requests, pcd, rcr,
-                       route_request, run_experiment, run_sweep,
+                       route_request, rows_to_csv, run_experiment, run_sweep,
                        zipf_popularity)
+from octocache.engine import rows_to_json
 from octocache.workload import parse_trace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -169,6 +170,9 @@ SMOOTHING_LIMIT = (r"^smoothing must be a finite number >= 0, "
                                                 master_seed=-1,
                                                 total_cache_bytes=10**9)),
      "^master_seed must be >= 0, got -1$"),
+    (lambda *_: Placement(CacheCapacities(cloud=1, edge=(1,)), 2.5),
+     "num_files must be a whole number"),
+    (lambda *_: Placement(CacheCapacities(cloud=1, edge=(1,)), 0), "^num_files must be >= 1$"),
 ])
 def test_input_guard_states_its_limit(call, message, tmp_path, monkeypatch,
                                       capsys):
@@ -323,6 +327,24 @@ def test_whole_float_seeds_equal_ints():
     assert derive_seed(7, "workload") == int.from_bytes(digest[:8], "big") >> 1
 
 
+def test_seed_column_writes_the_validated_seed():
+    # a whole float, True or a numpy int seed runs the instance of its int,
+    # and the row it writes names that int, in CSV and in JSON alike
+    base = ExperimentConfig(policy="eo", zipf_alpha=0.8, num_bs=2, num_files=20,
+                            num_requests=200, num_users=5, total_cache_bytes=10**9)
+
+    def written(seed):
+        rows = run_sweep(replace(base, master_seed=seed), "zipf_alpha", [0.8])
+        return rows_to_csv(rows), rows_to_json(rows)
+
+    one = written(1)
+    assert one[0].splitlines()[1].startswith("eo,0.8,1,")
+    for seed in (1.0, True, np.int64(1)):
+        assert written(seed) == one
+        master = replace(base, master_seed=seed).seeds()["master"]
+        assert master == 1 and type(master) is int
+
+
 def test_whole_float_counts_equal_ints():
     def metrics(**counts):
         return run_experiment(ExperimentConfig(policy="octopus", zipf_alpha=0.8,
@@ -336,6 +358,8 @@ def test_whole_float_counts_equal_ints():
             == estimate_popularity(TWO_FILES, 1).as_array().tolist())
     num_bs = replace(TWO_BS, num_bs=2.0).num_bs
     assert num_bs == 2 and type(num_bs) is int
+    caps = CacheCapacities(cloud=1, edge=(1,))
+    assert Placement(caps, 2.0) == Placement(caps, 2)
     base = ExperimentConfig(policy="eo", zipf_alpha=0.8, num_bs=2, num_files=20,
                             num_requests=200, num_users=5, total_cache_bytes=10**9)
     assert (run_sweep(base, "zipf_alpha", [0.6, 0.8], jobs=2.0)

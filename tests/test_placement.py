@@ -559,9 +559,10 @@ def test_rank_baselines_equal_per_file_reference():
         catalog = Catalog(num_files=num_files)
         caps = CacheCapacities(cloud=int(rng.integers(0, num_files + 3)),
                                edge=tuple(rng.integers(0, num_files + 3, num_bs).tolist()))
+        topo = build_paper_topology(num_bs, 0)
         for kind, place in (("eo", place_eo), ("ecnc", place_ecnc),
                             ("exmpc", place_exmpc)):
-            placement = place(None, catalog, pop, caps)
+            placement = place(topo, catalog, pop, caps)
             assert placement.contents == _rank_reference(kind, catalog, pop, caps).contents
             assert all(type(f) is int for files in placement.contents for f in files)
 

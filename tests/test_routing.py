@@ -12,6 +12,7 @@ from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy,
                        Topology, build_paper_topology, make_policy, marginal_gain,
                        marginal_loss, pcd, route_request, total_expected_delay,
                        utility, zipf_popularity)
+from octocache.placement import place_ecnc, place_eo, place_exmpc
 from octocache.routing import UtilityEvaluator
 from octocache.topology import uturn_peer_delays
 
@@ -101,7 +102,15 @@ _UNIFORM_4 = Popularity.from_weights([1.0] * 4)
     (lambda topo: make_policy("eo", topo, Catalog(num_files=4), _UNIFORM_4,
                               _TWO_BS_CAPS, topo.users),
      "placement has 3 caches; 3 BSs need 4"),
-], ids=["delay-placement", "delay-popularity", "route", "lfu", "lru", "eo"])
+    *((lambda topo, name=name: make_policy(name, topo, Catalog(num_files=4),
+                                           zipf_popularity(3, 1.0), _THREE_BS_CAPS,
+                                           topo.users),
+       "popularity of 3 files for a 4-file catalog") for name in ("eo", "ecnc", "exmpc")),
+    *((lambda topo, place=place: place(topo, Catalog(num_files=4), _UNIFORM_4, _TWO_BS_CAPS),
+       "placement has 3 caches; 3 BSs need 4") for place in (place_eo, place_ecnc, place_exmpc)),
+], ids=["delay-placement", "delay-popularity", "route", "lfu", "lru", "eo",
+        "eo-popularity", "ecnc-popularity", "exmpc-popularity",
+        "place-eo", "place-ecnc", "place-exmpc"])
 def test_instance_mismatch_is_a_value_error_naming_it(call, message):
     # a placement or capacities for 2 BSs on a 3-BS topology, or a popularity
     # for another catalog, is rejected before any routing or arithmetic
@@ -410,18 +419,25 @@ def test_evaluator_matches_scratch_after_mutations():
                     assert np.array_equal(ev._gain_table(), fresh._gain_table())
 
 
-@pytest.mark.parametrize("files, caches", [
+_BAD_BATCHES = [
     ([3, 1], [1, 0]),   # file 1 is already in the cloud
     ([3, 5], [1, 1]),   # file 5 is outside 1..4
     ([3, 3], [2, 2]),   # the same copy twice
     ([3, 4], [0, 0]),   # the cloud holds 2 of 3 and gets 2 more
     ([3, 2], [1, 3]),   # cache 3 does not exist
-])
+]
+
+
+def _batch_target():
+    """The placement both bad-batch tests write to: cloud {1, 2}, edge 1 {1}."""
+    return Placement(CacheCapacities(cloud=3, edge=(2, 2)), 4, [{1, 2}, {1}, set()])
+
+
+@pytest.mark.parametrize("files, caches", _BAD_BATCHES)
 def test_add_copies_rejects_a_bad_copy_before_any_change(canonical, files, caches):
     topo, _, _, _ = canonical
     pop = Popularity.from_weights([4.0, 3.0, 2.0, 1.0])
-    ev = UtilityEvaluator(topo, pop, Placement(CacheCapacities(cloud=3, edge=(2, 2)), 4,
-                                               [{1, 2}, {1}, set()]))
+    ev = UtilityEvaluator(topo, pop, _batch_target())
     ev._loss_table()
     before = (ev.placement.copy(), ev.mask.copy(), ev.best1.copy(),
               ev._gain_table().copy(), ev._loss_table().copy(), ev.min_loss_element())
@@ -433,6 +449,26 @@ def test_add_copies_rejects_a_bad_copy_before_any_change(canonical, files, cache
     for old, new in zip(before[1:5], after[1:5]):
         assert np.array_equal(old, new)
     assert not ev._gains_stale.any() and not ev._losses_stale.any()
+
+
+@pytest.mark.parametrize("files, caches", _BAD_BATCHES)
+def test_placement_add_copies_rejects_a_bad_copy_before_any_change(files, caches):
+    # the placement's own batch write makes the checks the evaluator relies on
+    placement = _batch_target()
+    with pytest.raises(ValueError):
+        placement._add_copies(np.array(files), np.array(caches))
+    assert placement == _batch_target()
+    placement._add_copies(np.array([3, 4, 2]), np.array([0, 1, 2]))
+    assert placement.contents == [{1, 2, 3}, {1, 4}, {2}]
+
+
+def test_mask_is_the_placement_itself():
+    # each read of mask is the one stored array, and a copy's is its own
+    placement = _batch_target()
+    assert placement.mask is placement.mask
+    for twin in (placement.copy(), copy.deepcopy(placement)):
+        assert not np.shares_memory(twin.mask, placement.mask)
+        assert twin == placement
 
 
 def test_evaluator_min_loss_matches_scan():
