@@ -20,8 +20,8 @@ from .policies import POLICY_NAMES, make_policy
 from .routing import SourceKind
 from .topology import (Catalog, _count, build_paper_topology,
                        capacities_from_budget)
-from .workload import (assign_users, estimate_popularity, generate_requests,
-                       parse_trace_file, zipf_popularity)
+from .workload import (_kept, assign_users, estimate_popularity,
+                       generate_requests, parse_trace_file, zipf_popularity)
 
 SWEEP_AXES = ("total_cache_bytes", "zipf_alpha", "policy")
 
@@ -184,9 +184,15 @@ def prepare(config):
         trace = parse_trace_file(config.trace_path)
     else:
         num_users = _count(config.num_users, "num_users", 1)
-        trace = generate_requests(zipf_popularity(config.num_files, config.zipf_alpha),
-                                  config.num_requests, list(range(1, num_users + 1)),
-                                  seeds["workload"])
+        zipf = zipf_popularity(config.num_files, config.zipf_alpha)
+        num_requests = _count(config.num_requests, "num_requests", 0)
+        # keyed by every input of the draw, as the users are 1..num_users, so
+        # a cell reuses the last cell's stream while they are equal
+        trace = _kept((zipf.as_array().tobytes(), num_requests, num_users,
+                       seeds["workload"]),
+                      lambda: generate_requests(zipf, num_requests,
+                                                list(range(1, num_users + 1)),
+                                                seeds["workload"]))
     catalog = Catalog(num_files=trace.catalog_size,
                       file_size_mb=config.file_size_mb)
 

@@ -107,12 +107,14 @@ class Topology:
         pairs = self.users.items() if isinstance(self.users, Mapping) else self.users
         users = {}
         for user, home in pairs:
-            if _whole(home, 1, R) is None:
+            whole = (home if type(home) is int and 1 <= home <= R
+                     else _whole(home, 1, R))  # an int home skips _whole's casts
+            if whole is None:
                 raise ValueError(f"user {user!r} has home BS {home}, "
                                  f"not a whole number in 1..{R}")
             if user in users:
                 raise ValueError(f"user {user!r} assigned more than once")
-            users[user] = int(home)
+            users[user] = whole
         object.__setattr__(self, "users", users)
 
     def home_bs(self, user):

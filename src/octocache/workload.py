@@ -11,7 +11,6 @@ the trace's user labels in the same order.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 from collections.abc import Sequence
@@ -220,41 +219,49 @@ def parse_trace(source):
                         malformed_lines=malformed)
 
 
-#: ``(sha256 digest, trace)`` of the last file :func:`parse_trace_file`
-#: parsed, or None: one trace per process, never the file's bytes.
-_last_parse = None
+#: ``(key, trace)`` of the last request stream :func:`_kept` built, or
+#: None: one trace per process, whatever its source. A trace file's key is
+#: the file's bytes, which so stay alive beside its trace; a synthetic
+#: stream's key is every input of its draw (``engine.prepare``).
+_last_stream = None
+
+
+def _kept(key, build):
+    """The trace kept under ``key``, built by ``build()`` and kept in place
+    of the last one when ``key`` is not equal to the kept key. Each call
+    returns a fresh copy with an empty ``user_assignment`` whose columns are
+    read-only views of the kept ones, which cannot be made writeable, so no
+    caller can change what a later call returns."""
+    global _last_stream
+    last = _last_stream
+    if last is None or last[0] != key:
+        trace = build()
+        last = _last_stream = key, replace(
+            trace, times=_over_bytes(trace.times),
+            user_index=_over_bytes(trace.user_index),
+            file_ids=_over_bytes(trace.file_ids))
+    trace = last[1]
+    return replace(trace, times=trace.times.view(),
+                   user_index=trace.user_index.view(),
+                   file_ids=trace.file_ids.view(), user_assignment={})
 
 
 def parse_trace_file(path):
     """Parse the trace file at ``path``, skipping a leading UTF-8 byte-order
     mark; an unreadable or non-UTF-8 file raises ``TraceError``.
 
-    The file is read whole. The last successfully parsed file's trace is
-    kept, keyed by the sha256 of the file's bytes, and reused while a
-    file's bytes are equal to those, whatever its path or modification
-    time; so one trace's columns stay alive per process. Each call returns
-    a fresh trace with an empty ``user_assignment`` whose columns are
-    read-only views of the kept ones, which cannot be made writeable, so
-    no caller can change what a later call returns."""
-    global _last_parse
+    The file is read whole on every call. The last successfully parsed
+    file's bytes are kept with its trace, which is reused while a file's
+    bytes are equal to those, whatever its path or modification time. Each
+    call returns a fresh trace (see :func:`_kept`), with read-only columns
+    that no caller can change for a later call."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        digest = hashlib.sha256(data).digest()
-        last = _last_parse
-        if last is None or last[0] != digest:
-            trace = parse_trace(io.TextIOWrapper(
-                io.BytesIO(data), encoding="utf-8-sig", newline=""))
-            last = _last_parse = digest, replace(
-                trace, times=_over_bytes(trace.times),
-                user_index=_over_bytes(trace.user_index),
-                file_ids=_over_bytes(trace.file_ids))
+        return _kept(data, lambda: parse_trace(io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8-sig", newline="")))
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
-    trace = last[1]
-    return replace(trace, times=trace.times.view(),
-                   user_index=trace.user_index.view(),
-                   file_ids=trace.file_ids.view(), user_assignment={})
 
 
 def _over_bytes(column):

@@ -16,8 +16,9 @@ import octocache.workload
 from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        ExperimentConfig, Metrics, Popularity, SweepRow,
                        Topology, capacities_from_budget, derive_seed,
-                       make_policy, pcd, prepare, replay, rows_to_csv,
-                       run_experiment, run_sweep, total_expected_delay)
+                       generate_requests, make_policy, pcd, prepare, replay,
+                       rows_to_csv, run_experiment, run_sweep,
+                       total_expected_delay, zipf_popularity)
 from octocache.routing import Source, SourceKind
 
 
@@ -374,7 +375,7 @@ def test_trace_cells_parse_their_file_once(tmp_path, monkeypatch):
         rows = []
         for policy in ["eo", "ecnc", "exmpc", "femtox"]:
             if fresh or not rows:
-                monkeypatch.setattr(octocache.workload, "_last_parse", None,
+                monkeypatch.setattr(octocache.workload, "_last_stream", None,
                                     raising=False)
             rows.append(run_experiment(replace(base, policy=policy)).as_dict())
         return rows
@@ -383,6 +384,86 @@ def test_trace_cells_parse_their_file_once(tmp_path, monkeypatch):
     assert len(calls) == 4
     assert cells(fresh=False) == want
     assert len(calls) == 5
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The synthetic streams ``prepare`` draws from here on, starting from
+    an empty slot."""
+    calls, generate = [], octocache.engine.generate_requests
+    monkeypatch.setattr(octocache.workload, "_last_stream", None)
+    monkeypatch.setattr(octocache.engine, "generate_requests",
+                        lambda *args: calls.append(args) or generate(*args))
+    return calls
+
+
+def test_synthetic_cells_draw_their_stream_once(draws, monkeypatch):
+    # cells of one synthetic config share one drawn stream, and each cell's
+    # metrics equal those of a cell that draws it afresh
+    base = small_config()
+
+    def cells(fresh):
+        rows = []
+        for policy in POLICY_NAMES:
+            if fresh or not rows:
+                monkeypatch.setattr(octocache.workload, "_last_stream", None)
+            rows.append(run_experiment(replace(base, policy=policy)).as_dict())
+        return rows
+
+    want = cells(fresh=True)
+    assert len(draws) == len(POLICY_NAMES) == 7
+    assert cells(fresh=False) == want
+    assert len(draws) == 8
+
+
+@pytest.mark.parametrize("change, drawn", [
+    ({"num_files": 61}, True), ({"zipf_alpha": 0.9}, True),
+    ({"num_requests": 4001}, True), ({"num_users": 59}, True),
+    ({"master_seed": 8}, True),
+    ({"num_requests": 4000.0}, False), ({"num_users": 60.0}, False),
+    ({"policy": "lru"}, False)])
+def test_a_synthetic_stream_is_drawn_again_only_when_an_input_changes(
+        change, drawn, draws, monkeypatch):
+    prepare(small_config())
+    got = prepare(small_config(**change)).trace
+    assert len(draws) == 1 + drawn
+    monkeypatch.setattr(octocache.workload, "_last_stream", None)
+    assert got == prepare(small_config(**change)).trace
+    assert (got != prepare(small_config()).trace) == drawn
+
+
+def test_a_prepared_synthetic_trace_cannot_change_the_next(draws):
+    config = small_config()
+    first = prepare(config).trace
+    for column in (first.times, first.user_index, first.file_ids):
+        for array in (column, column.base):  # the view, then the kept column
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+    first.user_assignment[1] = 1
+    first.file_ids.shape = (40, 100)
+    first.times = np.zeros(3)
+    first.catalog_size = 99
+    second = prepare(config).trace
+    assert len(draws) == 1
+    assert second.user_assignment == {} and second.file_ids.shape == (4000,)
+    assert second == generate_requests(zipf_popularity(60, 0.8), 4000,
+                                       list(range(1, 61)), config.seeds()["workload"])
+
+
+def test_one_stream_is_kept_whatever_its_source(draws, tmp_path, monkeypatch):
+    # a synthetic stream takes the slot of the last parse, so the process
+    # keeps one trace and the file is parsed again
+    configs = replay_configs(tmp_path)
+    calls, parse = [], octocache.workload.parse_trace
+    monkeypatch.setattr(octocache.workload, "parse_trace",
+                        lambda source: calls.append(source) or parse(source))
+    trace = prepare(configs["trace"]).trace
+    assert prepare(configs["trace"]).trace == trace and len(calls) == 1
+    prepare(configs["synthetic"])
+    key, kept = octocache.workload._last_stream
+    assert type(key) is tuple and kept.catalog_size == configs["synthetic"].num_files
+    assert prepare(configs["trace"]).trace == trace and len(calls) == 2
+    assert len(draws) == 1
 
 
 def test_prepare_takes_the_user_map_by_one_rule():
@@ -544,6 +625,7 @@ def test_sweep_builds_the_workload_once_unless_its_axis_changes_it(
                             into.append(build(*args, **kwargs)) or into[-1])
 
     traces, instances, policies = [], [], []
+    monkeypatch.setattr(octocache.workload, "_last_stream", None)  # nothing kept
     recording("parse_trace_file", traces)
     recording("generate_requests", traces)
     recording("prepare", instances)

@@ -173,12 +173,12 @@ def test_capacities_are_stored_as_ints():
 
 def test_home_bs_must_be_a_whole_number():
     topo = build_paper_topology(2, seed=1)
-    for home in (1.5, math.nan, math.inf, "1", None, 0, 3):
+    for home in (1.5, 2.5, math.nan, math.inf, "1", None, 0, 3, np.int64(3), -1):
         with pytest.raises(ValueError, match=f"home BS {home}, not a whole number in 1..2"):
             topo.with_users({"u": home})
-    users = topo.with_users({"a": 2.0, "b": np.int64(1)}).users
-    assert users == {"a": 2, "b": 1}
-    assert [type(home) for home in users.values()] == [int, int]
+    users = topo.with_users({"a": 2.0, "b": np.int64(1), "c": True, "d": 2}).users
+    assert list(users.items()) == [("a", 2), ("b", 1), ("c", 1), ("d", 2)]
+    assert [type(home) for home in users.values()] == [int] * 4
 
 
 def test_catalog_and_popularity_validation():

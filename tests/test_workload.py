@@ -151,7 +151,7 @@ def parses(monkeypatch):
     def spy(source):
         calls.append(source)
         return parse_trace(source)
-    monkeypatch.setattr(octocache.workload, "_last_parse", None, raising=False)
+    monkeypatch.setattr(octocache.workload, "_last_stream", None, raising=False)
     monkeypatch.setattr(octocache.workload, "parse_trace", spy)
     return calls
 
@@ -220,6 +220,29 @@ def test_a_returned_trace_cannot_change_the_next(parses, tmp_path):
     assert len(parses) == 1
     assert second.user_assignment == {} and second.file_ids.shape == (20,)
     assert second == parse_trace(MEMO_TEXT) and second.catalog_size == 5
+
+
+#: Over 1 MiB of requests, so that a compare that stops at the shorter
+#: file's end, or short of the last chunk, misses an edit to the last line.
+BIG_TEXT = "".join(f"{i},u{i % 97},c{i % 1009}\n" for i in range(75_000)) + "9e9,u1,c1"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:-1] + "2",  # the same length, the last byte changed
+    lambda text: text + "3",  # one byte appended
+    lambda text: text[:-1],  # the last byte cut off
+], ids=["changed", "appended", "truncated"])
+def test_parse_file_reparses_a_file_that_differs_in_its_last_byte(
+        edit, parses, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(BIG_TEXT, encoding="utf-8")
+    assert path.stat().st_size > 2**20
+    first = parse_trace_file(path)
+    text = edit(BIG_TEXT)
+    path.write_text(text, encoding="utf-8")
+    got = parse_trace_file(path)
+    assert len(parses) == 2
+    assert got == parse_trace(text) and got != first
 
 
 def reference_parse(text):
