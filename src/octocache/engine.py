@@ -140,6 +140,10 @@ class ExperimentConfig:
                               "trace_path or zipf_alpha")
         if self.capacities is None and self.total_cache_bytes is None:
             raise ConfigError("capacities or total_cache_bytes required")
+        for name in ("file_size_mb", "zipf_alpha", "warmup_frac"):
+            value = getattr(self, name)  # a number has __float__; text has not
+            if not (hasattr(type(value), "__float__") or (name == "zipf_alpha" and value is None)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must lie in [0, 1)")
         try:

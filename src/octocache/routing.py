@@ -156,7 +156,10 @@ class Placement:
     def _add_copies(self, files, caches):
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
         once. Raises ``ValueError``, before any change, on a file or cache out
-        of range, a copy held or given twice, or a cache it would overflow."""
+        of range, a copy held or given twice, or a cache it would overflow; an
+        empty batch changes nothing."""
+        if not files.size:
+            return
         for file, cache in ((files.min(), caches.min()), (files.max(), caches.max())):
             self._check_file(file)
             self._check_cache(cache)
@@ -168,11 +171,6 @@ class Placement:
         if over.any():
             raise ValueError(f"cache {int(over.argmax())} would overflow its capacity")
         self.mask[caches, files] = True
-
-    def elements(self):
-        """All (file, cache) copies, sorted by cache then file."""
-        return [(f, r) for r, row in enumerate(self.mask)
-                for f in np.flatnonzero(row).tolist()]
 
     def size(self):
         return int(np.count_nonzero(self.mask))
@@ -207,9 +205,11 @@ def _is_index(value, low, high):
 
 
 def _check_index(value, low, high, name):
-    """Raise ``ValueError`` unless ``value`` is a ``name`` index in low..high."""
+    """Raise ``ValueError`` unless ``value`` is an integer ``name`` index in low..high."""
     if not _is_index(value, low, high):
-        raise ValueError(f"{name} index {value} outside {low}..{high}")
+        raise ValueError(f"{name} index {value} outside {low}..{high}"
+                         if hasattr(type(value), "__index__")
+                         else f"{name} index must be an integer, got {value!r}")
 
 
 def t_value_table(topology, mode=RoutingMode.FULL):
@@ -493,7 +493,9 @@ class UtilityEvaluator:
     def add_copies(self, files, caches):
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
         once, through ``Placement._add_copies``, which raises its
-        ``ValueError`` before any change."""
+        ``ValueError`` before any change. An empty batch marks nothing stale."""
+        if not files.size:
+            return
         self.placement._add_copies(files, caches)
         js = files - 1
         for cache in np.flatnonzero(np.bincount(caches)).tolist():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,9 +46,8 @@ class RequestTrace:
     in order of first appearance in the stream, which is the order
     :meth:`users` returns. ``content_labels`` keeps the original opaque
     content ids by catalog index for round-trip serialization; it is empty
-    for a synthetic trace. ``user_assignment`` maps user id to home BS and
-    may be empty until :meth:`with_assignment` attaches one covering every
-    user. The column arrays are read-only.
+    for a synthetic trace. A user's home BS is kept on the ``Topology``
+    alone. The column arrays are read-only.
     """
 
     times: np.ndarray
@@ -58,18 +57,10 @@ class RequestTrace:
     catalog_size: int
     content_labels: tuple = ()
     malformed_lines: int = 0
-    user_assignment: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for column in (self.times, self.user_index, self.file_ids):
             column.flags.writeable = False
-        if self.user_assignment:
-            self._check_coverage(self.user_assignment)
-
-    def _check_coverage(self, assignment):
-        for user in self.user_labels:
-            if user not in assignment:
-                raise ValueError(f"user {user!r} missing from assignment")
 
     @property
     def events(self):
@@ -82,8 +73,12 @@ class RequestTrace:
         return list(self.user_labels)
 
     def with_assignment(self, assignment):
-        self._check_coverage(assignment)
-        return replace(self, user_assignment=dict(assignment))
+        """A fresh copy of this trace once ``assignment`` homes each of its
+        users, else ``ValueError``; the map itself lives on ``Topology``."""
+        for user in self.user_labels:
+            if user not in assignment:
+                raise ValueError(f"user {user!r} missing from assignment")
+        return replace(self)
 
     def label_of(self, file_id):
         if self.content_labels:
@@ -97,7 +92,6 @@ class RequestTrace:
                 and np.array_equal(self.file_ids, other.file_ids)
                 and self.user_labels == other.user_labels
                 and self.catalog_size == other.catalog_size
-                and self.user_assignment == other.user_assignment
                 and self.content_labels == other.content_labels)
 
 
@@ -229,9 +223,8 @@ _last_stream = None
 def _kept(key, build):
     """The trace kept under ``key``, built by ``build()`` and kept in place
     of the last one when ``key`` is not equal to the kept key. Each call
-    returns a fresh copy with an empty ``user_assignment`` whose columns are
-    read-only views of the kept ones, which cannot be made writeable, so no
-    caller can change what a later call returns."""
+    returns a fresh copy whose columns are read-only views of the kept ones,
+    which cannot be made writeable: no caller can change a later call's."""
     global _last_stream
     last = _last_stream
     if last is None or last[0] != key:
@@ -243,7 +236,7 @@ def _kept(key, build):
     trace = last[1]
     return replace(trace, times=trace.times.view(),
                    user_index=trace.user_index.view(),
-                   file_ids=trace.file_ids.view(), user_assignment={})
+                   file_ids=trace.file_ids.view())
 
 
 def parse_trace_file(path):

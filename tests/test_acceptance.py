@@ -83,7 +83,7 @@ def test_criterion_01_submodularity_suite():
         big = random_feasible_placement(rng, caps, catalog.num_files)
         for _ in range(20):
             small = Placement(caps, catalog.num_files)
-            for f, c in big.elements():
+            for c, f in np.argwhere(big.mask).tolist():
                 if rng.random() < 0.5:
                     small.add(f, c)
             cands = [(f, c) for c in range(big.num_caches)

@@ -173,6 +173,21 @@ SMOOTHING_LIMIT = (r"^smoothing must be a finite number >= 0, "
     (lambda *_: Placement(CacheCapacities(cloud=1, edge=(1,)), 2.5),
      "num_files must be a whole number"),
     (lambda *_: Placement(CacheCapacities(cloud=1, edge=(1,)), 0), "^num_files must be >= 1$"),
+    (lambda *_: run_experiment(ExperimentConfig(policy="eo", zipf_alpha=0.8,
+                                                warmup_frac=None,
+                                                total_cache_bytes=10**9)),
+     "^warmup_frac must be a number, got None$"),
+    (lambda *_: run_experiment(ExperimentConfig(policy="eo", zipf_alpha=0.8,
+                                                warmup_frac="0.2",
+                                                total_cache_bytes=10**9)),
+     "^warmup_frac must be a number, got '0.2'$"),
+    (lambda *_: run_experiment(ExperimentConfig(policy="eo", zipf_alpha="0.8",
+                                                total_cache_bytes=10**9)),
+     "^zipf_alpha must be a number, got '0.8'$"),
+    (lambda *_: run_experiment(ExperimentConfig(policy="eo", zipf_alpha=0.8,
+                                                file_size_mb="20",
+                                                total_cache_bytes=10**9)),
+     "^file_size_mb must be a number, got '20'$"),
 ])
 def test_input_guard_states_its_limit(call, message, tmp_path, monkeypatch,
                                       capsys):
@@ -253,15 +268,16 @@ def _library_calls(draw):
             "policy": pick("policy", POLICY_NAMES, ["lifo"]),
             "num_bs": num_bs,
             "num_files": num_files,
-            "file_size_mb": pick("file_size_mb", [20.0, 1.0], [1e-9, 0.0, _NAN]),
+            "file_size_mb": pick("file_size_mb", [20.0, 1.0], [1e-9, 0.0, _NAN, "20"]),
             "total_cache_bytes": pick("total_cache_bytes", [10**8, 10**12, 0],
                                       [-5, None, _INF]),
             "cloud_edge_ratio": pick("cloud_edge_ratio", [4, 0, 1], [-1]),
-            "zipf_alpha": pick("zipf_alpha", [0.8, 0.0, 3.0], [-1.0, _NAN, None]),
+            "zipf_alpha": pick("zipf_alpha", [0.8, 0.0, 3.0], [-1.0, _NAN, None, "0.8"]),
             "trace_path": pick("trace_path", [None], ["/nonexistent/trace.csv"]),
             "num_requests": pick("num_requests", [40, 1], [0, -1, 2.5, _NAN]),
             "num_users": pick("num_users", [5, 1], [0, -1, 2.5, _NAN]),
-            "warmup_frac": pick("warmup_frac", [0.2, 0.0, 0.9], [1.0, -0.1, _NAN]),
+            "warmup_frac": pick("warmup_frac", [0.2, 0.0, 0.9],
+                                [1.0, -0.1, _NAN, None, "0.2"]),
             "master_seed": pick("master_seed", [0, 1, 1.0], [-1, 1.5, _NAN]),
             "rcr_enabled": draw(st.booleans()),
             "user_assignment": pick("user_assignment", [None, {"u": 1}],

@@ -287,7 +287,7 @@ def test_rcr_copy_equivalent_file_no_swap(shifted):
     topo, _, _, placement = shifted
     pop5 = Popularity(np.array([0.45, 0.27, 0.09, 0.095, 0.095]))
     placement5 = Placement(placement.capacities, 5)
-    for f, c in placement.elements():
+    for c, f in np.argwhere(placement.mask).tolist():
         placement5.add(f, c)
     first = rcr(placement5, 4, topo, pop5)
     again = rcr(first.placement, 5, topo, pop5)
@@ -397,7 +397,7 @@ def test_rcr_triggers_are_the_misses_that_swap(seed, tied, misses):
 def test_rcr_swapped_out_element_had_minimum_loss(shifted):
     topo, _, pop, placement = shifted
     losses = {(f, c): marginal_loss(placement, (f, c), topo, pop)
-              for f, c in placement.elements()}
+              for c, f in np.argwhere(placement.mask).tolist()}
     report = rcr(placement, 4, topo, pop)
     evicted = (report.steps[0]["evicted_file"], report.steps[0]["cache"])
     assert losses[evicted] == min(losses.values())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy,
-                       Placement, Popularity, RoutingMode, SourceKind,
+                       Placement, Popularity, RequestEvent, RoutingMode, SourceKind,
                        Topology, build_paper_topology, make_policy, marginal_gain,
                        marginal_loss, pcd, route_request, total_expected_delay,
                        utility, zipf_popularity)
@@ -301,7 +301,7 @@ def test_loss_equals_gain_after_removal():
     for _ in range(80):
         topo, catalog, pop, caps = random_instance(rng, max_cap=3)
         placement = random_feasible_placement(rng, caps, catalog.num_files)
-        for file, cache in placement.elements():
+        for cache, file in np.argwhere(placement.mask).tolist():
             loss = marginal_loss(placement, (file, cache), topo, pop)
             smaller = placement.copy()
             smaller.remove(file, cache)
@@ -316,7 +316,7 @@ def test_monotonicity_and_submodularity_random():
         topo, catalog, pop, caps = random_instance(rng, max_bs=3, max_files=8, max_cap=2)
         big = random_feasible_placement(rng, caps, catalog.num_files)
         small = Placement(caps, catalog.num_files)
-        for file, cache in big.elements():
+        for cache, file in np.argwhere(big.mask).tolist():
             if rng.random() < 0.5:
                 small.add(file, cache)
         candidates = [(f, c) for c in range(big.num_caches)
@@ -337,9 +337,9 @@ def test_monotonicity_and_submodularity_random():
 def _mutate(rng, ev, num_files, bulk=False):
     """One random add or remove on the evaluator, when one is possible. With
     ``bulk``, half the adds are one ``add_copies`` of random open copies."""
-    elements = ev.placement.elements()
+    elements = np.argwhere(ev.placement.mask).tolist()
     if elements and rng.random() < 0.4:
-        file, cache = elements[int(rng.integers(len(elements)))]
+        cache, file = elements[int(rng.integers(len(elements)))]
         ev.remove(file, cache)
         return
     cands = [(f, c) for c in range(ev.placement.num_caches)
@@ -381,7 +381,7 @@ def _assert_marginals_match_reference(ev, topo, pop, mode):
             want = reference_utility(topo, pop, larger, mode.value) - total
             assert ev.marginal_gain(file, cache) == pytest.approx(want, abs=tol)
     ref = {}
-    for file, cache in ev.placement.elements():
+    for cache, file in np.argwhere(ev.placement.mask).tolist():
         smaller = [set(c) for c in contents]
         smaller[cache].remove(file)
         ref[file, cache] = total - reference_utility(topo, pop, smaller, mode.value)
@@ -460,6 +460,23 @@ def test_placement_add_copies_rejects_a_bad_copy_before_any_change(files, caches
     assert placement == _batch_target()
     placement._add_copies(np.array([3, 4, 2]), np.array([0, 1, 2]))
     assert placement.contents == [{1, 2, 3}, {1, 4}, {2}]
+
+
+def test_an_empty_batch_changes_nothing(canonical):
+    # a swap round that accepts nothing hands both levels an empty batch
+    topo, _, _, _ = canonical
+    empty = np.array([], dtype=np.intp)
+    placement = _batch_target()
+    placement._add_copies(empty, empty)
+    assert placement == _batch_target()
+    ev = UtilityEvaluator(topo, Popularity.from_weights([4.0, 3.0, 2.0, 1.0]), placement)
+    before = (ev.best1.copy(), ev._gain_table().copy(), ev._loss_table().copy(),
+              ev.min_loss_element())
+    ev.add_copies(empty, empty)
+    assert not (ev._gains_stale.any() or ev._losses_stale.any() or ev._min_loss_stale)
+    assert ev.placement == placement and ev.min_loss_element() == before[3]
+    for old, new in zip(before[:3], (ev.best1, ev._gain_table(), ev._loss_table())):
+        assert np.array_equal(old, new)
 
 
 def test_mask_is_the_placement_itself():
@@ -615,6 +632,23 @@ def test_placement_rejects_bad_contents(contents, message):
         Placement(CacheCapacities(cloud=2, edge=(2, 2)), 4, contents)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda topo, placement: route_request(placement, topo, "1", 1),
+     "^bs index must be an integer, got '1'$"),
+    (lambda topo, placement: route_request(placement, topo, 1.0, 1),
+     "^bs index must be an integer, got 1.0$"),
+    (lambda topo, placement: placement.add(1.5, 0),
+     "^file index must be an integer, got 1.5$"),
+    (lambda topo, placement: LfuPolicy(topo, placement.capacities, 3).on_request(
+        RequestEvent(time=0.0, user_id="u1", file_id=2.0)),
+     "^file index must be an integer, got 2.0$"),
+], ids=["bs-text", "bs-float", "add-float", "on-request-float"])
+def test_a_non_integer_index_is_not_called_out_of_range(canonical, call, message):
+    topo, _, _, caps = canonical
+    with pytest.raises(ValueError, match=message):
+        call(topo, Placement(caps, 3))
+
+
 def test_is_feasible_sees_a_file_out_of_range():
     # the mask has no column for a file past F; column 0 and a row over its
     # capacity are what a write through the mask can break
@@ -682,7 +716,7 @@ def test_feasibility_downward_closed():
         _, catalog, _, caps = random_instance(rng, max_cap=2)
         placement = random_feasible_placement(rng, caps, catalog.num_files)
         assert placement.is_feasible()
-        for file, cache in placement.elements():
+        for cache, file in np.argwhere(placement.mask).tolist():
             sub = placement.copy()
             sub.remove(file, cache)
             assert sub.is_feasible()
