@@ -75,6 +75,20 @@ def _best_open(gains, shut):
     return cache, gains[np.arange(cache.size), cache]
 
 
+def _fill_threshold(cache, gain, room):
+    """A round's threshold from the frontier copies ``(cache, gain)``: the
+    largest, over caches k holding at least ``room[k] > 0`` of them, of the
+    ``room[k]``-th largest gain at k; the smallest gain when no cache does.
+    Each such gain is at least the smallest, so that is the start value."""
+    threshold = gain.min()
+    for k in np.flatnonzero(room):
+        at = gain[cache == k]
+        rank = at.size - room[k]  # the room[k]-th largest's index in ascending order
+        if rank >= 0:
+            threshold = max(threshold, np.partition(at, rank)[rank])
+    return threshold
+
+
 def _chains(ev, files, cache, gain, closed, threshold):
     """Each file's chain of successive best open copies, starting from its
     frontier copy ``(cache, gain)`` on the evaluator's placement, for as
@@ -110,8 +124,10 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
 
     1. takes every live file's frontier (best open copy) from the gain
        table;
-    2. sets the threshold ``T`` to the n-th largest frontier gain, with n
-       the smaller of the room left and the number of live files;
+    2. sets the threshold ``T`` from the first cache that can fill: for
+       each open cache k holding at least ``room[k]`` frontier copies, the
+       ``room[k]``-th largest frontier gain at k, and ``T`` the largest of
+       these; when no cache holds that many, the smallest frontier gain;
     3. grows the chains of the frontier files at or above ``T``, step by
        step in bulk, while each step's gain stays at or above ``T``;
     4. sorts the entries by (-gain, file, step), the greedy's own order;
@@ -124,13 +140,24 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     never increase, bit for bit: each step adds a holder to the file's mask
     column, so ``max(t - rival, 0)`` only falls as the rival, the holders'
     best t-value, rises; every operation after it rounds monotonically,
-    and ``UtilityEvaluator._marginals`` adds BSs in a fixed order. So every
-    entry not grown has a gain below ``T`` and sorts after every grown one,
-    and the first cache to fill ends the round before a closed cache is
-    offered. Rounds are few: when the room left is at most the number of
-    live files, at least that many entries reach ``T`` and some cache
-    fills; otherwise every live file commits a copy. Either happens at most
-    R+1 times.
+    and ``UtilityEvaluator._marginals`` adds BSs in a fixed order. So the
+    grown entries are every entry at or above ``T``, ties at ``T``
+    included, and every entry not grown has a gain below ``T`` and sorts
+    after every grown one: the grown entries are a prefix of the greedy's
+    order. The cache k that sets ``T`` has ``room[k]`` frontier copies at or
+    above it, all grown, so some cache fills inside the prefix, and that
+    first fill ends the round before a closed cache is offered. As in
+    Minoux's accelerated greedy, entries that cannot be chosen before that
+    fill are mostly never valued.
+
+    Rounds are few: each round closes a cache, except when no cache holds
+    ``room[k]`` frontier copies; then every live file is grown, and unless
+    some cache fills, every live file commits a copy. Either happens at
+    most R+1 times. When the room left is at most the number of live files,
+    some cache holds at least its room in frontier copies (pigeonhole), so
+    the first case applies, and ``T`` is at least the n-th largest frontier
+    gain, with n the room left: no round grows more entries than that
+    coarser threshold would.
 
     Parameters
     ----------
@@ -175,8 +202,7 @@ def _greedy(topology, catalog, popularity, capacities, mode):
         closed = room == 0
         cache, gain = _best_open(ev._gain_table(), ev.mask.T | closed)
         live = np.flatnonzero(gain > -np.inf)
-        n = min(int(room.sum()), live.size)
-        threshold = np.partition(gain[live], live.size - n)[live.size - n]
+        threshold = _fill_threshold(cache[live], gain[live], room)
         files = live[gain[live] >= threshold]
         file, step, cache, gain = _chains(ev, files, cache[files], gain[files],
                                           closed, threshold)

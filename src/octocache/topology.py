@@ -157,7 +157,7 @@ class Catalog:
     @property
     def file_size_bytes(self):
         # decimal megabytes, matching the TB/GB units used for cache budgets
-        return int(round(self.file_size_mb * 1e6))
+        return int(round(float(self.file_size_mb) * 1e6))
 
 
 @dataclass(frozen=True, eq=False)

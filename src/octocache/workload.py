@@ -285,7 +285,7 @@ def zipf_popularity(num_files, alpha):
     if not alpha >= 0:  # nan included
         raise ValueError("alpha must be >= 0")
     ranks = np.arange(1, num_files + 1, dtype=float)
-    weights = ranks ** (-alpha)
+    weights = ranks ** -float(alpha)
     return Popularity(weights / weights.sum())
 
 

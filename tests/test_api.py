@@ -13,6 +13,8 @@ import re
 import sys
 import types
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,34 @@ def test_library_raises_only_its_documented_errors(call):
         call()
     except LIBRARY_ERRORS:
         pass
+
+
+_SMALL_RUN = dict(policy="octopus", num_bs=2, num_files=20, file_size_mb=20.0,
+                  total_cache_bytes=10**9, cloud_edge_ratio=4, zipf_alpha=0.8,
+                  num_requests=200, num_users=5, warmup_frac=0.2, master_seed=1)
+
+
+@pytest.mark.parametrize("kind", ["decimal", "str", "none", "nan", "negative"])
+@pytest.mark.parametrize("name", [name for name in _SMALL_RUN if name != "policy"])
+def test_each_numeric_field_alone_runs_or_raises_value_error(name, kind):
+    # one numeric field broken, every other one valid: the run goes through
+    # or stops at a ValueError (ConfigError is one), never a TypeError
+    good = _SMALL_RUN[name]
+    value = {"decimal": Decimal(str(good)), "str": str(good), "none": None,
+             "nan": _NAN, "negative": -good}[kind]
+    try:
+        run_experiment(ExperimentConfig(**{**_SMALL_RUN, name: value}))
+    except ValueError:
+        pass
+
+
+def test_decimal_and_fraction_numbers_run_as_their_floats():
+    # a number type the standard library knows runs as its float does
+    one = run_experiment(ExperimentConfig(**_SMALL_RUN)).as_dict()
+    for name in ("zipf_alpha", "file_size_mb", "warmup_frac"):
+        for number in (Decimal, Fraction):
+            config = ExperimentConfig(**{**_SMALL_RUN, name: number(str(_SMALL_RUN[name]))})
+            assert run_experiment(config).as_dict() == one
 
 
 def test_whole_float_seeds_equal_ints():

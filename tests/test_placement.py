@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import octocache.placement
 import octocache.routing
 from octocache import (CacheCapacities, Catalog, OracleSizeError, Placement,
                        Popularity, RoutingMode, Topology, brute_force_optimal,
@@ -215,6 +216,69 @@ def test_pcd_steps_replay_as_first_maxima_at_scale():
         assert report.utility_trace == [report.utility_trace[0]] + [
             s["utility"] for s in report.steps]
         assert min(filled_at.values()) < len(report.steps) // 4
+
+
+def test_pcd_steps_equal_naive_greedy_beside_a_tiny_cache(monkeypatch):
+    # one cache with room for 1 or 2 copies beside caches that take about
+    # the whole catalog, so the room left exceeds the live files and the
+    # tiny cache sets the threshold; in every other instance popularity is
+    # uniform and fronthaul delays are equal, so many gains tie at it
+    seen = set()
+    fill_threshold = octocache.placement._fill_threshold
+
+    def recorded(cache, gain, room):
+        threshold = fill_threshold(cache, gain, room)
+        if room.sum() > gain.size and threshold > gain.min():
+            seen.add("above the smallest frontier gain with room to spare")
+        if (gain == threshold).sum() > 1:
+            seen.add("ties at the threshold")
+        return threshold
+
+    monkeypatch.setattr(octocache.placement, "_fill_threshold", recorded)
+    rng = np.random.default_rng(40)
+    for i in range(40):
+        topo, catalog, pop, _ = random_instance(rng, max_bs=4, max_files=8)
+        F, R = catalog.num_files, topo.num_bs
+        if i % 2:
+            delays = (15.0,) * R
+            topo = Topology(num_bs=R, edge_delay=delays,
+                            peer_delay=uturn_peer_delays(delays), cdn_delay=80.0,
+                            users=topo.users)
+            pop = Popularity.from_weights(np.ones(F))
+        sizes = [int(rng.integers(F - 1, F + 2)) for _ in range(R + 1)]
+        sizes[int(rng.integers(0, R + 1))] = int(rng.integers(1, 3))
+        caps = CacheCapacities(cloud=sizes[0], edge=tuple(sizes[1:]))
+        for mode in (RoutingMode.FULL, RoutingMode.EDGE_CLOUD):
+            report = pcd(topo, catalog, pop, caps, mode=mode)
+            _, _, steps = _naive_greedy_run(topo, catalog, pop, caps, mode)
+            assert report.steps == steps
+    assert seen == {"above the smallest frontier gain with room to spare",
+                    "ties at the threshold"}
+
+
+def test_pcd_values_few_copies_it_cannot_commit(monkeypatch):
+    # the at-scale instance above: each round values the chains only as far
+    # as the first cache that can fill, so pcd passes _marginals fewer rows
+    # than the 13,870 (FULL) and 17,912 (EDGE_CLOUD) that a threshold at the
+    # n-th largest frontier gain, n the room left, would
+    F = 2000
+    rng = np.random.default_rng(11)
+    topo = build_paper_topology(7, 2024).with_users(
+        {f"u{i}": int(b) for i, b in enumerate(rng.integers(1, 8, 300))})
+    catalog, pop = Catalog(num_files=F), zipf_popularity(F, 0.8)
+    caps = CacheCapacities(cloud=700, edge=(20, 350, 90, 500, 5, 160, 240))
+    marginals = UtilityEvaluator._marginals
+    rows = []
+
+    def counted(self, js, held, rank=1):
+        rows.append(len(js))
+        return marginals(self, js, held, rank)
+
+    monkeypatch.setattr(UtilityEvaluator, "_marginals", counted)
+    for mode, limit in ((RoutingMode.FULL, 8_000), (RoutingMode.EDGE_CLOUD, 9_000)):
+        rows.clear()
+        pcd(topo, catalog, pop, caps, mode=mode)
+        assert sum(rows) < limit
 
 
 def test_pattern_chunks_leave_tables_and_greedy_unchanged(monkeypatch):
