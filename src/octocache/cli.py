@@ -35,7 +35,7 @@ from .errors import ConfigError, InfeasibleInstanceError, TraceError
 from .placement import brute_force_optimal, pcd
 from .policies import POLICY_NAMES
 from .routing import utility
-from .topology import (CacheCapacities, Catalog, Popularity, Topology,
+from .topology import (MAX_BS, CacheCapacities, Catalog, Popularity, Topology,
                        build_paper_topology, capacities_from_budget,
                        uturn_peer_delays)
 from .workload import (generate_requests, parse_trace_file, serialize_trace,
@@ -130,8 +130,8 @@ class Option:
 
 
 OPTIONS = (
-    Option("bs", _INSTANCE, _count(1), 7, aliases=("num_bs",),
-           help="number of base stations"),
+    Option("bs", _INSTANCE, _number(int, 1, MAX_BS + 1), 7, aliases=("num_bs",),
+           help=f"number of base stations, at most {MAX_BS}"),
     Option("files", _INSTANCE + ("gen-trace",), _count(1), 10_000,
            help="catalog size F"),
     # at least one byte per file

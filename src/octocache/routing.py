@@ -37,8 +37,6 @@ import numpy as np
 
 from .topology import _count
 
-_TABLE_CHUNK_ROWS = 1024  # gain/loss-table rows built at once, bounding the temporaries
-
 
 class RoutingMode(enum.Enum):
     """Which caches a user's request may be served from.
@@ -381,7 +379,8 @@ class UtilityEvaluator:
     (F, R+1) tables hold each copy's marginal gain (0 where the cache holds
     the file) and marginal loss (``inf`` where it does not). Both are rows
     of :meth:`_marginals`, which depend only on the file's mask column, its
-    holder pattern, so each pattern's row is built once. :meth:`add`,
+    holder set: each is the file's probability times a row of a table of
+    all 2^(R+1) holder sets, built once per table kind. :meth:`add`,
     :meth:`remove` and the bulk :meth:`add_copies` change the placement
     through its own checked methods, then update ``best1`` and mark the
     files' rows stale; a table read recomputes its stale rows at once. The
@@ -399,6 +398,8 @@ class UtilityEvaluator:
         self.t_table = t_value_table(topology, mode)
         self.num_bs = topology.num_bs
         self.best1 = (self.t_table[:, :, None] * self.mask).max(axis=1)
+        self._bits = 1 << np.arange(self.num_bs + 1)
+        self._sums = {}  # rank -> sums per holder set, see _marginals
         self._gains = np.zeros((placement.num_files, self.num_bs + 1))
         self._gains_stale = np.ones(placement.num_files, dtype=bool)
         self._losses = np.full((placement.num_files, self.num_bs + 1), np.inf)
@@ -419,26 +420,18 @@ class UtilityEvaluator:
         """``p_j * sum_b count_b * max(t[b, k] - rival[b, n], 0)`` for files
         ``j = js[n]`` with holder columns ``held[:, n]``, shape (len(js), R+1).
         The rival is the holders' ``rank``-th best t-value: 1 for a gain, 2
-        for a loss. It depends only on the holder set, so the sum is built
-        once per distinct column (keyed by its packed bytes, for any R),
-        ``_TABLE_CHUNK_ROWS`` columns at a time to bound the temporaries.
-        Selecting the rival does not round, and numpy adds the BS axis in BS
-        order, so a row is bitwise the same built alone or in bulk."""
-        packed = np.packbits(held, axis=0)
-        order = np.lexsort(packed)
-        first = np.concatenate(([True], np.diff(packed[:, order], axis=1).any(axis=0)))
-        pattern_of = np.empty_like(order)
-        pattern_of[order] = np.cumsum(first) - 1
-        patterns = held[:, order[first]]
-        sums = np.empty((patterns.shape[1], self.num_bs + 1))
-        for start in range(0, len(sums), _TABLE_CHUNK_ROWS):
-            part = slice(start, start + _TABLE_CHUNK_ROWS)
-            versus = np.partition(self.t_table[:, :, None] * patterns[:, part],
-                                  -rank, axis=1)[:, -rank, :]
+        for a loss. It depends only on the holder set, so the sum is read
+        from row ``sum_k 2^k held[k, n]`` of a table of every holder set,
+        built at once on the rank's first call. Selecting the rival does not
+        round, and numpy adds the BS axis in BS order, so a row is bitwise
+        the same built alone or in the table."""
+        if rank not in self._sums:
+            sets = (np.arange(2 ** (self.num_bs + 1)) & self._bits[:, None]).astype(bool)
+            versus = np.partition(self.t_table[:, :, None] * sets, -rank, axis=1)[:, -rank, :]
             drop = np.maximum(self.t_table[:, None, :] - versus[:, :, None], 0.0)
             drop *= self.counts[:, None, None]
-            sums[part] = drop.sum(axis=0)
-        return self.probs[js, None] * sums[pattern_of]
+            self._sums[rank] = drop.sum(axis=0)
+        return self.probs[js, None] * self._sums[rank][self._bits @ held]
 
     def _gain_table(self):
         """The gain table, its stale rows recomputed first."""

@@ -29,6 +29,9 @@ EDGE_DELAY_RANGE_MS = (10.0, 30.0)
 CDN_DELAY_RANGE_MS = (60.0, 100.0)
 DEFAULT_FILE_SIZE_MB = 20.0
 DEFAULT_CLOUD_EDGE_RATIO = 4
+#: Most base stations a topology may have: the utility evaluator tables
+#: every one of the 2^(R+1) sets of caches that may hold a file.
+MAX_BS = 11
 
 
 def _whole(value, low=0, high=math.inf):
@@ -39,15 +42,16 @@ def _whole(value, low=0, high=math.inf):
         return None
 
 
-def _count(value, name, low):
-    """The count ``value`` as an int if it is a whole number >= ``low``
+def _count(value, name, low, high=math.inf):
+    """The count ``value`` as an int if it is a whole number in [low, high]
     (4.0 is 4), else a ``ValueError`` naming ``name`` and the rule it breaks.
     It also reads every seed, with ``low`` 0: a seed of 1.0 is 1, and, as
     numpy reads them, ``True`` is 1."""
-    count = _whole(value, low)
+    count = _whole(value, low, high)
     if count is None:
-        raise ValueError(f"{name} must be >= {low}"
-                         if isinstance(value, numbers.Real) and value < low
+        real = isinstance(value, numbers.Real)
+        raise ValueError(f"{name} must be >= {low}" if real and value < low
+                         else f"{name} must be <= {high}" if real and value > high
                          else f"{name} must be a whole number")
     return count
 
@@ -60,7 +64,7 @@ class Topology:
     ----------
     num_bs : int
         Number of base stations R (one edge cache each), indexed 1..R: a
-        whole number >= 1, held as an int (2.0 becomes 2).
+        whole number in 1..``MAX_BS``, held as an int (2.0 becomes 2).
     edge_delay : tuple of float
         Fronthaul delay d_r [ms] between the cloud cache and BS r, r = 1..R.
     peer_delay : tuple of tuple of float
@@ -86,7 +90,7 @@ class Topology:
     users: object = ()
 
     def __post_init__(self):
-        R = _count(self.num_bs, "num_bs", 1)
+        R = _count(self.num_bs, "num_bs", 1, MAX_BS)
         object.__setattr__(self, "num_bs", R)
         if len(self.edge_delay) != R:
             raise ValueError(f"expected {R} edge delays, got {len(self.edge_delay)}")
@@ -245,7 +249,7 @@ def build_paper_topology(num_bs, seed):
     Parameters
     ----------
     num_bs : int
-        Number of base stations, a whole number >= 1 (4.0 is 4).
+        Number of base stations, a whole number in 1..``MAX_BS`` (4.0 is 4).
     seed : int
         RNG seed, a whole number >= 0 (1.0 is 1); the same seed always
         yields a bit-identical topology.
@@ -255,7 +259,7 @@ def build_paper_topology(num_bs, seed):
     Topology
         A topology with no users attached.
     """
-    num_bs = _count(num_bs, "num_bs", 1)
+    num_bs = _count(num_bs, "num_bs", 1, MAX_BS)
     rng = np.random.default_rng(_count(seed, "seed", 0))
     edge = rng.uniform(*EDGE_DELAY_RANGE_MS, size=num_bs)
     cdn = float(rng.uniform(*CDN_DELAY_RANGE_MS))

@@ -129,6 +129,8 @@ SMOOTHING_LIMIT = (r"^smoothing must be a finite number >= 0, "
     (lambda *_: capacities_from_budget(10**9, TWO_BS, Catalog(3), -1),
      "cloud_edge_ratio must be >= 0"),
     (lambda *_: build_paper_topology(0, 1), "num_bs must be >= 1"),
+    (lambda *_: build_paper_topology(12, 1), "^num_bs must be <= 11$"),
+    (lambda *_: replace(TWO_BS, num_bs=12), "^num_bs must be <= 11$"),
     (lambda *_: Popularity.from_weights([0.0, 0.0]),
      "weights must have positive sum"),
     (lambda *_: ExperimentConfig(policy="eo", zipf_alpha=0.8, total_cache_bytes=1,

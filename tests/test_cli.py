@@ -85,6 +85,14 @@ def test_simulate_single_row(capsys):
     assert "# " in out and "seed_topology=" in out
 
 
+def test_simulate_runs_at_the_most_base_stations(capsys):
+    code = run_cli("simulate", "--policy", "octopus", "--files", "60",
+                   "--requests", "600", "--users", "40", "--bs", "11",
+                   "--cache-total", "2GB")
+    assert code == 0
+    assert len(data_lines(capsys.readouterr().out)) == 2
+
+
 def test_simulate_zero_budget_zero_hits(capsys):
     code = run_cli("simulate", "--policy", "eo", "--files", "50",
                    "--requests", "500", "--cache-total", "0", "--seed", "1")
@@ -585,6 +593,11 @@ def test_bad_input_exits_1_without_traceback(argv, tmp_path, capsys):
      "--trace is not read: each cell of --axis zipf-alpha"),
     (("simulate", "--policy", "eo", "--trace", "{trace}", "--cache-total", "1GB",
       "--zipf-alpha", "0.5"), "--zipf-alpha is not read: the requests come from --trace"),
+    # at most MAX_BS = 11 base stations, however the count is given
+    (("simulate", "--policy", "eo", *SMALL, "--bs", "12"), "--bs"),
+    (("simulate", "--policy", "eo", "--config", "{num_bs_twelve}", *SMALL), "num_bs"),
+    (("simulate", "--policy", "eo", "--config", "{twelve_delays}", *SMALL),
+     "num_bs must be <= 11"),
 ])
 def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
     configs = {
@@ -617,6 +630,9 @@ def test_bad_instance_input_exits_1_naming_it(argv, named, tmp_path, capsys):
         "capacities_and_budget": "capacity_cloud = 1\ncapacity_edge = 1\n"
                                  "cache_total = 1GB\n",
         "bs_twice": "bs = 2\nnum_bs = 3\n",
+        "num_bs_twelve": "num_bs = 12\n",
+        "twelve_delays": "edge_delay_ms = " + ", ".join(["10"] * 12)
+                         + "\ncdn_delay_ms = 100\n",
         "files_twice": "files = 40\nfiles = 50\n",
     }
     paths = {name: _write(tmp_path, name + ".cfg", text)

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import octocache.placement
-import octocache.routing
 from octocache import (CacheCapacities, Catalog, OracleSizeError, Placement,
                        Popularity, RoutingMode, Topology, brute_force_optimal,
                        build_paper_topology, marginal_loss, pcd, rcr, utility,
                        zipf_popularity)
-from octocache.placement import (SWAP_MIN_RELATIVE_GAIN, _greedy, _rcr_swaps,
+from octocache.placement import (SWAP_MIN_RELATIVE_GAIN, _rcr_swaps,
                                  _rcr_triggers, _swap_commits, place_ecnc,
                                  place_eo, place_exmpc, place_femtox, top_popular)
 from octocache.routing import UtilityEvaluator
@@ -279,25 +278,6 @@ def test_pcd_values_few_copies_it_cannot_commit(monkeypatch):
         rows.clear()
         pcd(topo, catalog, pop, caps, mode=mode)
         assert sum(rows) < limit
-
-
-def test_pattern_chunks_leave_tables_and_greedy_unchanged(monkeypatch):
-    # _marginals sums each distinct holder column once, _TABLE_CHUNK_ROWS
-    # columns at a time; one or two per chunk must not move a bit
-    topo = build_paper_topology(5, 3).with_users({f"u{i}": 1 + i % 5 for i in range(12)})
-    catalog, pop = Catalog(num_files=300), zipf_popularity(300, 0.8)
-    caps = CacheCapacities(cloud=60, edge=(30, 10, 45, 20, 25))
-
-    def run():
-        ev, files, caches, gains, _ = _greedy(topo, catalog, pop, caps, RoutingMode.FULL)
-        return ev.mask, ev._gain_table(), ev._loss_table(), files, caches, gains
-
-    want = run()
-    assert len({column.tobytes() for column in want[0].T}) > 2
-    for rows in (1, 2):
-        monkeypatch.setattr(octocache.routing, "_TABLE_CHUNK_ROWS", rows)
-        for old, new in zip(want, run()):
-            assert np.array_equal(old, new)
 
 
 # --------------------------------------------------------------------- rcr

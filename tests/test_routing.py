@@ -561,9 +561,9 @@ def _patterned_evaluator(rng, num_bs, patterns, pattern_of, mode):
 
 @pytest.mark.parametrize("mode", list(RoutingMode))
 def test_table_rows_equal_rows_built_alone(mode):
-    # _marginals builds one row per distinct holder column and scatters it to
-    # the files sharing that column; each row must equal, bit for bit, the
-    # row that file's own column gives
+    # _marginals reads one table row per holder set for every file holding
+    # that set; each row must equal, bit for bit, the row that file's own
+    # column gives
     rng = np.random.default_rng(57)
     for _ in range(8):  # many files on a few holder patterns
         num_bs, num_files = int(rng.integers(2, 7)), int(rng.integers(40, 120))
@@ -581,16 +581,21 @@ def test_table_rows_equal_rows_built_alone(mode):
         for _ in range(20):
             _mutate(rng, ev, 6, bulk=True)
             _assert_tables_equal_rows_built_alone(ev)
-    # 70 BSs: holder keys span nine bytes, and files 2 and 4 differ from
-    # files 1 and 3 only in caches 68 and 70, past the first 64; a local copy
-    # is worth most to that BS's users, so a key that dropped those caches
+    # 11 BSs: files 2 and 4 differ from files 1 and 3 only in caches 10 and
+    # 11, the top bits of a holder set's row number; a local copy is worth
+    # most to that BS's users, so a row number that dropped those caches
     # would give files 2 and 4 the wrong rows
-    patterns = rng.random((71, 4)) < 0.1
+    patterns = rng.random((12, 4)) < 0.3
     patterns[:, 1] = patterns[:, 0]
     patterns[:, 3] = patterns[:, 2]
-    patterns[68, 0] = patterns[70, 2] = False
-    patterns[68, 1] = patterns[70, 3] = True
-    ev = _patterned_evaluator(rng, 70, patterns, np.array([0, 1, 2, 3, 0, 1, 2, 3]), mode)
+    patterns[10, 0] = patterns[11, 2] = False
+    patterns[10, 1] = patterns[11, 3] = True
+    ev = _patterned_evaluator(rng, 11, patterns, np.array([0, 1, 2, 3, 0, 1, 2, 3]), mode)
+    _assert_tables_equal_rows_built_alone(ev)
+    # 3 BSs: file j + 1 is held by holder set j, so all 16 rows of each
+    # table are read
+    every_set = (np.arange(16) & (1 << np.arange(4))[:, None]).astype(bool)
+    ev = _patterned_evaluator(rng, 3, every_set, rng.permutation(16), mode)
     _assert_tables_equal_rows_built_alone(ev)
 
 
