@@ -89,21 +89,59 @@ def _fill_threshold(cache, gain, room):
     return threshold
 
 
-def _chains(ev, files, cache, gain, closed, threshold):
+def _open_choice(ev, closed):
+    """The next copy of every holder set S while the caches ``closed`` marks
+    are full, from row S of the evaluator's gain sums table: ``shut[S]``,
+    the caches S holds or ``closed`` marks; ``best[S]``, the first cache
+    not shut of largest sum; ``top[S]``, that sum; and ``second[S]``, the
+    largest sum below it of a cache not shut. ``top`` is nan when every
+    cache is shut, ``second`` when no such sum lies below ``top``."""
+    shut = ev._sets.T | closed
+    sums = np.where(shut, -np.inf, ev._sums_table(1))
+    best = sums.argmax(axis=1)
+    top = sums[np.arange(best.size), best]
+    second = np.where(sums < top[:, None], sums, -np.inf).max(axis=1)
+    top, second = (np.where(v > -np.inf, v, np.nan) for v in (top, second))
+    return shut, best, top, second
+
+
+def _frontier(ev, files, codes, choice):
+    """Each file's best open copy (cache, gain), file ``files[n]`` having
+    holder set ``codes[n]``: the set's ``best`` in ``choice``
+    (:func:`_open_choice`) and the gain ``p_j * top``, bitwise that copy's
+    value in ``ev._marginals``. As ``p_j * x`` is monotone in x for
+    ``p_j >= 0``, another open copy gains as much only if ``p_j * second
+    == p_j * top``, as for ``p_j = 0`` and subnormal ``p_j``; such files
+    take the first maximum of their own ``ev._marginals`` row. A set with
+    every cache shut gains ``-inf`` (its nan products compare unequal)."""
+    shut, best, top, second = choice
+    probs = ev.probs[files]
+    cache = best[codes]
+    gain = probs * top[codes]
+    near = np.flatnonzero(probs * second[codes] == gain)
+    gain[np.isnan(gain)] = -np.inf
+    if near.size:
+        cache[near], gain[near] = _best_open(ev._marginals(files[near], codes[near]),
+                                             shut[codes[near]])
+    return cache, gain
+
+
+def _chains(ev, files, cache, gain, choice, threshold):
     """Each file's chain of successive best open copies, starting from its
     frontier copy ``(cache, gain)`` on the evaluator's placement, for as
-    long as the gains stay at or above ``threshold``.
+    long as the gains stay at or above ``threshold``; ``choice`` is the
+    round's :func:`_open_choice`.
 
     Returns the entries as arrays (file, step, cache, gain)."""
-    held = ev.mask[:, files]
+    codes = ev.codes[files]
     entries = []
     step = 0
     while files.size:
         entries.append((files, np.full(files.size, step), cache, gain))
-        held[cache, np.arange(files.size)] = True
-        cache, gain = _best_open(ev._marginals(files, held), held.T | closed)
+        codes = codes | ev._bits[cache]
+        cache, gain = _frontier(ev, files, codes, choice)
         keep = gain >= threshold
-        files, cache, gain, held = files[keep], cache[keep], gain[keep], held[:, keep]
+        files, codes, cache, gain = files[keep], codes[keep], cache[keep], gain[keep]
         step += 1
     return [np.concatenate(column) for column in zip(*entries)]
 
@@ -120,10 +158,13 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     It is computed in rounds rather than one argmax per copy. A copy's
     gain depends only on its own file's cached copies, so while no cache
     closes, the greedy merges F independent chains: each file's successive
-    best open copies. Each round
+    best open copies. A copy's gain is ``p_j * G[S, k]``, with S the file's
+    holder set and ``G`` the evaluator's table of 2^(R+1) gain sums, so the
+    best open cache is picked once per holder set (:func:`_open_choice`),
+    and each file reads its set's choice, exactly (:func:`_frontier`).
+    Each round
 
-    1. takes every live file's frontier (best open copy) from the gain
-       table;
+    1. takes every live file's frontier (best open copy) from that choice;
     2. sets the threshold ``T`` from the first cache that can fill: for
        each open cache k holding at least ``room[k]`` frontier copies, the
        ``room[k]``-th largest frontier gain at k, and ``T`` the largest of
@@ -134,11 +175,11 @@ def pcd(topology, catalog, popularity, capacities, mode=RoutingMode.FULL):
     5. commits them in that order up to and including the first one that
        fills a cache, or all of them if none does, with one
        ``UtilityEvaluator.add_copies``; the evaluator's placement is the
-       result, and its gain table refreshes the rows of the files touched.
+       result, and its holder-set codes follow the copies added.
 
     This is exactly the one-copy-at-a-time greedy. Along a chain the gains
-    never increase, bit for bit: each step adds a holder to the file's mask
-    column, so ``max(t - rival, 0)`` only falls as the rival, the holders'
+    never increase, bit for bit: each step adds a holder to the file's
+    holder set, so ``max(t - rival, 0)`` only falls as the rival, the holders'
     best t-value, rises; every operation after it rounds monotonically,
     and ``UtilityEvaluator._marginals`` adds BSs in a fixed order. So the
     grown entries are every entry at or above ``T``, ties at ``T``
@@ -197,15 +238,16 @@ def _greedy(topology, catalog, popularity, capacities, mode):
     ev = UtilityEvaluator(topology, popularity, Placement(capacities, num_files),
                           mode=mode)
     room = np.array(sizes)
+    every = np.arange(num_files)
     chosen_files, chosen_caches, chosen_gains = [], [], []
     while room.any():
-        closed = room == 0
-        cache, gain = _best_open(ev._gain_table(), ev.mask.T | closed)
+        choice = _open_choice(ev, room == 0)
+        cache, gain = _frontier(ev, every, ev.codes, choice)
         live = np.flatnonzero(gain > -np.inf)
         threshold = _fill_threshold(cache[live], gain[live], room)
         files = live[gain[live] >= threshold]
         file, step, cache, gain = _chains(ev, files, cache[files], gain[files],
-                                          closed, threshold)
+                                          choice, threshold)
         order = np.lexsort((step, file, -gain))
         file, cache, gain = file[order], cache[order], gain[order]
         end = file.size

@@ -374,20 +374,22 @@ class UtilityEvaluator:
     """Incremental utility bookkeeping for one mutable placement.
 
     All state derives from the placement's (R+1, F) ``mask``, a view of the
-    placement's array without column 0: ``best1`` (R, F) holds, per (BS,
-    file), the best t-value among the caches holding the file, and two
-    (F, R+1) tables hold each copy's marginal gain (0 where the cache holds
-    the file) and marginal loss (``inf`` where it does not). Both are rows
-    of :meth:`_marginals`, which depend only on the file's mask column, its
-    holder set: each is the file's probability times a row of a table of
-    all 2^(R+1) holder sets, built once per table kind. :meth:`add`,
+    placement's array without column 0. ``codes`` holds each file's holder
+    set, the caches holding it, as the int ``sum_k 2^k mask[k, j]``, and
+    ``best1`` (R, F) holds, per (BS, file), the best t-value among those
+    caches: column j is column ``codes[j]`` of a table of all 2^(R+1)
+    holder sets, built with the evaluator. Two (F, R+1) tables hold each
+    copy's marginal gain (0 where the cache holds the file) and marginal
+    loss (``inf`` where it does not). Both are rows of :meth:`_marginals`:
+    the file's probability times the row of its holder set in a table of
+    all holder sets, built once per table kind on first use. :meth:`add`,
     :meth:`remove` and the bulk :meth:`add_copies` change the placement
-    through its own checked methods, then update ``best1`` and mark the
-    files' rows stale; a table read recomputes its stale rows at once. The
-    evaluator owns its placement copy: mutate through those three only. A
-    table read refreshes that table, so even reads need exclusive access
-    while any row is stale. A placement or popularity that does not fit the
-    topology or catalog is a ``ValueError``.
+    through its own checked methods, then update ``codes`` and ``best1``
+    and mark the files' rows stale; a table read recomputes its stale rows
+    at once. The evaluator owns its placement copy: mutate through those
+    three only. A table read refreshes that table, so even reads need
+    exclusive access while any row is stale. A placement or popularity
+    that does not fit the topology or catalog is a ``ValueError``.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -397,9 +399,16 @@ class UtilityEvaluator:
         self.counts = topology.bs_user_counts()
         self.t_table = t_value_table(topology, mode)
         self.num_bs = topology.num_bs
-        self.best1 = (self.t_table[:, :, None] * self.mask).max(axis=1)
         self._bits = 1 << np.arange(self.num_bs + 1)
-        self._sums = {}  # rank -> sums per holder set, see _marginals
+        # column S holds the caches of holder set S
+        self._sets = (np.arange(2 ** (self.num_bs + 1)) & self._bits[:, None]).astype(bool)
+        self._best_t = np.zeros((self.num_bs, self._sets.shape[1]))
+        for k, bit in enumerate(self._bits.tolist()):  # the sets whose last cache is k
+            self._best_t[:, bit:2 * bit] = np.maximum(self._best_t[:, :bit],
+                                                      self.t_table[:, k, None])
+        self.codes = self._bits @ self.mask
+        self.best1 = np.take(self._best_t, self.codes, axis=1)  # C order keeps utility()'s bits
+        self._sums = {}  # rank -> sums per holder set, see _sums_table
         self._gains = np.zeros((placement.num_files, self.num_bs + 1))
         self._gains_stale = np.ones(placement.num_files, dtype=bool)
         self._losses = np.full((placement.num_files, self.num_bs + 1), np.inf)
@@ -416,28 +425,31 @@ class UtilityEvaluator:
     def utility(self):
         return float(self.counts @ self.best1 @ self.probs)
 
-    def _marginals(self, js, held, rank=1):
-        """``p_j * sum_b count_b * max(t[b, k] - rival[b, n], 0)`` for files
-        ``j = js[n]`` with holder columns ``held[:, n]``, shape (len(js), R+1).
-        The rival is the holders' ``rank``-th best t-value: 1 for a gain, 2
-        for a loss. It depends only on the holder set, so the sum is read
-        from row ``sum_k 2^k held[k, n]`` of a table of every holder set,
-        built at once on the rank's first call. Selecting the rival does not
-        round, and numpy adds the BS axis in BS order, so a row is bitwise
-        the same built alone or in the table."""
+    def _sums_table(self, rank):
+        """``sum_b count_b * max(t[b, k] - rival[b, S], 0)`` per holder set S
+        (row) and cache k (column), shape (2^(R+1), R+1), built on the rank's
+        first call. The rival is the ``rank``-th best t-value of S's caches:
+        1 for a gain, 2 for a loss."""
         if rank not in self._sums:
-            sets = (np.arange(2 ** (self.num_bs + 1)) & self._bits[:, None]).astype(bool)
-            versus = np.partition(self.t_table[:, :, None] * sets, -rank, axis=1)[:, -rank, :]
+            held_t = self.t_table[:, :, None] * self._sets
+            versus = np.partition(held_t, -rank, axis=1)[:, -rank, :]
             drop = np.maximum(self.t_table[:, None, :] - versus[:, :, None], 0.0)
             drop *= self.counts[:, None, None]
             self._sums[rank] = drop.sum(axis=0)
-        return self.probs[js, None] * self._sums[rank][self._bits @ held]
+        return self._sums[rank]
+
+    def _marginals(self, js, codes, rank=1):
+        """``p_j`` times the :meth:`_sums_table` row of holder set ``codes[n]``
+        for files ``j = js[n]``, shape (len(js), R+1). Selecting the rival
+        does not round, and numpy adds the BS axis in BS order, so a row is
+        bitwise the same built alone or in the table."""
+        return self.probs[js, None] * self._sums_table(rank)[codes]
 
     def _gain_table(self):
         """The gain table, its stale rows recomputed first."""
         if self._gains_stale.any():
             js = np.flatnonzero(self._gains_stale)
-            self._gains[js] = self._marginals(js, self.mask[:, js])
+            self._gains[js] = self._marginals(js, self.codes[js])
             self._gains_stale[js] = False
         return self._gains
 
@@ -446,8 +458,8 @@ class UtilityEvaluator:
         to its second-best holder, or to the CDN (t-value 0)."""
         if self._losses_stale.any():
             js = np.flatnonzero(self._losses_stale)
-            held = self.mask[:, js]
-            self._losses[js] = np.where(held.T, self._marginals(js, held, rank=2), np.inf)
+            losses = self._marginals(js, self.codes[js], rank=2)
+            self._losses[js] = np.where(self.mask[:, js].T, losses, np.inf)
             self._losses_stale[js] = False
         return self._losses
 
@@ -477,11 +489,11 @@ class UtilityEvaluator:
 
     def add(self, file, cache):
         self.placement.add(file, cache)
-        self._update_column(file)
+        self._update_column(file, cache)
 
     def remove(self, file, cache):
         self.placement.remove(file, cache)
-        self._update_column(file)
+        self._update_column(file, cache)
 
     def add_copies(self, files, caches):
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
@@ -491,14 +503,15 @@ class UtilityEvaluator:
             return
         self.placement._add_copies(files, caches)
         js = files - 1
-        for cache in np.flatnonzero(np.bincount(caches)).tolist():
-            cols = js[caches == cache]  # distinct files
-            self.best1[:, cols] = np.maximum(self.best1[:, cols], self.t_table[:, cache, None])
+        np.bitwise_or.at(self.codes, js, self._bits[caches])
+        self.best1[:, js] = self._best_t[:, self.codes[js]]
         self._gains_stale[js] = self._losses_stale[js] = True
         self._min_loss_stale = True
 
-    def _update_column(self, file):
+    def _update_column(self, file, cache):
+        """Flip ``cache`` in the holder set of ``file``, just added or removed."""
         j = file - 1
-        self.best1[:, j] = (self.t_table * self.placement.mask[:, file]).max(axis=1)
+        self.codes[j] ^= self._bits[cache]
+        self.best1[:, j] = self._best_t[:, self.codes[j]]
         self._gains_stale[j] = self._losses_stale[j] = True
         self._min_loss_stale = True

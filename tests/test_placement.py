@@ -255,29 +255,97 @@ def test_pcd_steps_equal_naive_greedy_beside_a_tiny_cache(monkeypatch):
                     "ties at the threshold"}
 
 
+def _tie_kind(row):
+    """Why ``p_j`` times a file's gain sums tied where the sums differ: the
+    row of products is all 0 (``p_j = 0``), below the smallest normal float
+    (a subnormal ``p_j``), or else two sums lie within rounding."""
+    if not row.any():
+        return "zero probability"
+    if row.max() < np.finfo(float).tiny:
+        return "subnormal probability"
+    return "near-equal sums"
+
+
+def test_pcd_steps_equal_naive_greedy_where_products_tie(monkeypatch):
+    # pcd picks each holder set's best open cache once; a file whose
+    # products p_j * sum tie for two different sums takes the first maximum
+    # of its own row, as the naive greedy does
+    seen = set()
+    best_open = octocache.placement._best_open
+
+    def recorded(gains, shut):
+        seen.update(map(_tie_kind, gains))
+        return best_open(gains, shut)
+
+    monkeypatch.setattr(octocache.placement, "_best_open", recorded)
+
+    def check(topo, catalog, pop, caps):
+        for mode in (RoutingMode.FULL, RoutingMode.EDGE_CLOUD):
+            report = pcd(topo, catalog, pop, caps, mode=mode)
+            _, _, steps = _naive_greedy_run(topo, catalog, pop, caps, mode)
+            assert report.steps == steps
+
+    # one user, at BS 1, whose own edge holds nothing: a copy at BS 2 is
+    # worth 90 + 1 ulp to it and one in the cloud 90, which p_j * 90 rounds
+    # to one value for files 5 and 6, for file 1 when its p_j is 0 and for
+    # file 2 when its p_j is the smallest subnormal
+    peer = 10.0 - np.spacing(90.0)
+    topo = Topology(num_bs=2, edge_delay=(10.0, 20.0), peer_delay=((0.0, peer), (peer, 0.0)),
+                    cdn_delay=100.0, users=(("u", 1),))
+    weights = np.random.default_rng(3).random(6) + 0.01
+    p = Popularity.from_weights(weights).as_array()
+    assert (np.flatnonzero(p * 90.0 == p * np.nextafter(90.0, 100.0)) == [4, 5]).all()
+    weights[:2] = 0.0
+    q = Popularity.from_weights(weights).as_array().copy()
+    q[1] = 5e-324
+    for probs in (p, q):
+        for caps in (CacheCapacities(cloud=3, edge=(0, 3)), CacheCapacities(cloud=6, edge=(0, 6))):
+            check(topo, Catalog(num_files=6), Popularity(probs), caps)
+    assert seen == {"near-equal sums", "zero probability", "subnormal probability"}
+    # random instances with caches of up to the whole catalog, so copies
+    # of files with p_j = 0 or the smallest subnormal p_j are committed
+    seen.clear()
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        topo, catalog, _, _ = random_instance(rng, max_bs=3, max_files=7)
+        F, R = catalog.num_files, topo.num_bs
+        weights = rng.random(F) * (rng.random(F) < 0.6)
+        weights[0] += 1.0
+        tiny = int(rng.integers(1, F))
+        weights[tiny] = 0.0
+        probs = Popularity.from_weights(weights).as_array().copy()
+        if i % 2:
+            probs[tiny] = 5e-324
+        sizes = rng.integers(0, F + 1, R + 1)
+        check(topo, catalog, Popularity(probs),
+              CacheCapacities(cloud=int(sizes[0]), edge=tuple(sizes[1:].tolist())))
+    assert "zero probability" in seen
+
+
 def test_pcd_values_few_copies_it_cannot_commit(monkeypatch):
-    # the at-scale instance above: each round values the chains only as far
-    # as the first cache that can fill, so pcd passes _marginals fewer rows
-    # than the 13,870 (FULL) and 17,912 (EDGE_CLOUD) that a threshold at the
-    # n-th largest frontier gain, n the room left, would
+    # the at-scale instance above: each round grows the chains only as far
+    # as the first cache that can fill, so pcd grows 2,776 (FULL) and 3,918
+    # (EDGE_CLOUD) chain entries in all, where a threshold at the n-th
+    # largest frontier gain, n the room left, valued 13,870 and 17,912 rows
     F = 2000
     rng = np.random.default_rng(11)
     topo = build_paper_topology(7, 2024).with_users(
         {f"u{i}": int(b) for i, b in enumerate(rng.integers(1, 8, 300))})
     catalog, pop = Catalog(num_files=F), zipf_popularity(F, 0.8)
     caps = CacheCapacities(cloud=700, edge=(20, 350, 90, 500, 5, 160, 240))
-    marginals = UtilityEvaluator._marginals
-    rows = []
+    chains = octocache.placement._chains
+    entries = []
 
-    def counted(self, js, held, rank=1):
-        rows.append(len(js))
-        return marginals(self, js, held, rank)
+    def counted(*args):
+        grown = chains(*args)
+        entries.append(grown[0].size)
+        return grown
 
-    monkeypatch.setattr(UtilityEvaluator, "_marginals", counted)
+    monkeypatch.setattr(octocache.placement, "_chains", counted)
     for mode, limit in ((RoutingMode.FULL, 8_000), (RoutingMode.EDGE_CLOUD, 9_000)):
-        rows.clear()
+        entries.clear()
         pcd(topo, catalog, pop, caps, mode=mode)
-        assert sum(rows) < limit
+        assert sum(entries) < limit
 
 
 # --------------------------------------------------------------------- rcr

@@ -396,7 +396,7 @@ def _assert_marginals_match_reference(ev, topo, pop, mode):
 
 
 def test_evaluator_matches_scratch_after_mutations():
-    # best1, the gain and loss tables and the kept min-loss copy, across
+    # codes, best1, the gain and loss tables and the kept min-loss copy, across
     # arbitrary add/remove sequences, must equal, bit for bit, those of an
     # evaluator built from scratch
     rng = np.random.default_rng(31)
@@ -410,7 +410,9 @@ def test_evaluator_matches_scratch_after_mutations():
                 _mutate(rng, ev, catalog.num_files, bulk=True)
                 fresh = UtilityEvaluator(topo, pop, ev.placement, mode=mode)
                 assert np.array_equal(ev.mask, fresh.mask)
+                assert np.array_equal(ev.codes, fresh.codes)
                 assert np.array_equal(ev.best1, fresh.best1)
+                assert np.array_equal(ev.best1, (ev.t_table[:, :, None] * ev.mask).max(axis=1))
                 assert ev.utility() == pytest.approx(reference_utility(
                     topo, pop, ev.placement.contents, mode.value), rel=1e-9)
                 assert ev.min_loss_element() == fresh.min_loss_element()
