@@ -9,7 +9,9 @@ metrics.
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import weakref
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -18,9 +20,9 @@ import numpy as np
 from .errors import ConfigError
 from .policies import POLICY_NAMES, make_policy
 from .routing import SourceKind
-from .topology import (Catalog, _count, build_paper_topology,
+from .topology import (Catalog, Popularity, Topology, _count, build_paper_topology,
                        capacities_from_budget)
-from .workload import (_kept, assign_users, estimate_popularity,
+from .workload import (_kept, _kept_stream, _over_bytes, assign_users, estimate_popularity,
                        generate_requests, parse_trace_file, zipf_popularity)
 
 SWEEP_AXES = ("total_cache_bytes", "zipf_alpha", "policy")
@@ -164,8 +166,9 @@ class Instance:
     """One replay-ready instance: all a cell needs but policy and capacities.
 
     ``topology`` carries the users; ``home_bs`` is the read-only home BS of
-    each request, 0 for a user the topology does not cover. No replay
-    changes an instance, so cells of one sweep may share it.
+    each request, 0 for a user the topology does not cover, in the smallest
+    unsigned integer type that holds R. No replay changes an instance, so
+    cells of one sweep may share it.
     """
 
     trace: object
@@ -176,11 +179,31 @@ class Instance:
     home_bs: np.ndarray
 
 
+#: ``(stream, key, instance)`` of the last instance :func:`prepare` built,
+#: or None. ``stream`` is a weak reference to the kept request stream the
+#: instance was built on (``workload._kept``), so a stream the workload
+#: replaces is freed and then matches nothing; ``key`` is
+#: :func:`_instance_key` of its config. The instance holds no trace, and
+#: callers get it only through :func:`_handout`.
+_last_instance = None
+
+
 def prepare(config):
     """Validate ``config`` and build its instance from derived seeds: each
     part is taken from ``config`` when given there, else drawn or, for the
     popularity, estimated over the warm-up. It reads neither the policy nor
-    the cache sizes, so cells that differ only in those may share it."""
+    the cache sizes, so cells that differ only in those may share it.
+
+    The request stream comes from the workload's one kept stream
+    (``parse_trace_file``, or the kept synthetic draw). The last instance
+    built is kept too, and a call whose inputs all equal its inputs gets it
+    again instead of a build: the kept stream itself, ``file_size_mb``, the
+    topology (by its delays, or by ``num_bs`` and seed when drawn), the
+    user map in order (or its seed when drawn), ``warmup_frac``, the
+    smoothing and a given popularity's probabilities, all compared by value
+    on every call. Each call returns a fresh instance that shares nothing a
+    caller can change with the kept one (:func:`_handout`)."""
+    global _last_instance
     config.validate()
     seeds = config.seeds()
 
@@ -197,6 +220,26 @@ def prepare(config):
                       lambda: generate_requests(zipf, num_requests,
                                                 list(range(1, num_users + 1)),
                                                 seeds["workload"]))
+    given = config.user_assignment  # the given user map, None when drawn
+    if given is None and isinstance(config.topology, Topology):
+        given = config.topology.users or None
+    stream, key = _kept_stream(trace), _instance_key(config, seeds, given)
+    last = _last_instance
+    if (last is not None and stream is not None and last[0]() is stream
+            and key is not None and last[1] == key
+            and (given is None or _same_users(given, last[2].topology.users))):
+        kept = last[2]
+    else:
+        _last_instance = None
+        kept = _build(config, seeds, trace)
+        kept = replace(kept, trace=None, topology=_own_users(kept.topology))
+        if stream is not None and key is not None:
+            _last_instance = weakref.ref(stream), key, kept
+    return _handout(kept, trace, config, given)
+
+
+def _build(config, seeds, trace):
+    """``prepare``'s instance of ``config`` on the request stream ``trace``."""
     catalog = Catalog(num_files=trace.catalog_size,
                       file_size_mb=config.file_size_mb)
 
@@ -220,10 +263,62 @@ def prepare(config):
         raise ConfigError(f"popularity length must match the {catalog.num_files}-file catalog")
 
     homes = np.fromiter((topology.users.get(user, 0) for user in trace.user_labels),
-                        dtype=np.intp, count=len(trace.user_labels))
-    home_bs = homes[trace.user_index]
-    home_bs.flags.writeable = False
-    return Instance(trace, catalog, topology, popularity, warm_count, home_bs)
+                        dtype=np.min_scalar_type(topology.num_bs),
+                        count=len(trace.user_labels))
+    return Instance(trace, catalog, topology, popularity, warm_count,
+                    _over_bytes(homes[trace.user_index]))
+
+
+def _instance_key(config, seeds, given):
+    """What ``prepare``'s instance reads of ``config`` beside the request
+    stream and the user map ``given``, by value: a number with its type, a
+    given popularity as its bytes, the assignment seed when no map is given.
+    None when a given topology or popularity is not one, so that no kept
+    instance is reused for it."""
+    topology, popularity = config.topology, config.popularity
+    if topology is None:
+        network = (type(config.num_bs), config.num_bs, seeds["topology"])
+    elif isinstance(topology, Topology):
+        network = (topology.num_bs, tuple(topology.edge_delay),
+                   tuple(map(tuple, topology.peer_delay)), topology.cdn_delay)
+    else:
+        return None
+    if isinstance(popularity, Popularity):
+        popularity = popularity.as_array().tobytes()
+    elif popularity is not None:
+        return None
+    return (network, popularity, seeds["assignment"] if given is None else None,
+            *((type(value), value) for value in (config.file_size_mb, config.warmup_frac,
+                                                 config.smoothing)))
+
+
+def _same_users(given, kept):
+    """Whether the user map ``given`` equals the validated map ``kept`` of a
+    kept instance, entry by entry and in order."""
+    return given == kept and list(given) == list(kept)
+
+
+def _own_users(topology):
+    """``topology`` with its own copy of its user map, not validated again."""
+    own = copy.copy(topology)
+    object.__setattr__(own, "users", dict(topology.users))
+    return own
+
+
+def _handout(kept, trace, config, given):
+    """A fresh instance equal to the kept instance ``kept``, on ``trace``:
+    the config's own topology when its users are the map, else a copy of the
+    kept one with its own user map; the config's popularity, else a copy of
+    the kept estimate; and a view of the kept home column, which cannot be
+    made writeable. No caller can change a later call's instance."""
+    topology = config.topology
+    if topology is None or given is not topology.users:
+        topology = _own_users(kept.topology)
+    popularity = config.popularity
+    if popularity is None:
+        popularity = replace(kept.popularity)
+    return replace(kept, trace=trace, topology=topology, popularity=popularity,
+                   home_bs=kept.home_bs.view())
 
 
 def replay(instance, policy):
@@ -236,12 +331,14 @@ def replay(instance, policy):
     The pass skips requests of users without a home BS, and only the
     evaluation window, tallied once, counts them as malformed.
     """
-    bs, files = instance.home_bs, instance.trace.file_ids
     warm_count = instance.warm_count
     start = warm_count if policy.placement.size() else 0
-    keep = bs[start:] > 0
-    bs, files = bs[start:][keep], files[start:][keep]
-    evaluated = policy.replay(bs, files)[np.count_nonzero(keep[:warm_count - start]):]
+    bs, files = instance.home_bs[start:], instance.trace.file_ids[start:]
+    head = warm_count - start  # the warm-up requests the pass serves
+    if not bs.all():  # some request's user has no home BS: copy the rest
+        keep = bs > 0
+        bs, files, head = bs[keep], files[keep], np.count_nonzero(keep[:head])
+    evaluated = policy.replay(bs, files)[head:]
     window = len(instance.trace.file_ids) - warm_count
     metrics = Metrics(file_size_bytes=instance.catalog.file_size_bytes,
                       malformed_events=window - evaluated.size)
@@ -272,7 +369,9 @@ def _run(instance, config):
 def run_experiment(config):
     """Replay one configured experiment and return its metrics: ``replay``
     of ``prepare(config)`` against the policy ``config`` names, built by
-    ``make_policy`` on the instance. Deterministic per master seed."""
+    ``make_policy`` on the instance. Deterministic per master seed. A run
+    whose ``prepare`` inputs equal the last run's reuses the instance that
+    ``prepare`` keeps, so it pays only for its placement and replay."""
     return _run(prepare(config), config)
 
 

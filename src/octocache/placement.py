@@ -316,13 +316,14 @@ def _rcr_triggers(ev):
     over file ids 0..F (0 is never set). A miss's first attempt evicts the
     min-loss copy, so the mask holds the uncached files whose gain at that
     copy's cache passes :func:`_swap_commits` against its loss. It stays
-    valid until the evaluator mutates."""
+    valid until the evaluator mutates. When every file is cached the mask
+    is clear, and no table is read."""
     triggers = np.zeros(ev.placement.num_files + 1, dtype=bool)
-    worst = ev.min_loss_element()
+    uncached = ~ev.mask.any(axis=0)
+    worst = ev.min_loss_element() if uncached.any() else None
     if worst is not None:
         loss, _, cache = worst
-        triggers[1:] = (_swap_commits(ev, ev._gain_table()[:, cache], loss)
-                        & ~ev.mask.any(axis=0))
+        triggers[1:] = _swap_commits(ev, ev._gain_table()[:, cache], loss) & uncached
     return triggers
 
 

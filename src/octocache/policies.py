@@ -115,12 +115,17 @@ class Policy:
         so each segment is one lookup of the serving table up to and
         including the first request for such a file, whose miss then runs
         :meth:`on_miss`. This equals :meth:`serve` request by request; a
-        static placement marks no file, so it replays as one segment."""
+        static placement marks no file, so it replays as one segment. Each
+        segment is read from the flattened table by the key ``bs * (F + 1)
+        + file``, which is in range as the caller checks ``bs`` and ``files``."""
         served = np.empty(len(files), dtype=np.intp)
+        table = self._table.ravel()  # a view: on_miss's writes show through
+        keys = np.multiply(bs, self._table.shape[1], dtype=np.intp)
+        keys += files
         start = 0
         while start < len(files):
             stop = _first_marked(self._triggers(), files, start)
-            served[start:stop + 1] = self._table[bs[start:stop + 1], files[start:stop + 1]]
+            np.take(table, keys[start:stop + 1], out=served[start:stop + 1], mode="clip")
             if stop < len(files):
                 self.on_miss(int(files[stop]))
             start = stop + 1

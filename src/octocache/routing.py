@@ -155,27 +155,38 @@ class Placement:
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
         once. Raises ``ValueError``, before any change, on a file or cache out
         of range, a copy held or given twice, or a cache it would overflow; an
-        empty batch changes nothing."""
+        empty batch changes nothing.
+
+        Every target is checked clear first, so the batch is written and
+        undone exactly when a cache gained fewer copies than the batch
+        names for it (a copy given twice) or ends over its capacity."""
         if not files.size:
             return
         for file, cache in ((files.min(), caches.min()), (files.max(), caches.max())):
             self._check_file(file)
             self._check_cache(cache)
-        keys = np.sort(files * len(self._caps) + caches)
-        if self.mask[caches, files].any() or (keys[1:] == keys[:-1]).any():
+        if self.mask[caches, files].any():
             raise ValueError("a copy is already placed or given twice")
-        counts = np.bincount(caches, minlength=len(self._caps))
-        over = counts + self.mask.sum(axis=1) > self._caps
-        if over.any():
-            raise ValueError(f"cache {int(over.argmax())} would overflow its capacity")
+        before = self._sizes()
         self.mask[caches, files] = True
+        sizes = self._sizes()
+        twice = (sizes - before != np.bincount(caches, minlength=sizes.size)).any()
+        over = sizes > self._caps
+        if twice or over.any():
+            self.mask[caches, files] = False
+            raise ValueError("a copy is already placed or given twice" if twice
+                             else f"cache {int(over.argmax())} would overflow its capacity")
 
     def size(self):
         return int(np.count_nonzero(self.mask))
 
+    def _sizes(self):
+        """The number of files in each cache, as an int array."""
+        return np.fromiter(map(np.count_nonzero, self.mask), dtype=np.intp,
+                           count=len(self._caps))
+
     def is_feasible(self):
-        mask = self.mask
-        return not mask[:, 0].any() and bool((mask.sum(axis=1) <= self._caps).all())
+        return not self.mask[:, 0].any() and bool((self._sizes() <= self._caps).all())
 
     def copy(self):
         other = Placement(self.capacities, self.num_files)

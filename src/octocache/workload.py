@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -219,6 +220,9 @@ def parse_trace(source):
 #: stream's key is every input of its draw (``engine.prepare``).
 _last_stream = None
 
+#: Bytes :func:`parse_trace_file` reads at a time to confirm a kept file.
+_CHUNK = 256 * 1024
+
 
 def _kept(key, build):
     """The trace kept under ``key``, built by ``build()`` and kept in place
@@ -239,18 +243,50 @@ def _kept(key, build):
                    file_ids=trace.file_ids.view())
 
 
+def _kept_stream(trace):
+    """The kept trace that ``trace``, a fresh copy from :func:`_kept`, was
+    copied from, while it is still kept; else None."""
+    last = _last_stream
+    if last is not None and trace.file_ids.base is last[1].file_ids:
+        return last[1]
+    return None
+
+
+def _holds(handle, data):
+    """Whether the binary file ``handle``, read from its start, holds
+    exactly the bytes ``data``: its size first, then chunk by chunk into
+    one buffer, up to the first chunk that differs. When it does not, the
+    file is left at its start again."""
+    if not isinstance(data, bytes) or os.fstat(handle.fileno()).st_size != len(data):
+        return False
+    buffer = bytearray(_CHUNK)
+    view, offset = memoryview(buffer), 0
+    while (count := handle.readinto(buffer)) and data.startswith(view[:count], offset):
+        offset += count
+    if not count and offset == len(data):
+        return True
+    handle.seek(0)
+    return False
+
+
 def parse_trace_file(path):
     """Parse the trace file at ``path``, skipping a leading UTF-8 byte-order
     mark; an unreadable or non-UTF-8 file raises ``TraceError``.
 
-    The file is read whole on every call. The last successfully parsed
-    file's bytes are kept with its trace, which is reused while a file's
-    bytes are equal to those, whatever its path or modification time. Each
-    call returns a fresh trace (see :func:`_kept`), with read-only columns
-    that no caller can change for a later call."""
+    The last successfully parsed file's bytes are kept with its trace, which
+    is reused while a file's bytes are equal to those, whatever its path or
+    modification time. A call confirms that by the file's size, then by
+    comparing it with the kept bytes chunk by chunk, up to the first chunk
+    that differs; only a file it has to parse is read whole. Each call
+    returns a fresh trace (see :func:`_kept`), with read-only columns that
+    no caller can change for a later call."""
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            last = _last_stream
+            if last is not None and _holds(handle, last[0]):
+                data = last[0]
+            else:
+                data = handle.read()
         return _kept(data, lambda: parse_trace(io.TextIOWrapper(
             io.BytesIO(data), encoding="utf-8-sig", newline="")))
     except (OSError, UnicodeDecodeError) as exc:

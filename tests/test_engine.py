@@ -20,6 +20,7 @@ from octocache import (POLICY_NAMES, CacheCapacities, Catalog, ConfigError,
                        rows_to_csv, run_experiment, run_sweep,
                        total_expected_delay, zipf_popularity)
 from octocache.routing import Source, SourceKind
+from octocache.topology import uturn_peer_delays
 
 
 def canonical_topology():
@@ -434,19 +435,30 @@ def test_a_synthetic_stream_is_drawn_again_only_when_an_input_changes(
 
 def test_a_prepared_synthetic_trace_cannot_change_the_next(draws):
     config = small_config()
-    first = prepare(config).trace
-    for column in (first.times, first.user_index, first.file_ids):
+    instance = prepare(config)
+    first = instance.trace
+    homes, probs = instance.home_bs.copy(), instance.popularity.probs.copy()
+    users = dict(instance.topology.users)
+    for column in (first.times, first.user_index, first.file_ids, instance.home_bs):
         for array in (column, column.base):  # the view, then the kept column
             with pytest.raises(ValueError):
                 array.flags.writeable = True
     first.file_ids.shape = (40, 100)
     first.times = np.zeros(3)
     first.catalog_size = 99
-    second = prepare(config).trace
+    instance.home_bs.shape = (40, 100)
+    instance.popularity.probs.flags.writeable = True
+    instance.popularity.probs[:] = 0.0
+    instance.topology.users.clear()
+    instance.topology.users["intruder"] = 1
+    second = prepare(config)
     assert len(draws) == 1
-    assert second.file_ids.shape == (4000,)
-    assert second == generate_requests(zipf_popularity(60, 0.8), 4000,
-                                       list(range(1, 61)), config.seeds()["workload"])
+    assert second.trace.file_ids.shape == (4000,)
+    assert second.trace == generate_requests(zipf_popularity(60, 0.8), 4000,
+                                             list(range(1, 61)), config.seeds()["workload"])
+    assert np.array_equal(second.home_bs, homes) and second.home_bs.shape == (4000,)
+    assert np.array_equal(second.popularity.probs, probs)
+    assert second.topology.users == users and list(second.topology.users) == list(users)
 
 
 def test_one_stream_is_kept_whatever_its_source(draws, tmp_path, monkeypatch):
@@ -481,6 +493,153 @@ def test_prepare_takes_the_user_map_by_one_rule():
     assert prepare(replace(config, user_assignment=given)).topology.users == given
     drawn = prepare(replace(config, topology=canonical_topology())).topology.users
     assert sorted(drawn) == [1, 2, 3, 4] and drawn != users
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The instances ``prepare`` builds from here on, starting from an empty
+    stream slot and an empty instance slot."""
+    calls, build = [], octocache.engine._build
+    monkeypatch.setattr(octocache.workload, "_last_stream", None)
+    monkeypatch.setattr(octocache.engine, "_last_instance", None)
+    monkeypatch.setattr(octocache.engine, "_build",
+                        lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
+def given_network(**overrides):
+    """A synthetic config whose topology, user map and popularity are given."""
+    topology = Topology(num_bs=3, edge_delay=(10.0, 20.0, 15.0),
+                        peer_delay=uturn_peer_delays((10.0, 20.0, 15.0)), cdn_delay=100.0)
+    given = dict(num_users=4, topology=topology, user_assignment={1: 1, 2: 2, 3: 3, 4: 1},
+                 popularity=Popularity.from_weights(np.arange(60.0, 0.0, -1.0)))
+    return small_config(**{**given, **overrides})
+
+
+def equal_instances(a, b):
+    """Whether two instances hold equal parts, the user maps in one order."""
+    return (a.trace == b.trace and a.catalog == b.catalog and a.topology == b.topology
+            and list(a.topology.users) == list(b.topology.users)
+            and a.popularity.probs.tobytes() == b.popularity.probs.tobytes()
+            and a.warm_count == b.warm_count and a.home_bs.dtype == b.home_bs.dtype
+            and np.array_equal(a.home_bs, b.home_bs))
+
+
+def _swap_first_two(popularity):
+    popularity.probs.flags.writeable = True
+    popularity.probs[[0, 1]] = popularity.probs[[1, 0]]
+
+
+def _append_a_request(config):
+    with open(config.trace_path, "a", encoding="utf-8") as handle:
+        handle.write("9999,u1,c1\n")
+    return config
+
+
+def _copy_trace(config):
+    copy = Path(config.trace_path).with_name("copy.csv")
+    copy.write_bytes(Path(config.trace_path).read_bytes())
+    return replace(config, trace_path=str(copy))
+
+
+@pytest.mark.parametrize("base, change, rebuilt", [
+    ("drawn", lambda c: replace(c, num_files=61), True),
+    ("drawn", lambda c: replace(c, zipf_alpha=0.9), True),
+    ("drawn", lambda c: replace(c, num_requests=4001), True),
+    ("drawn", lambda c: replace(c, num_users=59), True),
+    ("drawn", lambda c: replace(c, master_seed=8), True),
+    ("drawn", lambda c: replace(c, file_size_mb=21.0), True),
+    ("drawn", lambda c: replace(c, file_size_mb=20), True),  # 20.0 as an int
+    ("drawn", lambda c: replace(c, num_bs=4), True),
+    ("drawn", lambda c: replace(c, warmup_frac=0.3), True),
+    ("drawn", lambda c: replace(c, policy="lru", capacities=None,
+                                total_cache_bytes=10**9), False),
+    ("drawn", lambda c: replace(c, num_requests=4000.0), False),
+    ("given", lambda c: replace(c, topology=replace(c.topology, cdn_delay=90.0)), True),
+    ("given", lambda c: replace(c, topology=replace(c.topology)), False),
+    ("given", lambda c: replace(c, user_assignment={1: 2, 2: 2, 3: 3, 4: 1}), True),
+    ("given", lambda c: replace(c, user_assignment={2: 2, 1: 1, 3: 3, 4: 1}), True),
+    ("given", lambda c: replace(c, user_assignment=dict(c.user_assignment)), False),
+    ("given", lambda c: replace(c, user_assignment=None), True),  # the topology's none
+    ("given", lambda c: replace(c, popularity=Popularity.from_weights(np.ones(60))), True),
+    ("given", lambda c: _swap_first_two(c.popularity) or c, True),
+    ("given", lambda c: replace(c, popularity=replace(c.popularity)), False),
+    ("trace", _append_a_request, True),
+    ("trace", _copy_trace, False),
+], ids=["num_files", "zipf_alpha", "num_requests", "num_users", "master_seed",
+        "file_size_mb", "file_size_mb-type", "num_bs", "warmup_frac", "policy-budget",
+        "num_requests-float", "topology", "topology-copy", "user_assignment-content",
+        "user_assignment-order", "user_assignment-copy", "user_assignment-none",
+        "popularity", "popularity-in-place", "popularity-copy", "trace-bytes",
+        "trace-copy"])
+def test_a_kept_instance_is_rebuilt_when_any_input_changes(
+        base, change, rebuilt, builds, tmp_path, monkeypatch):
+    # each input prepare reads, changed alone, builds the instance again,
+    # and the result equals an instance built from empty slots
+    config = {"drawn": small_config, "given": given_network,
+              "trace": lambda: replay_configs(tmp_path)["trace"]}[base]()
+    prepare(config)
+    changed = change(config)
+    got = prepare(changed)
+    assert len(builds) == 1 + rebuilt
+    monkeypatch.setattr(octocache.workload, "_last_stream", None)
+    monkeypatch.setattr(octocache.engine, "_last_instance", None)
+    assert equal_instances(got, prepare(changed))
+
+
+def test_a_changed_smoothing_rebuilds_the_instance(builds, monkeypatch):
+    config = small_config()
+    first = prepare(config)
+    monkeypatch.setattr(ExperimentConfig, "smoothing", 0.5)
+    second = prepare(config)
+    assert len(builds) == 2
+    assert second.popularity.probs.tobytes() != first.popularity.probs.tobytes()
+
+
+def test_prepare_hands_out_the_given_topology_and_popularity(builds):
+    # parts taken from the config are the config's own objects on every call,
+    # as at a build; the kept copies are never handed out
+    config = given_network(user_assignment=None)
+    config = replace(config, topology=config.topology.with_users({1: 1, 2: 2, 3: 3, 4: 1}))
+    for _ in range(2):
+        instance = prepare(config)
+        assert instance.topology is config.topology
+        assert instance.popularity is config.popularity
+    other = prepare(replace(config, user_assignment={1: 1, 2: 2, 3: 3, 4: 1}))
+    assert len(builds) == 1 and other.topology is not config.topology
+    assert other.topology == config.topology
+
+
+@pytest.mark.parametrize("invalid", [
+    {"num_requests": 0},  # empty evaluation window
+    {"warmup_frac": 1.5},
+    {"popularity": Popularity.from_weights(np.ones(59))},
+], ids=["empty-window", "warmup_frac", "popularity-length"])
+def test_a_repeated_invalid_config_still_raises(invalid, builds):
+    valid = small_config()
+    want = prepare(valid)
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            prepare(small_config(**invalid))
+    assert equal_instances(prepare(valid), want)
+
+
+def test_replay_gathers_views_when_every_user_has_a_home(monkeypatch):
+    # a policy replays views of the instance's columns, not copies, when no
+    # request has to be skipped
+    config = small_config()
+    instance = prepare(config)
+    assert instance.home_bs.all()
+    seen = []
+    policy = make_policy("eo", instance.topology, instance.catalog, instance.popularity,
+                         config.capacities, instance.topology.users)
+    replay_of = policy.replay
+    monkeypatch.setattr(policy, "replay",
+                        lambda bs, files: seen.append((bs, files)) or replay_of(bs, files))
+    replay(instance, policy)
+    [(bs, files)] = seen
+    assert np.shares_memory(bs, instance.home_bs)
+    assert np.shares_memory(files, instance.trace.file_ids)
 
 
 # ------------------------------------------------------------------- sweeps

@@ -506,6 +506,39 @@ def test_rcr_triggers_are_the_misses_that_swap(seed, tied, misses):
     assert np.flatnonzero(triggers).tolist() == swapping
 
 
+def _triggers_from_the_tables(ev):
+    """The trigger mask as read from the loss and gain tables alone."""
+    triggers = np.zeros(ev.placement.num_files + 1, dtype=bool)
+    worst = ev.min_loss_element()
+    if worst is not None:
+        loss, _, cache = worst
+        triggers[1:] = (_swap_commits(ev, ev._gain_table()[:, cache], loss)
+                        & ~ev.mask.any(axis=0))
+    return triggers
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rcr_triggers_read_no_table_when_every_file_is_cached(seed):
+    # a placement that caches every file has no trigger, and no table is
+    # read to find that; any other placement gets the tables' mask
+    rng = np.random.default_rng(seed)
+    topo, catalog, pop, caps = random_instance(rng, max_bs=3, max_files=8, max_cap=4)
+    placement = random_feasible_placement(rng, caps, catalog.num_files,
+                                          fill=float(rng.random()))
+    if seed % 2:  # fill the cloud, so that every file is cached
+        num_files = catalog.num_files
+        caps = CacheCapacities(cloud=num_files, edge=caps.edge)
+        placement = Placement(caps, num_files, [range(1, num_files + 1),
+                                                *placement.contents[1:]])
+    ev = UtilityEvaluator(topo, pop, placement)
+    want = _triggers_from_the_tables(copy.deepcopy(ev))
+    if placement.mask[:, 1:].any(axis=0).all():
+        for read in ("_loss_table", "_gain_table", "min_loss_element"):
+            setattr(ev, read, lambda read=read: pytest.fail(f"{read} read on a full placement"))
+    assert _rcr_triggers(ev).tolist() == want.tolist()
+    assert seed % 2 == 0 or not want.any()
+
+
 def test_rcr_swapped_out_element_had_minimum_loss(shifted):
     topo, _, pop, placement = shifted
     losses = {(f, c): marginal_loss(placement, (f, c), topo, pop)

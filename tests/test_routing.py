@@ -464,6 +464,20 @@ def test_placement_add_copies_rejects_a_bad_copy_before_any_change(files, caches
     assert placement.contents == [{1, 2, 3}, {1, 4}, {2}]
 
 
+@pytest.mark.parametrize("files, caches, message", [
+    ([3, 3], [0, 0], "given twice"),  # one distinct copy fits the cloud's room
+    ([4, 3, 4], [2, 2, 2], "given twice"),
+    ([3, 4, 2], [0, 0, 2], "overflow"),
+], ids=["duplicate-in-room", "duplicate-and-one", "overflow"])
+def test_placement_add_copies_names_the_broken_rule(files, caches, message):
+    # a copy given twice counts once against the room, so it is reported as
+    # given twice, before any change, even where two copies would overflow
+    placement = _batch_target()
+    with pytest.raises(ValueError, match=message):
+        placement._add_copies(np.array(files), np.array(caches))
+    assert placement == _batch_target()
+
+
 def test_an_empty_batch_changes_nothing(canonical):
     # a swap round that accepts nothing hands both levels an empty batch
     topo, _, _, _ = canonical

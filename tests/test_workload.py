@@ -244,6 +244,38 @@ def test_parse_file_reparses_a_file_that_differs_in_its_last_byte(
     assert got == parse_trace(text) and got != first
 
 
+@pytest.mark.parametrize("where", [
+    lambda size: 0,  # the first byte
+    lambda size: octocache.workload._CHUNK - 1,  # the first chunk's last byte
+    lambda size: octocache.workload._CHUNK,  # the second chunk's first byte
+    lambda size: size // 2,  # a middle chunk
+], ids=["first", "first-chunk-end", "second-chunk-start", "middle"])
+def test_parse_file_reparses_a_same_size_file_that_differs_in_any_chunk(
+        where, parses, tmp_path):
+    # the last byte, and appended and truncated files, are the test above
+    path = tmp_path / "trace.csv"
+    path.write_text(BIG_TEXT, encoding="utf-8")
+    first = parse_trace_file(path)
+    at = where(len(BIG_TEXT))
+    assert len(BIG_TEXT) > 4 * octocache.workload._CHUNK
+    text = BIG_TEXT[:at] + ("y" if BIG_TEXT[at] != "y" else "z") + BIG_TEXT[at + 1:]
+    path.write_text(text, encoding="utf-8")
+    got = parse_trace_file(path)
+    assert len(parses) == 2
+    assert got == parse_trace(text) and got != first
+
+
+def test_parse_file_confirms_an_equal_copy_without_a_parse(parses, tmp_path):
+    # a copy of the kept file at another path, and the file again, are
+    # confirmed chunk by chunk and reuse the kept parse
+    path, copy = tmp_path / "trace.csv", tmp_path / "copy.csv"
+    path.write_text(BIG_TEXT, encoding="utf-8")
+    copy.write_text(BIG_TEXT, encoding="utf-8")
+    want = parse_trace_file(path)
+    assert parse_trace_file(copy) == want and parse_trace_file(path) == want
+    assert len(parses) == 1
+
+
 def reference_parse(text):
     """The per-line parser the columnar one replaced: a list of
     (time, user, file index) rows in time order, the content labels and the
