@@ -287,8 +287,9 @@ def _rcr_swaps(ev, new_file):
     otherwise stop. The new file's gain does not depend on the evicted
     copy, so it is read first and a rejected swap mutates nothing; as the
     evaluator keeps its min-loss copy between mutations, a miss that swaps
-    nothing costs one gain-table read. A copy the new file already holds
-    has gain exactly 0, so the loop never swaps the new file for itself.
+    nothing costs one gather of the new file's gains. A copy the new file
+    already holds has gain exactly 0, so the loop never swaps the new file
+    for itself.
     Raises ``ValueError`` for a new file out of range or already cached.
     """
     ev.placement._check_file(new_file)
@@ -300,7 +301,7 @@ def _rcr_swaps(ev, new_file):
         if worst is None:
             break
         loss, evict_file, cache = worst
-        gain = float(ev._gain_table()[new_file - 1, cache])
+        gain = float(ev._marginals(new_file - 1, ev.codes[new_file - 1])[cache])
         if not _swap_commits(ev, gain, loss):
             break
         ev.remove(evict_file, cache)
@@ -316,14 +317,16 @@ def _rcr_triggers(ev):
     over file ids 0..F (0 is never set). A miss's first attempt evicts the
     min-loss copy, so the mask holds the uncached files whose gain at that
     copy's cache passes :func:`_swap_commits` against its loss. It stays
-    valid until the evaluator mutates. When every file is cached the mask
-    is clear, and no table is read."""
+    valid until the evaluator mutates. The gains are one gather of that
+    cache's column. When every file is cached the mask is clear, and
+    nothing is read."""
     triggers = np.zeros(ev.placement.num_files + 1, dtype=bool)
     uncached = ~ev.mask.any(axis=0)
     worst = ev.min_loss_element() if uncached.any() else None
     if worst is not None:
         loss, _, cache = worst
-        triggers[1:] = _swap_commits(ev, ev._gain_table()[:, cache], loss) & uncached
+        gain = ev._marginals(np.arange(ev.placement.num_files), ev.codes, caches=[cache])
+        triggers[1:] = _swap_commits(ev, gain[:, 0], loss) & uncached
     return triggers
 
 

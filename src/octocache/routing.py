@@ -389,18 +389,19 @@ class UtilityEvaluator:
     set, the caches holding it, as the int ``sum_k 2^k mask[k, j]``, and
     ``best1`` (R, F) holds, per (BS, file), the best t-value among those
     caches: column j is column ``codes[j]`` of a table of all 2^(R+1)
-    holder sets, built with the evaluator. Two (F, R+1) tables hold each
-    copy's marginal gain (0 where the cache holds the file) and marginal
-    loss (``inf`` where it does not). Both are rows of :meth:`_marginals`:
-    the file's probability times the row of its holder set in a table of
-    all holder sets, built once per table kind on first use. :meth:`add`,
-    :meth:`remove` and the bulk :meth:`add_copies` change the placement
-    through its own checked methods, then update ``codes`` and ``best1``
-    and mark the files' rows stale; a table read recomputes its stale rows
-    at once. The evaluator owns its placement copy: mutate through those
-    three only. A table read refreshes that table, so even reads need
-    exclusive access while any row is stale. A placement or popularity
-    that does not fit the topology or catalog is a ``ValueError``.
+    holder sets, built with the evaluator. A copy's marginal gain (0 where
+    the cache holds the file) or loss is one gather, :meth:`_marginals`:
+    the file's probability times the entry of its holder set in a table of
+    all holder sets, built once per rank on first use. No per-copy table
+    is kept. :meth:`add`, :meth:`remove` and the bulk :meth:`add_copies`
+    change the placement through its own checked methods, then update
+    ``codes`` and ``best1`` and drop the kept min-loss copy. The evaluator
+    owns its placement copy: mutate through those three only. A read
+    writes nothing but a rank's sums table, on first use, and the kept
+    min-loss copy, each the same whichever read writes it, so any number
+    of reads may share the evaluator while nothing mutates it. A placement
+    or popularity that does not fit the topology or catalog is a
+    ``ValueError``.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -420,10 +421,6 @@ class UtilityEvaluator:
         self.codes = self._bits @ self.mask
         self.best1 = np.take(self._best_t, self.codes, axis=1)  # C order keeps utility()'s bits
         self._sums = {}  # rank -> sums per holder set, see _sums_table
-        self._gains = np.zeros((placement.num_files, self.num_bs + 1))
-        self._gains_stale = np.ones(placement.num_files, dtype=bool)
-        self._losses = np.full((placement.num_files, self.num_bs + 1), np.inf)
-        self._losses_stale = np.ones(placement.num_files, dtype=bool)
         self._min_loss = None
         self._min_loss_stale = True
 
@@ -449,51 +446,40 @@ class UtilityEvaluator:
             self._sums[rank] = drop.sum(axis=0)
         return self._sums[rank]
 
-    def _marginals(self, js, codes, rank=1):
+    def _marginals(self, js, codes, rank=1, caches=slice(None)):
         """``p_j`` times the :meth:`_sums_table` row of holder set ``codes[n]``
-        for files ``j = js[n]``, shape (len(js), R+1). Selecting the rival
-        does not round, and numpy adds the BS axis in BS order, so a row is
-        bitwise the same built alone or in the table."""
-        return self.probs[js, None] * self._sums_table(rank)[codes]
-
-    def _gain_table(self):
-        """The gain table, its stale rows recomputed first."""
-        if self._gains_stale.any():
-            js = np.flatnonzero(self._gains_stale)
-            self._gains[js] = self._marginals(js, self.codes[js])
-            self._gains_stale[js] = False
-        return self._gains
-
-    def _loss_table(self):
-        """The loss table, its stale rows recomputed first; a user falls back
-        to its second-best holder, or to the CDN (t-value 0)."""
-        if self._losses_stale.any():
-            js = np.flatnonzero(self._losses_stale)
-            losses = self._marginals(js, self.codes[js], rank=2)
-            self._losses[js] = np.where(self.mask[:, js].T, losses, np.inf)
-            self._losses_stale[js] = False
-        return self._losses
+        for files ``j = js[n]``, at the caches ``caches`` (all by default):
+        shape (len(js), len(caches)), or (len(caches),) for one file. Every
+        gain and loss is read here. Selecting the rival does not round, and
+        numpy adds the BS axis in BS order, so an entry is bitwise the same
+        built alone or in the table."""
+        return self.probs[js, None] * self._sums_table(rank)[:, caches][codes]
 
     def marginal_gain(self, file, cache):
         self.placement._check_add(file, cache)
-        return float(self._gain_table()[file - 1, cache])
+        return float(self._marginals(file - 1, self.codes[file - 1])[cache])
 
     def marginal_loss(self, file, cache):
+        """The utility lost by removing the copy; a user falls back to its
+        second-best holder, or to the CDN (t-value 0)."""
         self.placement._check_remove(file, cache)
-        return float(self._loss_table()[file - 1, cache])
+        return float(self._marginals(file - 1, self.codes[file - 1], rank=2)[cache])
 
     def min_loss_element(self):
         """The cached copy with the smallest marginal loss, as a tuple
         (loss, file, cache); ties prefer the lower file then cache index.
-        Returns None when nothing is cached. The result is kept until the
-        next mutation, so repeated calls between mutations cost no table
-        read."""
+        Returns None when nothing is cached. Only the cached files' losses
+        are gathered, and the result is kept until the next mutation, so
+        repeated calls between mutations gather nothing."""
         if self._min_loss_stale:
-            losses = self._loss_table()
-            j, cache = divmod(int(losses.argmin()), self.num_bs + 1)
-            best = losses[j, cache]
-            self._min_loss = None if best == np.inf else (float(best), j + 1, cache)
-            self._min_loss_stale = False
+            js = np.flatnonzero(self.codes)
+            least = None
+            if js.size:
+                losses = np.where(self.mask[:, js].T,
+                                  self._marginals(js, self.codes[js], rank=2), np.inf)
+                n, cache = divmod(int(losses.argmin()), self.num_bs + 1)
+                least = (float(losses[n, cache]), int(js[n]) + 1, cache)
+            self._min_loss, self._min_loss_stale = least, False
         return self._min_loss
 
     # -- mutation ---------------------------------------------------------
@@ -509,14 +495,14 @@ class UtilityEvaluator:
     def add_copies(self, files, caches):
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
         once, through ``Placement._add_copies``, which raises its
-        ``ValueError`` before any change. An empty batch marks nothing stale."""
+        ``ValueError`` before any change. An empty batch keeps the min-loss
+        copy."""
         if not files.size:
             return
         self.placement._add_copies(files, caches)
         js = files - 1
         np.bitwise_or.at(self.codes, js, self._bits[caches])
         self.best1[:, js] = self._best_t[:, self.codes[js]]
-        self._gains_stale[js] = self._losses_stale[js] = True
         self._min_loss_stale = True
 
     def _update_column(self, file, cache):
@@ -524,5 +510,4 @@ class UtilityEvaluator:
         j = file - 1
         self.codes[j] ^= self._bits[cache]
         self.best1[:, j] = self._best_t[:, self.codes[j]]
-        self._gains_stale[j] = self._losses_stale[j] = True
         self._min_loss_stale = True

@@ -94,3 +94,12 @@ def random_feasible_placement(rng, capacities, num_files, fill=0.7):
         for f in files:
             placement.add(int(f), cache)
     return placement
+
+
+def marginal_tables(ev):
+    """Every copy's marginal gain and marginal loss on the evaluator ``ev``,
+    as two (F, R+1) tables read through ``ev._marginals``: the gain is 0
+    where the cache holds the file, and the loss ``inf`` where it does not."""
+    js = np.arange(ev.placement.num_files)
+    losses = ev._marginals(js, ev.codes, rank=2)
+    return ev._marginals(js, ev.codes), np.where(ev.mask.T, losses, np.inf)

@@ -16,7 +16,8 @@ from octocache.placement import (SWAP_MIN_RELATIVE_GAIN, _rcr_swaps,
 from octocache.routing import UtilityEvaluator
 from octocache.topology import uturn_peer_delays
 
-from conftest import enumerate_optimal, random_feasible_placement, random_instance
+from conftest import (enumerate_optimal, marginal_tables, random_feasible_placement,
+                      random_instance)
 
 # --------------------------------------------------------------------- pcd
 
@@ -203,7 +204,7 @@ def test_pcd_steps_replay_as_first_maxima_at_scale():
         for step in report.steps:
             shut = ev.mask.T | (np.array([ev.placement.cache_size(k) for k in
                                           range(len(sizes))]) == sizes)
-            table = np.where(shut, -np.inf, ev._gain_table())
+            table = np.where(shut, -np.inf, marginal_tables(ev)[0])
             j, cache = divmod(int(table.argmax()), len(sizes))
             assert (step["file"], step["cache"]) == (j + 1, cache)
             assert np.float64(step["gain"]).tobytes() == table[j, cache].tobytes()
@@ -507,20 +508,21 @@ def test_rcr_triggers_are_the_misses_that_swap(seed, tied, misses):
 
 
 def _triggers_from_the_tables(ev):
-    """The trigger mask as read from the loss and gain tables alone."""
+    """The trigger mask as read from the whole gain table."""
     triggers = np.zeros(ev.placement.num_files + 1, dtype=bool)
     worst = ev.min_loss_element()
     if worst is not None:
         loss, _, cache = worst
-        triggers[1:] = (_swap_commits(ev, ev._gain_table()[:, cache], loss)
+        triggers[1:] = (_swap_commits(ev, marginal_tables(ev)[0][:, cache], loss)
                         & ~ev.mask.any(axis=0))
     return triggers
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_rcr_triggers_read_no_table_when_every_file_is_cached(seed):
-    # a placement that caches every file has no trigger, and no table is
-    # read to find that; any other placement gets the tables' mask
+    # a placement that caches every file has no trigger, and no gain, loss
+    # or sums table is read to find that; any other placement gets the
+    # whole gain table's mask
     rng = np.random.default_rng(seed)
     topo, catalog, pop, caps = random_instance(rng, max_bs=3, max_files=8, max_cap=4)
     placement = random_feasible_placement(rng, caps, catalog.num_files,
@@ -533,7 +535,7 @@ def test_rcr_triggers_read_no_table_when_every_file_is_cached(seed):
     ev = UtilityEvaluator(topo, pop, placement)
     want = _triggers_from_the_tables(copy.deepcopy(ev))
     if placement.mask[:, 1:].any(axis=0).all():
-        for read in ("_loss_table", "_gain_table", "min_loss_element"):
+        for read in ("_marginals", "_sums_table", "min_loss_element"):
             setattr(ev, read, lambda read=read: pytest.fail(f"{read} read on a full placement"))
     assert _rcr_triggers(ev).tolist() == want.tolist()
     assert seed % 2 == 0 or not want.any()

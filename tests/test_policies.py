@@ -15,7 +15,7 @@ from octocache.placement import _rcr_triggers
 from octocache.policies import Policy, _first_marked, _lfu_victim
 from octocache.routing import UtilityEvaluator, _serving_table
 
-from conftest import random_feasible_placement, random_instance
+from conftest import marginal_tables, random_feasible_placement, random_instance
 
 
 def single_bs_topology():
@@ -521,8 +521,8 @@ def test_make_policy_greedy_evaluator_equals_a_fresh_one():
                                        mode=RoutingMode.EDGE_CLOUD).placement
         ev = make_policy("octopus", topo, catalog, pop, caps, topo.users)._ev
         fresh = UtilityEvaluator(topo, pop, greedy)
-        for read in (lambda e: e.mask, lambda e: e.best1, lambda e: e._gain_table(),
-                     lambda e: e._loss_table(), _rcr_triggers):
+        for read in (lambda e: e.mask, lambda e: e.best1, lambda e: marginal_tables(e)[0],
+                     lambda e: marginal_tables(e)[1], _rcr_triggers):
             assert read(ev).tobytes() == read(fresh).tobytes()
         assert ev.utility() == fresh.utility()
         assert ev.min_loss_element() == fresh.min_loss_element()

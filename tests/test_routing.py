@@ -12,11 +12,11 @@ from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy,
                        Topology, build_paper_topology, make_policy, marginal_gain,
                        marginal_loss, pcd, route_request, total_expected_delay,
                        utility, zipf_popularity)
-from octocache.placement import place_ecnc, place_eo, place_exmpc
+from octocache.placement import _rcr_triggers, place_ecnc, place_eo, place_exmpc
 from octocache.routing import UtilityEvaluator
 from octocache.topology import uturn_peer_delays
 
-from conftest import (random_feasible_placement, random_instance,
+from conftest import (marginal_tables, random_feasible_placement, random_instance,
                       reference_route_cost, reference_utility)
 
 
@@ -369,10 +369,11 @@ def _assert_marginals_match_reference(ev, topo, pop, mode):
     contents = ev.placement.contents
     total = reference_utility(topo, pop, contents, mode.value)
     tol = 1e-9 * max(total, 1.0)
+    gains, _ = marginal_tables(ev)
     for file in range(1, ev.placement.num_files + 1):
         for cache in range(ev.placement.num_caches):
             if ev.placement.contains(file, cache):
-                assert ev._gain_table()[file - 1, cache] == 0.0
+                assert gains[file - 1, cache] == 0.0
                 continue
             if ev.placement.is_full(cache):
                 continue
@@ -396,7 +397,7 @@ def _assert_marginals_match_reference(ev, topo, pop, mode):
 
 
 def test_evaluator_matches_scratch_after_mutations():
-    # codes, best1, the gain and loss tables and the kept min-loss copy, across
+    # codes, best1, every gain and loss and the kept min-loss copy, across
     # arbitrary add/remove sequences, must equal, bit for bit, those of an
     # evaluator built from scratch
     rng = np.random.default_rng(31)
@@ -416,9 +417,43 @@ def test_evaluator_matches_scratch_after_mutations():
                 assert ev.utility() == pytest.approx(reference_utility(
                     topo, pop, ev.placement.contents, mode.value), rel=1e-9)
                 assert ev.min_loss_element() == fresh.min_loss_element()
-                if step % 3 == 2:  # let stale gain rows pile up between reads
-                    assert np.array_equal(ev._loss_table(), fresh._loss_table())
-                    assert np.array_equal(ev._gain_table(), fresh._gain_table())
+                if step % 3 == 2:  # let mutations pile up between reads
+                    for mine, theirs in zip(marginal_tables(ev), marginal_tables(fresh)):
+                        assert np.array_equal(mine, theirs)
+
+
+def test_evaluator_reads_change_no_array():
+    # gains, losses, the min-loss copy and the trigger mask are reads: after
+    # bulk mutations, every array the evaluator holds, and its placement,
+    # are bitwise what they were before them
+    rng = np.random.default_rng(43)
+    for mode in RoutingMode:
+        for _ in range(30):
+            topo, catalog, pop, caps = random_instance(rng, max_bs=4, max_files=8,
+                                                       max_cap=3)
+            ev = UtilityEvaluator(topo, pop, Placement(caps, catalog.num_files),
+                                  mode=mode)
+            for _ in range(int(rng.integers(1, 8))):
+                _mutate(rng, ev, catalog.num_files, bulk=True)
+            arrays = {name: value.copy() for name, value in vars(ev).items()
+                      if isinstance(value, np.ndarray)}
+            placement = ev.placement.copy()
+            for file in range(1, catalog.num_files + 1):
+                for cache in range(ev.placement.num_caches):
+                    if ev.placement.contains(file, cache):
+                        ev.marginal_loss(file, cache)
+                    elif not ev.placement.is_full(cache):
+                        ev.marginal_gain(file, cache)
+            ev.min_loss_element()
+            _rcr_triggers(ev)
+            assert ev.placement == placement
+            after = {name: value for name, value in vars(ev).items()
+                     if isinstance(value, np.ndarray)}
+            assert after.keys() == arrays.keys()
+            for name, value in arrays.items():
+                assert after[name].dtype == value.dtype, name
+                assert after[name].shape == value.shape, name
+                assert after[name].tobytes() == value.tobytes(), name
 
 
 _BAD_BATCHES = [
@@ -440,17 +475,15 @@ def test_add_copies_rejects_a_bad_copy_before_any_change(canonical, files, cache
     topo, _, _, _ = canonical
     pop = Popularity.from_weights([4.0, 3.0, 2.0, 1.0])
     ev = UtilityEvaluator(topo, pop, _batch_target())
-    ev._loss_table()
     before = (ev.placement.copy(), ev.mask.copy(), ev.best1.copy(),
-              ev._gain_table().copy(), ev._loss_table().copy(), ev.min_loss_element())
+              *marginal_tables(ev), ev.min_loss_element())
     with pytest.raises(ValueError):
         ev.add_copies(np.array(files), np.array(caches))
-    after = (ev.placement, ev.mask, ev.best1, ev._gain_table(), ev._loss_table(),
-             ev.min_loss_element())
+    assert not ev._min_loss_stale
+    after = (ev.placement, ev.mask, ev.best1, *marginal_tables(ev), ev.min_loss_element())
     assert before[0] == after[0] and before[5] == after[5]
     for old, new in zip(before[1:5], after[1:5]):
         assert np.array_equal(old, new)
-    assert not ev._gains_stale.any() and not ev._losses_stale.any()
 
 
 @pytest.mark.parametrize("files, caches", _BAD_BATCHES)
@@ -486,12 +519,11 @@ def test_an_empty_batch_changes_nothing(canonical):
     placement._add_copies(empty, empty)
     assert placement == _batch_target()
     ev = UtilityEvaluator(topo, Popularity.from_weights([4.0, 3.0, 2.0, 1.0]), placement)
-    before = (ev.best1.copy(), ev._gain_table().copy(), ev._loss_table().copy(),
-              ev.min_loss_element())
+    before = (ev.best1.copy(), *marginal_tables(ev), ev.min_loss_element())
     ev.add_copies(empty, empty)
-    assert not (ev._gains_stale.any() or ev._losses_stale.any() or ev._min_loss_stale)
+    assert not ev._min_loss_stale
     assert ev.placement == placement and ev.min_loss_element() == before[3]
-    for old, new in zip(before[:3], (ev.best1, ev._gain_table(), ev._loss_table())):
+    for old, new in zip(before[:3], (ev.best1, *marginal_tables(ev))):
         assert np.array_equal(old, new)
 
 
@@ -555,9 +587,8 @@ def _tables_row_by_row(ev):
 
 
 def _assert_tables_equal_rows_built_alone(ev):
-    gains, losses = _tables_row_by_row(ev)
-    assert np.array_equal(ev._gain_table(), gains)
-    assert np.array_equal(ev._loss_table(), losses)
+    for read, alone in zip(marginal_tables(ev), _tables_row_by_row(ev)):
+        assert np.array_equal(read, alone)
 
 
 def _patterned_evaluator(rng, num_bs, patterns, pattern_of, mode):
