@@ -269,8 +269,9 @@ def _swap_commits(ev, gain, loss):
     slot of the evaluator's min-loss copy, of marginal loss ``loss``, commits
     when ``gain > loss`` and ``gain - loss`` exceeds
     ``SWAP_MIN_RELATIVE_GAIN`` of the utility. ``gain`` is a float or an
-    array of candidate gains, which gives a mask. ``utility()`` costs an
-    (R, F) product, so it is read only when some gain beats the loss."""
+    array of candidate gains, which gives a mask. ``utility()`` costs a
+    gather and a dot product over F files, so it is read only when some
+    gain beats the loss."""
     commits = gain > loss  # a bool for a float gain, else a mask
     if commits if isinstance(commits, bool) else commits.any():
         commits &= gain - loss > SWAP_MIN_RELATIVE_GAIN * ev.utility()
@@ -293,7 +294,7 @@ def _rcr_swaps(ev, new_file):
     Raises ``ValueError`` for a new file out of range or already cached.
     """
     ev.placement._check_file(new_file)
-    if ev.mask[:, new_file - 1].any():
+    if ev.codes[new_file - 1]:
         raise ValueError(f"file {new_file} is already cached")
     steps = []
     for attempt in range(ev.num_bs + 1):
@@ -321,7 +322,7 @@ def _rcr_triggers(ev):
     cache's column. When every file is cached the mask is clear, and
     nothing is read."""
     triggers = np.zeros(ev.placement.num_files + 1, dtype=bool)
-    uncached = ~ev.mask.any(axis=0)
+    uncached = ev.codes == 0
     worst = ev.min_loss_element() if uncached.any() else None
     if worst is not None:
         loss, _, cache = worst

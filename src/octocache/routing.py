@@ -15,7 +15,8 @@ holding the file (0 if uncached). The two views are dual: for any feasible
 placement, utility + total expected delay = U * d_0.
 
 A :class:`Placement` is one (R+1, F+1) bool array, ``mask``, which every
-reader here indexes: :class:`UtilityEvaluator`, :func:`total_expected_delay`,
+reader here indexes: :class:`UtilityEvaluator` (once, for each file's
+holder-set code), :func:`total_expected_delay`,
 the per-request walk of :func:`route_request` and :func:`_serving_table`,
 which answers every request of a policy at once.
 
@@ -385,23 +386,23 @@ class UtilityEvaluator:
     """Incremental utility bookkeeping for one mutable placement.
 
     All state derives from the placement's (R+1, F) ``mask``, a view of the
-    placement's array without column 0. ``codes`` holds each file's holder
-    set, the caches holding it, as the int ``sum_k 2^k mask[k, j]``, and
-    ``best1`` (R, F) holds, per (BS, file), the best t-value among those
-    caches: column j is column ``codes[j]`` of a table of all 2^(R+1)
-    holder sets, built with the evaluator. A copy's marginal gain (0 where
-    the cache holds the file) or loss is one gather, :meth:`_marginals`:
-    the file's probability times the entry of its holder set in a table of
-    all holder sets, built once per rank on first use. No per-copy table
-    is kept. :meth:`add`, :meth:`remove` and the bulk :meth:`add_copies`
-    change the placement through its own checked methods, then update
-    ``codes`` and ``best1`` and drop the kept min-loss copy. The evaluator
-    owns its placement copy: mutate through those three only. A read
-    writes nothing but a rank's sums table, on first use, and the kept
-    min-loss copy, each the same whichever read writes it, so any number
-    of reads may share the evaluator while nothing mutates it. A placement
-    or popularity that does not fit the topology or catalog is a
-    ``ValueError``.
+    placement's array without column 0, through ``codes``: each file's
+    holder set, the caches holding it, as the int ``sum_k 2^k mask[k, j]``.
+    Every read is a gather by holder set. ``W[S]``, built with the
+    evaluator, is ``sum_b count_b * max_{k in S} t[b, k]``, the utility of
+    a file held by the caches of set S per unit of its probability, so
+    :meth:`utility` is ``W[codes] @ probs``. A copy's marginal gain (0
+    where the cache holds the file) or loss is :meth:`_marginals`: the
+    file's probability times the entry of its holder set in a table of all
+    holder sets, built once per rank on first use. :meth:`add`,
+    :meth:`remove` and the bulk :meth:`add_copies` change the placement
+    through its own checked methods, then update ``codes`` and drop the
+    kept min-loss copy. The evaluator owns its placement copy: mutate
+    through those three only. A read writes nothing but a rank's sums
+    table, on first use, and the kept min-loss copy, each the same
+    whichever read writes it, so any number of reads may share the
+    evaluator while nothing mutates it. A placement or popularity that
+    does not fit the topology or catalog is a ``ValueError``.
     """
 
     def __init__(self, topology, popularity, placement, mode=RoutingMode.FULL):
@@ -414,12 +415,11 @@ class UtilityEvaluator:
         self._bits = 1 << np.arange(self.num_bs + 1)
         # column S holds the caches of holder set S
         self._sets = (np.arange(2 ** (self.num_bs + 1)) & self._bits[:, None]).astype(bool)
-        self._best_t = np.zeros((self.num_bs, self._sets.shape[1]))
+        best_t = np.zeros((self.num_bs, self._sets.shape[1]))  # per BS and holder set
         for k, bit in enumerate(self._bits.tolist()):  # the sets whose last cache is k
-            self._best_t[:, bit:2 * bit] = np.maximum(self._best_t[:, :bit],
-                                                      self.t_table[:, k, None])
+            best_t[:, bit:2 * bit] = np.maximum(best_t[:, :bit], self.t_table[:, k, None])
+        self.W = self.counts @ best_t
         self.codes = self._bits @ self.mask
-        self.best1 = np.take(self._best_t, self.codes, axis=1)  # C order keeps utility()'s bits
         self._sums = {}  # rank -> sums per holder set, see _sums_table
         self._min_loss = None
         self._min_loss_stale = True
@@ -431,7 +431,7 @@ class UtilityEvaluator:
         return self.placement.mask[:, 1:]
 
     def utility(self):
-        return float(self.counts @ self.best1 @ self.probs)
+        return float(self.W[self.codes] @ self.probs)
 
     def _sums_table(self, rank):
         """``sum_b count_b * max(t[b, k] - rival[b, S], 0)`` per holder set S
@@ -475,7 +475,7 @@ class UtilityEvaluator:
             js = np.flatnonzero(self.codes)
             least = None
             if js.size:
-                losses = np.where(self.mask[:, js].T,
+                losses = np.where(self._sets[:, self.codes[js]].T,
                                   self._marginals(js, self.codes[js], rank=2), np.inf)
                 n, cache = divmod(int(losses.argmin()), self.num_bs + 1)
                 least = (float(losses[n, cache]), int(js[n]) + 1, cache)
@@ -486,11 +486,11 @@ class UtilityEvaluator:
 
     def add(self, file, cache):
         self.placement.add(file, cache)
-        self._update_column(file, cache)
+        self._flip(file, cache)
 
     def remove(self, file, cache):
         self.placement.remove(file, cache)
-        self._update_column(file, cache)
+        self._flip(file, cache)
 
     def add_copies(self, files, caches):
         """:meth:`add` of the copies ``(files[n], caches[n])``, int arrays, at
@@ -500,14 +500,10 @@ class UtilityEvaluator:
         if not files.size:
             return
         self.placement._add_copies(files, caches)
-        js = files - 1
-        np.bitwise_or.at(self.codes, js, self._bits[caches])
-        self.best1[:, js] = self._best_t[:, self.codes[js]]
+        np.bitwise_or.at(self.codes, files - 1, self._bits[caches])
         self._min_loss_stale = True
 
-    def _update_column(self, file, cache):
+    def _flip(self, file, cache):
         """Flip ``cache`` in the holder set of ``file``, just added or removed."""
-        j = file - 1
-        self.codes[j] ^= self._bits[cache]
-        self.best1[:, j] = self._best_t[:, self.codes[j]]
+        self.codes[file - 1] ^= self._bits[cache]
         self._min_loss_stale = True

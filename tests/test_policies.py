@@ -521,7 +521,7 @@ def test_make_policy_greedy_evaluator_equals_a_fresh_one():
                                        mode=RoutingMode.EDGE_CLOUD).placement
         ev = make_policy("octopus", topo, catalog, pop, caps, topo.users)._ev
         fresh = UtilityEvaluator(topo, pop, greedy)
-        for read in (lambda e: e.mask, lambda e: e.best1, lambda e: marginal_tables(e)[0],
+        for read in (lambda e: e.mask, lambda e: e.codes, lambda e: marginal_tables(e)[0],
                      lambda e: marginal_tables(e)[1], _rcr_triggers):
             assert read(ev).tobytes() == read(fresh).tobytes()
         assert ev.utility() == fresh.utility()

@@ -14,7 +14,7 @@ from octocache import (CacheCapacities, Catalog, LfuPolicy, LruPolicy,
                        utility, zipf_popularity)
 from octocache.placement import _rcr_triggers, place_ecnc, place_eo, place_exmpc
 from octocache.routing import UtilityEvaluator
-from octocache.topology import uturn_peer_delays
+from octocache.topology import MAX_BS, uturn_peer_delays
 
 from conftest import (marginal_tables, random_feasible_placement, random_instance,
                       reference_route_cost, reference_utility)
@@ -245,6 +245,51 @@ def test_duality_identity_random():
         assert u + d == pytest.approx(rhs, rel=1e-9)
 
 
+def _populated_topology(rng, num_bs):
+    """A paper topology of ``num_bs`` BSs with 0-3 users at each BS."""
+    homes = np.repeat(np.arange(1, num_bs + 1), rng.integers(0, 4, num_bs))
+    return build_paper_topology(num_bs, int(rng.integers(0, 2**31))).with_users(
+        {f"u{n}": int(bs) for n, bs in enumerate(homes)})
+
+
+def test_duality_identity_at_max_bs():
+    # the largest network, whose evaluator holds a 4,096-row value table
+    rng = np.random.default_rng(47)
+    topo = _populated_topology(rng, MAX_BS)
+    for _ in range(20):
+        num_files = int(rng.integers(1, 40))
+        pop = Popularity.from_weights(rng.random(num_files) + 0.01)
+        caps = CacheCapacities(cloud=int(rng.integers(0, 8)),
+                               edge=tuple(rng.integers(0, 6, MAX_BS).tolist()))
+        placement = random_feasible_placement(rng, caps, num_files)
+        u = utility(placement, topo, pop)
+        d = total_expected_delay(placement, topo, pop)
+        assert u + d == pytest.approx(topo.user_count() * topo.cdn_delay, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", list(RoutingMode))
+@pytest.mark.parametrize("num_bs", [1, 2, 3, 4, MAX_BS])
+def test_value_table_is_each_sets_best_t_summed_over_users(mode, num_bs):
+    # W[S] is the users' best t-value among the caches of S (0 when S is
+    # empty), summed over BSs; the utility is W gathered by the files' codes
+    rng = np.random.default_rng(53 + num_bs)
+    topo = _populated_topology(rng, num_bs)
+    num_files = int(rng.integers(1, 12))
+    pop = Popularity.from_weights(rng.random(num_files) + 0.01)
+    caps = CacheCapacities(cloud=3, edge=(2,) * num_bs)
+    ev = UtilityEvaluator(topo, pop, Placement(caps, num_files), mode=mode)
+    t, counts = ev.t_table.tolist(), ev.counts.tolist()
+    assert ev.W.shape == (2 ** (num_bs + 1),)
+    for code, value in enumerate(ev.W.tolist()):
+        caches = [k for k in range(num_bs + 1) if code >> k & 1]
+        want = sum(count * max((row[k] for k in caches), default=0.0)
+                   for count, row in zip(counts, t))
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for _ in range(30):
+        _mutate(rng, ev, num_files, bulk=True)
+        assert ev.utility() == float(ev.W[ev.codes] @ ev.probs)
+
+
 # -------------------------------------------------------------- marginals
 
 def test_marginal_gain_examples(canonical):
@@ -397,9 +442,9 @@ def _assert_marginals_match_reference(ev, topo, pop, mode):
 
 
 def test_evaluator_matches_scratch_after_mutations():
-    # codes, best1, every gain and loss and the kept min-loss copy, across
-    # arbitrary add/remove sequences, must equal, bit for bit, those of an
-    # evaluator built from scratch
+    # codes, the utility, every gain and loss and the kept min-loss copy,
+    # across arbitrary add/remove sequences, must equal, bit for bit, those
+    # of an evaluator built from scratch
     rng = np.random.default_rng(31)
     for mode in RoutingMode:
         for _ in range(40):
@@ -412,8 +457,9 @@ def test_evaluator_matches_scratch_after_mutations():
                 fresh = UtilityEvaluator(topo, pop, ev.placement, mode=mode)
                 assert np.array_equal(ev.mask, fresh.mask)
                 assert np.array_equal(ev.codes, fresh.codes)
-                assert np.array_equal(ev.best1, fresh.best1)
-                assert np.array_equal(ev.best1, (ev.t_table[:, :, None] * ev.mask).max(axis=1))
+                assert ev.utility() == fresh.utility()
+                assert ev.W[ev.codes] == pytest.approx(
+                    ev.counts @ (ev.t_table[:, :, None] * ev.mask).max(axis=1))
                 assert ev.utility() == pytest.approx(reference_utility(
                     topo, pop, ev.placement.contents, mode.value), rel=1e-9)
                 assert ev.min_loss_element() == fresh.min_loss_element()
@@ -475,12 +521,12 @@ def test_add_copies_rejects_a_bad_copy_before_any_change(canonical, files, cache
     topo, _, _, _ = canonical
     pop = Popularity.from_weights([4.0, 3.0, 2.0, 1.0])
     ev = UtilityEvaluator(topo, pop, _batch_target())
-    before = (ev.placement.copy(), ev.mask.copy(), ev.best1.copy(),
+    before = (ev.placement.copy(), ev.mask.copy(), ev.codes.copy(),
               *marginal_tables(ev), ev.min_loss_element())
     with pytest.raises(ValueError):
         ev.add_copies(np.array(files), np.array(caches))
     assert not ev._min_loss_stale
-    after = (ev.placement, ev.mask, ev.best1, *marginal_tables(ev), ev.min_loss_element())
+    after = (ev.placement, ev.mask, ev.codes, *marginal_tables(ev), ev.min_loss_element())
     assert before[0] == after[0] and before[5] == after[5]
     for old, new in zip(before[1:5], after[1:5]):
         assert np.array_equal(old, new)
@@ -519,11 +565,11 @@ def test_an_empty_batch_changes_nothing(canonical):
     placement._add_copies(empty, empty)
     assert placement == _batch_target()
     ev = UtilityEvaluator(topo, Popularity.from_weights([4.0, 3.0, 2.0, 1.0]), placement)
-    before = (ev.best1.copy(), *marginal_tables(ev), ev.min_loss_element())
+    before = (ev.codes.copy(), *marginal_tables(ev), ev.min_loss_element())
     ev.add_copies(empty, empty)
     assert not ev._min_loss_stale
     assert ev.placement == placement and ev.min_loss_element() == before[3]
-    for old, new in zip(before[:3], (ev.best1, *marginal_tables(ev))):
+    for old, new in zip(before[:3], (ev.codes, *marginal_tables(ev))):
         assert np.array_equal(old, new)
 
 
@@ -570,14 +616,14 @@ def test_evaluator_losses_with_tied_t_values(mode):
 
 def _tables_row_by_row(ev):
     """The gain and loss tables, each row built alone from its own file's
-    mask column: the rival is the file's ``best1`` column for a gain and its
-    holders' second-best t-value for a loss, and the BSs are added one at a
-    time, in order."""
+    mask column: the rival is its holders' best t-value for a gain and
+    their second-best for a loss, and the BSs are added one at a time, in
+    order."""
     gains = np.empty((ev.placement.num_files, ev.num_bs + 1))
     losses = np.empty_like(gains)
     for j in range(ev.placement.num_files):
-        second = np.sort(ev.t_table * ev.mask[:, j], axis=1)[:, -2]
-        for table, rival in ((gains, ev.best1[:, j]), (losses, second)):
+        held = np.sort(ev.t_table * ev.mask[:, j], axis=1)
+        for table, rival in ((gains, held[:, -1]), (losses, held[:, -2])):
             drop = np.maximum(ev.t_table - rival[:, None], 0.0) * ev.counts[:, None]
             total = drop[0]
             for b in range(1, ev.num_bs):
